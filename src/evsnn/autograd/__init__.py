@@ -9,7 +9,7 @@ from .ops import (
     focal_loss,
     smooth_l1,
 )
-from .optim import AdamW, adamw_step, cosine_lr, clip_grad_norm, kaiming_uniform_init
+from .optim import AdamW, cosine_lr, clip_grad_norm, kaiming_uniform_init
 from .checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "focal_loss",
     "smooth_l1",
     "AdamW",
-    "adamw_step",
     "cosine_lr",
     "clip_grad_norm",
     "kaiming_uniform_init",

@@ -96,12 +96,3 @@ class AdamW:
         for i in range(len(self.params)):
             self.m[i] = arrays[f"m{i}"].reshape(self.m[i].shape).astype(np.float32)
             self.v[i] = arrays[f"v{i}"].reshape(self.v[i].shape).astype(np.float32)
-
-
-def adamw_step(params, state=None, lr=1e-3, betas=(0.9, 0.999), weight_decay=1e-4):
-    """One functional AdamW update; creates state on first call."""
-    if state is None:
-        state = AdamW(params, lr=lr, betas=betas, weight_decay=weight_decay)
-    state.lr = lr
-    state.step()
-    return state

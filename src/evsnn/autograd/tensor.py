@@ -2,7 +2,9 @@
 
 Every op records its parents and a backward closure on the output tensor.
 Calling ``backward()`` on a scalar walks the tape in reverse topological
-order, accumulating gradients into ``.grad`` numpy arrays.
+order, accumulating gradients into ``.grad`` numpy arrays. The walk
+consumes the tape: each entry is dropped once used, so the saved
+activations are freed during the walk and a graph is walked only once.
 
 Compute dtype follows the data: float32 is the default everywhere, float64
 is used by the gradient-check tests only.
@@ -77,9 +79,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self):
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -111,9 +110,14 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self.accumulate_grad(np.asarray(grad, dtype=self.data.dtype))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            # freeing saved activations during the walk, not when the caller
+            # drops the loss, keeps a training step's peak memory to about one
+            # graph and its lifetime independent of the caller
+            node._parents, node._backward = (), None
 
     # -- elementwise arithmetic ----------------------------------------------
 

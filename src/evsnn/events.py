@@ -536,8 +536,9 @@ def build_classification_dataset(streams_and_annotations, window=100_000, rebala
     if len(by_class) < 2:
         return samples
     counts = {c: len(v) for c, v in by_class.items()}
-    maj = max(counts, key=counts.get)
     mino = min(counts, key=counts.get)
+    # excluding the minority keeps the two classes distinct on a tie
+    maj = max((c for c in counts if c != mino), key=counts.get)
     target = (counts[maj] + counts[mino] + 1) // 2
     keep_idx = rng.permutation(counts[maj])[:target]
     majority = [by_class[maj][i] for i in sorted(keep_idx)]

@@ -10,7 +10,6 @@ effective cost is the dense count scaled by the measured spike rate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,8 +288,3 @@ def human_count(n):
     if n >= 1e3:
         return f"{n / 1e3:.2f}K"
     return str(int(n))
-
-
-def write_report(path, report):
-    with open(path, "w") as fh:
-        json.dump(report.to_dict() if hasattr(report, "to_dict") else report, fh, indent=2)

@@ -1,12 +1,12 @@
 """Training and evaluation loops.
 
-Both loops share the same recipe: AdamW with decoupled weight decay,
-cosine learning-rate annealing to zero over the whole run, global
-gradient-norm clipping, and surrogate-gradient BPTT through the unrolled
-timesteps (PLIF states are reset before every sample batch). The
-classification head is trained with cross-entropy on the time-summed
-class scores; the detection heads with focal + smooth-L1 loss on the
-time-summed logits.
+Classifier and detector training share one loop, ``_fit``: AdamW with
+decoupled weight decay, cosine learning-rate annealing to zero over the
+whole run, global gradient-norm clipping, and surrogate-gradient BPTT
+through the unrolled timesteps (every forward pass starts the PLIF
+membranes from rest). The classification head is trained with
+cross-entropy on the time-summed class scores; the detection heads with
+focal + smooth-L1 loss on the time-summed logits.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .autograd import AdamW, Tensor, clip_grad_norm, cosine_lr, load_checkpoint, save_checkpoint
+from .autograd import AdamW, clip_grad_norm, cosine_lr, load_checkpoint, save_checkpoint
 from .detection import DetectionModel, build_anchor_targets, decode_detections, detection_loss
 from .encoding import EncoderConfig, batch_cubes, encode_voxel_cube
 from .metrics import accuracy, coco_map
 from .spiking import Network, classifier_scores, fuse_network
-from .tasks import encode_samples
+from .tasks import detection_ground_truth, encode_samples
 
 
 class TrainingDiverged(RuntimeError):
@@ -57,32 +57,23 @@ def _check_finite(loss, step, extra=""):
         raise TrainingDiverged(f"non-finite loss {loss!r} at step {step}{extra}")
 
 
-def train_classifier(net: Network, samples, encoder: EncoderConfig, config: TrainConfig, log=None):
-    """Surrogate-gradient BPTT training of a spiking classifier on
-    ClassificationSamples. Returns a TrainHistory; the net is trained in
-    place."""
-    cubes, labels = encode_samples(samples, encoder)
-    data = batch_cubes(cubes)
-    rng = np.random.default_rng(config.seed)
-    params = net.param_list()
+def _fit(params, loss_fn, n, config: TrainConfig, log):
+    """The training loop. Each epoch visits the ``n`` samples in a fresh
+    random order; ``loss_fn(idx)`` returns the loss Tensor of the batch of
+    sample indices ``idx``. Returns a TrainHistory."""
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
-    n = len(samples)
-    steps_per_epoch = max(1, -(-n // config.batch_size))
-    total_steps = config.epochs * steps_per_epoch
+    rng = np.random.default_rng(config.seed)
+    total_steps = config.epochs * max(1, -(-n // config.batch_size))
     hist = TrainHistory()
     t0 = time.monotonic()
     step = 0
-    net.set_training(True)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for i in range(0, n, config.batch_size):
             idx = order[i : i + config.batch_size]
-            batch = data[idx]
             opt.zero_grad()
-            outputs = net.forward(batch)
-            scores = classifier_scores(outputs)
-            loss = ag.softmax_cross_entropy(scores, labels[idx])
+            loss = loss_fn(idx)
             _check_finite(float(loss.data), step)
             loss.backward()
             norm = clip_grad_norm(params, config.grad_clip)
@@ -99,6 +90,20 @@ def train_classifier(net: Network, samples, encoder: EncoderConfig, config: Trai
             log(f"epoch {epoch + 1}/{config.epochs}  loss {hist.epoch_losses[-1]:.4f}")
     hist.wall_time = time.monotonic() - t0
     return hist
+
+
+def train_classifier(net: Network, samples, encoder: EncoderConfig, config: TrainConfig, log=None):
+    """Surrogate-gradient BPTT training of a spiking classifier on
+    ClassificationSamples. Returns a TrainHistory; the net is trained in
+    place."""
+    cubes, labels = encode_samples(samples, encoder)
+    data = batch_cubes(cubes)
+
+    def loss_fn(idx):
+        return ag.softmax_cross_entropy(classifier_scores(net.forward(data[idx])), labels[idx])
+
+    net.set_training(True)
+    return _fit(net.param_list(), loss_fn, len(samples), config, log)
 
 
 def evaluate_classifier(net: Network, samples, encoder: EncoderConfig, batch_size=64, fuse=False):
@@ -126,23 +131,19 @@ def evaluate_classifier(net: Network, samples, encoder: EncoderConfig, batch_siz
 
 
 def _encode_scenes(scenes, encoder: EncoderConfig):
-    cubes, targets = [], []
-    for stream, boxes in scenes:
-        cubes.append(encode_voxel_cube(stream, encoder))
-        targets.append(boxes)
-    return batch_cubes(cubes), targets
+    return batch_cubes([encode_voxel_cube(stream, encoder) for stream, _ in scenes])
 
 
 def train_detector(model: DetectionModel, scenes, encoder: EncoderConfig, config: TrainConfig,
                    freeze_backbone=False, log=None):
     """Train the SSD heads (and optionally the backbone) on (stream,
     boxes) scenes. Returns a TrainHistory."""
-    data, box_targets = _encode_scenes(scenes, encoder)
+    data = _encode_scenes(scenes, encoder)
     anchors = model.anchors(encoder.height, encoder.width)
     labels = np.empty((len(scenes), len(anchors)), dtype=np.int64)
     locs = np.empty((len(scenes), len(anchors), 4), dtype=np.float32)
     image_size = (encoder.width, encoder.height)
-    for i, boxes in enumerate(box_targets):
+    for i, (_, boxes) in enumerate(scenes):
         gt = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
         cls = [b.class_id for b in boxes]
         labels[i], locs[i] = build_anchor_targets(anchors, gt, cls, image_size, model.anchor_config)
@@ -150,50 +151,22 @@ def train_detector(model: DetectionModel, scenes, encoder: EncoderConfig, config
     params = model.net.param_list()
     if freeze_backbone:
         head_names = {n for pair in model.head_taps for n in pair}
-        trainable = {
-            pname: p for pname, p in model.net.params().items()
-            if pname.split(".")[0] in head_names or pname.split(".")[0].startswith("extra")
-        }
-        params = list(trainable.values())
+        params = []
         for pname, p in model.net.params().items():
-            if pname not in trainable:
+            layer = pname.split(".")[0]
+            if layer in head_names or layer.startswith("extra"):
+                params.append(p)
+            else:
                 p.requires_grad = False
-    opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
-    rng = np.random.default_rng(config.seed)
-    n = len(scenes)
-    steps_per_epoch = max(1, -(-n // config.batch_size))
-    total_steps = config.epochs * steps_per_epoch
-    hist = TrainHistory()
-    t0 = time.monotonic()
-    step = 0
+
+    def loss_fn(idx):
+        cls_logits, loc_pred = model.forward(data[idx])
+        loss, _, _ = detection_loss(cls_logits, loc_pred, labels[idx], locs[idx],
+                                    gamma=config.focal_gamma, alpha=config.focal_alpha)
+        return loss
+
     model.net.set_training(True)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for i in range(0, n, config.batch_size):
-            idx = order[i : i + config.batch_size]
-            opt.zero_grad()
-            cls_logits, loc_pred = model.forward(data[idx])
-            loss, cls_l, loc_l = detection_loss(
-                cls_logits, loc_pred, labels[idx], locs[idx],
-                gamma=config.focal_gamma, alpha=config.focal_alpha,
-            )
-            _check_finite(float(loss.data), step)
-            loss.backward()
-            norm = clip_grad_norm(params, config.grad_clip)
-            _check_finite(norm, step, " (gradient norm)")
-            opt.lr = cosine_lr(step, total_steps, config.lr)
-            opt.step()
-            hist.losses.append(float(loss.data))
-            hist.grad_norms.append(norm)
-            hist.lrs.append(opt.lr)
-            epoch_loss += float(loss.data) * len(idx)
-            step += 1
-        hist.epoch_losses.append(epoch_loss / n)
-        if log:
-            log(f"epoch {epoch + 1}/{config.epochs}  loss {hist.epoch_losses[-1]:.4f}")
-    hist.wall_time = time.monotonic() - t0
-    return hist
+    return _fit(params, loss_fn, len(scenes), config, log)
 
 
 def evaluate_detector(model: DetectionModel, scenes, encoder: EncoderConfig, batch_size=16,
@@ -202,7 +175,7 @@ def evaluate_detector(model: DetectionModel, scenes, encoder: EncoderConfig, bat
 
     Returns (MAPReport, detections).
     """
-    data, box_targets = _encode_scenes(scenes, encoder)
+    data = _encode_scenes(scenes, encoder)
     anchors = model.anchors(encoder.height, encoder.width)
     model.net.set_training(False)
     detections = []
@@ -215,11 +188,7 @@ def evaluate_detector(model: DetectionModel, scenes, encoder: EncoderConfig, bat
                 score_threshold=score_threshold, nms_iou=nms_iou,
                 variances=model.anchor_config.variances,
             )
-    gt = []
-    for img_id, boxes in enumerate(box_targets):
-        for b in boxes:
-            gt.append({"image_id": img_id, "class_id": b.class_id, "box": (b.x, b.y, b.w, b.h)})
-    return coco_map(detections, gt), detections
+    return coco_map(detections, detection_ground_truth(scenes)), detections
 
 
 # --------------------------------------------------------------------------
@@ -228,20 +197,25 @@ def evaluate_detector(model: DetectionModel, scenes, encoder: EncoderConfig, bat
 
 
 def save_network(path, net: Network, optimizer: AdamW | None = None):
-    save_checkpoint(path, net.params(), optimizer.state_arrays() if optimizer else None)
+    """Write the network's parameters and BN running statistics."""
+    save_checkpoint(path, net.state_arrays(), optimizer.state_arrays() if optimizer else None)
 
 
 def load_network(path, net: Network, optimizer: AdamW | None = None):
-    params, state = load_checkpoint(path)
-    net.load_params(params)
+    """Restore a ``save_network`` file into a network of the same
+    architecture; any mismatch raises ValueError."""
+    arrays, state = load_checkpoint(path)
+    net.load_state_arrays(arrays)
     if optimizer is not None and state:
         optimizer.load_state_arrays(state)
 
 
 def load_backbone(detector: DetectionModel, classifier_ckpt_path):
     """Initialize the shared backbone layers of a detector from a trained
-    classifier checkpoint; layers absent from the checkpoint keep their
-    fresh initialization. Returns the number of arrays loaded."""
+    classifier checkpoint; the only partial loader. Parameters absent from
+    the checkpoint or of another shape keep their fresh initialization, and
+    BN running statistics are not loaded. Returns the number of arrays
+    loaded."""
     params, _ = load_checkpoint(classifier_ckpt_path)
     own = detector.net.params()
     loaded = 0

@@ -4,7 +4,6 @@ from .layers import (
     NetworkSpec,
     Network,
     SpikeRecord,
-    run_network,
     classifier_scores,
     audit_spike_purity,
     ConvLayer,
@@ -27,7 +26,6 @@ __all__ = [
     "NetworkSpec",
     "Network",
     "SpikeRecord",
-    "run_network",
     "classifier_scores",
     "audit_spike_purity",
     "ConvLayer",

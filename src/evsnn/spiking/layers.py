@@ -3,7 +3,8 @@
 A network is described declaratively as a ``NetworkSpec`` (a DAG of layer
 descriptors, JSON-serializable) and instantiated as a ``Network`` holding
 parameter tensors. Execution is stepwise: one (N, C, H, W) frame per
-timestep, with PLIF membrane state carried between steps.
+timestep. Layers keep no per-step state: ``Network.forward`` holds the PLIF
+membranes in a dict local to the call and carries them between steps.
 """
 
 from __future__ import annotations
@@ -132,28 +133,23 @@ class PLIFLayer:
     def __init__(self, name, config: PLIFConfig):
         self.name = name
         self.config = config
-        self.state = None
         if config.learnable_tau:
             # 1/tau = sigmoid(w); w chosen so tau starts at tau_init
             w0 = -math.log(config.tau_init - 1.0)
             self.w = Tensor(np.asarray([w0], dtype=np.float32), requires_grad=True, name=f"{name}.w")
         else:
             self.w = None
-        self.record = None  # optional SpikeRecord hook
 
     def inv_tau(self):
         if self.w is not None:
             return ag.sigmoid(self.w)
         return 1.0 / self.config.tau_init
 
-    def __call__(self, x):
-        spikes, self.state = plif_step(self.state, x, self.config, self.inv_tau())
-        if self.record is not None:
-            self.record.add(self.name, float(spikes.data.sum()), spikes.data.size)
+    def __call__(self, x, membranes):
+        """One timestep. Reads this layer's membrane from ``membranes`` (none
+        on the first step), stores the updated one there, returns spikes."""
+        spikes, membranes[self.name] = plif_step(membranes.get(self.name), x, self.config, self.inv_tau())
         return spikes
-
-    def reset_state(self):
-        self.state = None
 
     def out_shape(self, shape):
         return shape
@@ -273,10 +269,6 @@ class SpikeRecord:
         tot_e = sum(self.elements.values())
         return sum(self.spikes.values()) / tot_e if tot_e else 0.0
 
-    def merge(self, other):
-        for k in other.spikes:
-            self.add(k, other.spikes[k], other.elements[k])
-
 
 def _plif_config_from_node(node):
     return PLIFConfig(
@@ -339,9 +331,6 @@ class Network:
     def param_list(self):
         return list(self.params().values())
 
-    def plif_layers(self):
-        return [self.layers[n["name"]] for n in self.spec.nodes if n["type"] == "plif"]
-
     def bn_layers(self):
         return [self.layers[n["name"]] for n in self.spec.nodes if n["type"] == "bn"]
 
@@ -349,50 +338,61 @@ class Network:
         for layer in self.bn_layers():
             layer.training = training
 
-    def reset_state(self):
-        for layer in self.plif_layers():
-            layer.reset_state()
+    def state_arrays(self):
+        """Parameters and BN running statistics by name: what a checkpoint holds."""
+        out = {name: p.data for name, p in self.params().items()}
+        for bn in self.bn_layers():
+            out[f"{bn.name}.running_mean"] = bn.running_mean
+            out[f"{bn.name}.running_var"] = bn.running_var
+        return out
 
-    def load_params(self, arrays):
+    def load_state_arrays(self, arrays):
+        """Inverse of ``state_arrays``. Raises ValueError naming every
+        missing, unexpected or misshapen entry, before loading any."""
+        own = self.state_arrays()
+        problems = [f"missing {k}" for k in own if k not in arrays]
+        problems += [f"unexpected {k}" for k in arrays if k not in own]
+        problems += [f"{k} has shape {np.shape(arrays[k])}, expected {own[k].shape}"
+                     for k in own if k in arrays and np.shape(arrays[k]) != own[k].shape]
+        if problems:
+            raise ValueError("state does not match the network: " + "; ".join(problems))
         params = self.params()
         for name, arr in arrays.items():
+            arr = np.array(arr, dtype=np.float32)
             if name in params:
-                params[name].data = arr.reshape(params[name].data.shape).astype(np.float32)
+                params[name].data = arr
+            else:
+                layer, buffer = name.rsplit(".", 1)
+                setattr(self.layers[layer], buffer, arr)
 
     # -- execution ------------------------------------------------------------
-
-    def step(self, x: Tensor):
-        """One timestep through the whole graph; returns {tap: Tensor}."""
-        values = {"input": x}
-        for node in self.spec.nodes:
-            layer = self.layers[node["name"]]
-            inputs = [values[i] for i in node["inputs"]]
-            values[node["name"]] = layer(*inputs)
-        return {o: values[o] for o in self.spec.outputs}
 
     def forward(self, batch, record: SpikeRecord | None = None):
         """Run a (N, C, T, H, W) batch over all timesteps.
 
-        Returns {tap: [Tensor per timestep]}. PLIF states are reset first.
+        Returns {tap: [Tensor per timestep]}. The PLIF membranes live only
+        in this call, so every call starts from rest.
         """
         if batch.shape[1] != self.spec.input_channels:
             raise ValueError(f"batch has {batch.shape[1]} channels, network expects {self.spec.input_channels}")
-        self.reset_state()
-        for layer in self.plif_layers():
-            layer.record = record
-        try:
-            outputs = {o: [] for o in self.spec.outputs}
-            for t in range(batch.shape[2]):
-                frame = Tensor(np.ascontiguousarray(batch[:, :, t]))
-                taps = self.step(frame)
-                for o, v in taps.items():
-                    outputs[o].append(v)
-            if record is not None:
-                record.steps += batch.shape[2]
-            return outputs
-        finally:
-            for layer in self.plif_layers():
-                layer.record = None
+        membranes = {}
+        outputs = {o: [] for o in self.spec.outputs}
+        for t in range(batch.shape[2]):
+            values = {"input": Tensor(np.ascontiguousarray(batch[:, :, t]))}
+            for node in self.spec.nodes:
+                name = node["name"]
+                inputs = [values[i] for i in node["inputs"]]
+                if node["type"] == "plif":
+                    values[name] = spikes = self.layers[name](*inputs, membranes)
+                    if record is not None:
+                        record.add(name, float(spikes.data.sum()), spikes.data.size)
+                else:
+                    values[name] = self.layers[name](*inputs)
+            for o, taps in outputs.items():
+                taps.append(values[o])
+        if record is not None:
+            record.steps += batch.shape[2]
+        return outputs
 
     def trace_shapes(self, height, width):
         """Propagate (C, H, W) shapes through the graph without executing."""
@@ -405,17 +405,6 @@ class Network:
             else:
                 shapes[node["name"]] = layer.out_shape(in_shapes[0])
         return shapes
-
-
-def run_network(net: Network, cube, record_spikes=True):
-    """Classify-style helper: feed one voxel cube (or a (N,C,T,H,W) batch)
-    and return (per-timestep tap outputs, SpikeRecord)."""
-    data = cube.data if hasattr(cube, "data") else np.asarray(cube)
-    if data.ndim == 4:
-        data = data[None]
-    record = SpikeRecord() if record_spikes else None
-    outputs = net.forward(data.astype(np.float32), record=record)
-    return outputs, record
 
 
 def classifier_scores(outputs, tap="scores"):

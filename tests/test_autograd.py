@@ -261,6 +261,16 @@ def test_backward_requires_scalar():
         (x * 2.0).backward()
 
 
+def test_backward_consumes_tape():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = x * 2.0
+    loss = (y * y).sum()
+    loss.backward()
+    assert np.allclose(x.grad, 8.0)
+    for t in (loss, y):  # still referenced, but their tape entries are gone
+        assert t._parents == () and t._backward is None
+
+
 def test_grad_accumulates_on_reuse():
     x = Tensor(np.array([3.0]), requires_grad=True)
     (x * x).sum().backward()

@@ -314,3 +314,10 @@ def test_dataset_rebalance_counts():
         counts[s.label] = counts.get(s.label, 0) + 1
     assert counts == {0: 3, 1: 3}
     assert any(s.metadata.get("flipped") for s in samples if s.label == 1)
+
+
+def test_dataset_rebalance_tie_keeps_both_classes():
+    stream, boxes = _scene_with_boxes()  # two boxes of each class
+    samples = ev.build_classification_dataset([(stream, boxes)], window=100_000, rebalance=True, seed=0)
+    assert sorted(s.label for s in samples) == [0, 0, 1, 1]
+    assert not any(s.metadata.get("flipped") for s in samples)

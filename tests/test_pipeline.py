@@ -152,17 +152,27 @@ def test_evaluate_classifier_fused_matches_unfused():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    net = _toy_net(seed=1)
+    # long enough a run that eval with the BN running statistics dropped
+    # predicts differently (one class for all held-out samples)
+    enc = EncoderConfig(sample_duration=100_000, timesteps=5, micro_bins=2, height=64, width=64)
+    net = Network(build_toy_classifier(in_channels=enc.channels), rng=np.random.default_rng(1))
     opt = AdamW(net.param_list(), lr=1e-3)
-    samples = make_moving_bar_dataset(8, seed=0)
-    train_classifier(net, samples, ENC, TrainConfig(epochs=1, batch_size=8, lr=1e-3))
+    samples = make_moving_bar_dataset(48, seed=0)
+    train_classifier(net, samples, enc, TrainConfig(epochs=4, batch_size=16, lr=5e-3))
     path = str(tmp_path / "net.ckpt")
     save_network(path, net, opt)
-    other = _toy_net(seed=99)
+    other = Network(build_toy_classifier(in_channels=enc.channels), rng=np.random.default_rng(99))
     opt2 = AdamW(other.param_list(), lr=1e-3)
     load_network(path, other, opt2)
-    for k, v in net.params().items():
-        assert np.array_equal(other.params()[k].data, v.data), k
+    for k, v in net.state_arrays().items():  # parameters and BN running statistics
+        assert np.array_equal(other.state_arrays()[k], v), k
+    held_out = make_moving_bar_dataset(16, seed=5)
+    _, preds = evaluate_classifier(net, held_out, enc)
+    _, preds_other = evaluate_classifier(other, held_out, enc)
+    assert len(set(preds)) == 2
+    assert np.array_equal(preds_other, preds)
+    with pytest.raises(ValueError, match="missing .*unexpected"):  # another architecture
+        load_network(path, _toy_detector().net)
 
 
 def test_load_backbone_partial(tmp_path):

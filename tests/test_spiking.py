@@ -13,7 +13,6 @@ from evsnn.spiking import (
     audit_spike_purity,
     classifier_scores,
     plif_step,
-    run_network,
 )
 from evsnn.spiking.builders import build_densenet, build_squeezenet, build_toy_classifier, build_vgg, named_spec
 from evsnn.spiking.layers import MaxPoolLayer, PLIFLayer
@@ -135,9 +134,31 @@ def test_state_reset_between_forwards():
     assert np.array_equal(a, b)  # stale membrane state would change the result
 
 
+def _layer_attributes(net):
+    out = {}
+    for name, layer in net.layers.items():
+        for key, value in vars(layer).items():
+            value = value.data if isinstance(value, Tensor) else value
+            out[name, key] = value.copy() if isinstance(value, np.ndarray) else value
+    return out
+
+
+def test_forward_leaves_layers_unchanged():
+    """Layers keep no per-step state: in eval mode a forward pass changes
+    no attribute of any layer."""
+    net = Network(_tiny_spec(), rng=np.random.default_rng(0))
+    net.set_training(False)
+    before = _layer_attributes(net)
+    net.forward((np.random.default_rng(1).random((1, 2, 3, 8, 8)) < 0.4).astype(np.float32), record=SpikeRecord())
+    after = _layer_attributes(net)
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        assert np.array_equal(after[key], value), key
+
+
 def test_state_carried_within_forward():
-    """Zero input after a strong first step still decays the membrane, so
-    per-timestep outputs differ -> state is carried across steps."""
+    """The third step spikes only if the membrane left by the first two
+    steps is carried into it."""
     spec = NetworkSpec(input_channels=1, name="probe")
     spec.add("conv", "conv", ["input"], out_channels=1, kernel=1, bias=True)
     spec.add("plif", "plif", ["conv"])
@@ -145,11 +166,13 @@ def test_state_carried_within_forward():
     net = Network(spec, rng=np.random.default_rng(0))
     net.layers["conv"].weight.data[:] = 1.0
     net.layers["conv"].bias.data[:] = 0.0
-    x = np.zeros((1, 1, 2, 1, 1), dtype=np.float32)
-    x[0, 0, 0] = 1.9  # v1 = 0.95, no spike; then v2 = 0.475
-    outputs = net.forward(x)
-    assert float(outputs["plif"][0].data.sum()) == 0.0
-    assert net.layers["plif"].state.data[0, 0, 0, 0] == pytest.approx(0.475)
+    x = np.zeros((1, 1, 3, 1, 1), dtype=np.float32)
+    x[0, 0, 0] = 1.9  # v1 = 0.95, no spike
+    x[0, 0, 2] = 1.6  # v2 = 0.475 carried -> v3 = 1.0375 spikes; from rest v3 = 0.8
+    spikes = [float(s.data.sum()) for s in net.forward(x)["plif"]]
+    assert spikes == [0.0, 0.0, 1.0]
+    alone = net.forward(x[:, :, 2:])["plif"]
+    assert float(alone[0].data.sum()) == 0.0
 
 
 def test_spike_record_rates():
@@ -161,16 +184,7 @@ def test_spike_record_rates():
     assert set(rates) == {"plif1", "head_plif"}
     assert all(0.0 <= r <= 1.0 for r in rates.values())
     assert 0.0 <= record.global_rate() <= 1.0
-
-
-def test_run_network_helper():
-    from evsnn.encoding import VoxelCube
-
-    net = Network(_tiny_spec(), rng=np.random.default_rng(0))
-    cube = VoxelCube((np.random.default_rng(3).random((2, 3, 8, 8)) < 0.3).astype(np.uint8))
-    outputs, record = run_network(net, cube)
-    assert classifier_scores(outputs).data.shape == (1, 3)
-    assert record.steps == 3
+    assert record.steps == 5
 
 
 def test_trace_shapes_match_execution():
@@ -180,9 +194,11 @@ def test_trace_shapes_match_execution():
         batch = np.zeros((1, 4, 1, 64, 64), dtype=np.float32)
         with ag.no_grad():
             values = {"input": Tensor(batch[:, :, 0])}
+            membranes = {}
             for node in spec.nodes:
                 layer = net.layers[node["name"]]
-                values[node["name"]] = layer(*[values[i] for i in node["inputs"]])
+                extra = (membranes,) if node["type"] == "plif" else ()
+                values[node["name"]] = layer(*[values[i] for i in node["inputs"]], *extra)
                 got = values[node["name"]].data.shape[1:]
                 want = shapes[node["name"]]
                 if node["type"] == "spatial_sum":
@@ -220,10 +236,30 @@ def test_unknown_layer_type():
 
 def test_load_params_roundtrip():
     net_a = Network(_tiny_spec(), rng=np.random.default_rng(0))
+    net_a.forward((np.random.default_rng(1).random((2, 2, 3, 8, 8)) < 0.4).astype(np.float32))  # moves BN stats
     net_b = Network(_tiny_spec(), rng=np.random.default_rng(9))
-    net_b.load_params({k: v.data for k, v in net_a.params().items()})
-    for k, v in net_a.params().items():
-        assert np.array_equal(net_b.params()[k].data, v.data)
+    net_b.load_state_arrays(net_a.state_arrays())
+    want = net_a.state_arrays()
+    assert any(k.endswith(".running_mean") for k in want)
+    for k, v in net_b.state_arrays().items():
+        assert np.array_equal(v, want[k]), k
+
+
+def test_load_state_arrays_names_every_mismatch():
+    net = Network(_tiny_spec(), rng=np.random.default_rng(0))
+    arrays = dict(net.state_arrays())
+    missing = next(k for k in arrays if k.endswith(".running_var"))
+    del arrays[missing]
+    arrays["ghost.weight"] = np.zeros(3, dtype=np.float32)
+    misshapen = next(k for k in arrays if k.endswith(".weight") and k != "ghost.weight")
+    arrays[misshapen] = np.zeros(7, dtype=np.float32)
+    before = {k: v.copy() for k, v in net.state_arrays().items()}
+    with pytest.raises(ValueError) as err:
+        net.load_state_arrays(arrays)
+    for name in (missing, "ghost.weight", misshapen):
+        assert name in str(err.value)
+    for k, v in net.state_arrays().items():  # nothing was loaded
+        assert np.array_equal(v, before[k]), k
 
 
 # --------------------------------------------------------------------------
