@@ -6,10 +6,14 @@ Layout (all little-endian):
     n_params entries of: name_len u16, name utf-8, ndim u8, dims u32 each,
                          float32 values
     n_state  u32      optimizer state blob, same entry layout (may be 0)
+
+Files are written to a temporary file beside the target and renamed over
+it, so a crash mid-write leaves the previous file whole.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -27,28 +31,55 @@ def _write_entry(fh, name, arr):
     fh.write(arr.astype("<f4").tobytes())
 
 
+def _read(fh, n):
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"{fh.name}: checkpoint file is truncated")
+    return data
+
+
 def _read_entry(fh):
-    (nlen,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(nlen).decode("utf-8")
-    (ndim,) = struct.unpack("<B", fh.read(1))
-    shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
+    (nlen,) = struct.unpack("<H", _read(fh, 2))
+    name = _read(fh, nlen).decode("utf-8")
+    (ndim,) = struct.unpack("<B", _read(fh, 1))
+    shape = tuple(struct.unpack("<I", _read(fh, 4))[0] for _ in range(ndim))
     count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
+    data = np.frombuffer(_read(fh, 4 * count), dtype="<f4").reshape(shape)
     return name, data.copy()
+
+
+def check_state(own, arrays, what):
+    """Raise ValueError, starting with ``what``, naming every entry of
+    ``arrays`` that is missing, unexpected or misshapen against ``own``."""
+    problems = [f"missing {k}" for k in own if k not in arrays]
+    problems += [f"unexpected {k}" for k in arrays if k not in own]
+    problems += [f"{k} has shape {np.shape(arrays[k])}, expected {np.shape(own[k])}"
+                 for k in own if k in arrays and np.shape(arrays[k]) != np.shape(own[k])]
+    if problems:
+        raise ValueError(f"{what}: " + "; ".join(problems))
 
 
 def save_checkpoint(path, named_params, optimizer_state=None):
     """named_params: dict name -> Tensor or ndarray."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(named_params)))
-        for name, p in named_params.items():
-            arr = p.data if hasattr(p, "data") else np.asarray(p)
-            _write_entry(fh, name, np.asarray(arr))
-        state = optimizer_state or {}
-        fh.write(struct.pack("<I", len(state)))
-        for name, arr in state.items():
-            _write_entry(fh, name, np.asarray(arr))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(named_params)))
+            for name, p in named_params.items():
+                arr = p.data if hasattr(p, "data") else np.asarray(p)
+                _write_entry(fh, name, np.asarray(arr))
+            state = optimizer_state or {}
+            fh.write(struct.pack("<I", len(state)))
+            for name, arr in state.items():
+                _write_entry(fh, name, np.asarray(arr))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -56,8 +87,8 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         if fh.read(8) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        (n,) = struct.unpack("<I", fh.read(4))
+        (n,) = struct.unpack("<I", _read(fh, 4))
         params = dict(_read_entry(fh) for _ in range(n))
-        (ns,) = struct.unpack("<I", fh.read(4))
+        (ns,) = struct.unpack("<I", _read(fh, 4))
         state = dict(_read_entry(fh) for _ in range(ns))
     return params, state

@@ -1,8 +1,9 @@
 """Neural-net ops with explicit backward passes.
 
-Convolution is im2col + batched matmul; the column tensor is built with k*k
-strided slice copies, and its gradient is scattered back the same way, so
-both directions stay vectorized without a giant scatter.
+Convolution and max pooling share one im2col path: the input is padded
+inside the op (``_pad``), the column tensor is built with k*k strided slice
+copies, and the gradient is scattered back the same way and cropped to the
+unpadded input, so both directions stay vectorized without a giant scatter.
 """
 
 from __future__ import annotations
@@ -12,47 +13,55 @@ import numpy as np
 from .tensor import Tensor
 
 
-def _pair(v):
-    if isinstance(v, (tuple, list)):
-        return tuple(v)
-    return (v, v)
+def _pad(x, p, value=None):
+    """Pad H and W of (N, C, H, W) by p with zero, or with value[c] for channel c."""
+    if not p:
+        return x
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    if value is not None:
+        out[:] = np.asarray(value, dtype=x.dtype).reshape(1, c, 1, 1)
+    out[:, :, p : p + h, p : p + w] = x
+    return out
 
 
-def _im2col(xp, kh, kw, sh, sw, ho, wo):
+def _im2col(xp, kh, kw, s, ho, wo):
     # xp: padded input (N, C, Hp, Wp) -> (N, C, kh, kw, ho, wo)
     n, c = xp.shape[:2]
     cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + ho * sh : sh, j : j + wo * sw : sw]
+            cols[:, :, i, j] = xp[:, :, i : i + ho * s : s, j : j + wo * s : s]
     return cols
 
 
-def _col2im(dcols, xp_shape, kh, kw, sh, sw, ho, wo):
+def _col2im(dcols, xp_shape, kh, kw, s, ho, wo):
     dxp = np.zeros(xp_shape, dtype=dcols.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + ho * sh : sh, j : j + wo * sw : sw] += dcols[:, :, i, j]
+            dxp[:, :, i : i + ho * s : s, j : j + wo * s : s] += dcols[:, :, i, j]
     return dxp
 
 
-def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
-    """2-D cross-correlation. x: (N,Cin,H,W), w: (Cout,Cin/g,kh,kw)."""
+def conv2d(x, w, b=None, stride=1, padding=0, groups=1, pad_value=None):
+    """2-D cross-correlation. x: (N,Cin,H,W), w: (Cout,Cin/g,kh,kw).
+
+    The border is zero, or ``pad_value[c]`` for input channel c.
+    """
     n, cin, h, wd = x.data.shape
     cout, cin_g, kh, kw = w.data.shape
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
+    s, p = stride, padding
     if cin % groups != 0 or cout % groups != 0:
         raise ValueError(f"channels not divisible by groups: Cin={cin}, Cout={cout}, groups={groups}")
     if cin_g != cin // groups:
         raise ValueError(f"weight expects Cin/g={cin_g} input channels per group, got Cin={cin} with groups={groups}")
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (wd + 2 * pw - kw) // sw + 1
+    ho = (h + 2 * p - kh) // s + 1
+    wo = (wd + 2 * p - kw) // s + 1
     if ho < 1 or wo < 1:
-        raise ValueError(f"kernel {kh}x{kw} does not fit input {h}x{wd} with padding {ph},{pw}")
+        raise ValueError(f"kernel {kh}x{kw} does not fit input {h}x{wd} with padding {p}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    cols = _im2col(xp, kh, kw, sh, sw, ho, wo)
+    xp = _pad(x.data, p, pad_value)
+    cols = _im2col(xp, kh, kw, s, ho, wo)
     # (N, g, Cin/g * kh * kw, ho*wo)
     cols_m = cols.reshape(n, groups, cin_g * kh * kw, ho * wo)
     w_m = w.data.reshape(groups, cout // groups, cin_g * kh * kw)
@@ -73,10 +82,8 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
         if x.requires_grad:
             dcols = np.matmul(w_m.transpose(0, 2, 1)[None], gm)
             dcols = dcols.reshape(n, cin, kh, kw, ho, wo)
-            dxp = _col2im(dcols, xp.shape, kh, kw, sh, sw, ho, wo)
-            if ph or pw:
-                dxp = dxp[:, :, ph : ph + h, pw : pw + wd]
-            x.accumulate_grad(dxp)
+            dxp = _col2im(dcols, xp.shape, kh, kw, s, ho, wo)
+            x.accumulate_grad(dxp[:, :, p : p + h, p : p + wd])
 
     return Tensor.from_op(out, parents, backward)
 
@@ -124,29 +131,28 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
     return Tensor.from_op(out.astype(x.data.dtype), (x, gamma, beta), backward)
 
 
-def maxpool2d(x, kernel, stride=None):
-    """Max pooling; ties go to the first element in row-major window order."""
-    kh, kw = _pair(kernel)
-    if stride is None:
-        stride = kernel
-    sh, sw = _pair(stride)
+def maxpool2d(x, kernel, stride=None, padding=0):
+    """Max pooling over a zero border of ``padding``; ties go to the first
+    element in row-major window order."""
+    k, s, p = kernel, kernel if stride is None else stride, padding
     n, c, h, w = x.data.shape
-    if h < kh or w < kw:
-        raise ValueError(f"pool window {kh}x{kw} larger than input {h}x{w}")
-    ho = (h - kh) // sh + 1
-    wo = (w - kw) // sw + 1
-    cols = _im2col(x.data, kh, kw, sh, sw, ho, wo)
-    flat = cols.reshape(n, c, kh * kw, ho, wo)
+    if h + 2 * p < k or w + 2 * p < k:
+        raise ValueError(f"pool window {k}x{k} larger than input {h}x{w} with padding {p}")
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    xp = _pad(x.data, p)
+    cols = _im2col(xp, k, k, s, ho, wo)
+    flat = cols.reshape(n, c, k * k, ho, wo)
     arg = flat.argmax(axis=2)  # first maximum in row-major order
     out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
 
     def backward(g):
-        dx = np.zeros_like(x.data)
+        dxp = np.zeros_like(xp)
         ni, ci, hi, wi = np.indices(arg.shape)
-        rows = hi * sh + arg // kw
-        colsi = wi * sw + arg % kw
-        np.add.at(dx, (ni, ci, rows, colsi), g)
-        x.accumulate_grad(dx)
+        rows = hi * s + arg // k
+        colsi = wi * s + arg % k
+        np.add.at(dxp, (ni, ci, rows, colsi), g)
+        x.accumulate_grad(dxp[:, :, p : p + h, p : p + w])
 
     return Tensor.from_op(out, (x,), backward)
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .checkpoint import check_state
 from .tensor import Tensor
 
 
@@ -84,15 +85,18 @@ class AdamW:
             p.data -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
 
     def state_arrays(self):
-        """Flat view of optimizer state for checkpointing."""
+        """Flat view of optimizer state for checkpointing, keyed by parameter name."""
         out = {"step": np.asarray([self.step_count], dtype=np.float32)}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"m{i}"] = m
-            out[f"v{i}"] = v
+        for p, m, v in zip(self.params, self.m, self.v):
+            out[f"{p.name}.m"] = m
+            out[f"{p.name}.v"] = v
+        if len(out) != 1 + 2 * len(self.params):
+            raise ValueError("optimizer state needs distinct parameter names")
         return out
 
     def load_state_arrays(self, arrays):
+        """Inverse of ``state_arrays``; raises ValueError naming every mismatch, before loading any."""
+        check_state(self.state_arrays(), arrays, "optimizer state does not match its parameters")
         self.step_count = int(arrays["step"][0])
-        for i in range(len(self.params)):
-            self.m[i] = arrays[f"m{i}"].reshape(self.m[i].shape).astype(np.float32)
-            self.v[i] = arrays[f"v{i}"].reshape(self.v[i].shape).astype(np.float32)
+        self.m = [np.array(arrays[f"{p.name}.m"], dtype=np.float32) for p in self.params]
+        self.v = [np.array(arrays[f"{p.name}.v"], dtype=np.float32) for p in self.params]

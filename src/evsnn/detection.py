@@ -17,8 +17,9 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .autograd.ops import _softmax
 from .spiking.builders import _Builder, build_densenet, build_toy_classifier
-from .spiking.layers import Network, NetworkSpec
+from .spiking.layers import Network, NetworkSpec, classifier_scores
 
 
 # --------------------------------------------------------------------------
@@ -303,9 +304,7 @@ class DetectionModel:
     def _gather(self, outputs, name, channels_per_anchor):
         """Sum a head's per-timestep maps over time and flatten to
         (N, cells * anchors, channels_per_anchor) in anchor-grid order."""
-        total = outputs[name][0]
-        for v in outputs[name][1:]:
-            total = total + v
+        total = classifier_scores(outputs, name)
         n, ch, h, w = total.data.shape
         a = ch // channels_per_anchor
         out = total.reshape(n, a, channels_per_anchor, h, w)
@@ -351,12 +350,6 @@ def nms(boxes_xyxy, scores, iou_threshold=0.45, top_k=200):
     return keep
 
 
-def _softmax_np(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def decode_detections(cls_logits, loc_pred, anchors, image_size, image_ids=None,
                       score_threshold=0.3, nms_iou=0.45, top_k=100, variances=(0.1, 0.2)):
     """Raw head outputs -> per-image Detection lists (pixel xywh boxes).
@@ -369,7 +362,7 @@ def decode_detections(cls_logits, loc_pred, anchors, image_size, image_ids=None,
     n = cls_logits.shape[0]
     if image_ids is None:
         image_ids = list(range(n))
-    probs = _softmax_np(cls_logits.astype(np.float64))
+    probs = _softmax(cls_logits.astype(np.float64))
     results = []
     for i in range(n):
         boxes = cxcywh_to_xyxy(decode_boxes(loc_pred[i], anchors, variances))

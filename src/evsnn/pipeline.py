@@ -203,10 +203,11 @@ def save_network(path, net: Network, optimizer: AdamW | None = None):
 
 def load_network(path, net: Network, optimizer: AdamW | None = None):
     """Restore a ``save_network`` file into a network of the same
-    architecture; any mismatch raises ValueError."""
+    architecture (and the optimizer over its parameters, if given); any
+    mismatch raises ValueError."""
     arrays, state = load_checkpoint(path)
     net.load_state_arrays(arrays)
-    if optimizer is not None and state:
+    if optimizer is not None:
         optimizer.load_state_arrays(state)
 
 

@@ -173,18 +173,6 @@ def build_mobilenet(first_filters=64, num_classes=2, in_channels=4, conv_mode="d
     return spec
 
 
-def spec_channels(spec: NetworkSpec, name):
-    """Output channel count of a node, walking the graph."""
-    if name == "input":
-        return spec.input_channels
-    node = spec.node(name)
-    if node["type"] == "conv":
-        return node["out_channels"]
-    if node["type"] == "concat":
-        return sum(spec_channels(spec, i) for i in node["inputs"])
-    return spec_channels(spec, node["inputs"][0])
-
-
 _DENSENET_BLOCKS = {121: (6, 12, 24, 16), 169: (6, 12, 32, 32)}
 
 

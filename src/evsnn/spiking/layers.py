@@ -17,6 +17,7 @@ import numpy as np
 
 from .. import autograd as ag
 from ..autograd import Tensor
+from ..autograd.checkpoint import check_state
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,8 @@ def plif_step(state, x, config: PLIFConfig, inv_tau):
 
 
 class ConvLayer:
-    def __init__(self, name, in_channels, out_channels, kernel, stride=1, padding=None, groups=1, bias=False, rng=None):
+    def __init__(self, name, in_channels, out_channels, kernel, stride=1, padding=None, groups=1, bias=False,
+                 pad_value=False, rng=None):
         self.name = name
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -73,20 +75,12 @@ class ConvLayer:
             w = ag.kaiming_uniform_init((out_channels, in_channels // groups, kernel, kernel), fan_in, rng)
         self.weight = Tensor(w, requires_grad=True, name=f"{name}.weight")
         self.bias = Tensor(np.zeros(out_channels, dtype=np.float32), requires_grad=True, name=f"{name}.bias") if bias else None
-        # per-input-channel constant used instead of zero padding; set by BN
-        # fusion so a folded bn -> conv stays exact at the borders
-        self.pad_value = None
+        # per-input-channel constant used instead of zero padding; filled by
+        # BN fusion so a folded bn -> conv stays exact at the borders
+        self.pad_value = np.zeros(in_channels, dtype=np.float32) if pad_value else None
 
     def __call__(self, x):
-        if self.pad_value is not None and self.padding:
-            p = self.padding
-            n, c, h, w = x.data.shape
-            data = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=x.data.dtype)
-            data[:] = np.asarray(self.pad_value, dtype=x.data.dtype).reshape(1, c, 1, 1)
-            data[:, :, p:-p, p:-p] = x.data
-            xp = Tensor.from_op(data, (x,), lambda g: x.accumulate_grad(g[:, :, p:-p, p:-p]))
-            return ag.conv2d(xp, self.weight, self.bias, stride=self.stride, padding=0, groups=self.groups)
-        return ag.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding, groups=self.groups)
+        return ag.conv2d(x, self.weight, self.bias, self.stride, self.padding, self.groups, self.pad_value)
 
     def out_shape(self, shape):
         c, h, w = shape
@@ -166,16 +160,7 @@ class MaxPoolLayer:
         self.padding = padding
 
     def __call__(self, x):
-        if self.padding:
-            p = self.padding
-            data = x.data
-            padded = ag.Tensor.from_op(
-                np.pad(data, ((0, 0), (0, 0), (p, p), (p, p))),
-                (x,),
-                lambda g, x=x, p=p: x.accumulate_grad(g[:, :, p:-p, p:-p]),
-            )
-            return ag.maxpool2d(padded, self.kernel, self.stride)
-        return ag.maxpool2d(x, self.kernel, self.stride)
+        return ag.maxpool2d(x, self.kernel, self.stride, self.padding)
 
     def out_shape(self, shape):
         c, h, w = shape
@@ -298,7 +283,7 @@ class Network:
                     name, cin, node["out_channels"], node["kernel"],
                     stride=node.get("stride", 1), padding=node.get("padding"),
                     groups=cin if node.get("depthwise") else node.get("groups", 1),
-                    bias=node.get("bias", False), rng=rng,
+                    bias=node.get("bias", False), pad_value=node.get("pad_value", False), rng=rng,
                 )
                 self.channels[name] = node["out_channels"]
             elif typ == "bn":
@@ -339,23 +324,19 @@ class Network:
             layer.training = training
 
     def state_arrays(self):
-        """Parameters and BN running statistics by name: what a checkpoint holds."""
+        """Parameters, BN running statistics and fused-conv pad values by name: what a checkpoint holds."""
         out = {name: p.data for name, p in self.params().items()}
-        for bn in self.bn_layers():
-            out[f"{bn.name}.running_mean"] = bn.running_mean
-            out[f"{bn.name}.running_var"] = bn.running_var
+        for name, layer in self.layers.items():
+            for buffer in ("running_mean", "running_var", "pad_value"):
+                value = getattr(layer, buffer, None)
+                if value is not None:
+                    out[f"{name}.{buffer}"] = value
         return out
 
     def load_state_arrays(self, arrays):
         """Inverse of ``state_arrays``. Raises ValueError naming every
         missing, unexpected or misshapen entry, before loading any."""
-        own = self.state_arrays()
-        problems = [f"missing {k}" for k in own if k not in arrays]
-        problems += [f"unexpected {k}" for k in arrays if k not in own]
-        problems += [f"{k} has shape {np.shape(arrays[k])}, expected {own[k].shape}"
-                     for k in own if k in arrays and np.shape(arrays[k]) != own[k].shape]
-        if problems:
-            raise ValueError("state does not match the network: " + "; ".join(problems))
+        check_state(self.state_arrays(), arrays, "state does not match the network")
         params = self.params()
         for name, arr in arrays.items():
             arr = np.array(arr, dtype=np.float32)
@@ -408,7 +389,7 @@ class Network:
 
 
 def classifier_scores(outputs, tap="scores"):
-    """Sum per-timestep (N, num_classes) head outputs over time."""
+    """Sum a tap's per-timestep outputs, e.g. (N, num_classes) scores, over time."""
     per_t = outputs[tap]
     total = per_t[0]
     for v in per_t[1:]:

@@ -58,32 +58,14 @@ def _consumers(spec: NetworkSpec, name):
     return [n for n in spec.nodes if name in n["inputs"]]
 
 
-def _clone_with_params(old: Network, new_spec: NetworkSpec, param_overrides):
+def _clone_with_params(old: Network, new_spec: NetworkSpec, overrides):
+    """Network(new_spec) holding the old network's state for every entry
+    both share, replaced by the flat ``{"layer.entry": array}`` overrides."""
     net = Network(new_spec)
-    for name, layer in net.layers.items():
-        if name in param_overrides:
-            for pname, arr in param_overrides[name].items():
-                target = getattr(layer, pname)
-                if isinstance(target, Tensor):
-                    target.data = np.asarray(arr, dtype=np.float32)
-                else:
-                    setattr(layer, pname, np.asarray(arr, dtype=np.float32))
-        elif name in old.layers:
-            src = old.layers[name]
-            if isinstance(layer, ConvLayer):
-                layer.weight.data = src.weight.data.copy()
-                if layer.bias is not None and src.bias is not None:
-                    layer.bias.data = src.bias.data.copy()
-                if src.pad_value is not None:
-                    layer.pad_value = src.pad_value.copy()
-            elif isinstance(layer, BatchNormLayer):
-                layer.gamma.data = src.gamma.data.copy()
-                layer.beta.data = src.beta.data.copy()
-                layer.running_mean = src.running_mean.copy()
-                layer.running_var = src.running_var.copy()
-                layer.training = src.training
-            elif hasattr(layer, "w") and layer.w is not None and src.w is not None:
-                layer.w.data = src.w.data.copy()
+    own = net.state_arrays()
+    net.load_state_arrays({**{k: v for k, v in old.state_arrays().items() if k in own}, **overrides})
+    for bn in net.bn_layers():
+        bn.training = old.layers[bn.name].training
     return net
 
 
@@ -114,9 +96,10 @@ def fuse_network(net: Network) -> Network:
                 bn = net.layers[orig_input]
                 fused = fuse_bn_into_conv(bn, src_conv)
                 node["bias"] = True
-                overrides[node["name"]] = {"weight": fused.weight.data, "bias": fused.bias.data}
+                overrides.update({k: p.data for k, p in fused.params().items()})
                 if fused.pad_value is not None:
-                    overrides[node["name"]]["pad_value"] = fused.pad_value
+                    node["pad_value"] = True
+                    overrides[f"{fused.name}.pad_value"] = fused.pad_value
         new_spec.nodes.append(node)
     return _clone_with_params(net, new_spec, overrides)
 
@@ -149,15 +132,14 @@ def convert_dwsep_network(net: Network) -> Network:
                 "stride": node.get("stride", 1),
                 "bias": dw.bias is not None or pw.bias is not None,
             }
-            ov = {"weight": w}
+            overrides[f"{pw_node['name']}.weight"] = w
             if merged["bias"]:
                 b = np.zeros(w.shape[0], dtype=np.float32)
                 if pw.bias is not None:
                     b += pw.bias.data
                 if dw.bias is not None:
                     b += pw.weight.data[:, :, 0, 0] @ dw.bias.data
-                ov["bias"] = b
-            overrides[pw_node["name"]] = ov
+                overrides[f"{pw_node['name']}.bias"] = b
             new_spec.nodes.append(merged)
             continue
         new_spec.nodes.append(node)

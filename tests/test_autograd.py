@@ -73,8 +73,9 @@ def test_conv2d_grad(rng):
         x = rng.standard_normal((n, cin, h, h))
         w = rng.standard_normal((cout, cin // groups, k, k))
         b = rng.standard_normal(cout)
+        pad_value = rng.standard_normal(cin) if rng.random() < 0.5 else None
         check_grad(
-            lambda x_, w_, b_: ag.conv2d(x_, w_, b_, stride=stride, padding=pad, groups=groups),
+            lambda x_, w_, b_: ag.conv2d(x_, w_, b_, stride=stride, padding=pad, groups=groups, pad_value=pad_value),
             [x, w, b], TOL64,
         )
 
@@ -95,15 +96,21 @@ def test_conv2d_float32_grad(rng):
 
 
 def test_conv2d_matches_naive(rng):
-    """im2col conv against a direct loop implementation."""
+    """im2col conv against a direct loop implementation, with a zero or a
+    per-channel constant border."""
     for _ in range(10):
         n, cin, cout, k = 2, 3, 4, 3
         s, p = int(rng.integers(1, 3)), int(rng.integers(0, 2))
         h = int(rng.integers(4, 8))
         x = rng.standard_normal((n, cin, h, h))
         w = rng.standard_normal((cout, cin, k, k))
-        out = ag.conv2d(Tensor(x), Tensor(w), stride=s, padding=p).data
+        pad_value = rng.standard_normal(cin) if rng.random() < 0.5 else None
+        out = ag.conv2d(Tensor(x), Tensor(w), stride=s, padding=p, pad_value=pad_value).data
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        if p and pad_value is not None:
+            border = np.ones_like(xp, dtype=bool)
+            border[:, :, p:-p, p:-p] = False
+            xp[border] = np.broadcast_to(pad_value.reshape(1, cin, 1, 1), xp.shape)[border]
         ho = (h + 2 * p - k) // s + 1
         ref = np.zeros((n, cout, ho, ho))
         for i in range(ho):
@@ -153,8 +160,11 @@ def test_maxpool_grad(rng):
         k = int(rng.choice([2, 3]))
         s = int(rng.integers(1, 3))
         h = int(rng.integers(k + 1, k + 5))
+        pad = int(rng.integers(0, 2))
         x = rng.standard_normal((2, 2, h, h))
-        check_grad(lambda x_: ag.maxpool2d(x_, k, s), [x], TOL64)
+        check_grad(lambda x_: ag.maxpool2d(x_, k, s, padding=pad), [x], TOL64)
+        zero_border = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        assert np.array_equal(ag.maxpool2d(Tensor(x), k, s, padding=pad).data, ag.maxpool2d(Tensor(zero_border), k, s).data)
 
 
 def test_maxpool_tie_first_wins():
@@ -338,6 +348,13 @@ def test_adamw_decay_is_decoupled():
     assert np.isclose(float(p.data[0]), 2.0 * (1 - 0.5 * 0.1))
 
 
+def test_adamw_state_needs_distinct_names():
+    """State is keyed by parameter name, so unnamed parameters would collide."""
+    opt = AdamW([Tensor(np.zeros(2), requires_grad=True) for _ in range(2)])
+    with pytest.raises(ValueError, match="distinct parameter names"):
+        opt.state_arrays()
+
+
 def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "ckpt.bin"
     params = {"a.weight": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)), "b": np.float32(7.0) * np.ones(1, np.float32)}
@@ -354,3 +371,35 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
     with pytest.raises(ValueError):
         ag.load_checkpoint(path)
+
+
+def _write_checkpoint(path):
+    rng = np.random.default_rng(0)
+    params = {f"l{i}.weight": rng.standard_normal((4, 3)).astype(np.float32) for i in range(3)}
+    ag.save_checkpoint(path, params, {"step": np.ones(1, np.float32), "l0.weight.m": params["l0.weight"]})
+    return params
+
+
+def test_checkpoint_truncated(tmp_path):
+    path = tmp_path / "full.bin"
+    _write_checkpoint(path)
+    data = path.read_bytes()
+    for cut in (10, 100, len(data) // 2, len(data) - 3):
+        short = tmp_path / f"cut{cut}.bin"
+        short.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated") as err:
+            ag.load_checkpoint(short)
+        assert str(short) in str(err.value)
+
+
+def test_checkpoint_write_is_atomic(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    params = _write_checkpoint(path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # fails after the first entry is written
+        ag.save_checkpoint(path, {"a": np.ones(2, np.float32), "b": np.array(["not a number"])})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+    loaded, _ = ag.load_checkpoint(path)
+    for k, v in params.items():
+        assert np.array_equal(loaded[k], v)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,33 @@ def test_checkpoint_round_trip(tmp_path):
         load_network(path, _toy_detector().net)
 
 
+def test_optimizer_state_keyed_by_parameter_name(tmp_path):
+    model = _toy_detector()
+    head_names = {n for pair in model.head_taps for n in pair}
+    heads = [p for k, p in model.net.params().items() if k.split(".")[0] in head_names]
+    frozen = AdamW(heads, lr=1e-3)
+    for p in heads:
+        p.grad = np.ones_like(p.data)
+    frozen.step()
+    path = str(tmp_path / "heads.ckpt")
+    save_network(path, model.net, frozen)
+
+    again = AdamW(heads, lr=1e-3)
+    load_network(path, model.net, again)
+    assert again.step_count == 1
+    for k, v in frozen.state_arrays().items():
+        assert np.array_equal(again.state_arrays()[k], v), k
+
+    full = AdamW(model.net.param_list(), lr=1e-3)
+    with pytest.raises(ValueError, match="optimizer state") as err:
+        load_network(path, model.net, full)
+    assert "missing c1_conv.weight.m" in str(err.value)
+    assert full.step_count == 0
+    save_network(path, model.net)  # no optimizer state to restore
+    with pytest.raises(ValueError, match="missing step"):
+        load_network(path, model.net, again)
+
+
 def test_load_backbone_partial(tmp_path):
     src = _toy_detector(seed=1)
     path = str(tmp_path / "det.ckpt")
@@ -289,6 +317,17 @@ def test_cli_train_and_eval_classifier(tmp_path, capsys):
     assert cli.main(["eval-classifier", *args[:4], "--ckpt", ckpt, "--fuse", "--sparsity", "--samples", "4"]) == 0
     out = capsys.readouterr().out
     assert "accuracy" in out and "spike rate" in out
+
+
+def test_cli_train_then_eval_round_trip(tmp_path, capsys):
+    """eval-classifier on the trainer's validation set (16 samples, seed + 1)
+    reproduces the trainer's in-process accuracy, fused or not."""
+    ckpt = str(tmp_path / "toy.ckpt")
+    assert cli.main(["train-classifier", "--samples", "48", "--epochs", "4", "--batch-size", "16", "--out", ckpt]) == 0
+    trained = re.search(r"validation accuracy: (\S+)", capsys.readouterr().out).group(1)
+    for fuse in ([], ["--fuse"]):
+        assert cli.main(["eval-classifier", "--ckpt", ckpt, "--samples", "16", *fuse]) == 0
+        assert re.search(r"accuracy: (\S+)", capsys.readouterr().out).group(1) == trained
 
 
 def test_cli_ablate(tmp_path, capsys):

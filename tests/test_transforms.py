@@ -5,7 +5,9 @@ import pytest
 
 import evsnn.autograd as ag
 from evsnn.autograd import Tensor
-from evsnn.spiking import Network, classifier_scores, convert_dwsep_network, dwsep_to_normal_conv, fuse_bn_into_conv, fuse_network
+from evsnn.pipeline import load_network, save_network
+from evsnn.spiking import (Network, SpikeRecord, classifier_scores, convert_dwsep_network, dwsep_to_normal_conv,
+                           fuse_bn_into_conv, fuse_network)
 from evsnn.spiking.builders import build_mobilenet, build_toy_classifier
 from evsnn.spiking.layers import BatchNormLayer, ConvLayer
 
@@ -114,6 +116,58 @@ def test_fuse_network_preserves_predictions():
         b = classifier_scores(fused.forward(batch)).data
     assert np.array_equal(a.argmax(axis=1), b.argmax(axis=1))
     assert np.abs(a - b).max() <= 1e-3  # scores drift only by float round-off
+
+
+def _pad_values(net):
+    return {k: v.pad_value for k, v in net.layers.items() if isinstance(v, ConvLayer) and v.pad_value is not None}
+
+
+def _fused_toy(seed):
+    rng = np.random.default_rng(seed)
+    net = Network(build_toy_classifier(in_channels=4), rng=rng)
+    _randomize_bn_stats(net, rng)  # non-zero betas: the fused convs pad with non-zero values
+    net.set_training(False)
+    fused = fuse_network(net)
+    assert any(np.abs(pad).max() > 0 for pad in _pad_values(fused).values())
+    batch = (rng.random((4, 4, 3, 64, 64)) < 0.3).astype(np.float32)
+    return fused, batch
+
+
+def _eval(net, batch):
+    """Time-summed scores and per-layer spike counts of one no-grad forward."""
+    record = SpikeRecord()
+    with ag.no_grad():
+        scores = classifier_scores(net.forward(batch, record=record)).data
+    return scores, record.spikes
+
+
+def test_fused_network_checkpoint_round_trip(tmp_path):
+    fused, batch = _fused_toy(7)
+    path = str(tmp_path / "fused.ckpt")
+    save_network(path, fused)
+    again = Network(fused.spec)
+    load_network(path, again)
+    again.set_training(False)
+    for k, v in fused.state_arrays().items():
+        assert np.array_equal(again.state_arrays()[k], v), k
+    want_scores, want_spikes = _eval(fused, batch)
+    got_scores, got_spikes = _eval(again, batch)
+    assert np.array_equal(got_scores, want_scores)
+    assert got_spikes == want_spikes
+
+
+def test_fuse_network_twice_keeps_pad_values():
+    fused, batch = _fused_toy(8)
+    twice = fuse_network(fused)
+    assert twice.spec.nodes == fused.spec.nodes
+    pads = _pad_values(fused)
+    assert pads.keys() == _pad_values(twice).keys()
+    for k, v in pads.items():
+        assert np.array_equal(_pad_values(twice)[k], v), k
+    want_scores, want_spikes = _eval(fused, batch)
+    got_scores, got_spikes = _eval(twice, batch)
+    assert np.array_equal(got_scores, want_scores)
+    assert got_spikes == want_spikes
 
 
 def test_fuse_network_requires_eval_mode():
