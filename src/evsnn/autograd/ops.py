@@ -25,6 +25,16 @@ def _pad(x, p, value=None):
     return out
 
 
+def _out_size(h, w, kh, kw, stride, padding):
+    """(ho, wo) of a kh x kw window sliding over an (h, w) input padded by
+    ``padding``; raises ValueError when the window does not fit."""
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    if ho < 1 or wo < 1:
+        raise ValueError(f"window {kh}x{kw} does not fit input {h}x{w} with padding {padding}")
+    return ho, wo
+
+
 def _im2col(xp, kh, kw, s, ho, wo):
     # xp: padded input (N, C, Hp, Wp) -> (N, C, kh, kw, ho, wo)
     n, c = xp.shape[:2]
@@ -55,10 +65,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1, pad_value=None):
         raise ValueError(f"channels not divisible by groups: Cin={cin}, Cout={cout}, groups={groups}")
     if cin_g != cin // groups:
         raise ValueError(f"weight expects Cin/g={cin_g} input channels per group, got Cin={cin} with groups={groups}")
-    ho = (h + 2 * p - kh) // s + 1
-    wo = (wd + 2 * p - kw) // s + 1
-    if ho < 1 or wo < 1:
-        raise ValueError(f"kernel {kh}x{kw} does not fit input {h}x{wd} with padding {p}")
+    ho, wo = _out_size(h, wd, kh, kw, s, p)
 
     xp = _pad(x.data, p, pad_value)
     cols = _im2col(xp, kh, kw, s, ho, wo)
@@ -136,10 +143,7 @@ def maxpool2d(x, kernel, stride=None, padding=0):
     element in row-major window order."""
     k, s, p = kernel, kernel if stride is None else stride, padding
     n, c, h, w = x.data.shape
-    if h + 2 * p < k or w + 2 * p < k:
-        raise ValueError(f"pool window {k}x{k} larger than input {h}x{w} with padding {p}")
-    ho = (h + 2 * p - k) // s + 1
-    wo = (w + 2 * p - k) // s + 1
+    ho, wo = _out_size(h, w, k, k, s, p)
     xp = _pad(x.data, p)
     cols = _im2col(xp, k, k, s, ho, wo)
     flat = cols.reshape(n, c, k * k, ho, wo)

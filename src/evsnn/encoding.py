@@ -53,7 +53,7 @@ class VoxelCube:
         data = np.asarray(data)
         if data.ndim != 4:
             raise ValueError(f"voxel cube must be 4-D (C,T,H,W), got shape {data.shape}")
-        if not np.isin(data, (0, 1)).all():
+        if not ((data == 0) | (data == 1)).all():
             raise ValueError("voxel cube values must be binary")
         self.data = data.astype(np.uint8)
 

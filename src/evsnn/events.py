@@ -407,7 +407,6 @@ class SceneObject:
     vx: float = 0.0  # pixels per second
     vy: float = 0.0
     class_id: int = 0
-    shape: str = "rectangle"
 
 
 @dataclass(frozen=True)
@@ -425,8 +424,6 @@ class SyntheticSceneSpec:
 def _occupancy(spec: SyntheticSceneSpec, t_us: int):
     occ = np.zeros((spec.height, spec.width), dtype=bool)
     for obj in spec.objects:
-        if obj.shape != "rectangle":
-            raise ValueError(f"unsupported object shape {obj.shape!r}")
         x = int(round(obj.x0 + obj.vx * t_us / 1e6))
         y = int(round(obj.y0 + obj.vy * t_us / 1e6))
         x1, y1 = x + obj.w, y + obj.h

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import AdamW, clip_grad_norm, cosine_lr, load_checkpoint, save_checkpoint
+from .autograd.checkpoint import check_state
 from .detection import DetectionModel, build_anchor_targets, decode_detections, detection_loss
 from .encoding import EncoderConfig, batch_cubes, encode_voxel_cube
 from .metrics import accuracy, coco_map
@@ -204,27 +205,31 @@ def save_network(path, net: Network, optimizer: AdamW | None = None):
 def load_network(path, net: Network, optimizer: AdamW | None = None):
     """Restore a ``save_network`` file into a network of the same
     architecture (and the optimizer over its parameters, if given); any
-    mismatch raises ValueError."""
+    mismatch raises ValueError and loads nothing."""
     arrays, state = load_checkpoint(path)
-    net.load_state_arrays(arrays)
+    # the network is checked before the optimizer loads, so a failed load changes nothing
+    check_state(net.state_arrays(), arrays, "state does not match the network")
     if optimizer is not None:
         optimizer.load_state_arrays(state)
+    net.load_state_arrays(arrays)
 
 
 def load_backbone(detector: DetectionModel, classifier_ckpt_path):
     """Initialize the shared backbone layers of a detector from a trained
     classifier checkpoint; the only partial loader. Parameters absent from
     the checkpoint or of another shape keep their fresh initialization, and
-    BN running statistics are not loaded. Returns the number of arrays
-    loaded."""
-    params, _ = load_checkpoint(classifier_ckpt_path)
-    own = detector.net.params()
-    loaded = 0
-    for name, arr in params.items():
-        if name in own and own[name].data.shape == tuple(arr.shape):
-            own[name].data = arr.astype(np.float32)
+    BN running statistics are not loaded. Returns (number of arrays loaded,
+    sorted names of the detector parameters that were skipped)."""
+    arrays, _ = load_checkpoint(classifier_ckpt_path)
+    loaded, skipped = 0, []
+    for name, p in sorted(detector.net.params().items()):
+        arr = arrays.get(name)
+        if arr is not None and arr.shape == p.data.shape:
+            p.data = arr.astype(np.float32)
             loaded += 1
-    return loaded
+        else:
+            skipped.append(name)
+    return loaded, skipped
 
 
 # --------------------------------------------------------------------------

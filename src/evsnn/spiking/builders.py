@@ -2,9 +2,10 @@
 
 Every block follows the same grammar: batch normalization, then a
 convolution, then PLIF neurons (bn -> conv -> plif), with max pooling and
-channel concatenation as the only other structural ops. The classifier is
-spike-compatible: bn -> 1x1 conv to num_classes -> plif -> spatial sum; the
-trainer then sums the per-timestep scores over time.
+channel concatenation as the only other structural ops. Every neuron is
+the paper's PLIF neuron: threshold 1 and hard reset to 0. The classifier
+is spike-compatible: bn -> 1x1 conv to num_classes -> plif -> spatial sum;
+the trainer then sums the per-timestep scores over time.
 
 Ablation switches:
   bn_placement: "pre" (default), "post" (bn after conv), "none" (conv gets
@@ -21,7 +22,7 @@ class _Builder:
     def __init__(self, spec: NetworkSpec, bn_placement="pre", neuron="plif", alpha=2.0, tau_init=2.0):
         if bn_placement not in ("pre", "post", "none"):
             raise ValueError(f"unknown bn_placement {bn_placement!r}")
-        if neuron not in ("plif", "lif", "none"):
+        if neuron not in ("plif", "lif"):
             raise ValueError(f"unknown neuron {neuron!r}")
         self.spec = spec
         self.bn_placement = bn_placement
@@ -34,7 +35,7 @@ class _Builder:
         self.counter += 1
         return f"{kind}{self.counter}"
 
-    def conv_block(self, src, out_channels, kernel=3, stride=1, padding=None, groups=1, depthwise=False, spiking=True, prefix=None):
+    def conv_block(self, src, out_channels, kernel=3, stride=1, padding=None, groups=1, depthwise=False, prefix=None):
         """bn -> conv -> plif (order per the bn_placement ablation)."""
         p = prefix or self._name("blk")
         cur = src
@@ -50,12 +51,13 @@ class _Builder:
         )
         if self.bn_placement == "post":
             cur = self.spec.add(f"{p}_postbn", "bn", [cur])
-        if spiking and self.neuron != "none":
-            cur = self.spec.add(
-                f"{p}_plif", "plif", [cur],
-                learnable_tau=self.neuron == "plif", alpha=self.alpha, tau_init=self.tau_init,
-            )
-        return cur
+        return self.plif(cur, p)
+
+    def plif(self, src, prefix):
+        return self.spec.add(
+            f"{prefix}_plif", "plif", [src],
+            learnable_tau=self.neuron == "plif", alpha=self.alpha, tau_init=self.tau_init,
+        )
 
     def maxpool(self, src, kernel=2, stride=None, padding=0, prefix=None):
         p = prefix or self._name("pool")
@@ -166,8 +168,7 @@ def build_mobilenet(first_filters=64, num_classes=2, in_channels=4, conv_mode="d
             )
             if b.bn_placement == "post":
                 cur = spec.add(f"{p}_postbn", "bn", [cur])
-            if b.neuron != "none":
-                cur = spec.add(f"{p}_plif", "plif", [cur], learnable_tau=b.neuron == "plif", alpha=b.alpha, tau_init=b.tau_init)
+            cur = b.plif(cur, p)
         cur_ch = out
     b.classifier(cur, num_classes)
     return spec

@@ -11,51 +11,41 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .. import autograd as ag
 from ..autograd import Tensor
 from ..autograd.checkpoint import check_state
+from ..autograd.ops import _out_size
 
 
 @dataclass(frozen=True)
 class PLIFConfig:
+    """The paper's PLIF neuron (SpikingJelly's definition): threshold 1 and
+    hard reset to 0 are constants; tau = 1/sigmoid(w) is learned unless
+    ``learnable_tau`` is off (a plain LIF neuron with tau = tau_init)."""
+
     tau_init: float = 2.0
-    v_threshold: float = 1.0
-    v_reset: float = 0.0
-    reset_mode: str = "hard"  # or "soft"
     alpha: float = 2.0  # surrogate width
     learnable_tau: bool = True
 
     def __post_init__(self):
         if self.tau_init <= 1.0:
             raise ValueError("tau_init must be > 1 for a stable leak")
-        if self.v_threshold <= self.v_reset:
-            raise ValueError("v_threshold must exceed v_reset")
-        if self.reset_mode not in ("hard", "soft"):
-            raise ValueError(f"unknown reset mode {self.reset_mode!r}")
 
 
 def plif_step(state, x, config: PLIFConfig, inv_tau):
-    """One membrane update: V <- V + (X - (V - v_reset)) / tau, spike on
-    V >= v_threshold, then hard reset to v_reset (or soft: subtract the
-    threshold). Returns (spikes, new_state).
+    """One membrane update: v = V + (X - V) / tau, spike s = H(v - 1), then
+    hard reset V' = v (1 - s). Returns (spikes, V').
 
     ``inv_tau`` is 1/tau, either a float or a scalar Tensor (learnable).
-    ``state`` may be None for the first step (treated as v_reset).
+    ``state`` is None on the first step, a membrane at rest (0), so v = X / tau.
     """
-    if state is None:
-        state = Tensor(np.full(x.data.shape, config.v_reset, dtype=x.data.dtype))
-    drive = x - (state - config.v_reset)
-    v = state + drive * inv_tau
-    spikes = ag.heaviside_surrogate(v - config.v_threshold, config.alpha)
-    if config.reset_mode == "hard":
-        v_next = v * (1.0 - spikes) + spikes * config.v_reset
-    else:
-        v_next = v - spikes * config.v_threshold
-    return spikes, v_next
+    v = x * inv_tau if state is None else state + (x - state) * inv_tau
+    spikes = ag.heaviside_surrogate(v - 1.0, config.alpha)
+    return spikes, v * (1.0 - spikes)
 
 
 class ConvLayer:
@@ -83,12 +73,7 @@ class ConvLayer:
         return ag.conv2d(x, self.weight, self.bias, self.stride, self.padding, self.groups, self.pad_value)
 
     def out_shape(self, shape):
-        c, h, w = shape
-        ho = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        wo = (w + 2 * self.padding - self.kernel) // self.stride + 1
-        if ho < 1 or wo < 1:
-            raise ValueError(f"{self.name}: spatial size {h}x{w} too small for kernel/stride")
-        return (self.out_channels, ho, wo)
+        return (self.out_channels, *_out_size(*shape[1:], self.kernel, self.kernel, self.stride, self.padding))
 
     def params(self):
         out = {f"{self.name}.weight": self.weight}
@@ -163,10 +148,7 @@ class MaxPoolLayer:
         return ag.maxpool2d(x, self.kernel, self.stride, self.padding)
 
     def out_shape(self, shape):
-        c, h, w = shape
-        ho = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        wo = (w + 2 * self.padding - self.kernel) // self.stride + 1
-        return (c, ho, wo)
+        return (shape[0], *_out_size(*shape[1:], self.kernel, self.kernel, self.stride, self.padding))
 
     def params(self):
         return {}
@@ -256,14 +238,11 @@ class SpikeRecord:
 
 
 def _plif_config_from_node(node):
-    return PLIFConfig(
-        tau_init=node.get("tau_init", 2.0),
-        v_threshold=node.get("v_threshold", 1.0),
-        v_reset=node.get("v_reset", 0.0),
-        reset_mode=node.get("reset_mode", "hard"),
-        alpha=node.get("alpha", 2.0),
-        learnable_tau=node.get("learnable_tau", True),
-    )
+    keys = {k: v for k, v in node.items() if k not in ("name", "type", "inputs")}
+    unknown = sorted(set(keys) - {f.name for f in fields(PLIFConfig)})
+    if unknown:
+        raise ValueError(f"{node['name']}: unknown plif keys {unknown}")
+    return PLIFConfig(**keys)
 
 
 class Network:

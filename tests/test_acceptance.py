@@ -220,7 +220,7 @@ def test_criterion_4_gradient_checks():
         check_grad(lambda a, b: ag.conv2d(a, b, None, padding=1), [x, w], tol=1e-3, eps=1e-2)
 
     # hand-derived 2-timestep PLIF chain: x1, x2 scalars through one neuron
-    cfg = PLIFConfig(v_threshold=1.0, v_reset=0.0, alpha=2.0)
+    cfg = PLIFConfig(alpha=2.0)
     a = 0.5  # 1/tau for tau = 2
     x1v, x2v = 1.6, 2.4
     x1 = Tensor(np.array([x1v]), requires_grad=True)

@@ -40,8 +40,12 @@ def test_config_validation():
 
 
 def test_cube_binary_enforced():
-    with pytest.raises(ValueError, match="binary"):
-        enc.VoxelCube(np.full((2, 1, 2, 2), 2))
+    for bad in (2, 0.5, 2.0, -1, -1.0, np.nan, 1 + 1j, 1j):
+        with pytest.raises(ValueError, match="binary"):
+            enc.VoxelCube(np.full((2, 1, 2, 2), bad))
+    for good in (np.uint8, np.int64, np.float32, np.float64, bool):
+        cube = enc.VoxelCube(np.eye(2, dtype=good).reshape(2, 1, 1, 2))
+        assert cube.data.dtype == np.uint8 and cube.data.sum() == 2
     with pytest.raises(ValueError, match="4-D"):
         enc.VoxelCube(np.zeros((2, 2, 2)))
 

@@ -198,9 +198,12 @@ def test_optimizer_state_keyed_by_parameter_name(tmp_path):
         load_network(path, model.net, full)
     assert "missing c1_conv.weight.m" in str(err.value)
     assert full.step_count == 0
-    save_network(path, model.net)  # no optimizer state to restore
+    save_network(path, _toy_detector(seed=1).net)  # another init, no optimizer state to restore
+    before = {k: v.copy() for k, v in model.net.state_arrays().items()}
     with pytest.raises(ValueError, match="missing step"):
         load_network(path, model.net, again)
+    for k, v in model.net.state_arrays().items():  # the failed load changed nothing
+        assert np.array_equal(v, before[k]), k
 
 
 def test_load_backbone_partial(tmp_path):
@@ -208,14 +211,18 @@ def test_load_backbone_partial(tmp_path):
     path = str(tmp_path / "det.ckpt")
     save_network(path, src.net)
     dst = _toy_detector(seed=2)
-    n = load_backbone(dst, path)
-    assert n == len(src.net.params())
+    n, skipped = load_backbone(dst, path)
+    assert n == len(src.net.params()) and skipped == []
     for k, v in src.net.params().items():
         assert np.array_equal(dst.net.params()[k].data, v.data)
     # a mismatched input width loads fewer arrays but does not fail
     other = _toy_detector(seed=3, in_channels=ENC.channels * 2)
-    m = load_backbone(other, path)
+    m, skipped = load_backbone(other, path)
     assert 0 < m < n
+    assert skipped == ["c1_bn.beta", "c1_bn.gamma", "c1_conv.weight"]  # they see the input channels
+    fresh = _toy_detector(seed=3, in_channels=ENC.channels * 2).net.params()
+    for k, v in other.net.params().items():
+        assert np.array_equal(v.data, (fresh if k in skipped else src.net.params())[k].data), k
 
 
 # --------------------------------------------------------------------------

@@ -26,10 +26,54 @@ from evsnn.spiking.layers import MaxPoolLayer, PLIFLayer
 def test_plif_config_validation():
     with pytest.raises(ValueError):
         PLIFConfig(tau_init=1.0)
-    with pytest.raises(ValueError):
-        PLIFConfig(v_threshold=0.0, v_reset=0.0)
-    with pytest.raises(ValueError):
-        PLIFConfig(reset_mode="bounce")
+    # a spec asking for another neuron fails loudly instead of being ignored
+    spec = NetworkSpec(input_channels=1)
+    spec.add("p", "plif", ["input"], tau_init=3.0, v_threshold=0.5)
+    with pytest.raises(ValueError, match="unknown plif keys.*v_threshold"):
+        Network(spec)
+
+
+def _plif_step_oracle(state, x, inv_tau, v_threshold=1.0, v_reset=0.0, reset_mode="hard", alpha=2.0):
+    """The op-by-op PLIF composition with a settable threshold, reset value
+    and reset mode (10 tape ops per hard-reset step): the reference that
+    ``plif_step`` must match bit for bit at threshold 1, hard reset to 0."""
+    if state is None:
+        state = Tensor(np.full(x.data.shape, v_reset, dtype=x.data.dtype))
+    drive = x - (state - v_reset)
+    v = state + drive * inv_tau
+    spikes = ag.heaviside_surrogate(v - v_threshold, alpha)
+    if reset_mode == "hard":
+        v_next = v * (1.0 - spikes) + spikes * v_reset
+    else:
+        v_next = v - spikes * v_threshold
+    return spikes, v_next
+
+
+def test_plif_step_matches_oracle_bit_for_bit():
+    """Five float32 steps with a learnable tau: spikes, membranes and the
+    gradients of the inputs and of w equal the oracle's exactly."""
+    rng = np.random.default_rng(0)
+    xs = [(1.5 * rng.standard_normal((2, 3, 4, 4))).astype(np.float32) for _ in range(5)]
+    probes = [rng.standard_normal((2, 3, 4, 4)).astype(np.float32) for _ in range(5)]
+
+    def run(step):
+        w = Tensor(np.asarray([0.3], dtype=np.float32), requires_grad=True)
+        x = [Tensor(a, requires_grad=True) for a in xs]
+        state, spikes, membranes, loss = None, [], [], 0.0
+        for xt, probe in zip(x, probes):
+            s, state = step(state, xt, ag.sigmoid(w))
+            spikes.append(s.data)
+            membranes.append(state.data)
+            loss = (s * probe).sum() + (state * probe).sum() + loss
+        loss.backward()
+        return spikes, membranes, [t.grad for t in x], [w.grad]
+
+    got = run(lambda state, x, a: plif_step(state, x, PLIFConfig(), a))
+    want = run(_plif_step_oracle)
+    assert sum(float(s.sum()) for s in got[0]) > 0  # some neurons spike and reset
+    for kind, g, r in zip(("spikes", "membranes", "x.grad", "w.grad"), got, want):
+        for t, (a, b) in enumerate(zip(g, r)):
+            assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b), f"{kind} differ at step {t}"
 
 
 def test_plif_hand_simulation():
@@ -44,13 +88,6 @@ def test_plif_hand_simulation():
         vs.append(float(state.data[0]))
     assert spikes == [0.0, 0.0, 1.0]
     assert np.allclose(vs, [0.75, 0.375, 0.0])  # 0.375 + (2 - 0.375)/2 = 1.1875 -> spike, reset
-
-
-def test_plif_soft_reset():
-    cfg = PLIFConfig(learnable_tau=False, reset_mode="soft")
-    s, v = plif_step(None, Tensor(np.array([4.0])), cfg, 0.5)
-    assert float(s.data[0]) == 1.0
-    assert np.isclose(float(v.data[0]), 2.0 - 1.0)  # v=2, minus threshold
 
 
 def test_plif_threshold_boundary():
@@ -204,6 +241,19 @@ def test_trace_shapes_match_execution():
                 if node["type"] == "spatial_sum":
                     continue
                 assert got == want, f"{spec.name}/{node['name']}: {got} != {want}"
+
+
+def test_trace_shapes_raises_where_forward_does():
+    """A 4x4 pool over a 2x2 map fails in shape tracing as in execution."""
+    spec = NetworkSpec(input_channels=1)
+    spec.add("pool", "maxpool", ["input"], kernel=4)
+    spec.outputs.append("pool")
+    net = Network(spec)
+    with pytest.raises(ValueError):
+        net.forward(np.zeros((1, 1, 1, 2, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match="does not fit"):
+        net.trace_shapes(2, 2)
+    assert net.trace_shapes(4, 4)["pool"] == (1, 1, 1)
 
 
 def test_maxpool_layer_padding_grad():
