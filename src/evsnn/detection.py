@@ -270,7 +270,12 @@ def build_toy_detector_spec(num_classes=2, in_channels=4, anchor_config=None, **
 
 
 class DetectionModel:
-    """A spiking backbone with SSD heads plus its anchor bookkeeping."""
+    """A spiking backbone with SSD heads plus its anchor bookkeeping.
+
+    Convolution weights are Kaiming-uniform draws from ``rng``, or zeros
+    when ``rng`` is None (for counting, or to load state into); a
+    zero-weight detector cannot be trained.
+    """
 
     def __init__(self, spec, head_taps, num_classes, anchor_config: AnchorConfig, rng=None):
         self.spec = spec

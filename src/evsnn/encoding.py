@@ -122,6 +122,9 @@ def parse_vxc(data: bytes) -> VoxelCube:
     c, t, h, w = int(c), int(t), int(h), int(w)
     count = c * t * h * w
     body = np.frombuffer(data[end + 1 :], dtype=np.uint8)
+    nbytes = -(-count // 8)
+    if len(body) != nbytes:
+        raise ValueError(f"VXC body has {len(body)} bytes, expected {nbytes} for {c}x{t}x{h}x{w} cells")
     bits = np.unpackbits(body, bitorder="little")[:count]
     return VoxelCube(bits.reshape(c, t, h, w))
 

@@ -9,14 +9,14 @@ Supported formats:
   .evt1  canonical ASCII: "EVT1 <w> <h> <count>" header then "t x y p" lines
   .evt1b canonical packed binary: same header line, then little-endian
          records of u64 t, u16 x, u16 y, u8 p
-  .npy   structured array of box annotations (v1.0 / v2.0 headers)
+  .npy   structured array of box annotations (header read with numpy's
+         format module; the body length is checked against the header)
 """
 
 from __future__ import annotations
 
-import ast
+import io
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -201,23 +201,6 @@ _NPY_MAGIC = b"\x93NUMPY"
 _REQUIRED_FIELDS = ("t", "x", "y", "w", "h", "class_id")
 
 
-def _parse_npy_header(data: bytes):
-    if data[:6] != _NPY_MAGIC:
-        raise ValueError("not an NPY file")
-    major = data[6]
-    if major == 1:
-        (hlen,) = struct.unpack("<H", data[8:10])
-        start = 10
-    elif major == 2:
-        (hlen,) = struct.unpack("<I", data[8:12])
-        start = 12
-    else:
-        raise ValueError(f"unsupported NPY version {major}.{data[7]}")
-    header = data[start : start + hlen].decode("latin-1")
-    meta = ast.literal_eval(header)
-    return meta, start + hlen
-
-
 def parse_npy_boxes(data: bytes, sensor_size=None):
     """Parse an NPY structured array of box annotations.
 
@@ -225,19 +208,30 @@ def parse_npy_boxes(data: bytes, sensor_size=None):
     (default 0) and confidence/class_confidence (default 1.0). When
     ``sensor_size`` is given, boxes are clipped to the sensor bounds.
     """
-    meta, offset = _parse_npy_header(data)
-    descr = meta["descr"]
-    if not isinstance(descr, list):
-        raise ValueError("NPY file does not contain a structured array")
-    for _, fmt, *rest in descr:
-        if fmt[0] == ">":
-            raise ValueError(f"big-endian field dtype {fmt!r} not supported")
-    dtype = np.dtype(descr)
-    shape = meta["shape"]
-    count = int(np.prod(shape)) if shape else 1
-    if meta.get("fortran_order"):
-        raise ValueError("fortran-ordered NPY arrays not supported")
-    arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+    if data[:6] != _NPY_MAGIC:
+        raise ValueError("not an NPY file")
+    fmt = np.lib.format
+    fp = io.BytesIO(data)
+    try:
+        version = fmt.read_magic(fp)
+        read_header = {(1, 0): fmt.read_array_header_1_0, (2, 0): fmt.read_array_header_2_0}.get(version)
+        if read_header is None:
+            raise ValueError(f"unsupported NPY version {version[0]}.{version[1]}")
+        shape, fortran_order, dtype = read_header(fp)
+    except ValueError as exc:
+        raise ValueError(f"NPY file is truncated or malformed: {exc}") from exc
+    if dtype.hasobject:
+        raise ValueError("NPY boxes hold Python objects")
+    # The body length is checked before numpy sees it, so a header that
+    # declares a huge shape costs no allocation.
+    body = data[fp.tell() :]
+    expected = math.prod(shape) * dtype.itemsize
+    if len(body) != expected:
+        raise ValueError(
+            f"NPY file is truncated or malformed: body has {len(body)} bytes, expected {expected} for shape {shape}"
+        )
+    arr = np.frombuffer(body, dtype=dtype).reshape(shape, order="F" if fortran_order else "C").reshape(-1)
+    count = len(arr)
     names = arr.dtype.names or ()
     for f in _REQUIRED_FIELDS:
         if f not in names:
@@ -295,6 +289,9 @@ def parse_evt1_text(data: bytes) -> EventStream:
     rows = [line.split() for line in lines[1 : 1 + count]]
     if len(rows) != count:
         raise ValueError(f"EVT1 header declares {count} events, found {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) != 4:
+            raise ValueError(f"EVT1 line {i + 2} has {len(row)} fields, expected 4")
     if rows:
         arr = np.array(rows, dtype=np.int64)
         return EventStream(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], w, h)

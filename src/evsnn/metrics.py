@@ -133,7 +133,6 @@ def measure_sparsity(net: Network, cubes, batch_size=16) -> SparsityReport:
     record = SpikeRecord()
     cubes = list(cubes)
     timesteps = cubes[0].data.shape[1]
-    net.set_training(False)
     with ag.no_grad():
         for i in range(0, len(cubes), batch_size):
             batch = batch_cubes(cubes[i : i + batch_size])

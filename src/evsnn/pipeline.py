@@ -103,7 +103,6 @@ def train_classifier(net: Network, samples, encoder: EncoderConfig, config: Trai
     def loss_fn(idx):
         return ag.softmax_cross_entropy(classifier_scores(net.forward(data[idx])), labels[idx])
 
-    net.set_training(True)
     return _fit(net.param_list(), loss_fn, len(samples), config, log)
 
 
@@ -112,10 +111,8 @@ def evaluate_classifier(net: Network, samples, encoder: EncoderConfig, batch_siz
     into the convolutions before evaluation."""
     cubes, labels = encode_samples(samples, encoder)
     data = batch_cubes(cubes)
-    net.set_training(False)
     if fuse:
         net = fuse_network(net)
-        net.set_training(False)
     preds = []
     with ag.no_grad():
         for i in range(0, len(cubes), batch_size):
@@ -137,8 +134,9 @@ def _encode_scenes(scenes, encoder: EncoderConfig):
 
 def train_detector(model: DetectionModel, scenes, encoder: EncoderConfig, config: TrainConfig,
                    freeze_backbone=False, log=None):
-    """Train the SSD heads (and optionally the backbone) on (stream,
-    boxes) scenes. Returns a TrainHistory."""
+    """Train the SSD heads and, unless ``freeze_backbone``, the backbone on
+    (stream, boxes) scenes. A frozen backbone is trainable again when the
+    call returns or raises. Returns a TrainHistory."""
     data = _encode_scenes(scenes, encoder)
     anchors = model.anchors(encoder.height, encoder.width)
     labels = np.empty((len(scenes), len(anchors)), dtype=np.int64)
@@ -150,6 +148,7 @@ def train_detector(model: DetectionModel, scenes, encoder: EncoderConfig, config
         labels[i], locs[i] = build_anchor_targets(anchors, gt, cls, image_size, model.anchor_config)
 
     params = model.net.param_list()
+    frozen = []
     if freeze_backbone:
         head_names = {n for pair in model.head_taps for n in pair}
         params = []
@@ -157,8 +156,9 @@ def train_detector(model: DetectionModel, scenes, encoder: EncoderConfig, config
             layer = pname.split(".")[0]
             if layer in head_names or layer.startswith("extra"):
                 params.append(p)
-            else:
+            elif p.requires_grad:
                 p.requires_grad = False
+                frozen.append(p)
 
     def loss_fn(idx):
         cls_logits, loc_pred = model.forward(data[idx])
@@ -166,8 +166,11 @@ def train_detector(model: DetectionModel, scenes, encoder: EncoderConfig, config
                                     gamma=config.focal_gamma, alpha=config.focal_alpha)
         return loss
 
-    model.net.set_training(True)
-    return _fit(params, loss_fn, len(scenes), config, log)
+    try:
+        return _fit(params, loss_fn, len(scenes), config, log)
+    finally:
+        for p in frozen:
+            p.requires_grad = True
 
 
 def evaluate_detector(model: DetectionModel, scenes, encoder: EncoderConfig, batch_size=16,
@@ -178,7 +181,6 @@ def evaluate_detector(model: DetectionModel, scenes, encoder: EncoderConfig, bat
     """
     data = _encode_scenes(scenes, encoder)
     anchors = model.anchors(encoder.height, encoder.width)
-    model.net.set_training(False)
     detections = []
     with ag.no_grad():
         for i in range(0, len(scenes), batch_size):

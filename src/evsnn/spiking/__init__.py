@@ -16,7 +16,6 @@ from .builders import (
     build_mobilenet,
     build_densenet,
     build_toy_classifier,
-    BUILDERS,
 )
 from .transforms import fuse_bn_into_conv, fuse_network, dwsep_to_normal_conv, convert_dwsep_network
 
@@ -36,7 +35,6 @@ __all__ = [
     "build_mobilenet",
     "build_densenet",
     "build_toy_classifier",
-    "BUILDERS",
     "fuse_bn_into_conv",
     "fuse_network",
     "dwsep_to_normal_conv",

@@ -224,7 +224,7 @@ def build_densenet(depth=121, growth=16, num_classes=2, in_channels=4, layout="s
     return spec
 
 
-def build_toy_classifier(num_classes=2, in_channels=4, size=64, **kw):
+def build_toy_classifier(num_classes=2, in_channels=4, **kw):
     """Small spiking CNN for the synthetic temporal tasks: three strided
     conv blocks then the spiking classifier."""
     spec = NetworkSpec(input_channels=in_channels, name="toy")
@@ -235,14 +235,6 @@ def build_toy_classifier(num_classes=2, in_channels=4, size=64, **kw):
     b.classifier(cur, num_classes)
     return spec
 
-
-BUILDERS = {
-    "vgg": build_vgg,
-    "squeezenet": build_squeezenet,
-    "mobilenet": build_mobilenet,
-    "densenet": build_densenet,
-    "toy": build_toy_classifier,
-}
 
 # Named classification variants, e.g. for the CLI and reporting tables.
 _NAMED = {

@@ -5,6 +5,10 @@ descriptors, JSON-serializable) and instantiated as a ``Network`` holding
 parameter tensors. Execution is stepwise: one (N, C, H, W) frame per
 timestep. Layers keep no per-step state: ``Network.forward`` holds the PLIF
 membranes in a dict local to the call and carries them between steps.
+
+Batch norm takes its mode from the autograd tape: while the tape records it
+normalizes with batch statistics and updates its running statistics; under
+``ag.no_grad()`` it uses the running statistics and leaves them unchanged.
 """
 
 from __future__ import annotations
@@ -83,6 +87,9 @@ class ConvLayer:
 
 
 class BatchNormLayer:
+    """Batch statistics (and a running-statistics update) while the tape
+    records; the running statistics under ``ag.no_grad()``."""
+
     momentum = 0.1
     eps = 1e-5
 
@@ -93,12 +100,11 @@ class BatchNormLayer:
         self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True, name=f"{name}.beta")
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-        self.training = True
 
     def __call__(self, x):
         return ag.batchnorm2d(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training=self.training, momentum=self.momentum, eps=self.eps,
+            training=ag.grad_enabled(), momentum=self.momentum, eps=self.eps,
         )
 
     def out_shape(self, shape):
@@ -249,8 +255,8 @@ class Network:
     """Runtime instantiation of a NetworkSpec."""
 
     def __init__(self, spec: NetworkSpec, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+        """Convolution weights are Kaiming-uniform draws from ``rng``, or
+        zeros when ``rng`` is None (for counting, or to load state into)."""
         self.spec = spec
         self.layers = {}
         self.channels = {"input": spec.input_channels}
@@ -294,13 +300,6 @@ class Network:
 
     def param_list(self):
         return list(self.params().values())
-
-    def bn_layers(self):
-        return [self.layers[n["name"]] for n in self.spec.nodes if n["type"] == "bn"]
-
-    def set_training(self, training):
-        for layer in self.bn_layers():
-            layer.training = training
 
     def state_arrays(self):
         """Parameters, BN running statistics and fused-conv pad values by name: what a checkpoint holds."""

@@ -12,12 +12,13 @@ from .layers import BatchNormLayer, ConvLayer, Network, NetworkSpec
 
 
 def fuse_bn_into_conv(bn: BatchNormLayer, conv: ConvLayer) -> ConvLayer:
-    """Fold an eval-mode BN that *precedes* a conv into the conv weights.
+    """Fold a BN that *precedes* a conv into the conv weights.
 
-    Returns a new conv with conv'(x) == conv(bn(x)); originals untouched.
+    Folds the running statistics, which are what the BN uses under
+    ``ag.no_grad()``; while the tape records it uses batch statistics
+    instead. Returns a new conv with conv'(x) == conv(bn(x)) under
+    ``no_grad``; originals untouched.
     """
-    if bn.training:
-        raise ValueError("cannot fuse a train-mode batch norm; switch to eval first")
     scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
     offset = bn.beta.data - bn.running_mean * scale
     w = conv.weight.data
@@ -64,8 +65,6 @@ def _clone_with_params(old: Network, new_spec: NetworkSpec, overrides):
     net = Network(new_spec)
     own = net.state_arrays()
     net.load_state_arrays({**{k: v for k, v in old.state_arrays().items() if k in own}, **overrides})
-    for bn in net.bn_layers():
-        bn.training = old.layers[bn.name].training
     return net
 
 
@@ -79,8 +78,6 @@ def fuse_network(net: Network) -> Network:
             continue
         cons = _consumers(spec, node["name"])
         if len(cons) == 1 and cons[0]["type"] == "conv" and not cons[0].get("depthwise"):
-            if net.layers[node["name"]].training:
-                raise ValueError("cannot fuse a train-mode batch norm; switch to eval first")
             fused_bns[node["name"]] = node["inputs"][0]
     new_spec = NetworkSpec(input_channels=spec.input_channels, outputs=list(spec.outputs), name=spec.name + "_fused")
     overrides = {}

@@ -119,7 +119,6 @@ def test_criterion_2_acc_counts():
     # MobileNet-64 after dwsep -> dense conversion, at the sensor's native
     # 240x304 resolution (the published count only matches there)
     net = Network(named_spec("mobilenet64", in_channels=4, num_classes=2))
-    net.set_training(False)
     dense = convert_dwsep_network(net)
     got = count_accs_per_timestep(dense, (240, 304)).accs_per_timestep
     rel = abs(got - 4.20e9) / 4.20e9
@@ -261,7 +260,6 @@ def test_criterion_5_structural_equivalences():
         bn.beta.data = rng.standard_normal(cin).astype(np.float32)
         bn.running_mean = rng.standard_normal(cin).astype(np.float32)
         bn.running_var = (rng.random(cin) + 0.5).astype(np.float32)
-        bn.training = False
         conv = ConvLayer("c", cin, cout, k, bias=bool(rng.random() < 0.5), rng=rng)
         x = Tensor(rng.standard_normal((2, cin, 6, 6)).astype(np.float32))
         with ag.no_grad():
@@ -284,10 +282,9 @@ def test_criterion_5_structural_equivalences():
 
     # fused full-network inference keeps the argmax on 500 random inputs
     net = Network(build_toy_classifier(in_channels=4), rng=np.random.default_rng(10))
-    for bn in net.bn_layers():
+    for bn in [layer for layer in net.layers.values() if isinstance(layer, BatchNormLayer)]:
         bn.running_mean = rng.standard_normal(bn.channels).astype(np.float32) * 0.1
         bn.running_var = (rng.random(bn.channels) + 0.5).astype(np.float32)
-    net.set_training(False)
     fused = fuse_network(net)
     agree = 0
     for i in range(10):

@@ -289,7 +289,6 @@ def test_detector_feature_taps_are_binary():
     tap_names = sorted({t for pair in head_taps for t in spec.node(pair[0])["inputs"]})
     spec.outputs = tap_names
     net = Network(spec, rng=np.random.default_rng(6))
-    net.set_training(False)
     rng = np.random.default_rng(6)
     x = (rng.random((1, 2, 2, 64, 64)) < 0.3).astype(np.float32)
     with ag.no_grad():
@@ -343,7 +342,7 @@ def test_detection_model_forward_shapes():
 
 def test_background_bias_initialization():
     spec, head_taps, cfg = build_toy_detector_spec(num_classes=2, in_channels=4)
-    model = DetectionModel(spec, head_taps, 2, cfg)
+    model = DetectionModel(spec, head_taps, 2, cfg, rng=np.random.default_rng(0))
     for cls_name, _ in head_taps:
         b = model.net.layers[cls_name].bias.data.reshape(-1, 3)
         assert (b[:, 0] == 4.0).all()

@@ -136,6 +136,14 @@ def test_vxc_roundtrip():
         enc.parse_vxc(b"nope")
 
 
+def test_vxc_body_length_checked():
+    data = enc.write_vxc(enc.VoxelCube(np.ones((2, 3, 5, 7), dtype=np.uint8)))  # 210 cells, 27 bytes
+    with pytest.raises(ValueError, match="VXC body has 26 bytes, expected 27"):
+        enc.parse_vxc(data[:-1])
+    with pytest.raises(ValueError, match="VXC body has 28 bytes, expected 27"):
+        enc.parse_vxc(data + b"\x00")
+
+
 def test_batch_cubes_shape_and_dtype():
     cubes = [enc.VoxelCube(np.zeros((2, 3, 4, 4), dtype=np.uint8)) for _ in range(3)]
     batch = enc.batch_cubes(cubes)

@@ -1,5 +1,7 @@
 """Event stream structures, file formats, transforms, synthetic scenes."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,8 +107,8 @@ def _npy_bytes(arr, tmp_path):
     return path.read_bytes()
 
 
-def test_npy_boxes_roundtrip(tmp_path, rng):
-    arr = np.zeros(3, dtype=_BOX_DTYPE)
+def _three_boxes(dtype=_BOX_DTYPE):
+    arr = np.zeros(3, dtype=dtype)
     arr["t"] = [100, 200, 300]
     arr["x"] = [1.5, 10, 20]
     arr["y"] = [2.5, 11, 21]
@@ -115,7 +117,11 @@ def test_npy_boxes_roundtrip(tmp_path, rng):
     arr["class_id"] = [0, 1, 0]
     arr["track_id"] = [3, 4, 5]
     arr["confidence"] = [1.0, 0.5, 0.25]
-    boxes = ev.parse_npy_boxes(_npy_bytes(arr, tmp_path))
+    return arr
+
+
+def test_npy_boxes_roundtrip(tmp_path):
+    boxes = ev.parse_npy_boxes(_npy_bytes(_three_boxes(), tmp_path))
     assert len(boxes) == 3
     b = boxes[1]
     assert (b.t, b.x, b.y, b.w, b.h, b.class_id, b.track_id, b.confidence) == (200, 10, 11, 6, 9, 1, 4, 0.5)
@@ -135,10 +141,32 @@ def test_npy_boxes_missing_field(tmp_path):
         ev.parse_npy_boxes(_npy_bytes(arr, tmp_path))
 
 
-def test_npy_boxes_big_endian_rejected(tmp_path):
-    arr = np.zeros(1, dtype=[("t", ">u8"), ("x", ">f4"), ("y", ">f4"), ("w", ">f4"), ("h", ">f4"), ("class_id", ">u4")])
-    with pytest.raises(ValueError, match="big-endian"):
-        ev.parse_npy_boxes(_npy_bytes(arr, tmp_path))
+def test_npy_boxes_big_endian_matches_little_endian(tmp_path):
+    big = np.dtype(_BOX_DTYPE).newbyteorder(">")
+    assert big.fields["t"][0].byteorder == ">"
+    little = ev.parse_npy_boxes(_npy_bytes(_three_boxes(), tmp_path))
+    assert ev.parse_npy_boxes(_npy_bytes(_three_boxes(big), tmp_path)) == little
+
+
+def test_npy_boxes_truncated(tmp_path):
+    data = _npy_bytes(_three_boxes(), tmp_path)
+    for cut in (data[:20], data[:-1]):  # inside the header, inside the body
+        with pytest.raises(ValueError, match="truncated"):
+            ev.parse_npy_boxes(cut)
+
+
+def test_npy_boxes_body_length_checked(tmp_path):
+    data = _npy_bytes(_three_boxes(), tmp_path)
+    with pytest.raises(ValueError, match="body has 110 bytes, expected 108"):
+        ev.parse_npy_boxes(data + b"\0\0")
+    # a short body whose header declares 10**12 boxes is refused before
+    # anything is allocated for them
+    header = np.lib.format.header_data_from_array_1_0(_three_boxes())
+    header["shape"] = (10**12,)
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, header)
+    with pytest.raises(ValueError, match="expected 36000000000000 for shape"):
+        ev.parse_npy_boxes(buf.getvalue() + data[-108:])
 
 
 def test_npy_not_npy():
@@ -164,6 +192,12 @@ def test_evt1_binary_roundtrip(rng):
 def test_evt1_count_mismatch():
     with pytest.raises(ValueError, match="declares"):
         ev.parse_evt1_text(b"EVT1 4 4 2\n1 0 0 1\n")
+
+
+def test_evt1_text_field_count():
+    for data, line, n in ((b"EVT1 4 4 1\n1 0 0\n", 2, 3), (b"EVT1 4 4 2\n1 0 0 1\n2 0 0 1 7\n", 3, 5)):
+        with pytest.raises(ValueError, match=f"line {line} has {n} fields, expected 4"):
+            ev.parse_evt1_text(data)
 
 
 def test_load_save_dispatch(tmp_path, rng):

@@ -19,7 +19,7 @@ from evsnn.metrics import (
 from evsnn.encoding import VoxelCube
 from evsnn.spiking import Network, NetworkSpec, fuse_network
 from evsnn.spiking.builders import build_toy_classifier, build_vgg
-from evsnn.spiking.layers import SpikeRecord
+from evsnn.spiking.layers import BatchNormLayer, SpikeRecord
 
 
 # --------------------------------------------------------------------------
@@ -142,10 +142,9 @@ def test_sparsity_from_record_extremes():
 def test_sparsity_invariant_under_bn_fusion():
     rng = np.random.default_rng(2)
     net = Network(build_toy_classifier(in_channels=4), rng=rng)
-    for bn in net.bn_layers():
+    for bn in [layer for layer in net.layers.values() if isinstance(layer, BatchNormLayer)]:
         bn.running_mean = rng.standard_normal(bn.channels).astype(np.float32) * 0.1
         bn.running_var = (rng.random(bn.channels) + 0.5).astype(np.float32)
-    net.set_training(False)
     cubes = _random_cubes(rng, 4)
     a = measure_sparsity(net, cubes)
     b = measure_sparsity(fuse_network(net), cubes)

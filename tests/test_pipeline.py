@@ -7,10 +7,11 @@ import re
 import numpy as np
 import pytest
 
+import evsnn.autograd as ag
 import evsnn.cli as cli
 from evsnn.autograd import AdamW
 from evsnn.detection import DetectionModel, build_toy_detector_spec
-from evsnn.encoding import EncoderConfig, parse_vxc
+from evsnn.encoding import EncoderConfig, batch_cubes, parse_vxc
 from evsnn.pipeline import (
     ExperimentManifest,
     TrainConfig,
@@ -24,7 +25,7 @@ from evsnn.pipeline import (
     train_classifier,
     train_detector,
 )
-from evsnn.spiking import Network
+from evsnn.spiking import Network, classifier_scores, fuse_network
 from evsnn.spiking.builders import build_toy_classifier
 from evsnn.tasks import (
     SQUARE_SIZES,
@@ -147,6 +148,24 @@ def test_evaluate_classifier_fused_matches_unfused():
     assert acc_a == acc_b
 
 
+def test_no_grad_forward_after_training_uses_running_statistics():
+    """Batch norm takes its mode from the tape: right after training, a
+    no_grad forward reads the running statistics and leaves them as they
+    are, and the net fuses with no mode switch."""
+    samples = make_moving_bar_dataset(8, seed=0)
+    net = _toy_net()
+    train_classifier(net, samples, ENC, TrainConfig(epochs=1, batch_size=8, lr=1e-3))
+    before = {k: v.copy() for k, v in net.state_arrays().items()}
+    with ag.no_grad():
+        scores = classifier_scores(net.forward(batch_cubes(encode_samples(samples, ENC)[0]))).data
+    for k, v in net.state_arrays().items():
+        assert np.array_equal(v, before[k]), k
+    _, preds = evaluate_classifier(net, samples, ENC)
+    _, fused_preds = evaluate_classifier(fuse_network(net), samples, ENC)
+    assert np.array_equal(scores.argmax(axis=1), preds)
+    assert np.array_equal(fused_preds, preds)
+
+
 # --------------------------------------------------------------------------
 # Checkpoints
 # --------------------------------------------------------------------------
@@ -256,6 +275,24 @@ def test_train_detector_frozen_backbone():
             changed_backbone += moved
     assert changed_heads > 0
     assert changed_backbone == 0
+
+
+def test_train_detector_unfreezes_backbone():
+    """A frozen-backbone call makes the backbone trainable again when it
+    returns or raises, so a later unfrozen call trains it."""
+    scenes = make_moving_squares_dataset(4, seed=0)
+    model = _toy_detector()
+    train_detector(model, scenes, ENC, TrainConfig(epochs=1, batch_size=4, lr=1e-2), freeze_backbone=True)
+    weight = model.net.params()["c1_conv.weight"]
+    before = weight.data.copy()
+    train_detector(model, scenes, ENC, TrainConfig(epochs=2, batch_size=4, lr=1e-2))
+    assert weight.requires_grad
+    assert not np.array_equal(weight.data, before)
+
+    model.net.params()[f"{model.head_taps[0][0]}.weight"].data[...] = np.nan
+    with pytest.raises(TrainingDiverged):
+        train_detector(model, scenes, ENC, TrainConfig(epochs=1, batch_size=4, lr=1e-2), freeze_backbone=True)
+    assert all(p.requires_grad for p in model.net.params().values())
 
 
 # --------------------------------------------------------------------------

@@ -181,12 +181,12 @@ def _layer_attributes(net):
 
 
 def test_forward_leaves_layers_unchanged():
-    """Layers keep no per-step state: in eval mode a forward pass changes
+    """Layers keep no per-step state: under no_grad a forward pass changes
     no attribute of any layer."""
     net = Network(_tiny_spec(), rng=np.random.default_rng(0))
-    net.set_training(False)
     before = _layer_attributes(net)
-    net.forward((np.random.default_rng(1).random((1, 2, 3, 8, 8)) < 0.4).astype(np.float32), record=SpikeRecord())
+    with ag.no_grad():
+        net.forward((np.random.default_rng(1).random((1, 2, 3, 8, 8)) < 0.4).astype(np.float32), record=SpikeRecord())
     after = _layer_attributes(net)
     assert after.keys() == before.keys()
     for key, value in before.items():

@@ -18,7 +18,6 @@ def _random_bn(rng, c):
     bn.beta.data = rng.standard_normal(c).astype(np.float32)
     bn.running_mean = rng.standard_normal(c).astype(np.float32)
     bn.running_var = (rng.random(c) + 0.5).astype(np.float32)
-    bn.training = False
     return bn
 
 
@@ -59,14 +58,6 @@ def test_fuse_bn_grouped_conv():
             assert np.abs(fused(x).data - conv(bn(x)).data).max() <= 1e-5
 
 
-def test_fuse_train_mode_rejected():
-    rng = np.random.default_rng(2)
-    bn = _random_bn(rng, 3)
-    bn.training = True
-    with pytest.raises(ValueError, match="train-mode"):
-        fuse_bn_into_conv(bn, _random_conv(rng, 3, 4, 3))
-
-
 def test_dwsep_to_normal_weight_equivalence():
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -96,7 +87,7 @@ def test_dwsep_shape_validation():
 
 
 def _randomize_bn_stats(net, rng):
-    for bn in net.bn_layers():
+    for bn in [layer for layer in net.layers.values() if isinstance(layer, BatchNormLayer)]:
         bn.running_mean = rng.standard_normal(bn.channels).astype(np.float32) * 0.1
         bn.running_var = (rng.random(bn.channels) + 0.5).astype(np.float32)
         bn.gamma.data = (rng.standard_normal(bn.channels) * 0.2 + 1).astype(np.float32)
@@ -107,7 +98,6 @@ def test_fuse_network_preserves_predictions():
     rng = np.random.default_rng(4)
     net = Network(build_toy_classifier(in_channels=4), rng=rng)
     _randomize_bn_stats(net, rng)
-    net.set_training(False)
     fused = fuse_network(net)
     assert not any(n["type"] == "bn" for n in fused.spec.nodes)
     batch = (rng.random((8, 4, 3, 32, 32)) < 0.3).astype(np.float32)
@@ -126,7 +116,6 @@ def _fused_toy(seed):
     rng = np.random.default_rng(seed)
     net = Network(build_toy_classifier(in_channels=4), rng=rng)
     _randomize_bn_stats(net, rng)  # non-zero betas: the fused convs pad with non-zero values
-    net.set_training(False)
     fused = fuse_network(net)
     assert any(np.abs(pad).max() > 0 for pad in _pad_values(fused).values())
     batch = (rng.random((4, 4, 3, 64, 64)) < 0.3).astype(np.float32)
@@ -147,7 +136,6 @@ def test_fused_network_checkpoint_round_trip(tmp_path):
     save_network(path, fused)
     again = Network(fused.spec)
     load_network(path, again)
-    again.set_training(False)
     for k, v in fused.state_arrays().items():
         assert np.array_equal(again.state_arrays()[k], v), k
     want_scores, want_spikes = _eval(fused, batch)
@@ -170,18 +158,10 @@ def test_fuse_network_twice_keeps_pad_values():
     assert got_spikes == want_spikes
 
 
-def test_fuse_network_requires_eval_mode():
-    net = Network(build_toy_classifier(in_channels=4))
-    net.set_training(True)
-    with pytest.raises(ValueError, match="train-mode"):
-        fuse_network(net)
-
-
 def test_convert_dwsep_network_equivalence():
     rng = np.random.default_rng(5)
     net = Network(build_mobilenet(16, in_channels=4, conv_mode="dwsep"), rng=rng)
     _randomize_bn_stats(net, rng)
-    net.set_training(False)
     converted = convert_dwsep_network(net)
     assert not any(n.get("pointwise_of") for n in converted.spec.nodes)
     assert not any(n.get("depthwise") for n in converted.spec.nodes)
@@ -197,7 +177,6 @@ def test_convert_then_fuse_chain():
     rng = np.random.default_rng(6)
     net = Network(build_mobilenet(16, in_channels=4, conv_mode="dwsep"), rng=rng)
     _randomize_bn_stats(net, rng)
-    net.set_training(False)
     final = fuse_network(convert_dwsep_network(net))
     batch = (rng.random((2, 4, 2, 32, 32)) < 0.3).astype(np.float32)
     with ag.no_grad():
