@@ -84,8 +84,10 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, so no two tensors share a gradient array
+            self.grad = np.broadcast_to(g, self.data.shape).astype(self.data.dtype)
+        else:
+            self.grad += g
 
     # -- autodiff -------------------------------------------------------------
 
@@ -215,17 +217,8 @@ def tensor_sum(a, axis=None, keepdims=False):
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            axes = tuple(ax % a.data.ndim for ax in axes)
-            shape = [1 if i in axes else s for i, s in enumerate(a.data.shape)]
-            g = g.reshape(shape)
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
+        # accumulate_grad broadcasts g back over the summed axes
+        a.accumulate_grad(g if axis is None or keepdims else np.expand_dims(g, axis))
 
     return Tensor.from_op(np.asarray(out_data), (a,), backward)
 

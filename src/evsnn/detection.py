@@ -2,7 +2,8 @@
 
 The detector reads binary feature maps from a spiking backbone at several
 scales, applies plain (non-spiking, biased) convolutional heads for class
-logits and box offsets, sums the head outputs over the timesteps, and
+logits and box offsets once, on the spikes summed over the timesteps (the
+heads are affine, so this is the sum of their per-step outputs), and
 decodes against a fixed anchor grid. Training uses softmax focal loss for
 classification and smooth-L1 for localization.
 """
@@ -19,7 +20,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .autograd.ops import _softmax
 from .spiking.builders import _Builder, build_densenet, build_toy_classifier
-from .spiking.layers import Network, NetworkSpec, classifier_scores
+from .spiking.layers import Network, NetworkSpec
 
 
 # --------------------------------------------------------------------------
@@ -306,21 +307,20 @@ class DetectionModel:
             self._anchor_cache[key] = generate_anchors(self.feature_shapes(height, width), self.anchor_config)
         return self._anchor_cache[key]
 
-    def _gather(self, outputs, name, channels_per_anchor):
-        """Sum a head's per-timestep maps over time and flatten to
-        (N, cells * anchors, channels_per_anchor) in anchor-grid order."""
-        total = classifier_scores(outputs, name)
-        n, ch, h, w = total.data.shape
+    def _gather(self, head, channels_per_anchor):
+        """Flatten a head's (N, anchors * channels_per_anchor, H, W) map to
+        (N, H * W * anchors, channels_per_anchor) in anchor-grid order."""
+        n, ch, h, w = head.data.shape
         a = ch // channels_per_anchor
-        out = total.reshape(n, a, channels_per_anchor, h, w)
+        out = head.reshape(n, a, channels_per_anchor, h, w)
         out = out.transpose(0, 3, 4, 1, 2)
         return out.reshape(n, h * w * a, channels_per_anchor)
 
     def forward(self, batch, record=None):
         """(N, C, T, H, W) batch -> (cls_logits (N, A, K+1), loc (N, A, 4))."""
         outputs = self.net.forward(batch, record=record)
-        cls_parts = [self._gather(outputs, c, self.num_classes + 1) for c, _ in self.head_taps]
-        loc_parts = [self._gather(outputs, l, 4) for _, l in self.head_taps]
+        cls_parts = [self._gather(outputs[c], self.num_classes + 1) for c, _ in self.head_taps]
+        loc_parts = [self._gather(outputs[l], 4) for _, l in self.head_taps]
         return ag.concat_channels(cls_parts), ag.concat_channels(loc_parts)
 
 

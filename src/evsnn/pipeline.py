@@ -23,7 +23,7 @@ from .autograd.checkpoint import check_state
 from .detection import DetectionModel, build_anchor_targets, decode_detections, detection_loss
 from .encoding import EncoderConfig, batch_cubes, encode_voxel_cube
 from .metrics import accuracy, coco_map
-from .spiking import Network, classifier_scores, fuse_network
+from .spiking import Network, fuse_network
 from .tasks import detection_ground_truth, encode_samples
 
 
@@ -101,7 +101,7 @@ def train_classifier(net: Network, samples, encoder: EncoderConfig, config: Trai
     data = batch_cubes(cubes)
 
     def loss_fn(idx):
-        return ag.softmax_cross_entropy(classifier_scores(net.forward(data[idx])), labels[idx])
+        return ag.softmax_cross_entropy(net.forward(data[idx])["scores"], labels[idx])
 
     return _fit(net.param_list(), loss_fn, len(samples), config, log)
 
@@ -116,8 +116,7 @@ def evaluate_classifier(net: Network, samples, encoder: EncoderConfig, batch_siz
     preds = []
     with ag.no_grad():
         for i in range(0, len(cubes), batch_size):
-            outputs = net.forward(data[i : i + batch_size])
-            scores = classifier_scores(outputs)
+            scores = net.forward(data[i : i + batch_size])["scores"]
             preds.append(scores.data.argmax(axis=1))
     preds = np.concatenate(preds)
     return accuracy(preds, labels), preds

@@ -4,7 +4,6 @@ from .layers import (
     NetworkSpec,
     Network,
     SpikeRecord,
-    classifier_scores,
     audit_spike_purity,
     ConvLayer,
     BatchNormLayer,
@@ -25,7 +24,6 @@ __all__ = [
     "NetworkSpec",
     "Network",
     "SpikeRecord",
-    "classifier_scores",
     "audit_spike_purity",
     "ConvLayer",
     "BatchNormLayer",

@@ -4,8 +4,8 @@ Every block follows the same grammar: batch normalization, then a
 convolution, then PLIF neurons (bn -> conv -> plif), with max pooling and
 channel concatenation as the only other structural ops. Every neuron is
 the paper's PLIF neuron: threshold 1 and hard reset to 0. The classifier
-is spike-compatible: bn -> 1x1 conv to num_classes -> plif -> spatial sum;
-the trainer then sums the per-timestep scores over time.
+is spike-compatible: bn -> 1x1 conv to num_classes -> plif -> spatial sum,
+taken once over the spikes summed over time (see ``Network.forward``).
 
 Ablation switches:
   bn_placement: "pre" (default), "post" (bn after conv), "none" (conv gets

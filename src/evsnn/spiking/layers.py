@@ -6,6 +6,10 @@ parameter tensors. Execution is stepwise: one (N, C, H, W) frame per
 timestep. Layers keep no per-step state: ``Network.forward`` holds the PLIF
 membranes in a dict local to the call and carries them between steps.
 
+The trailing convs and spatial sums (the SSD heads, the classifier's
+spatial sum) commute with the sum over time, so they run once per sample
+on the time-summed input: sum_t(W*x_t + b) = W*(sum_t x_t) + T*b.
+
 Batch norm takes its mode from the autograd tape: while the tape records it
 normalizes with batch statistics and updates its running statistics; under
 ``ag.no_grad()`` it uses the running statistics and leaves them unchanged.
@@ -73,8 +77,12 @@ class ConvLayer:
         # BN fusion so a folded bn -> conv stays exact at the borders
         self.pad_value = np.zeros(in_channels, dtype=np.float32) if pad_value else None
 
-    def __call__(self, x):
-        return ag.conv2d(x, self.weight, self.bias, self.stride, self.padding, self.groups, self.pad_value)
+    def __call__(self, x, steps=1):
+        """One frame, or the sum of ``steps`` frames: then the bias and the
+        border value count once per frame."""
+        bias = self.bias if self.bias is None or steps == 1 else self.bias * float(steps)
+        pad_value = None if self.pad_value is None else self.pad_value * np.float32(steps)
+        return ag.conv2d(x, self.weight, bias, self.stride, self.padding, self.groups, pad_value)
 
     def out_shape(self, shape):
         return (self.out_channels, *_out_size(*shape[1:], self.kernel, self.kernel, self.stride, self.padding))
@@ -176,7 +184,7 @@ class ConcatLayer:
 
 
 class SpatialSumLayer:
-    """Sum over H and W, producing (N, C) class scores per timestep."""
+    """Sum over H and W, producing (N, C) class scores."""
 
     def __init__(self, name):
         self.name = name
@@ -289,6 +297,14 @@ class Network:
             else:
                 raise ValueError(f"unknown layer type {typ!r}")
             self.layers[name] = layer
+        # the nodes that run once per sample on the time-summed input: a conv
+        # or spatial sum (they commute with that sum) whose consumers all do
+        self.once, read_per_step = set(), set()
+        for node in reversed(spec.nodes):  # consumers before producers
+            if node["type"] in ("conv", "spatial_sum") and node["name"] not in read_per_step:
+                self.once.add(node["name"])
+            else:
+                read_per_step.update(node["inputs"])
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -329,50 +345,44 @@ class Network:
     def forward(self, batch, record: SpikeRecord | None = None):
         """Run a (N, C, T, H, W) batch over all timesteps.
 
-        Returns {tap: [Tensor per timestep]}. The PLIF membranes live only
-        in this call, so every call starts from rest.
+        Returns {tap: value}: one Tensor summed over time for the nodes that
+        run once, a list of one Tensor per timestep for the others. The
+        PLIF membranes live only in this call, so every call starts from rest.
         """
         if batch.shape[1] != self.spec.input_channels:
             raise ValueError(f"batch has {batch.shape[1]} channels, network expects {self.spec.input_channels}")
+        steps = batch.shape[2]
+        stepwise = [node for node in self.spec.nodes if node["name"] not in self.once]
+        once = [node for node in self.spec.nodes if node["name"] in self.once]
+        summed = list(dict.fromkeys(i for node in once for i in node["inputs"] if i not in self.once))
+        per_step = {tap: [] for tap in summed + [o for o in self.spec.outputs if o not in self.once]}
         membranes = {}
-        outputs = {o: [] for o in self.spec.outputs}
-        for t in range(batch.shape[2]):
+        for t in range(steps):
             values = {"input": Tensor(np.ascontiguousarray(batch[:, :, t]))}
-            for node in self.spec.nodes:
-                name = node["name"]
-                inputs = [values[i] for i in node["inputs"]]
-                if node["type"] == "plif":
-                    values[name] = spikes = self.layers[name](*inputs, membranes)
-                    if record is not None:
-                        record.add(name, float(spikes.data.sum()), spikes.data.size)
-                else:
-                    values[name] = self.layers[name](*inputs)
-            for o, taps in outputs.items():
-                taps.append(values[o])
+            for node in stepwise:
+                name, extra = node["name"], [membranes] if node["type"] == "plif" else []
+                values[name] = out = self.layers[name](*[values[i] for i in node["inputs"]], *extra)
+                if extra and record is not None:
+                    record.add(name, float(out.data.sum()), out.data.size)
+            for tap, seq in per_step.items():
+                seq.append(values[tap])
         if record is not None:
-            record.steps += batch.shape[2]
-        return outputs
+            record.steps += steps
+        # each tap is summed once (T - 1 adds), shared by every node that
+        # reads it; the sum's backward hands every timestep the same gradient
+        values = {tap: sum(per_step[tap][1:], per_step[tap][0]) for tap in summed}
+        for node in once:
+            name, extra = node["name"], [steps] if node["type"] == "conv" else []
+            values[name] = self.layers[name](*[values[i] for i in node["inputs"]], *extra)
+        return {o: values[o] if o in self.once else per_step[o] for o in self.spec.outputs}
 
     def trace_shapes(self, height, width):
         """Propagate (C, H, W) shapes through the graph without executing."""
         shapes = {"input": (self.spec.input_channels, height, width)}
         for node in self.spec.nodes:
             layer = self.layers[node["name"]]
-            in_shapes = [shapes[i] for i in node["inputs"]]
-            if node["type"] == "concat":
-                shapes[node["name"]] = layer.out_shape(*in_shapes)
-            else:
-                shapes[node["name"]] = layer.out_shape(in_shapes[0])
+            shapes[node["name"]] = layer.out_shape(*[shapes[i] for i in node["inputs"]])
         return shapes
-
-
-def classifier_scores(outputs, tap="scores"):
-    """Sum a tap's per-timestep outputs, e.g. (N, num_classes) scores, over time."""
-    per_t = outputs[tap]
-    total = per_t[0]
-    for v in per_t[1:]:
-        total = total + v
-    return total
 
 
 def audit_spike_purity(spec: NetworkSpec, allow_dwsep=False):

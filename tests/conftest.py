@@ -50,3 +50,35 @@ def check_grad(build, arrays, tol, eps=1e-5):
         denom = max(np.abs(num).max(), np.abs(got).max(), 1e-8)
         rel = np.abs(got - num).max() / denom
         assert rel <= tol, f"input {i}: max rel grad error {rel:.3e} > {tol}"
+
+
+def stepwise_forward(net, batch):
+    """Reference for ``Network.forward``: every node at every timestep, then
+    each output summed over time with T - 1 adds. ``forward`` runs the nodes
+    that commute with that sum once, on the time-summed input instead."""
+    membranes = {}
+    per_step = {o: [] for o in net.spec.outputs}
+    for t in range(batch.shape[2]):
+        values = {"input": Tensor(np.ascontiguousarray(batch[:, :, t]))}
+        for node in net.spec.nodes:
+            inputs = [values[i] for i in node["inputs"]]
+            extra = (membranes,) if node["type"] == "plif" else ()
+            values[node["name"]] = net.layers[node["name"]](*inputs, *extra)
+        for o, seq in per_step.items():
+            seq.append(values[o])
+    summed = {}
+    for o, seq in per_step.items():
+        summed[o] = seq[0]
+        for v in seq[1:]:
+            summed[o] = summed[o] + v
+    return summed
+
+
+def outputs_and_grads(net, run, loss_of):
+    """The outputs of ``run()`` and every parameter gradient of ``net``
+    after backpropagating ``loss_of(outputs)``."""
+    for p in net.param_list():
+        p.zero_grad()
+    outputs = run()
+    loss_of(outputs).backward()
+    return outputs, {name: p.grad.copy() for name, p in net.params().items()}

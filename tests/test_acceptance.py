@@ -30,7 +30,7 @@ from evsnn.encoding import EncoderConfig, VoxelCube, encode_voxel_cube
 from evsnn.events import EventStream, load_events
 from evsnn.metrics import box_iou_xywh, coco_map, count_accs_per_timestep, count_params, measure_sparsity
 from evsnn.pipeline import TrainConfig, evaluate_classifier, evaluate_detector, train_classifier, train_detector
-from evsnn.spiking import Network, classifier_scores, convert_dwsep_network, fuse_network
+from evsnn.spiking import Network, convert_dwsep_network, fuse_network
 from evsnn.spiking.builders import build_toy_classifier, named_spec
 from evsnn.spiking.layers import PLIFConfig, plif_step
 from evsnn.spiking.transforms import dwsep_to_normal_conv, fuse_bn_into_conv
@@ -290,8 +290,8 @@ def test_criterion_5_structural_equivalences():
     for i in range(10):
         batch = (rng.random((50, 4, 3, 32, 32)) < 0.3).astype(np.float32)
         with ag.no_grad():
-            a = classifier_scores(net.forward(batch)).data.argmax(axis=1)
-            b = classifier_scores(fused.forward(batch)).data.argmax(axis=1)
+            a = net.forward(batch)["scores"].data.argmax(axis=1)
+            b = fused.forward(batch)["scores"].data.argmax(axis=1)
         agree += int((a == b).sum())
     assert agree == 500
     _report(5, f"— fuse diff {worst_fuse:.1e}, dwsep diff {worst_dw:.1e}, 500/500 argmax")

@@ -40,12 +40,26 @@ def test_broadcast_grad(rng):
         check_grad(lambda x, y: x * y + y, [a, b], TOL64)
 
 
+def test_first_gradient_is_a_private_copy():
+    """``add`` hands both operands the same gradient array and
+    ``clip_grad_norm`` scales gradients in place, so each tensor must keep
+    its own copy."""
+    a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    (a + b).backward(np.full(3, 2.0, dtype=np.float32))
+    assert not np.shares_memory(a.grad, b.grad)
+    clip_grad_norm([a], 1.0)
+    assert np.array_equal(b.grad, np.full(3, 2.0, dtype=np.float32))
+
+
 def test_sum_reshape_transpose_grad(rng):
     for shape in _shapes(rng, 20, 3):
         a = rng.standard_normal(shape)
         axis = int(rng.integers(0, 3))
         keep = bool(rng.random() < 0.5)
         check_grad(lambda x: x.sum(axis=axis, keepdims=keep), [a], TOL64)
+        check_grad(lambda x: x.sum(axis=(0, -1), keepdims=keep), [a], TOL64)
+        check_grad(lambda x: x.sum(), [a], TOL64)
         check_grad(lambda x: x.reshape(-1), [a], TOL64)
         check_grad(lambda x: x.transpose(2, 0, 1), [a], TOL64)
 

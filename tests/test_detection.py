@@ -32,6 +32,8 @@ from evsnn.detection import (
 )
 from evsnn.spiking import Network
 
+from conftest import outputs_and_grads, stepwise_forward
+
 
 # --------------------------------------------------------------------------
 # IoU
@@ -320,12 +322,42 @@ def test_detection_model_gather_order():
     for ai in range(a):
         for ci in range(c):
             fake[0, ai * c + ci] = np.arange(h_f * w_f).reshape(h_f, w_f) * 100 + ai * 10 + ci
-    flat = model._gather({"x": [Tensor(fake)]}, "x", c).data
+    flat = model._gather(Tensor(fake), c).data
     for cell in range(h_f * w_f):
         for ai in range(a):
             row = flat[0, cell * a + ai]
             assert row[0] == cell * 100 + ai * 10
             assert row[1] == cell * 100 + ai * 10 + 1
+
+
+def test_detector_heads_match_stepwise_oracle():
+    """The heads run once on the time-summed spikes with T times their
+    bias. Outputs and every parameter gradient match running each head at
+    every timestep and summing the outputs, within 1e-5 of each array's
+    largest magnitude (float32 round-off)."""
+    spec, head_taps, cfg = build_toy_detector_spec(num_classes=2, in_channels=4)
+    model = DetectionModel(spec, head_taps, 2, cfg, rng=np.random.default_rng(3))
+    net = model.net
+    heads = [name for pair in head_taps for name in pair]
+    rng = np.random.default_rng(4)
+    for name in heads:
+        bias = net.layers[name].bias
+        bias.data = bias.data + rng.standard_normal(bias.data.shape).astype(np.float32)
+    batch = (rng.random((4, 4, 5, 32, 32)) < 0.3).astype(np.float32)
+    shapes = net.trace_shapes(32, 32)
+    probes = {name: Tensor(rng.standard_normal((4, *shapes[name])).astype(np.float32)) for name in heads}
+
+    def loss_of(outputs):
+        return sum((outputs[name] * probes[name]).sum() for name in heads)
+
+    new, new_grads = outputs_and_grads(net, lambda: net.forward(batch), loss_of)
+    old, old_grads = outputs_and_grads(net, lambda: stepwise_forward(net, batch), loss_of)
+    pairs = [(new[name].data, old[name].data) for name in heads]
+    assert new_grads.keys() == old_grads.keys()
+    pairs += [(new_grads[name], grad) for name, grad in old_grads.items()]
+    for got, want in pairs:
+        assert np.abs(want).max() > 0
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
 def test_detection_model_forward_shapes():

@@ -25,7 +25,7 @@ from evsnn.pipeline import (
     train_classifier,
     train_detector,
 )
-from evsnn.spiking import Network, classifier_scores, fuse_network
+from evsnn.spiking import Network, fuse_network
 from evsnn.spiking.builders import build_toy_classifier
 from evsnn.tasks import (
     SQUARE_SIZES,
@@ -157,7 +157,7 @@ def test_no_grad_forward_after_training_uses_running_statistics():
     train_classifier(net, samples, ENC, TrainConfig(epochs=1, batch_size=8, lr=1e-3))
     before = {k: v.copy() for k, v in net.state_arrays().items()}
     with ag.no_grad():
-        scores = classifier_scores(net.forward(batch_cubes(encode_samples(samples, ENC)[0]))).data
+        scores = net.forward(batch_cubes(encode_samples(samples, ENC)[0]))["scores"].data
     for k, v in net.state_arrays().items():
         assert np.array_equal(v, before[k]), k
     _, preds = evaluate_classifier(net, samples, ENC)

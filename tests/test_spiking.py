@@ -11,11 +11,14 @@ from evsnn.spiking import (
     PLIFConfig,
     SpikeRecord,
     audit_spike_purity,
-    classifier_scores,
     plif_step,
 )
-from evsnn.spiking.builders import build_densenet, build_squeezenet, build_toy_classifier, build_vgg, named_spec
+from evsnn.detection import build_detector_spec, build_toy_detector_spec
+from evsnn.spiking.builders import (ARCH_NAMES, build_densenet, build_squeezenet, build_toy_classifier, build_vgg,
+                                    named_spec)
 from evsnn.spiking.layers import MaxPoolLayer, PLIFLayer
+
+from conftest import outputs_and_grads, stepwise_forward
 
 
 # --------------------------------------------------------------------------
@@ -153,8 +156,8 @@ def test_forward_shapes_and_time_unroll():
     net = Network(_tiny_spec(), rng=np.random.default_rng(0))
     batch = (np.random.default_rng(1).random((2, 2, 4, 8, 8)) < 0.3).astype(np.float32)
     outputs = net.forward(batch)
-    assert len(outputs["scores"]) == 4
-    assert outputs["scores"][0].data.shape == (2, 3)
+    assert isinstance(outputs["scores"], Tensor)  # summed over the 4 steps
+    assert outputs["scores"].data.shape == (2, 3)
 
 
 def test_forward_channel_mismatch():
@@ -166,9 +169,67 @@ def test_forward_channel_mismatch():
 def test_state_reset_between_forwards():
     net = Network(_tiny_spec(), rng=np.random.default_rng(0))
     batch = (np.random.default_rng(1).random((1, 2, 3, 8, 8)) < 0.4).astype(np.float32)
-    a = classifier_scores(net.forward(batch)).data
-    b = classifier_scores(net.forward(batch)).data
+    a = net.forward(batch)["scores"].data
+    b = net.forward(batch)["scores"].data
     assert np.array_equal(a, b)  # stale membrane state would change the result
+
+
+def test_run_once_nodes_are_the_heads():
+    """The nodes that run once on the time-summed input follow from the
+    graph: for every builder, the classifier's spatial sum or the SSD head
+    convs, and nothing else."""
+    for name in ARCH_NAMES:
+        assert Network(named_spec(name)).once == {"scores"}, name
+    for spec, head_taps, _ in (build_toy_detector_spec(), build_detector_spec(num_classes=2)):
+        assert Network(spec).once == {name for pair in head_taps for name in pair}, spec.name
+
+
+def test_classifier_scores_equal_stepwise_oracle():
+    """Spike counts are exact in float32, so one spatial sum over the
+    time-summed spikes equals the per-step spatial sums summed over time
+    bit for bit, and so does every parameter gradient."""
+    net = Network(_tiny_spec(), rng=np.random.default_rng(0))
+    assert net.once == {"scores"}
+    batch = (np.random.default_rng(1).random((4, 2, 5, 8, 8)) < 0.5).astype(np.float32)
+    labels = np.array([0, 1, 2, 1])
+
+    def loss_of(outputs):
+        return ag.softmax_cross_entropy(outputs["scores"], labels)
+
+    new, new_grads = outputs_and_grads(net, lambda: net.forward(batch), loss_of)
+    old, old_grads = outputs_and_grads(net, lambda: stepwise_forward(net, batch), loss_of)
+    assert isinstance(new["scores"], Tensor) and new["scores"].data.any()
+    assert np.array_equal(new["scores"].data, old["scores"].data)
+    assert new_grads.keys() == old_grads.keys()
+    for name, grad in old_grads.items():
+        assert np.array_equal(new_grads[name], grad), name
+
+
+def test_summed_conv_with_pad_value_matches_stepwise_oracle():
+    """A conv that runs once on T summed frames adds T times its bias and
+    uses T times its border value; outputs and gradients match running it
+    per step within 1e-5 of each array's largest magnitude (float32)."""
+    spec = NetworkSpec(input_channels=2, name="padded_tail")
+    spec.add("conv1", "conv", ["input"], out_channels=3, kernel=3)
+    spec.add("plif1", "plif", ["conv1"])
+    spec.add("head", "conv", ["plif1"], out_channels=2, kernel=3, bias=True, pad_value=True)
+    spec.outputs.append("head")
+    net = Network(spec, rng=np.random.default_rng(0))
+    assert net.once == {"head"}
+    rng = np.random.default_rng(1)
+    net.layers["head"].bias.data = rng.standard_normal(2).astype(np.float32)
+    net.layers["head"].pad_value = rng.standard_normal(3).astype(np.float32)
+    batch = (rng.random((2, 2, 4, 8, 8)) < 0.5).astype(np.float32)
+    probe = Tensor(rng.standard_normal((2, 2, 8, 8)).astype(np.float32))
+
+    def loss_of(outputs):
+        return (outputs["head"] * probe).sum()
+
+    new, new_grads = outputs_and_grads(net, lambda: net.forward(batch), loss_of)
+    old, old_grads = outputs_and_grads(net, lambda: stepwise_forward(net, batch), loss_of)
+    for got, want in [(new["head"].data, old["head"].data)] + [(new_grads[k], g) for k, g in old_grads.items()]:
+        assert np.abs(want).max() > 0
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
 def _layer_attributes(net):

@@ -6,7 +6,7 @@ import pytest
 import evsnn.autograd as ag
 from evsnn.autograd import Tensor
 from evsnn.pipeline import load_network, save_network
-from evsnn.spiking import (Network, SpikeRecord, classifier_scores, convert_dwsep_network, dwsep_to_normal_conv,
+from evsnn.spiking import (Network, SpikeRecord, convert_dwsep_network, dwsep_to_normal_conv,
                            fuse_bn_into_conv, fuse_network)
 from evsnn.spiking.builders import build_mobilenet, build_toy_classifier
 from evsnn.spiking.layers import BatchNormLayer, ConvLayer
@@ -102,8 +102,8 @@ def test_fuse_network_preserves_predictions():
     assert not any(n["type"] == "bn" for n in fused.spec.nodes)
     batch = (rng.random((8, 4, 3, 32, 32)) < 0.3).astype(np.float32)
     with ag.no_grad():
-        a = classifier_scores(net.forward(batch)).data
-        b = classifier_scores(fused.forward(batch)).data
+        a = net.forward(batch)["scores"].data
+        b = fused.forward(batch)["scores"].data
     assert np.array_equal(a.argmax(axis=1), b.argmax(axis=1))
     assert np.abs(a - b).max() <= 1e-3  # scores drift only by float round-off
 
@@ -126,7 +126,7 @@ def _eval(net, batch):
     """Time-summed scores and per-layer spike counts of one no-grad forward."""
     record = SpikeRecord()
     with ag.no_grad():
-        scores = classifier_scores(net.forward(batch, record=record)).data
+        scores = net.forward(batch, record=record)["scores"].data
     return scores, record.spikes
 
 
@@ -167,8 +167,8 @@ def test_convert_dwsep_network_equivalence():
     assert not any(n.get("depthwise") for n in converted.spec.nodes)
     batch = (rng.random((2, 4, 2, 32, 32)) < 0.3).astype(np.float32)
     with ag.no_grad():
-        a = classifier_scores(net.forward(batch)).data
-        b = classifier_scores(converted.forward(batch)).data
+        a = net.forward(batch)["scores"].data
+        b = converted.forward(batch)["scores"].data
     assert np.abs(a - b).max() <= 1e-3
 
 
@@ -180,6 +180,6 @@ def test_convert_then_fuse_chain():
     final = fuse_network(convert_dwsep_network(net))
     batch = (rng.random((2, 4, 2, 32, 32)) < 0.3).astype(np.float32)
     with ag.no_grad():
-        a = classifier_scores(net.forward(batch)).data
-        b = classifier_scores(final.forward(batch)).data
+        a = net.forward(batch)["scores"].data
+        b = final.forward(batch)["scores"].data
     assert np.array_equal(a.argmax(axis=1), b.argmax(axis=1))
