@@ -58,15 +58,15 @@ def xywh_to_xyxy(b):
 
 def iou_matrix(a_xyxy, b_xyxy):
     """Pairwise IoU between (N,4) and (M,4) corner-form boxes -> (N,M)."""
-    a = np.asarray(a_xyxy, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b_xyxy, dtype=np.float64).reshape(-1, 4)
-    lt = np.maximum(a[:, None, :2], b[None, :, :2])
-    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    wh = np.clip(rb - lt, 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    area_a = np.clip(a[:, 2] - a[:, 0], 0, None) * np.clip(a[:, 3] - a[:, 1], 0, None)
-    area_b = np.clip(b[:, 2] - b[:, 0], 0, None) * np.clip(b[:, 3] - b[:, 1], 0, None)
-    union = area_a[:, None] + area_b[None, :] - inter
+    # one contiguous array per coordinate: broadcasting over a trailing
+    # axis of length 2 would run numpy's inner loop once per pair
+    ax0, ay0, ax1, ay1 = np.asarray(a_xyxy, dtype=np.float64).reshape(-1, 4).T.copy()[:, :, None]
+    bx0, by0, bx1, by1 = np.asarray(b_xyxy, dtype=np.float64).reshape(-1, 4).T.copy()[:, None, :]
+    inter = (np.maximum(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0.0)
+             * np.maximum(np.minimum(ay1, by1) - np.maximum(ay0, by0), 0.0))
+    area_a = np.maximum(ax1 - ax0, 0.0) * np.maximum(ay1 - ay0, 0.0)
+    area_b = np.maximum(bx1 - bx0, 0.0) * np.maximum(by1 - by0, 0.0)
+    union = area_a + area_b - inter
     return np.where(union > 0, inter / np.maximum(union, 1e-12), 0.0)
 
 
@@ -340,18 +340,32 @@ class Detection:
         return {"image_id": self.image_id, "class_id": self.class_id, "score": self.score, "box": list(self.box)}
 
 
+_NMS_BLOCK = 64  # rows of the candidate IoU matrix that nms builds at a time
+
+
 def nms(boxes_xyxy, scores, iou_threshold=0.45, top_k=200):
-    """Greedy non-maximum suppression; returns kept indices by score."""
-    order = np.argsort(-np.asarray(scores), kind="stable")
-    boxes = np.asarray(boxes_xyxy, dtype=np.float64)
+    """Greedy non-maximum suppression; returns kept indices by score.
+
+    Candidates are stably sorted by descending score and walked in order:
+    each kept box clears every later box whose IoU with it exceeds
+    ``iou_threshold``. The walk takes the surviving candidates in blocks
+    of ``_NMS_BLOCK``, with one ``iou_matrix`` call per block against all
+    survivors and an ``alive`` mask inside it, which bounds the quadratic
+    part. The kept indices are those of suppressing one box at a time.
+    """
+    cand = np.argsort(-np.asarray(scores), kind="stable")  # not yet suppressed, by score
+    boxes = np.asarray(boxes_xyxy, dtype=np.float64).reshape(-1, 4)
     keep = []
-    while len(order) and len(keep) < top_k:
-        i = order[0]
-        keep.append(int(i))
-        if len(order) == 1:
-            break
-        ious = iou_matrix(boxes[i : i + 1], boxes[order[1:]])[0]
-        order = order[1:][ious <= iou_threshold]
+    while len(cand) and len(keep) < top_k:
+        spared = iou_matrix(boxes[cand[:_NMS_BLOCK]], boxes[cand]) <= iou_threshold
+        alive = np.ones(len(cand), dtype=bool)
+        for r in range(len(spared)):
+            if alive[r]:
+                keep.append(int(cand[r]))
+                if len(keep) == top_k:
+                    break
+                alive[r + 1 :] &= spared[r, r + 1 :]
+        cand = cand[_NMS_BLOCK:][alive[_NMS_BLOCK:]]
     return keep
 
 
@@ -359,32 +373,31 @@ def decode_detections(cls_logits, loc_pred, anchors, image_size, image_ids=None,
                       score_threshold=0.3, nms_iou=0.45, top_k=100, variances=(0.1, 0.2)):
     """Raw head outputs -> per-image Detection lists (pixel xywh boxes).
 
-    cls_logits: (N, A, K+1) numpy, loc_pred: (N, A, 4) numpy.
+    cls_logits: (N, A, K+1) numpy, loc_pred: (N, A, 4) numpy. All N images
+    are decoded, clipped to the image and converted to pixel boxes at
+    once; then each (image, class) with anchors scoring at least
+    ``score_threshold`` goes through ``nms``. Detections come out by
+    image, then class, then score, with plain float scores and boxes.
     """
     cls_logits = np.asarray(cls_logits)
-    loc_pred = np.asarray(loc_pred)
     w, h = image_size
     n = cls_logits.shape[0]
     if image_ids is None:
         image_ids = list(range(n))
     probs = _softmax(cls_logits.astype(np.float64))
+    boxes = np.clip(cxcywh_to_xyxy(decode_boxes(loc_pred, anchors, variances)), 0.0, 1.0)
+    x0, y0, x1, y1 = np.moveaxis(boxes, -1, 0)
+    xywh = np.stack([x0 * w, y0 * h, (x1 - x0) * w, (y1 - y0) * h], axis=-1)
     results = []
     for i in range(n):
-        boxes = cxcywh_to_xyxy(decode_boxes(loc_pred[i], anchors, variances))
-        boxes = np.clip(boxes, 0.0, 1.0)
         for cls in range(1, probs.shape[2]):
             scores = probs[i, :, cls]
             sel = np.nonzero(scores >= score_threshold)[0]
             if len(sel) == 0:
                 continue
-            keep = nms(boxes[sel], scores[sel], iou_threshold=nms_iou, top_k=top_k)
-            for k in keep:
-                a = sel[k]
-                x0, y0, x1, y1 = boxes[a]
-                results.append(Detection(
-                    image_id=image_ids[i], class_id=cls - 1, score=float(scores[a]),
-                    box=(x0 * w, y0 * h, (x1 - x0) * w, (y1 - y0) * h),
-                ))
+            kept = sel[nms(boxes[i, sel], scores[sel], iou_threshold=nms_iou, top_k=top_k)]
+            results += [Detection(image_id=image_ids[i], class_id=cls - 1, score=s, box=tuple(b))
+                        for s, b in zip(scores[kept].tolist(), xywh[i, kept].tolist())]
     return results
 
 

@@ -162,14 +162,18 @@ class MAPReport:
 
 
 def box_iou_xywh(a, b):
-    ax0, ay0, aw, ah = a
-    bx0, by0, bw, bh = b
-    ix0, iy0 = max(ax0, bx0), max(ay0, by0)
-    ix1, iy1 = min(ax0 + aw, bx0 + bw), min(ay0 + ah, by0 + bh)
-    iw, ih = max(ix1 - ix0, 0.0), max(iy1 - iy0, 0.0)
-    inter = iw * ih
-    union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
+    """IoU of (x, y, w, h) boxes. ``a`` and ``b`` broadcast over their
+    leading axes: two boxes give a scalar, ``a[:, None]`` against
+    ``b[None]`` the pairwise matrix."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ix0 = np.maximum(a[..., 0], b[..., 0])
+    iy0 = np.maximum(a[..., 1], b[..., 1])
+    ix1 = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2])
+    iy1 = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3])
+    inter = np.maximum(ix1 - ix0, 0.0) * np.maximum(iy1 - iy0, 0.0)
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)[()]
 
 
 def _get(obj, key):
@@ -180,56 +184,53 @@ def _get(obj, key):
 
 def _interp_ap_101(recalls, precisions):
     """COCO 101-point interpolated AP from a monotone recall sequence."""
-    if len(recalls) == 0:
-        return 0.0
-    recalls = np.asarray(recalls)
-    precisions = np.asarray(precisions)
-    # precision envelope: max precision at recall >= r
-    prec_env = np.maximum.accumulate(precisions[::-1])[::-1]
-    ap = 0.0
-    for r in np.linspace(0, 1, 101):
-        idx = np.searchsorted(recalls, r, side="left")
-        ap += prec_env[idx] if idx < len(prec_env) else 0.0
-    return ap / 101.0
+    # precision envelope: max precision at recall >= r; 0 past the last recall
+    prec_env = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
+    points = prec_env[np.searchsorted(recalls, np.linspace(0, 1, 101), side="left")]
+    return np.cumsum(points)[-1] / 101.0  # a running sum, added in grid order
 
 
-def _ap_single(dets, gts, iou_t):
-    """AP for one class at one IoU threshold. dets: (image_id, score, box)
-    sorted by descending score; gts: image_id -> [box]."""
+def _class_aps(dets, gts):
+    """AP of one class at each COCO IoU threshold. dets: (image_id, score,
+    box) in any order; gts: image_id -> [box], at least one box in all.
+
+    Detections are stably sorted by descending score and matched greedily,
+    each to the unmatched ground truth of its image with the highest IoU
+    (first on ties) if that reaches the threshold. One IoU matrix per image
+    serves every threshold; only detections that reach the lowest
+    threshold against some ground truth take part in the walk.
+    """
     n_gt = sum(len(v) for v in gts.values())
-    if n_gt == 0:
-        return None
-    matched = {img: [False] * len(v) for img, v in gts.items()}
-    tps, fps = [], []
-    for img, _, box in dets:
-        best, best_i = 0.0, -1
-        for i, g in enumerate(gts.get(img, ())):
-            if matched.get(img, [])[i]:
-                continue
-            iou = box_iou_xywh(box, g)
-            if iou > best:
-                best, best_i = iou, i
-        if best_i >= 0 and best >= iou_t:
-            matched[img][best_i] = True
-            tps.append(1)
-            fps.append(0)
-        else:
-            tps.append(0)
-            fps.append(1)
-    if not tps:
-        return 0.0
-    tp = np.cumsum(tps)
-    fp = np.cumsum(fps)
-    recalls = tp / n_gt
-    precisions = tp / (tp + fp)
-    return _interp_ap_101(recalls, precisions)
+    thresholds = COCO_IOU_THRESHOLDS - 1e-9
+    order = np.argsort(-np.array([s for _, s, _ in dets], dtype=np.float64), kind="stable")
+    ranks_by_image = {}
+    for rank, k in enumerate(order.tolist()):
+        ranks_by_image.setdefault(dets[k][0], []).append(rank)
+    tp = np.zeros((len(thresholds), len(dets)), dtype=bool)
+    for img, ranks in ranks_by_image.items():
+        if img not in gts:
+            continue
+        boxes = np.array([dets[order[r]][2] for r in ranks], dtype=np.float64)
+        iou = box_iou_xywh(boxes[:, None], np.asarray(gts[img], dtype=np.float64)[None])
+        matched = np.zeros((len(thresholds), iou.shape[1]), dtype=bool)
+        for d in np.flatnonzero(iou.max(axis=1) >= thresholds.min()):
+            free = np.where(matched, -1.0, iou[d])
+            best, top = free.argmax(axis=1), free.max(axis=1)
+            hit = (top > 0) & (top >= thresholds)
+            matched[hit, best[hit]] = True
+            tp[hit, ranks[d]] = True
+    tp_cum = np.cumsum(tp, axis=1)
+    fp_cum = np.cumsum(~tp, axis=1)
+    return [_interp_ap_101(r, p) for r, p in zip(tp_cum / n_gt, tp_cum / (tp_cum + fp_cum))]
 
 
 def coco_map(detections, ground_truth) -> MAPReport:
     """COCO-style mAP: per class and per IoU threshold in [.50:.05:.95],
-    greedy matching by descending score, 101-point interpolated AP,
-    averaged over thresholds then classes. Classes without ground truth
-    are excluded from the mean.
+    greedy matching by descending score (stable on ties), 101-point
+    interpolated AP, averaged over thresholds then classes. Classes
+    without ground truth are excluded from the mean. Matching builds one
+    detections x ground-truth IoU matrix (``box_iou_xywh``) per class and
+    image and reuses it for all ten thresholds.
 
     detections: iterable with fields image_id, class_id, score, box (x,y,w,h)
     ground_truth: iterable with fields image_id, class_id, box
@@ -244,11 +245,8 @@ def coco_map(detections, ground_truth) -> MAPReport:
     per_threshold = {t: [] for t in COCO_IOU_THRESHOLDS}
     ap50 = []
     for cls, gts in sorted(gt_by_class.items()):
-        dets = sorted(det_by_class.get(cls, []), key=lambda d: -d[1])
-        aps = []
-        for t in COCO_IOU_THRESHOLDS:
-            ap = _ap_single(dets, gts, t - 1e-9)
-            aps.append(ap)
+        aps = _class_aps(det_by_class.get(cls, []), gts)
+        for t, ap in zip(COCO_IOU_THRESHOLDS, aps):
             per_threshold[t].append(ap)
             if abs(t - 0.50) < 1e-9:
                 ap50.append(ap)

@@ -8,6 +8,7 @@ import pytest
 
 import evsnn.autograd as ag
 from evsnn.autograd import Tensor
+from evsnn.autograd.ops import _softmax
 from evsnn.detection import (
     AnchorConfig,
     Detection,
@@ -68,6 +69,33 @@ def test_iou_matrix_shape_and_symmetry():
     assert m.shape == (5, 3)
     assert np.allclose(m, iou_matrix(b, a).T)
     assert (m >= 0).all() and (m <= 1).all()
+
+
+def _iou_matrix_oracle(a_xyxy, b_xyxy):
+    """IoU with the corners broadcast as (N, M, 2) pairs."""
+    a = np.asarray(a_xyxy, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b_xyxy, dtype=np.float64).reshape(-1, 4)
+    lt = np.maximum(a[:, None, :2], b[None, :, :2])
+    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
+    wh = np.clip(rb - lt, 0.0, None)
+    inter = wh[..., 0] * wh[..., 1]
+    area_a = np.clip(a[:, 2] - a[:, 0], 0, None) * np.clip(a[:, 3] - a[:, 1], 0, None)
+    area_b = np.clip(b[:, 2] - b[:, 0], 0, None) * np.clip(b[:, 3] - b[:, 1], 0, None)
+    union = area_a[:, None] + area_b[None, :] - inter
+    return np.where(union > 0, inter / np.maximum(union, 1e-12), 0.0)
+
+
+def test_iou_matrix_equals_pairwise_corner_oracle():
+    rng = np.random.default_rng(6)
+    for trial in range(30):
+        a = rng.uniform(-0.2, 1.2, size=(int(rng.integers(1, 70)), 4))
+        b = rng.uniform(-0.2, 1.2, size=(int(rng.integers(1, 70)), 4))  # some corners inverted
+        if trial % 2:
+            a, b = np.round(a * 8) / 8, np.round(b * 8) / 8
+            a[::3, 2] = a[::3, 0]  # zero width
+            b[::4] = b[0]
+        assert np.array_equal(iou_matrix(a, b), _iou_matrix_oracle(a, b))
+    assert iou_matrix([0.0, 0.0, 1.0, 1.0], [[0.0, 0.0, 1.0, 1.0]]).shape == (1, 1)
 
 
 def test_box_conversions_round_trip():
@@ -407,6 +435,87 @@ def test_nms_keeps_highest_score_first():
     assert keep == [1]
 
 
+def _nms_oracle(boxes_xyxy, scores, iou_threshold=0.45, top_k=200):
+    """Greedy NMS one box at a time: the IoU of the top remaining box
+    against all the rest, once for every box kept."""
+    order = np.argsort(-np.asarray(scores), kind="stable")
+    boxes = np.asarray(boxes_xyxy, dtype=np.float64)
+    keep = []
+    while len(order) and len(keep) < top_k:
+        i = order[0]
+        keep.append(int(i))
+        if len(order) == 1:
+            break
+        ious = iou_matrix(boxes[i : i + 1], boxes[order[1:]])[0]
+        order = order[1:][ious <= iou_threshold]
+    return keep
+
+
+def _random_corner_boxes(rng, n, grid):
+    """Corner boxes in [0, 4]. On the 1/8 grid many pairs have an IoU of
+    exactly 0.5, so ``<=`` against ``<`` shows at that threshold."""
+    if grid:
+        xy, wh = rng.integers(0, 24, size=(n, 2)) / 8, rng.integers(1, 12, size=(n, 2)) / 8
+    else:
+        xy, wh = rng.uniform(0, 3, size=(n, 2)), rng.uniform(0.05, 1.5, size=(n, 2))
+    return np.concatenate([xy, xy + wh], axis=1)
+
+
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100, 1280])
+def test_nms_matches_greedy_oracle(n, grid):
+    rng = np.random.default_rng(n)
+    boxes = _random_corner_boxes(rng, n, grid)
+    scores = rng.random(n)
+    for iou_threshold in (0.45, 0.5):
+        assert nms(boxes, scores, iou_threshold, top_k=n) == _nms_oracle(boxes, scores, iou_threshold, top_k=n)
+        assert nms(boxes, scores, iou_threshold) == _nms_oracle(boxes, scores, iou_threshold)
+
+
+def test_nms_identical_boxes():
+    boxes = np.tile([[0.1, 0.2, 0.6, 0.9]], (70, 1))
+    scores = np.random.default_rng(0).random(70)
+    best = int(scores.argmax())
+    assert nms(boxes, scores, 0.45) == _nms_oracle(boxes, scores, 0.45) == [best]
+    # an IoU of exactly 1.0 does not exceed a threshold of 1.0
+    everything = _nms_oracle(boxes, scores, 1.0, top_k=70)
+    assert nms(boxes, scores, 1.0, top_k=70) == everything
+    assert sorted(everything) == list(range(70))
+
+
+def test_nms_zero_area_boxes():
+    rng = np.random.default_rng(1)
+    boxes = _random_corner_boxes(rng, 90, grid=True)
+    boxes[::3, 2] = boxes[::3, 0]  # zero width
+    boxes[1::3, 3] = boxes[1::3, 1]  # zero height
+    boxes[::9] = boxes[0]  # repeated zero-area boxes: union 0, IoU 0
+    scores = rng.random(90)
+    keep = nms(boxes, scores, 0.5, top_k=90)
+    assert keep == _nms_oracle(boxes, scores, 0.5, top_k=90)
+    assert set(range(0, 90, 3)) | set(range(1, 90, 3)) <= set(keep)
+
+
+def test_nms_tied_scores_keep_stable_order():
+    rng = np.random.default_rng(2)
+    same = np.tile([[0.0, 0.0, 1.0, 1.0]], (100, 1))
+    assert nms(same, np.full(100, 0.5)) == _nms_oracle(same, np.full(100, 0.5)) == [0]
+    for n in (65, 100, 300):
+        boxes = _random_corner_boxes(rng, n, grid=True)
+        scores = rng.integers(0, 4, size=n) / 4  # many ties
+        assert nms(boxes, scores, 0.5, top_k=n) == _nms_oracle(boxes, scores, 0.5, top_k=n)
+
+
+@pytest.mark.parametrize("top_k", [0, 1, 63, 64, 65, 100, 199, 200])
+def test_nms_stops_at_top_k(top_k):
+    # 200 disjoint unit squares: nothing is suppressed, so top_k decides
+    cells = np.stack(np.meshgrid(np.arange(20), np.arange(10)), axis=-1).reshape(-1, 2) * 2.0
+    boxes = np.concatenate([cells, cells + 1.0], axis=1)
+    scores = np.random.default_rng(3).random(200)
+    keep = nms(boxes, scores, top_k=top_k)
+    assert keep == _nms_oracle(boxes, scores, top_k=top_k)
+    assert len(keep) == top_k
+
+
 def test_decode_detections_recovers_planted_box():
     cfg = AnchorConfig(ratios=(1.0,), extra_square=False)
     anchors = generate_anchors([(2, 2)], cfg)
@@ -431,6 +540,55 @@ def test_decode_detections_clips_to_image():
     loc = np.zeros((1, 1, 4))
     dets = decode_detections(cls, loc, anchors, image_size=(100, 100))
     assert dets[0].box[0] == 0.0
+
+
+def _decode_detections_oracle(cls_logits, loc_pred, anchors, image_size, image_ids=None,
+                              score_threshold=0.3, nms_iou=0.45, top_k=100, variances=(0.1, 0.2)):
+    """Decoding one image at a time, and each kept box row by row."""
+    cls_logits = np.asarray(cls_logits)
+    loc_pred = np.asarray(loc_pred)
+    w, h = image_size
+    n = cls_logits.shape[0]
+    if image_ids is None:
+        image_ids = list(range(n))
+    probs = _softmax(cls_logits.astype(np.float64))
+    results = []
+    for i in range(n):
+        boxes = cxcywh_to_xyxy(decode_boxes(loc_pred[i], anchors, variances))
+        boxes = np.clip(boxes, 0.0, 1.0)
+        for cls in range(1, probs.shape[2]):
+            scores = probs[i, :, cls]
+            sel = np.nonzero(scores >= score_threshold)[0]
+            if len(sel) == 0:
+                continue
+            keep = _nms_oracle(boxes[sel], scores[sel], iou_threshold=nms_iou, top_k=top_k)
+            for k in keep:
+                a = sel[k]
+                x0, y0, x1, y1 = boxes[a]
+                results.append(Detection(
+                    image_id=image_ids[i], class_id=cls - 1, score=float(scores[a]),
+                    box=(x0 * w, y0 * h, (x1 - x0) * w, (y1 - y0) * h),
+                ))
+    return results
+
+
+def test_decode_detections_matches_per_image_oracle():
+    rng = np.random.default_rng(4)
+    anchors = generate_anchors([(8, 8), (4, 4)], AnchorConfig(scale_min=0.15, scale_max=0.28))
+    cls = rng.normal(0.0, 1.5, size=(5, len(anchors), 4)).astype(np.float32)  # 3 classes
+    cls[2, :, 2] += 6.0  # image 2, class 1: confident everywhere, so top_k cuts it
+    loc = rng.normal(0.0, 1.0, size=(5, len(anchors), 4)).astype(np.float32)
+    ids = [7, 8, 9, 10, 11]
+    for top_k in (12, 100):
+        kwargs = dict(image_ids=ids, top_k=top_k)
+        got = decode_detections(cls, loc, anchors, (64, 48), **kwargs)
+        want = _decode_detections_oracle(cls, loc, anchors, (64, 48), **kwargs)
+        assert got == want
+        assert {d.image_id for d in got} == set(ids) and {d.class_id for d in got} == {0, 1, 2}
+        assert sum(d.image_id == 9 and d.class_id == 1 for d in got) == top_k
+        for d in got:
+            assert type(d.score) is float and all(type(v) is float for v in d.box)
+        assert detections_from_json(detections_to_json(got)) == got
 
 
 def test_detection_dumps_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 import evsnn.autograd as ag
 from evsnn.metrics import (
     COCO_IOU_THRESHOLDS,
+    MAPReport,
     accuracy,
     box_iou_xywh,
     coco_map,
@@ -313,6 +314,139 @@ def test_coco_map_matches_bruteforce_oracle():
         got = coco_map(dets, gts).map
         want = _coco_map_oracle(dets, gts)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# -- the per-pair matching loop, kept as an exact oracle ---------------------
+
+
+def _box_iou_xywh_scalar(a, b):
+    ax0, ay0, aw, ah = a
+    bx0, by0, bw, bh = b
+    ix0, iy0 = max(ax0, bx0), max(ay0, by0)
+    ix1, iy1 = min(ax0 + aw, bx0 + bw), min(ay0 + ah, by0 + bh)
+    iw, ih = max(ix1 - ix0, 0.0), max(iy1 - iy0, 0.0)
+    inter = iw * ih
+    union = aw * ah + bw * bh - inter
+    return inter / union if union > 0 else 0.0
+
+
+def _interp_ap_101_loop(recalls, precisions):
+    if len(recalls) == 0:
+        return 0.0
+    recalls = np.asarray(recalls)
+    precisions = np.asarray(precisions)
+    prec_env = np.maximum.accumulate(precisions[::-1])[::-1]
+    ap = 0.0
+    for r in np.linspace(0, 1, 101):
+        idx = np.searchsorted(recalls, r, side="left")
+        ap += prec_env[idx] if idx < len(prec_env) else 0.0
+    return ap / 101.0
+
+
+def _ap_single_loop(dets, gts, iou_t):
+    n_gt = sum(len(v) for v in gts.values())
+    matched = {img: [False] * len(v) for img, v in gts.items()}
+    tps, fps = [], []
+    for img, _, box in dets:
+        best, best_i = 0.0, -1
+        for i, g in enumerate(gts.get(img, ())):
+            if matched.get(img, [])[i]:
+                continue
+            iou = _box_iou_xywh_scalar(box, g)
+            if iou > best:
+                best, best_i = iou, i
+        if best_i >= 0 and best >= iou_t:
+            matched[img][best_i] = True
+            tps.append(1)
+            fps.append(0)
+        else:
+            tps.append(0)
+            fps.append(1)
+    if not tps:
+        return 0.0
+    tp = np.cumsum(tps)
+    fp = np.cumsum(fps)
+    return _interp_ap_101_loop(tp / n_gt, tp / (tp + fp))
+
+
+def _coco_map_loop(detections, ground_truth):
+    """coco_map with one box_iou call per (detection, ground truth) pair
+    and threshold, and a 101-step interpolation loop."""
+    gt_by_class, det_by_class = {}, {}
+    for g in ground_truth:
+        gt_by_class.setdefault(g["class_id"], {}).setdefault(g["image_id"], []).append(g["box"])
+    for d in detections:
+        det_by_class.setdefault(d["class_id"], []).append((d["image_id"], d["score"], d["box"]))
+    per_class = {}
+    per_threshold = {t: [] for t in COCO_IOU_THRESHOLDS}
+    ap50 = []
+    for cls, gts in sorted(gt_by_class.items()):
+        dets = sorted(det_by_class.get(cls, []), key=lambda d: -d[1])
+        aps = []
+        for t in COCO_IOU_THRESHOLDS:
+            ap = _ap_single_loop(dets, gts, t - 1e-9)
+            aps.append(ap)
+            per_threshold[t].append(ap)
+            if abs(t - 0.50) < 1e-9:
+                ap50.append(ap)
+        per_class[cls] = float(np.mean(aps))
+    return MAPReport(
+        map=float(np.mean(list(per_class.values()))),
+        per_class=per_class,
+        per_threshold={float(t): float(np.mean(v)) for t, v in per_threshold.items()},
+        map50=float(np.mean(ap50)),
+    )
+
+
+EXACT_CASES = {
+    "iou_exactly_half": (
+        [_gt(0, 0, (0, 0, 10, 5))],
+        [_det(0, 0, 0.9, (0, 0, 10, 10)), _det(0, 0, 0.8, (0.0, 0.0, 10.0, 5.0))],
+    ),
+    "tied_scores_across_images": (
+        [_gt(0, 0, (0, 0, 10, 10)), _gt(1, 0, (5, 5, 10, 10)), _gt(2, 0, (0, 0, 4, 4))],
+        [_det(2, 0, 0.5, (20, 20, 4, 4)), _det(0, 0, 0.5, (1, 1, 10, 10)),
+         _det(1, 0, 0.5, (5, 5, 10, 10)), _det(0, 0, 0.5, (30, 30, 2, 2)), _det(2, 0, 0.5, (0, 0, 4, 4))],
+    ),
+    "detections_on_images_without_ground_truth": (
+        [_gt(0, 0, (0, 0, 10, 10)), _gt(0, 1, (3, 3, 6, 6))],
+        [_det(4, 0, 0.99, (0, 0, 10, 10)), _det(0, 0, 0.7, (0, 1, 10, 10)),
+         _det(5, 1, 0.6, (3, 3, 6, 6)), _det(0, 1, 0.4, (3, 4, 6, 6))],
+    ),
+    "class_with_ground_truth_but_no_detections": (
+        [_gt(0, 0, (0, 0, 10, 10)), _gt(0, 2, (10, 10, 5, 5)), _gt(1, 2, (0, 0, 5, 5))],
+        [_det(0, 0, 0.9, (0, 0, 10, 9))],
+    ),
+    "two_detections_on_one_ground_truth": (
+        [_gt(0, 0, (0, 0, 10, 10)), _gt(0, 0, (8, 0, 10, 10))],
+        [_det(0, 0, 0.9, (0, 0, 10, 10)), _det(0, 0, 0.8, (0.5, 0, 10, 10)), _det(0, 0, 0.7, (7, 0, 10, 10))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_coco_map_equals_pairwise_loop_on_edge_cases(case):
+    gts, dets = EXACT_CASES[case]
+    got, want = coco_map(dets, gts), _coco_map_loop(dets, gts)
+    assert (got.map, got.map50, got.per_class, got.per_threshold) == (
+        want.map, want.map50, want.per_class, want.per_threshold)
+
+
+def test_coco_map_equals_pairwise_loop_on_random_scenes():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        gts, dets = [], []
+        for img in range(int(rng.integers(1, 8))):
+            g, d = _random_scene(rng, img)
+            gts += g
+            dets += d
+        if trial % 2:  # coarse scores: ties within and across images
+            dets = [dict(d, score=round(d["score"], 1)) for d in dets]
+        if not gts:
+            continue
+        got, want = coco_map(dets, gts), _coco_map_loop(dets, gts)
+        assert (got.map, got.map50, got.per_class, got.per_threshold) == (
+            want.map, want.map50, want.per_class, want.per_threshold)
 
 
 # --------------------------------------------------------------------------

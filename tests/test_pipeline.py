@@ -260,6 +260,44 @@ def test_train_detector_runs_and_scores():
         assert 0 <= d.image_id < 6 and d.class_id in (0, 1)
 
 
+def test_evaluate_detector_postprocessing_goes_through_module_names(monkeypatch):
+    """perfbench/tracing.py times NMS, decoding and mAP by replacing
+    ``detection.nms``, ``pipeline.decode_detections`` and
+    ``pipeline.coco_map``; evaluation must look all three up there."""
+    import evsnn.detection as detection
+    import evsnn.pipeline as pipeline
+    from evsnn.autograd.ops import _softmax
+
+    calls = {"nms": 0, "decode": 0, "coco_map": 0}
+    expected_nms = []
+    real_nms, real_decode, real_map = detection.nms, pipeline.decode_detections, pipeline.coco_map
+
+    def nms(*args, **kwargs):
+        calls["nms"] += 1
+        return real_nms(*args, **kwargs)
+
+    def decode_detections(cls_logits, *args, score_threshold, **kwargs):
+        calls["decode"] += 1
+        probs = _softmax(np.asarray(cls_logits, dtype=np.float64))[:, :, 1:]
+        expected_nms.append(int((probs >= score_threshold).any(axis=1).sum()))  # (image, class) pairs
+        return real_decode(cls_logits, *args, score_threshold=score_threshold, **kwargs)
+
+    def coco_map(*args, **kwargs):
+        calls["coco_map"] += 1
+        return real_map(*args, **kwargs)
+
+    monkeypatch.setattr(detection, "nms", nms)
+    monkeypatch.setattr(pipeline, "decode_detections", decode_detections)
+    monkeypatch.setattr(pipeline, "coco_map", coco_map)
+    model = _toy_detector()
+    bias = model.net.layers[model.head_taps[0][0]].bias
+    bias.data.reshape(-1, 3)[:, 1] = 8.0  # class 0 beats background on the first map; class 1 never
+    evaluate_detector(model, make_moving_squares_dataset(2, seed=0), ENC, batch_size=1)
+    assert calls["decode"] == 2 and calls["coco_map"] == 1
+    assert expected_nms == [1, 1]
+    assert calls["nms"] == 2
+
+
 def test_train_detector_frozen_backbone():
     scenes = make_moving_squares_dataset(4, seed=0)
     model = _toy_detector()
