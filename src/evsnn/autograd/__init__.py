@@ -3,7 +3,7 @@ from .ops import (
     conv2d,
     batchnorm2d,
     maxpool2d,
-    concat_channels,
+    concat,
     heaviside_surrogate,
     softmax_cross_entropy,
     focal_loss,
@@ -26,7 +26,7 @@ __all__ = [
     "conv2d",
     "batchnorm2d",
     "maxpool2d",
-    "concat_channels",
+    "concat",
     "heaviside_surrogate",
     "softmax_cross_entropy",
     "focal_loss",

@@ -1,12 +1,16 @@
 """Neural-net ops with explicit backward passes.
 
-Convolution and max pooling share one im2col path: the input is padded
-inside the op (``_pad``), the column tensor is built with k*k strided slice
-copies, and the gradient is scattered back the same way and cropped to the
-unpadded input, so both directions stay vectorized without a giant scatter.
+Activations are channel-major, (C, N, H, W). A convolution copies its padded
+input k*k times with strided slices into one (Cin, kh*kw, N, Ho, Wo) column
+buffer and runs one GEMM per group over all N*Ho*Wo columns, for the output,
+dW and the column gradient, which goes back through the same windows. Max
+pooling is a running maximum over the k*k windows; batch norm reduces each
+channel's contiguous row. Padding happens only inside the ops (``_pad``).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -14,13 +18,13 @@ from .tensor import Tensor
 
 
 def _pad(x, p, value=None):
-    """Pad H and W of (N, C, H, W) by p with zero, or with value[c] for channel c."""
+    """Pad H and W of (C, N, H, W) by p with zero, or with value[c] for channel c."""
     if not p:
         return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    c, n, h, w = x.shape
+    out = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=x.dtype)
     if value is not None:
-        out[:] = np.asarray(value, dtype=x.dtype).reshape(1, c, 1, 1)
+        out[:] = np.asarray(value, dtype=x.dtype).reshape(c, 1, 1, 1)
     out[:, :, p : p + h, p : p + w] = x
     return out
 
@@ -35,30 +39,17 @@ def _out_size(h, w, kh, kw, stride, padding):
     return ho, wo
 
 
-def _im2col(xp, kh, kw, s, ho, wo):
-    # xp: padded input (N, C, Hp, Wp) -> (N, C, kh, kw, ho, wo)
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + ho * s : s, j : j + wo * s : s]
-    return cols
-
-
-def _col2im(dcols, xp_shape, kh, kw, s, ho, wo):
-    dxp = np.zeros(xp_shape, dtype=dcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + ho * s : s, j : j + wo * s : s] += dcols[:, :, i, j]
-    return dxp
+def _windows(xp, kh, kw, s, ho, wo):
+    """The kh*kw strided (C, N, ho, wo) views of a padded input, row-major."""
+    return [xp[:, :, i : i + ho * s : s, j : j + wo * s : s] for i in range(kh) for j in range(kw)]
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, groups=1, pad_value=None):
-    """2-D cross-correlation. x: (N,Cin,H,W), w: (Cout,Cin/g,kh,kw).
+    """2-D cross-correlation. x: (Cin,N,H,W), w: (Cout,Cin/g,kh,kw) -> (Cout,N,Ho,Wo).
 
     The border is zero, or ``pad_value[c]`` for input channel c.
     """
-    n, cin, h, wd = x.data.shape
+    cin, n, h, wd = x.data.shape
     cout, cin_g, kh, kw = w.data.shape
     s, p = stride, padding
     if cin % groups != 0 or cout % groups != 0:
@@ -68,46 +59,45 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1, pad_value=None):
     ho, wo = _out_size(h, wd, kh, kw, s, p)
 
     xp = _pad(x.data, p, pad_value)
-    cols = _im2col(xp, kh, kw, s, ho, wo)
-    # (N, g, Cin/g * kh * kw, ho*wo)
-    cols_m = cols.reshape(n, groups, cin_g * kh * kw, ho * wo)
+    cols = np.stack(_windows(xp, kh, kw, s, ho, wo), axis=1)  # (Cin, kh*kw, N, ho, wo)
+    cols_m = cols.reshape(groups, cin_g * kh * kw, n * ho * wo)
     w_m = w.data.reshape(groups, cout // groups, cin_g * kh * kw)
-    out = np.matmul(w_m[None], cols_m)  # (N, g, Cout/g, ho*wo)
-    out = out.reshape(n, cout, ho, wo)
+    out = np.matmul(w_m, cols_m).reshape(cout, n, ho, wo)
     if b is not None:
-        out = out + b.data.reshape(1, cout, 1, 1)
+        out = out + b.data.reshape(cout, 1, 1, 1)
 
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
-        gm = g.reshape(n, groups, cout // groups, ho * wo)
+        gm = g.reshape(groups, cout // groups, n * ho * wo)
         if w.requires_grad:
-            dw = np.matmul(gm, cols_m.transpose(0, 1, 3, 2)).sum(axis=0)
-            w.accumulate_grad(dw.reshape(w.data.shape))
+            w.accumulate_grad(np.matmul(gm, cols_m.transpose(0, 2, 1)).reshape(w.data.shape))
         if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            b.accumulate_grad(g.reshape(cout, -1).sum(axis=1))
         if x.requires_grad:
-            dcols = np.matmul(w_m.transpose(0, 2, 1)[None], gm)
-            dcols = dcols.reshape(n, cin, kh, kw, ho, wo)
-            dxp = _col2im(dcols, xp.shape, kh, kw, s, ho, wo)
+            dcols = np.matmul(w_m.transpose(0, 2, 1), gm).reshape(cin, kh * kw, n, ho, wo)
+            dxp = np.zeros(xp.shape, dtype=dcols.dtype)
+            for k, window in enumerate(_windows(dxp, kh, kw, s, ho, wo)):
+                window += dcols[:, k]
             x.accumulate_grad(dxp[:, :, p : p + h, p : p + wd])
 
     return Tensor.from_op(out, parents, backward)
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.1, eps=1e-5):
-    """Per-channel batch normalization over (N, H, W).
+    """Per-channel batch normalization of (C, N, H, W) over each channel's row.
 
     ``running_mean``/``running_var`` are plain numpy arrays mutated in place
     during training (unbiased variance, torch-style momentum update).
     """
-    n, c, h, w = x.data.shape
+    c = x.data.shape[0]
+    xm = x.data.reshape(c, -1)
+    m = xm.shape[1]
     if training:
-        if n * h * w < 2:
+        if m < 2:
             raise ValueError("batchnorm2d needs more than one value per channel in train mode")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        m = n * h * w
+        mean = xm.mean(axis=1)
+        var = xm.var(axis=1)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -115,64 +105,64 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
     else:
         mean = running_mean
         var = running_var
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(1, c, 1, 1)) * invstd.reshape(1, c, 1, 1)
-    out = xhat * gamma.data.reshape(1, c, 1, 1) + beta.data.reshape(1, c, 1, 1)
+    invstd = (1.0 / np.sqrt(var + eps)).reshape(c, 1)
+    xhat = (xm - mean.reshape(c, 1)) * invstd
+    out = xhat * gamma.data.reshape(c, 1) + beta.data.reshape(c, 1)
 
     def backward(g):
+        gm = g.reshape(c, -1)
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=(0, 2, 3)))
+            gamma.accumulate_grad((gm * xhat).sum(axis=1))
         if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            beta.accumulate_grad(gm.sum(axis=1))
         if x.requires_grad:
-            gi = gamma.data.reshape(1, c, 1, 1) * invstd.reshape(1, c, 1, 1)
+            gi = gamma.data.reshape(c, 1) * invstd
             if training:
-                m = n * h * w
-                gsum = g.sum(axis=(0, 2, 3), keepdims=True).reshape(1, c, 1, 1)
-                gx = (g * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                dx = gi * (g - gsum / m - xhat * gx / m)
+                gsum = gm.sum(axis=1, keepdims=True)
+                gx = (gm * xhat).sum(axis=1, keepdims=True)
+                dx = gi * (gm - gsum / m - xhat * gx / m)
             else:
-                dx = gi * g
-            x.accumulate_grad(dx.astype(x.data.dtype))
+                dx = gi * gm
+            x.accumulate_grad(dx.reshape(x.data.shape).astype(x.data.dtype))
 
-    return Tensor.from_op(out.astype(x.data.dtype), (x, gamma, beta), backward)
+    return Tensor.from_op(out.reshape(x.data.shape).astype(x.data.dtype), (x, gamma, beta), backward)
 
 
 def maxpool2d(x, kernel, stride=None, padding=0):
-    """Max pooling over a zero border of ``padding``; ties go to the first
-    element in row-major window order."""
+    """Max pooling of (C, N, H, W) over a zero border of ``padding``; ties go
+    to the first element in row-major window order."""
     k, s, p = kernel, kernel if stride is None else stride, padding
-    n, c, h, w = x.data.shape
+    c, n, h, w = x.data.shape
     ho, wo = _out_size(h, w, k, k, s, p)
     xp = _pad(x.data, p)
-    cols = _im2col(xp, k, k, s, ho, wo)
-    flat = cols.reshape(n, c, k * k, ho, wo)
-    arg = flat.argmax(axis=2)  # first maximum in row-major order
-    out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+    windows = _windows(xp, k, k, s, ho, wo)
+    out = windows[0].copy()
+    index = np.zeros(out.shape, dtype=np.uint8)  # the window holding each maximum
+    for i, window in enumerate(windows[1:], 1):
+        better = window > out  # strict: an equal later value does not take over
+        np.copyto(out, window, where=better)
+        np.copyto(index, i, where=better)
+    padded_shape = xp.shape  # not xp itself: the tape keeps no padded copy alive
 
     def backward(g):
-        dxp = np.zeros_like(xp)
-        ni, ci, hi, wi = np.indices(arg.shape)
-        rows = hi * s + arg // k
-        colsi = wi * s + arg % k
-        np.add.at(dxp, (ni, ci, rows, colsi), g)
+        dxp = np.zeros(padded_shape, dtype=x.data.dtype)
+        # reverse window order adds overlapping contributions to a cell in
+        # row-major output order, as a scatter over the outputs would
+        for i, window in reversed(list(enumerate(_windows(dxp, k, k, s, ho, wo)))):
+            window += np.where(index == i, g, 0)
         x.accumulate_grad(dxp[:, :, p : p + h, p : p + w])
 
     return Tensor.from_op(out, (x,), backward)
 
 
-def concat_channels(tensors):
-    """Concatenate (N,C,H,W) tensors along the channel axis."""
-    ref = tensors[0].data.shape
-    for t in tensors[1:]:
-        s = t.data.shape
-        if s[0] != ref[0] or s[2:] != ref[2:]:
-            raise ValueError(f"concat_channels dim mismatch: {ref} vs {s}")
-    out = np.concatenate([t.data for t in tensors], axis=1)
-    splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
+def concat(tensors, axis):
+    """Concatenate tensors along ``axis``; numpy raises ValueError unless
+    every other axis matches."""
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def backward(g):
-        for t, gs in zip(tensors, np.split(g, splits, axis=1)):
+        for t, gs in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
                 t.accumulate_grad(gs)
 
@@ -196,9 +186,16 @@ def heaviside_surrogate(v, alpha=2.0):
 
 
 def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the short trailing class axis (2-3 classes), column by
+    column: numpy reduces such an axis slowly. The sum adds left to right, as
+    numpy's pairwise sum does for fewer than 8 columns."""
+    e = z - functools.reduce(np.maximum, [z[..., j] for j in range(z.shape[-1])])[..., None]
+    np.exp(e, out=e)
+    total = e[..., 0].copy()
+    for j in range(1, z.shape[-1]):
+        total += e[..., j]
+    e /= total[..., None]
+    return e
 
 
 def softmax_cross_entropy(logits, targets):

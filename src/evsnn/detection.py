@@ -308,12 +308,12 @@ class DetectionModel:
         return self._anchor_cache[key]
 
     def _gather(self, head, channels_per_anchor):
-        """Flatten a head's (N, anchors * channels_per_anchor, H, W) map to
+        """Flatten a head's (anchors * channels_per_anchor, N, H, W) map to
         (N, H * W * anchors, channels_per_anchor) in anchor-grid order."""
-        n, ch, h, w = head.data.shape
+        ch, n, h, w = head.data.shape
         a = ch // channels_per_anchor
-        out = head.reshape(n, a, channels_per_anchor, h, w)
-        out = out.transpose(0, 3, 4, 1, 2)
+        out = head.reshape(a, channels_per_anchor, n, h, w)
+        out = out.transpose(2, 3, 4, 0, 1)
         return out.reshape(n, h * w * a, channels_per_anchor)
 
     def forward(self, batch, record=None):
@@ -321,7 +321,7 @@ class DetectionModel:
         outputs = self.net.forward(batch, record=record)
         cls_parts = [self._gather(outputs[c], self.num_classes + 1) for c, _ in self.head_taps]
         loc_parts = [self._gather(outputs[l], 4) for _, l in self.head_taps]
-        return ag.concat_channels(cls_parts), ag.concat_channels(loc_parts)
+        return ag.concat(cls_parts, 1), ag.concat(loc_parts, 1)
 
 
 # --------------------------------------------------------------------------

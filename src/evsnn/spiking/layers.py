@@ -2,9 +2,11 @@
 
 A network is described declaratively as a ``NetworkSpec`` (a DAG of layer
 descriptors, JSON-serializable) and instantiated as a ``Network`` holding
-parameter tensors. Execution is stepwise: one (N, C, H, W) frame per
-timestep. Layers keep no per-step state: ``Network.forward`` holds the PLIF
-membranes in a dict local to the call and carries them between steps.
+parameter tensors. Execution is stepwise: one channel-major (C, N, H, W)
+frame per timestep, so each convolution is one GEMM over the whole batch
+(see ``autograd.ops``). Layers keep no per-step state: ``Network.forward``
+holds the PLIF membranes in a dict local to the call and carries them
+between steps.
 
 The trailing convs and spatial sums (the SSD heads, the classifier's
 spatial sum) commute with the sum over time, so they run once per sample
@@ -173,7 +175,7 @@ class ConcatLayer:
         self.name = name
 
     def __call__(self, *xs):
-        return ag.concat_channels(list(xs))
+        return ag.concat(list(xs), 0)
 
     def out_shape(self, *shapes):
         c = sum(s[0] for s in shapes)
@@ -184,13 +186,13 @@ class ConcatLayer:
 
 
 class SpatialSumLayer:
-    """Sum over H and W, producing (N, C) class scores."""
+    """Sum a (C, N, H, W) map over H and W, producing (N, C) class scores."""
 
     def __init__(self, name):
         self.name = name
 
     def __call__(self, x):
-        return x.sum(axis=(2, 3))
+        return x.sum(axis=(2, 3)).transpose(1, 0)
 
     def out_shape(self, shape):
         return (shape[0], 1, 1)
@@ -346,8 +348,9 @@ class Network:
         """Run a (N, C, T, H, W) batch over all timesteps.
 
         Returns {tap: value}: one Tensor summed over time for the nodes that
-        run once, a list of one Tensor per timestep for the others. The
-        PLIF membranes live only in this call, so every call starts from rest.
+        run once, a list of one Tensor per timestep for the others. Maps are
+        (C, N, H, W); a spatial sum gives (N, C). The PLIF membranes live
+        only in this call, so every call starts from rest.
         """
         if batch.shape[1] != self.spec.input_channels:
             raise ValueError(f"batch has {batch.shape[1]} channels, network expects {self.spec.input_channels}")
@@ -358,7 +361,7 @@ class Network:
         per_step = {tap: [] for tap in summed + [o for o in self.spec.outputs if o not in self.once]}
         membranes = {}
         for t in range(steps):
-            values = {"input": Tensor(np.ascontiguousarray(batch[:, :, t]))}
+            values = {"input": Tensor(np.ascontiguousarray(batch[:, :, t].transpose(1, 0, 2, 3)))}
             for node in stepwise:
                 name, extra = node["name"], [membranes] if node["type"] == "plif" else []
                 values[name] = out = self.layers[name](*[values[i] for i in node["inputs"]], *extra)

@@ -52,6 +52,12 @@ def check_grad(build, arrays, tol, eps=1e-5):
         assert rel <= tol, f"input {i}: max rel grad error {rel:.3e} > {tol}"
 
 
+def cnhw(a):
+    """(N, C, H, W) <-> (C, N, H, W), contiguous: swapping the first two
+    axes is its own inverse."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
 def stepwise_forward(net, batch):
     """Reference for ``Network.forward``: every node at every timestep, then
     each output summed over time with T - 1 adds. ``forward`` runs the nodes
@@ -59,7 +65,7 @@ def stepwise_forward(net, batch):
     membranes = {}
     per_step = {o: [] for o in net.spec.outputs}
     for t in range(batch.shape[2]):
-        values = {"input": Tensor(np.ascontiguousarray(batch[:, :, t]))}
+        values = {"input": Tensor(cnhw(batch[:, :, t]))}
         for node in net.spec.nodes:
             inputs = [values[i] for i in node["inputs"]]
             extra = (membranes,) if node["type"] == "plif" else ()

@@ -37,7 +37,7 @@ from evsnn.spiking.transforms import dwsep_to_normal_conv, fuse_bn_into_conv
 from evsnn.spiking.layers import BatchNormLayer, ConvLayer
 from evsnn.tasks import make_moving_bar_dataset, make_moving_squares_dataset
 
-from conftest import check_grad
+from conftest import check_grad, cnhw
 from test_metrics import _coco_map_oracle, _det, _gt, _random_scene
 
 
@@ -186,14 +186,14 @@ def _grad_cases(rng):
     stride = int(rng.integers(1, 3))
     yield "conv2d", (
         lambda a, ww_, bb: ag.conv2d(a, ww_, bb, stride=stride, padding=k // 2)
-    ), [x4, wconv, bias]
+    ), [cnhw(x4), wconv, bias]
     g = rng.standard_normal(c)
     b2 = rng.standard_normal(c)
     yield "batchnorm", (
         lambda a, gg, bb: ag.batchnorm2d(a, gg, bb, np.zeros(c), np.ones(c), training=True)
-    ), [x4 + 0.1 * np.arange(h * w).reshape(h, w), g, b2]
-    yield "maxpool", lambda a: ag.maxpool2d(a, 2, 2), [x4 * 3]
-    yield "concat", lambda a, b: ag.concat_channels([a, b]), [x4, rng.standard_normal((n, c + 1, h, w))]
+    ), [cnhw(x4 + 0.1 * np.arange(h * w).reshape(h, w)), g, b2]
+    yield "maxpool", lambda a: ag.maxpool2d(a, 2, 2), [cnhw(x4 * 3)]
+    yield "concat", lambda a, b: ag.concat([a, b], 0), [cnhw(x4), cnhw(rng.standard_normal((n, c + 1, h, w)))]
     m = n + 2
     t = rng.integers(0, c + 1, m)
     yield "cross_entropy", lambda z: ag.softmax_cross_entropy(z, t), [rng.standard_normal((m, c + 1))]
@@ -214,7 +214,7 @@ def test_criterion_4_gradient_checks():
     # 32-bit mode at the looser tolerance
     rng32 = np.random.default_rng(8)
     for _ in range(5):
-        x = rng32.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        x = cnhw(rng32.standard_normal((2, 3, 6, 6)).astype(np.float32))
         w = (rng32.standard_normal((4, 3, 3, 3)) * 0.5).astype(np.float32)
         check_grad(lambda a, b: ag.conv2d(a, b, None, padding=1), [x, w], tol=1e-3, eps=1e-2)
 
@@ -261,7 +261,7 @@ def test_criterion_5_structural_equivalences():
         bn.running_mean = rng.standard_normal(cin).astype(np.float32)
         bn.running_var = (rng.random(cin) + 0.5).astype(np.float32)
         conv = ConvLayer("c", cin, cout, k, bias=bool(rng.random() < 0.5), rng=rng)
-        x = Tensor(rng.standard_normal((2, cin, 6, 6)).astype(np.float32))
+        x = Tensor(cnhw(rng.standard_normal((2, cin, 6, 6)).astype(np.float32)))
         with ag.no_grad():
             diff = np.abs(fuse_bn_into_conv(bn, conv)(x).data - conv(bn(x)).data).max()
         worst_fuse = max(worst_fuse, float(diff))

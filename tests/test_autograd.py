@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import evsnn.autograd as ag
+from evsnn.autograd import ops
 from evsnn.autograd import AdamW, Tensor, clip_grad_norm, cosine_lr, kaiming_uniform_init
 
-from conftest import check_grad
+from conftest import check_grad, cnhw
 
 TOL64 = 1e-6
 TOL32 = 1e-3
@@ -84,7 +85,7 @@ def test_conv2d_grad(rng):
         pad = int(rng.integers(0, 2))
         n = int(rng.integers(1, 3))
         h = int(rng.integers(k, k + 4))
-        x = rng.standard_normal((n, cin, h, h))
+        x = cnhw(rng.standard_normal((n, cin, h, h)))
         w = rng.standard_normal((cout, cin // groups, k, k))
         b = rng.standard_normal(cout)
         pad_value = rng.standard_normal(cin) if rng.random() < 0.5 else None
@@ -97,47 +98,53 @@ def test_conv2d_grad(rng):
 def test_conv2d_depthwise_grad(rng):
     for _ in range(5):
         c = int(rng.integers(2, 5))
-        x = rng.standard_normal((2, c, 6, 6))
+        x = cnhw(rng.standard_normal((2, c, 6, 6)))
         w = rng.standard_normal((c, 1, 3, 3))
         check_grad(lambda x_, w_: ag.conv2d(x_, w_, stride=1, padding=1, groups=c), [x, w], TOL64)
 
 
 def test_conv2d_float32_grad(rng):
     for _ in range(5):
-        x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        x = cnhw(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
         check_grad(lambda x_, w_: ag.conv2d(x_, w_, stride=2, padding=1), [x, w], TOL32, eps=1e-2)
 
 
 def test_conv2d_matches_naive(rng):
-    """im2col conv against a direct loop implementation, with a zero or a
-    per-channel constant border."""
-    for _ in range(10):
-        n, cin, cout, k = 2, 3, 4, 3
-        s, p = int(rng.integers(1, 3)), int(rng.integers(0, 2))
-        h = int(rng.integers(4, 8))
-        x = rng.standard_normal((n, cin, h, h))
-        w = rng.standard_normal((cout, cin, k, k))
-        pad_value = rng.standard_normal(cin) if rng.random() < 0.5 else None
-        out = ag.conv2d(Tensor(x), Tensor(w), stride=s, padding=p, pad_value=pad_value).data
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        if p and pad_value is not None:
-            border = np.ones_like(xp, dtype=bool)
-            border[:, :, p:-p, p:-p] = False
-            xp[border] = np.broadcast_to(pad_value.reshape(1, cin, 1, 1), xp.shape)[border]
-        ho = (h + 2 * p - k) // s + 1
-        ref = np.zeros((n, cout, ho, ho))
-        for i in range(ho):
-            for j in range(ho):
-                patch = xp[:, :, i * s : i * s + k, j * s : j * s + k]
-                ref[:, :, i, j] = np.einsum("ncij,ocij->no", patch, w)
-        assert np.allclose(out, ref, atol=1e-10)
+    """The column-buffer GEMM conv against a direct NCHW loop over output
+    positions, for dense, grouped (g=2) and depthwise weights, with a zero or
+    a per-channel constant border."""
+    for groups, cin, cout in ((1, 3, 4), (2, 4, 6), (3, 3, 3), (4, 4, 8)):  # the last two are depthwise
+        cin_g, cout_g = cin // groups, cout // groups
+        for _ in range(10):
+            n, k = 2, 3
+            s, p = int(rng.integers(1, 3)), int(rng.integers(0, 2))
+            h = int(rng.integers(4, 8))
+            x = rng.standard_normal((n, cin, h, h))
+            w = rng.standard_normal((cout, cin_g, k, k))
+            pad_value = rng.standard_normal(cin) if rng.random() < 0.5 else None
+            out = cnhw(ag.conv2d(Tensor(cnhw(x)), Tensor(w), stride=s, padding=p, groups=groups,
+                                 pad_value=pad_value).data)
+            xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+            if p and pad_value is not None:
+                border = np.ones_like(xp, dtype=bool)
+                border[:, :, p:-p, p:-p] = False
+                xp[border] = np.broadcast_to(pad_value.reshape(1, cin, 1, 1), xp.shape)[border]
+            ho = (h + 2 * p - k) // s + 1
+            ref = np.zeros((n, cout, ho, ho))
+            for i in range(ho):
+                for j in range(ho):
+                    patch = xp[:, :, i * s : i * s + k, j * s : j * s + k]
+                    for g in range(groups):
+                        ref[:, g * cout_g : (g + 1) * cout_g, i, j] = np.einsum(
+                            "ncij,ocij->no", patch[:, g * cin_g : (g + 1) * cin_g], w[g * cout_g : (g + 1) * cout_g])
+            assert np.allclose(out, ref, atol=1e-10)
 
 
 def test_batchnorm_grad(rng):
     for _ in range(20):
         c = int(rng.integers(1, 5))
-        x = rng.standard_normal((3, c, 4, 4))
+        x = cnhw(rng.standard_normal((3, c, 4, 4)))
         gamma = rng.standard_normal(c) + 1.0
         beta = rng.standard_normal(c)
 
@@ -152,7 +159,7 @@ def test_batchnorm_eval_grad(rng):
     c = 3
     rm = rng.standard_normal(c)
     rv = rng.random(c) + 0.5
-    x = rng.standard_normal((2, c, 4, 4))
+    x = cnhw(rng.standard_normal((2, c, 4, 4)))
     gamma, beta = rng.standard_normal(c) + 1, rng.standard_normal(c)
     check_grad(lambda x_, g_, b_: ag.batchnorm2d(x_, g_, b_, rm.copy(), rv.copy(), training=False), [x, gamma, beta], TOL64)
 
@@ -161,7 +168,7 @@ def test_batchnorm_running_stats():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 2, 3, 3))
     rm, rv = np.zeros(2), np.ones(2)
-    ag.batchnorm2d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, training=True, momentum=0.1)
+    ag.batchnorm2d(Tensor(cnhw(x)), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, training=True, momentum=0.1)
     m = x.mean(axis=(0, 2, 3))
     cnt = x[:, 0].size
     v = x.var(axis=(0, 2, 3)) * cnt / (cnt - 1)
@@ -175,7 +182,7 @@ def test_maxpool_grad(rng):
         s = int(rng.integers(1, 3))
         h = int(rng.integers(k + 1, k + 5))
         pad = int(rng.integers(0, 2))
-        x = rng.standard_normal((2, 2, h, h))
+        x = cnhw(rng.standard_normal((2, 2, h, h)))
         check_grad(lambda x_: ag.maxpool2d(x_, k, s, padding=pad), [x], TOL64)
         zero_border = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         assert np.array_equal(ag.maxpool2d(Tensor(x), k, s, padding=pad).data, ag.maxpool2d(Tensor(zero_border), k, s).data)
@@ -192,11 +199,56 @@ def test_maxpool_tie_first_wins():
     assert np.array_equal(t.grad, expect)
 
 
+def _maxpool_oracle(x, k, s, p, g):
+    """The im2col / argmax / ``np.add.at`` max pool on NCHW ``x``: returns
+    the output and the input gradient for the upstream gradient ``g``."""
+    n, c, h, w = x.shape
+    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i : i + ho * s : s, j : j + wo * s : s]
+    flat = cols.reshape(n, c, k * k, ho, wo)
+    arg = flat.argmax(axis=2)  # first maximum in row-major order
+    out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+    dxp = np.zeros_like(xp)
+    ni, ci, hi, wi = np.indices(arg.shape)
+    np.add.at(dxp, (ni, ci, hi * s + arg // k, wi * s + arg % k), g)
+    return out, dxp[:, :, p : p + h, p : p + w]
+
+
+def test_maxpool_matches_scatter_oracle():
+    """The running-maximum pool equals the argmax / scatter pool bit for bit,
+    forward and backward: ties (binary spikes at every density) go to the
+    first window cell, and overlapping windows add their float32 gradients
+    into a cell in the same order."""
+    rng = np.random.default_rng(11)
+    inputs = [lambda d=d: (rng.random((2, 3, 10, 10)) < d).astype(np.float32) for d in (0.0, 0.05, 0.5, 1.0)]
+    inputs.append(lambda: rng.standard_normal((2, 3, 10, 10)).astype(np.float32))
+    for k in (2, 3):
+        for s in (1, 2):
+            for p in (0, 1):
+                for make in inputs:
+                    for _ in range(3):
+                        x = make()
+                        ho = (10 + 2 * p - k) // s + 1
+                        g = rng.standard_normal((2, 3, ho, ho)).astype(np.float32)
+                        want_out, want_dx = _maxpool_oracle(x, k, s, p, g)
+                        t = Tensor(cnhw(x), requires_grad=True)
+                        out = ag.maxpool2d(t, k, s, padding=p)
+                        out.backward(cnhw(g))
+                        assert np.array_equal(cnhw(out.data), want_out)
+                        assert np.array_equal(cnhw(t.grad), want_dx), (k, s, p)
+
+
 def test_concat_grad(rng):
     for _ in range(20):
         h = int(rng.integers(2, 5))
-        parts = [rng.standard_normal((2, int(rng.integers(1, 4)), h, h)) for _ in range(3)]
-        check_grad(lambda *xs: ag.concat_channels(list(xs)), parts, TOL64)
+        parts = [cnhw(rng.standard_normal((2, int(rng.integers(1, 4)), h, h))) for _ in range(3)]
+        check_grad(lambda *xs: ag.concat(list(xs), 0), parts, TOL64)
+    with pytest.raises(ValueError):  # the other axes must match
+        ag.concat([Tensor(np.zeros((2, 3, 4, 4))), Tensor(np.zeros((2, 2, 4, 4)))], 0)
 
 
 # --------------------------------------------------------------------------
@@ -250,6 +302,35 @@ def test_focal_loss_gamma_zero_matches_weighted_ce(rng):
     at = np.where(targets > 0, 0.25, 0.75)
     expect = (-at * np.log(p[np.arange(6), targets])).sum()
     assert np.isclose(float(fl.data), expect)
+
+
+def _softmax_oracle(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def test_softmax_matches_reduce_oracle(monkeypatch):
+    """The column-by-column softmax equals numpy's axis reductions bit for
+    bit on the class axes used here (2-3 classes), and so do the losses
+    built on it."""
+    rng = np.random.default_rng(12)
+    for shape in ((16, 1280, 3), (50, 2), (64, 3)):
+        z = rng.standard_normal(shape) * 4
+        assert np.array_equal(ops._softmax(z), _softmax_oracle(z))
+    logits = rng.standard_normal((64, 3)) * 4
+    targets = rng.integers(0, 3, size=64)
+    runs = []
+    for softmax in (ops._softmax, _softmax_oracle):
+        monkeypatch.setattr(ops, "_softmax", softmax)
+        run = []
+        for loss in (ag.focal_loss, ag.softmax_cross_entropy):
+            t = Tensor(logits, requires_grad=True)
+            out = loss(t, targets)
+            out.backward()
+            run += [out.data, t.grad]
+        runs.append(run)
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 def test_smooth_l1_grad(rng):

@@ -33,7 +33,7 @@ from evsnn.detection import (
 )
 from evsnn.spiking import Network
 
-from conftest import outputs_and_grads, stepwise_forward
+from conftest import cnhw, outputs_and_grads, stepwise_forward
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +350,7 @@ def test_detection_model_gather_order():
     for ai in range(a):
         for ci in range(c):
             fake[0, ai * c + ci] = np.arange(h_f * w_f).reshape(h_f, w_f) * 100 + ai * 10 + ci
-    flat = model._gather(Tensor(fake), c).data
+    flat = model._gather(Tensor(cnhw(fake)), c).data
     for cell in range(h_f * w_f):
         for ai in range(a):
             row = flat[0, cell * a + ai]
@@ -373,7 +373,7 @@ def test_detector_heads_match_stepwise_oracle():
         bias.data = bias.data + rng.standard_normal(bias.data.shape).astype(np.float32)
     batch = (rng.random((4, 4, 5, 32, 32)) < 0.3).astype(np.float32)
     shapes = net.trace_shapes(32, 32)
-    probes = {name: Tensor(rng.standard_normal((4, *shapes[name])).astype(np.float32)) for name in heads}
+    probes = {name: Tensor(cnhw(rng.standard_normal((4, *shapes[name])).astype(np.float32))) for name in heads}
 
     def loss_of(outputs):
         return sum((outputs[name] * probes[name]).sum() for name in heads)

@@ -14,11 +14,11 @@ from evsnn.spiking import (
     plif_step,
 )
 from evsnn.detection import build_detector_spec, build_toy_detector_spec
-from evsnn.spiking.builders import (ARCH_NAMES, build_densenet, build_squeezenet, build_toy_classifier, build_vgg,
-                                    named_spec)
+from evsnn.spiking.builders import (ARCH_NAMES, build_densenet, build_mobilenet, build_squeezenet, build_toy_classifier,
+                                    build_vgg, named_spec)
 from evsnn.spiking.layers import MaxPoolLayer, PLIFLayer
 
-from conftest import outputs_and_grads, stepwise_forward
+from conftest import cnhw, outputs_and_grads, stepwise_forward
 
 
 # --------------------------------------------------------------------------
@@ -286,22 +286,29 @@ def test_spike_record_rates():
 
 
 def test_trace_shapes_match_execution():
-    for spec in (build_vgg(11, in_channels=4), build_squeezenet("1.1", in_channels=4), build_toy_classifier(in_channels=4)):
+    """Every node's output is a C-contiguous (C, N, H, W) map whose (C, H, W)
+    is what ``trace_shapes`` predicts; a non-contiguous map would make the
+    ops' row reshapes copy. Spatial sums give (N, C) scores."""
+    specs = (build_vgg(11, in_channels=4), build_squeezenet("1.1", in_channels=4), build_toy_classifier(in_channels=4),
+             build_mobilenet(16, in_channels=4), build_toy_detector_spec(in_channels=4)[0])
+    for spec in specs:
         net = Network(spec, rng=np.random.default_rng(0))
         shapes = net.trace_shapes(64, 64)
-        batch = np.zeros((1, 4, 1, 64, 64), dtype=np.float32)
+        n = 3  # unlike every channel count, so a swapped axis shows
+        batch = (np.random.default_rng(1).random((n, 4, 1, 64, 64)) < 0.3).astype(np.float32)
         with ag.no_grad():
-            values = {"input": Tensor(batch[:, :, 0])}
+            values = {"input": Tensor(cnhw(batch[:, :, 0]))}
             membranes = {}
             for node in spec.nodes:
                 layer = net.layers[node["name"]]
                 extra = (membranes,) if node["type"] == "plif" else ()
-                values[node["name"]] = layer(*[values[i] for i in node["inputs"]], *extra)
-                got = values[node["name"]].data.shape[1:]
-                want = shapes[node["name"]]
+                out = values[node["name"]] = layer(*[values[i] for i in node["inputs"]], *extra)
                 if node["type"] == "spatial_sum":
+                    assert out.data.shape == (n, shapes[node["name"]][0])
                     continue
-                assert got == want, f"{spec.name}/{node['name']}: {got} != {want}"
+                c, batch_n, h, w = out.data.shape
+                assert batch_n == n and (c, h, w) == shapes[node["name"]], f"{spec.name}/{node['name']}"
+                assert out.data.flags.c_contiguous, f"{spec.name}/{node['name']}"
 
 
 def test_trace_shapes_raises_where_forward_does():

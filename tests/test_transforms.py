@@ -11,6 +11,8 @@ from evsnn.spiking import (Network, SpikeRecord, convert_dwsep_network, dwsep_to
 from evsnn.spiking.builders import build_mobilenet, build_toy_classifier
 from evsnn.spiking.layers import BatchNormLayer, ConvLayer
 
+from conftest import cnhw
+
 
 def _random_bn(rng, c):
     bn = BatchNormLayer("bn", c)
@@ -37,7 +39,7 @@ def test_fuse_bn_into_conv_equivalence():
         bn = _random_bn(rng, cin)
         conv = _random_conv(rng, cin, cout, k, bias=bool(rng.random() < 0.5))
         fused = fuse_bn_into_conv(bn, conv)
-        x = Tensor(rng.standard_normal((2, cin, 6, 6)).astype(np.float32))
+        x = Tensor(cnhw(rng.standard_normal((2, cin, 6, 6)).astype(np.float32)))
         with ag.no_grad():
             ref = conv(bn(x)).data
             got = fused(x).data
@@ -53,7 +55,7 @@ def test_fuse_bn_grouped_conv():
         bn = _random_bn(rng, cin)
         conv = _random_conv(rng, cin, cout, 3, groups=groups)
         fused = fuse_bn_into_conv(bn, conv)
-        x = Tensor(rng.standard_normal((2, cin, 5, 5)).astype(np.float32))
+        x = Tensor(cnhw(rng.standard_normal((2, cin, 5, 5)).astype(np.float32)))
         with ag.no_grad():
             assert np.abs(fused(x).data - conv(bn(x)).data).max() <= 1e-5
 
@@ -66,7 +68,7 @@ def test_dwsep_to_normal_weight_equivalence():
         dw = rng.standard_normal((c, 1, 3, 3)).astype(np.float32)
         pw = rng.standard_normal((o, c, 1, 1)).astype(np.float32)
         w = dwsep_to_normal_conv(dw, pw)
-        x = Tensor(rng.standard_normal((2, c, 6, 6)).astype(np.float32))
+        x = Tensor(cnhw(rng.standard_normal((2, c, 6, 6)).astype(np.float32)))
         dwl = ConvLayer("dw", c, c, 3, groups=c)
         dwl.weight.data = dw
         pwl = ConvLayer("pw", c, o, 1)
