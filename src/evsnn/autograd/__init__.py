@@ -4,7 +4,7 @@ from .ops import (
     batchnorm2d,
     maxpool2d,
     concat,
-    heaviside_surrogate,
+    plif,
     softmax_cross_entropy,
     focal_loss,
     smooth_l1,
@@ -27,7 +27,7 @@ __all__ = [
     "batchnorm2d",
     "maxpool2d",
     "concat",
-    "heaviside_surrogate",
+    "plif",
     "softmax_cross_entropy",
     "focal_loss",
     "smooth_l1",

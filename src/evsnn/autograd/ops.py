@@ -6,6 +6,11 @@ buffer and runs one GEMM per group over all N*Ho*Wo columns, for the output,
 dW and the column gradient, which goes back through the same windows. Max
 pooling is a running maximum over the k*k windows; batch norm reduces each
 channel's contiguous row. Padding happens only inside the ops (``_pad``).
+
+A PLIF neuron step (``plif``) is one op with a hand-derived backward, so a
+layer records one tape entry per timestep. The membrane is an array handed
+from step to step, not a Tensor; its gradient goes back through a
+``PLIFLink``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, _sigmoid
 
 
 def _pad(x, p, value=None):
@@ -169,20 +174,87 @@ def concat(tensors, axis):
     return Tensor.from_op(out, tuple(tensors), backward)
 
 
-def heaviside_surrogate(v, alpha=2.0):
-    """Spike nonlinearity: step forward, ATan-shaped surrogate backward.
+class PLIFLink:
+    """Where a PLIF step's backward leaves dL/dV' for the step that made V'."""
 
-    dspike/dv = alpha / (2 * (1 + (pi * alpha * v / 2)^2))
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
+def plif(x, state, w, alpha=2.0):
+    """One PLIF step over a whole frame, recorded as one tape entry.
+
+    v = V + (X - V) a with a = 1/tau (v = X a from rest, when ``state`` is
+    None), spikes s = [v >= 1], reset membrane V' = v (1 - s). ``w`` sets a:
+    a Tensor is the learned w with a = sigmoid(w), a float is a itself.
+    ``state`` is the (V', spikes, PLIFLink) triple the previous step
+    returned; returns (spikes, state').
+
+    Backward is BPTT with the ATan surrogate sg(u) = alpha / (2 (1 + (pi
+    alpha u / 2)^2)) for the step's derivative. With g_s the spikes' gradient
+    and g_m the one the next step hands back for V' (the reset term is not
+    detached):
+        dv = sg(v - 1) (g_s - v g_m) + (1 - s) g_m
+        dX = a dv,  dL/dV = dv - dX,  dw = a (1 - a) sum(dv (X - V))
+    The previous step's spikes are a parent, so the tape walk reaches that
+    step after this one has left dL/dV in its link.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    out = (v.data >= 0).astype(v.data.dtype)
+    learned = isinstance(w, Tensor)
+    a = _sigmoid(w.data) if learned else x.data.dtype.type(w)
+    if state is None:
+        prev_spikes = link = None
+        drive = x.data
+        v = x.data * a
+    else:
+        prev_v, prev_spikes, link = state
+        drive = x.data - prev_v
+        v = drive * a
+        v += prev_v
+    spiked = v >= 1.0
+    if not (learned and w.requires_grad):
+        drive = None  # the backward needs X - V only for dw
+    parents = (x,) + ((w,) if learned else ()) + ((prev_spikes,) if state is not None else ())
+    scale = 0.5 * np.pi * alpha
+    out_link = PLIFLink()
 
     def backward(g):
-        s = 0.5 * np.pi * alpha * v.data
-        v.accumulate_grad(g * (alpha / (2.0 * (1.0 + s * s))))
+        dv = v - 1.0
+        dv *= scale
+        np.multiply(dv, dv, out=dv)
+        dv += 1.0
+        dv *= 2.0
+        np.divide(alpha, dv, out=dv)  # sg(v - 1)
+        g_m, out_link.grad = out_link.grad, None
+        if g_m is None:  # V' fed no later step
+            dv *= g
+        else:
+            gs = v * g_m
+            np.subtract(g, gs, out=gs)
+            dv *= gs
+            dv += np.multiply(g_m, v < 1.0, out=gs)  # (1 - s) g_m
+        if drive is not None:
+            w.accumulate_grad(np.vdot(dv, drive) * a * (1.0 - a))
+        feeds_back = prev_spikes is not None and prev_spikes.requires_grad
+        if x.requires_grad or feeds_back:
+            dx = dv * a
+            if x.requires_grad:
+                if x.grad is None:
+                    x.grad = dx  # a fresh array: no copy needed
+                else:
+                    x.grad += dx
+            if feeds_back:
+                link.grad = np.subtract(dv, dx, out=dv)
+                if prev_spikes.grad is None:
+                    # no consumer handed those spikes a gradient; the walk
+                    # runs a backward only for a node that has one
+                    prev_spikes.grad = np.zeros_like(prev_spikes.data)
 
-    return Tensor.from_op(out, (v,), backward)
+    spikes = Tensor.from_op(spiked.astype(x.data.dtype), parents, backward)
+    return spikes, (v * ~spiked, spikes, out_link)
 
 
 def _softmax(z):

@@ -243,8 +243,12 @@ def transpose(a, axes):
     return Tensor.from_op(out_data, (a,), backward)
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(a):
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
+    out_data = _sigmoid(a.data)
 
     def backward(g):
         a.accumulate_grad(g * out_data * (1.0 - out_data))

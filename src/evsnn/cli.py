@@ -185,14 +185,10 @@ def cmd_eval_detector(args):
 def cmd_ablate(args):
     samples = make_moving_bar_dataset(args.samples, seed=args.seed)
     val = make_moving_bar_dataset(max(args.samples // 4, 16), seed=args.seed + 1)
-    grid = []
-    for cell in args.grid.split(","):
-        t, n = cell.split("x")
-        grid.append((int(t), int(n)))
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr, seed=args.seed)
     results = run_encoding_ablation(
-        lambda ch: _toy_net(ch, args.seed), samples, val, grid, cfg,
-        sample_duration=args.duration, size=args.height, log=print,
+        lambda ch: _toy_net(ch, args.seed), samples, val, args.grid, cfg,
+        sample_duration=args.duration, height=args.height, width=args.width, log=print,
     )
     rows = [[f"T={t}", f"n={n}", f"{acc:.3f}"] for (t, n), acc in results.items()]
     print(format_table(["timesteps", "micro bins", "accuracy"], rows))
@@ -200,6 +196,18 @@ def cmd_ablate(args):
         with open(args.out, "w") as fh:
             json.dump({f"{t}x{n}": acc for (t, n), acc in results.items()}, fh, indent=2)
     return 0
+
+
+def _ablation_grid(text):
+    """'1x1,5x2' -> [(1, 1), (5, 2)]: comma-separated TxN cells of positive
+    integers. A bad cell is an argparse error that names it (exit code 2)."""
+    grid = []
+    for cell in text.split(","):
+        parts = [part.strip() for part in cell.split("x")]
+        if len(parts) != 2 or not all(part.isdigit() and int(part) > 0 for part in parts):
+            raise argparse.ArgumentTypeError(f"bad grid cell {cell!r}: expected TxN with positive integers, e.g. 5x2")
+        grid.append((int(parts[0]), int(parts[1])))
+    return grid
 
 
 def main(argv=None):
@@ -265,7 +273,7 @@ def main(argv=None):
 
     p = sub.add_parser("ablate", help="encoding ablation grid over (T, n)")
     _encoder_args(p)
-    p.add_argument("--grid", default="1x1,5x2", help="comma-separated TxN cells, e.g. 1x1,5x2")
+    p.add_argument("--grid", type=_ablation_grid, default="1x1,5x2", help="comma-separated TxN cells, e.g. 1x1,5x2")
     p.add_argument("--samples", type=int, default=128)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=64)

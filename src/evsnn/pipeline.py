@@ -253,8 +253,10 @@ class ExperimentManifest:
         return cls(name=name, config=asdict(config), encoder=asdict(encoder), results=results)
 
 
-def run_encoding_ablation(build_net, samples, val_samples, grid, config: TrainConfig, sample_duration=100_000, size=64, log=None):
-    """Train/evaluate one fresh network per (timesteps, micro_bins) cell.
+def run_encoding_ablation(build_net, samples, val_samples, grid, config: TrainConfig, sample_duration=100_000, height=64,
+                          width=64, log=None):
+    """Train/evaluate one fresh network per (timesteps, micro_bins) cell on
+    height x width voxel cubes.
 
     ``build_net`` maps an input channel count to a fresh Network. Returns
     {(T, n): accuracy}.
@@ -263,7 +265,7 @@ def run_encoding_ablation(build_net, samples, val_samples, grid, config: TrainCo
     for timesteps, micro_bins in grid:
         encoder = EncoderConfig(
             sample_duration=sample_duration, timesteps=timesteps, micro_bins=micro_bins,
-            height=size, width=size,
+            height=height, width=width,
         )
         net = build_net(encoder.channels)
         train_classifier(net, samples, encoder, config, log=log)

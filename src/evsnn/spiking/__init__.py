@@ -1,6 +1,5 @@
 from .layers import (
     PLIFConfig,
-    plif_step,
     NetworkSpec,
     Network,
     SpikeRecord,
@@ -20,7 +19,6 @@ from .transforms import fuse_bn_into_conv, fuse_network, dwsep_to_normal_conv, c
 
 __all__ = [
     "PLIFConfig",
-    "plif_step",
     "NetworkSpec",
     "Network",
     "SpikeRecord",

@@ -6,7 +6,10 @@ parameter tensors. Execution is stepwise: one channel-major (C, N, H, W)
 frame per timestep, so each convolution is one GEMM over the whole batch
 (see ``autograd.ops``). Layers keep no per-step state: ``Network.forward``
 holds the PLIF membranes in a dict local to the call and carries them
-between steps.
+between steps. Each PLIF step is one fused op, ``autograd.ops.plif``; a
+layer's entry in that dict is the (membrane, spikes, link) triple the op
+returns, through which the next step's backward hands the membrane's
+gradient back.
 
 The trailing convs and spatial sums (the SSD heads, the classifier's
 spatial sum) commute with the sum over time, so they run once per sample
@@ -44,18 +47,6 @@ class PLIFConfig:
     def __post_init__(self):
         if self.tau_init <= 1.0:
             raise ValueError("tau_init must be > 1 for a stable leak")
-
-
-def plif_step(state, x, config: PLIFConfig, inv_tau):
-    """One membrane update: v = V + (X - V) / tau, spike s = H(v - 1), then
-    hard reset V' = v (1 - s). Returns (spikes, V').
-
-    ``inv_tau`` is 1/tau, either a float or a scalar Tensor (learnable).
-    ``state`` is None on the first step, a membrane at rest (0), so v = X / tau.
-    """
-    v = x * inv_tau if state is None else state + (x - state) * inv_tau
-    spikes = ag.heaviside_surrogate(v - 1.0, config.alpha)
-    return spikes, v * (1.0 - spikes)
 
 
 class ConvLayer:
@@ -135,15 +126,11 @@ class PLIFLayer:
         else:
             self.w = None
 
-    def inv_tau(self):
-        if self.w is not None:
-            return ag.sigmoid(self.w)
-        return 1.0 / self.config.tau_init
-
     def __call__(self, x, membranes):
-        """One timestep. Reads this layer's membrane from ``membranes`` (none
-        on the first step), stores the updated one there, returns spikes."""
-        spikes, membranes[self.name] = plif_step(membranes.get(self.name), x, self.config, self.inv_tau())
+        """One timestep. Reads this layer's state from ``membranes`` (none on
+        the first step), stores the next one there, returns spikes."""
+        w = self.w if self.w is not None else 1.0 / self.config.tau_init
+        spikes, membranes[self.name] = ag.plif(x, membranes.get(self.name), w, self.config.alpha)
         return spikes
 
     def out_shape(self, shape):

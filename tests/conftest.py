@@ -1,3 +1,6 @@
+import contextlib
+import types
+
 import numpy as np
 import pytest
 
@@ -58,10 +61,11 @@ def cnhw(a):
     return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
-def stepwise_forward(net, batch):
+def stepwise_forward(net, batch, record=None):
     """Reference for ``Network.forward``: every node at every timestep, then
     each output summed over time with T - 1 adds. ``forward`` runs the nodes
-    that commute with that sum once, on the time-summed input instead."""
+    that commute with that sum once, on the time-summed input instead.
+    ``record`` counts spikes as ``forward`` does."""
     membranes = {}
     per_step = {o: [] for o in net.spec.outputs}
     for t in range(batch.shape[2]):
@@ -69,9 +73,13 @@ def stepwise_forward(net, batch):
         for node in net.spec.nodes:
             inputs = [values[i] for i in node["inputs"]]
             extra = (membranes,) if node["type"] == "plif" else ()
-            values[node["name"]] = net.layers[node["name"]](*inputs, *extra)
+            values[node["name"]] = out = net.layers[node["name"]](*inputs, *extra)
+            if extra and record is not None:
+                record.add(node["name"], float(out.data.sum()), out.data.size)
         for o, seq in per_step.items():
             seq.append(values[o])
+    if record is not None:
+        record.steps += batch.shape[2]
     summed = {}
     for o, seq in per_step.items():
         summed[o] = seq[0]
@@ -88,3 +96,21 @@ def outputs_and_grads(net, run, loss_of):
     outputs = run()
     loss_of(outputs).backward()
     return outputs, {name: p.grad.copy() for name, p in net.params().items()}
+
+
+@contextlib.contextmanager
+def count_tape_ops():
+    """Count the ``Tensor.from_op`` calls made inside the block (the ops,
+    whether or not the tape records them) in ``counter.ops``."""
+    counter = types.SimpleNamespace(ops=0)
+    from_op = Tensor.from_op
+
+    def counted(data, parents, backward):
+        counter.ops += 1
+        return from_op(data, parents, backward)
+
+    Tensor.from_op = staticmethod(counted)
+    try:
+        yield counter
+    finally:
+        Tensor.from_op = staticmethod(from_op)

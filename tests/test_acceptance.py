@@ -32,7 +32,7 @@ from evsnn.metrics import box_iou_xywh, coco_map, count_accs_per_timestep, count
 from evsnn.pipeline import TrainConfig, evaluate_classifier, evaluate_detector, train_classifier, train_detector
 from evsnn.spiking import Network, convert_dwsep_network, fuse_network
 from evsnn.spiking.builders import build_toy_classifier, named_spec
-from evsnn.spiking.layers import PLIFConfig, plif_step
+from evsnn.spiking.layers import PLIFConfig
 from evsnn.spiking.transforms import dwsep_to_normal_conv, fuse_bn_into_conv
 from evsnn.spiking.layers import BatchNormLayer, ConvLayer
 from evsnn.tasks import make_moving_bar_dataset, make_moving_squares_dataset
@@ -224,8 +224,8 @@ def test_criterion_4_gradient_checks():
     x1v, x2v = 1.6, 2.4
     x1 = Tensor(np.array([x1v]), requires_grad=True)
     x2 = Tensor(np.array([x2v]), requires_grad=True)
-    s1, v1t = plif_step(None, x1, cfg, a)
-    s2, _ = plif_step(v1t, x2, cfg, a)
+    s1, state1 = ag.plif(x1, None, a, cfg.alpha)
+    s2, _ = ag.plif(x2, state1, a, cfg.alpha)
     (s1 + s2 * 2.0).sum().backward()
 
     def sg(u):

@@ -257,18 +257,21 @@ def test_concat_grad(rng):
 
 
 def test_heaviside_forward_and_surrogate():
-    v = Tensor(np.array([-1.0, -1e-9, 0.0, 1e-9, 2.0]), requires_grad=True)
-    out = ag.heaviside_surrogate(v, alpha=2.0)
+    """``ag.plif`` from rest with 1/tau = 1: the spike is a step at v = 1 and
+    the input gradient is the ATan surrogate at v - 1."""
+    u = np.array([-1.0, -1e-9, 0.0, 1e-9, 2.0])
+    x = Tensor(u + 1.0, requires_grad=True)
+    out, _ = ag.plif(x, None, 1.0, alpha=2.0)
     assert np.array_equal(out.data, [0, 0, 1, 1, 1])
     out.sum().backward()
     alpha = 2.0
-    expect = alpha / (2 * (1 + (np.pi * alpha * v.data / 2) ** 2))
-    assert np.allclose(v.grad, expect)
+    expect = alpha / (2 * (1 + (np.pi * alpha * (x.data - 1.0) / 2) ** 2))
+    assert np.allclose(x.grad, expect)
 
 
 def test_heaviside_alpha_validation():
     with pytest.raises(ValueError):
-        ag.heaviside_surrogate(Tensor(np.zeros(2)), alpha=0.0)
+        ag.plif(Tensor(np.zeros(2)), None, 0.5, alpha=0.0)
 
 
 def test_softmax_cross_entropy_grad(rng):

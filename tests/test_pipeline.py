@@ -9,6 +9,7 @@ import pytest
 
 import evsnn.autograd as ag
 import evsnn.cli as cli
+import evsnn.pipeline as pipeline
 from evsnn.autograd import AdamW
 from evsnn.detection import DetectionModel, build_toy_detector_spec
 from evsnn.encoding import EncoderConfig, batch_cubes, parse_vxc
@@ -420,6 +421,34 @@ def test_cli_ablate(tmp_path, capsys):
     ]) == 0
     results = json.load(open(out))
     assert set(results) == {"1x1"}
+
+
+def test_cli_ablate_non_square(tmp_path, monkeypatch, capsys):
+    """--height and --width both reach the encoder of every grid cell."""
+    shapes = []
+    train = pipeline.train_classifier
+
+    def recording_train(net, samples, encoder, *args, **kwargs):
+        shapes.append((encoder.height, encoder.width))
+        return train(net, samples, encoder, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_classifier", recording_train)
+    out = str(tmp_path / "ablate.json")
+    assert cli.main([
+        "ablate", "--grid", "1x1,2x1", "--height", "64", "--width", "80", "--samples", "8", "--epochs", "1",
+        "--batch-size", "8", "--out", out,
+    ]) == 0
+    assert shapes == [(64, 80), (64, 80)]
+    assert set(json.load(open(out))) == {"1x1", "2x1"}
+
+
+@pytest.mark.parametrize("grid", ["5", "5x2x1", "ax2", "1x1,0x2", "1x1,"])
+def test_cli_ablate_rejects_malformed_grid(grid, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["ablate", "--grid", grid, "--samples", "8", "--epochs", "1"])
+    assert exit_.value.code == 2
+    bad = grid.split(",")[-1]
+    assert f"bad grid cell {bad!r}" in capsys.readouterr().err
 
 
 def test_cli_reports_divergence(monkeypatch, capsys):

@@ -1,5 +1,8 @@
 """PLIF dynamics, BPTT chain, network graph runtime, builders, audits."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,14 +14,13 @@ from evsnn.spiking import (
     PLIFConfig,
     SpikeRecord,
     audit_spike_purity,
-    plif_step,
 )
 from evsnn.detection import build_detector_spec, build_toy_detector_spec
 from evsnn.spiking.builders import (ARCH_NAMES, build_densenet, build_mobilenet, build_squeezenet, build_toy_classifier,
                                     build_vgg, named_spec)
 from evsnn.spiking.layers import MaxPoolLayer, PLIFLayer
 
-from conftest import cnhw, outputs_and_grads, stepwise_forward
+from conftest import cnhw, count_tape_ops, numeric_grad, outputs_and_grads, stepwise_forward
 
 
 # --------------------------------------------------------------------------
@@ -36,15 +38,27 @@ def test_plif_config_validation():
         Network(spec)
 
 
+def _heaviside_surrogate(v, alpha=2.0):
+    """The oracle's spike op: a step forward, the ATan-shaped surrogate
+    dspike/dv = alpha / (2 (1 + (pi alpha v / 2)^2)) backward."""
+    out = (v.data >= 0).astype(v.data.dtype)
+
+    def backward(g):
+        s = 0.5 * np.pi * alpha * v.data
+        v.accumulate_grad(g * (alpha / (2.0 * (1.0 + s * s))))
+
+    return Tensor.from_op(out, (v,), backward)
+
+
 def _plif_step_oracle(state, x, inv_tau, v_threshold=1.0, v_reset=0.0, reset_mode="hard", alpha=2.0):
     """The op-by-op PLIF composition with a settable threshold, reset value
     and reset mode (10 tape ops per hard-reset step): the reference that
-    ``plif_step`` must match bit for bit at threshold 1, hard reset to 0."""
+    ``ag.plif`` must match at threshold 1, hard reset to 0."""
     if state is None:
         state = Tensor(np.full(x.data.shape, v_reset, dtype=x.data.dtype))
     drive = x - (state - v_reset)
     v = state + drive * inv_tau
-    spikes = ag.heaviside_surrogate(v - v_threshold, alpha)
+    spikes = _heaviside_surrogate(v - v_threshold, alpha)
     if reset_mode == "hard":
         v_next = v * (1.0 - spikes) + spikes * v_reset
     else:
@@ -52,31 +66,180 @@ def _plif_step_oracle(state, x, inv_tau, v_threshold=1.0, v_reset=0.0, reset_mod
     return spikes, v_next
 
 
-def test_plif_step_matches_oracle_bit_for_bit():
-    """Five float32 steps with a learnable tau: spikes, membranes and the
-    gradients of the inputs and of w equal the oracle's exactly."""
-    rng = np.random.default_rng(0)
-    xs = [(1.5 * rng.standard_normal((2, 3, 4, 4))).astype(np.float32) for _ in range(5)]
-    probes = [rng.standard_normal((2, 3, 4, 4)).astype(np.float32) for _ in range(5)]
+def _oracle_step(x, state, w, alpha=2.0):
+    """The oracle behind ``ag.plif``'s signature: ``w`` is a Tensor with
+    1/tau = sigmoid(w), or 1/tau itself."""
+    return _plif_step_oracle(state, x, ag.sigmoid(w) if isinstance(w, Tensor) else w, alpha=alpha)
 
-    def run(step):
-        w = Tensor(np.asarray([0.3], dtype=np.float32), requires_grad=True)
-        x = [Tensor(a, requires_grad=True) for a in xs]
-        state, spikes, membranes, loss = None, [], [], 0.0
-        for xt, probe in zip(x, probes):
-            s, state = step(state, xt, ag.sigmoid(w))
-            spikes.append(s.data)
-            membranes.append(state.data)
-            loss = (s * probe).sum() + (state * probe).sum() + loss
-        loss.backward()
-        return spikes, membranes, [t.grad for t in x], [w.grad]
 
-    got = run(lambda state, x, a: plif_step(state, x, PLIFConfig(), a))
-    want = run(_plif_step_oracle)
-    assert sum(float(s.sum()) for s in got[0]) > 0  # some neurons spike and reset
-    for kind, g, r in zip(("spikes", "membranes", "x.grad", "w.grad"), got, want):
+def _membrane(state):
+    """V' from either step's state: the oracle's Tensor or ag.plif's triple."""
+    return state.data if isinstance(state, Tensor) else state[0]
+
+
+def _oracle_plif_call(layer, x, membranes):
+    """``PLIFLayer.__call__`` with the oracle neuron."""
+    w = layer.w if layer.w is not None else 1.0 / layer.config.tau_init
+    spikes, membranes[layer.name] = _oracle_step(x, membranes.get(layer.name), w, layer.config.alpha)
+    return spikes
+
+
+def _run_plif(step, xs, probes, w0=0.3):
+    """One PLIF layer with a learned tau over the frames ``xs``, at their
+    dtype; the loss is sum_t probe_t . s_t, leaving out a step whose probe
+    is None. Returns the spikes, membranes and input gradients per step and
+    the gradient of w."""
+    dtype = xs[0].dtype
+    w = Tensor(np.asarray([w0], dtype=dtype), requires_grad=True)
+    x = [Tensor(a, requires_grad=True) for a in xs]
+    state, spikes, membranes, loss = None, [], [], 0.0
+    for xt, probe in zip(x, probes):
+        s, state = step(xt, state, w)
+        spikes.append(s.data)
+        membranes.append(_membrane(state))
+        if probe is not None:
+            loss = (s * Tensor(probe.astype(dtype))).sum() + loss
+    loss.backward()
+    return spikes, membranes, [t.grad for t in x], w.grad
+
+
+def _plif_frames(seed, steps=5, shape=(2, 3, 4, 4)):
+    rng = np.random.default_rng(seed)
+    xs = [(1.5 * rng.standard_normal(shape)).astype(np.float32) for _ in range(steps)]
+    probes = [rng.standard_normal(shape).astype(np.float32) for _ in range(steps)]
+    return xs, probes
+
+
+def _assert_matches_oracle(got, want):
+    """Spikes, membranes and input gradients equal, bit for bit: dv, dX and
+    the membrane gradient dv - dX take the oracle's float operations in its
+    order. w's gradient sums dv (X - V) over the frame with a dot product,
+    which adds in another order than the oracle's reductions: within 1e-5
+    of its magnitude, about 100 float32 epsilons (measured: 6e-7)."""
+    for kind, g, r in zip(("spikes", "membranes", "x.grad"), got, want):
         for t, (a, b) in enumerate(zip(g, r)):
             assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b), f"{kind} differ at step {t}"
+    assert got[3].dtype == np.float32 and got[3].shape == want[3].shape == (1,)
+    assert np.abs(got[3] - want[3]).max() <= 1e-5 * np.abs(want[3]).max()
+
+
+def test_plif_step_matches_oracle_bit_for_bit():
+    """Five float32 steps with a learned tau, every step's spikes in the
+    loss, match the oracle (``_assert_matches_oracle``)."""
+    xs, probes = _plif_frames(0)
+    got = _run_plif(ag.plif, xs, probes)
+    want = _run_plif(_oracle_step, xs, probes)
+    assert sum(float(s[:-1].sum()) for s in got[0]) > 0  # some neurons spike and reset before the last step
+    _assert_matches_oracle(got, want)
+
+
+def test_plif_membrane_gradient_reaches_silent_steps():
+    """With only the last step's spikes in the loss, the earlier steps'
+    spikes get no gradient from downstream; the gradient through V' still
+    reaches every earlier step and matches the oracle."""
+    xs, probes = _plif_frames(1)
+    probes = [None] * (len(xs) - 1) + probes[-1:]
+    got = _run_plif(ag.plif, xs, probes)
+    want = _run_plif(_oracle_step, xs, probes)
+    assert all(np.abs(g).max() > 0 for g in got[2])  # every step's input is reached
+    _assert_matches_oracle(got, want)
+
+
+def test_plif_float32_error_no_larger_than_oracle():
+    """Against a float64 run of the oracle, the fused op's float32 w gradient
+    is on average no further off than the oracle's float32 one. Its input
+    gradients equal the oracle's (above), so they err alike. A single sum
+    in another order can land either side of the other, so the errors are
+    averaged over frames of three widths; the oracle reduces a (C, N, H, W)
+    frame through W lanes, which on narrow maps adds long runs in float32."""
+    errors = []
+    for seed, shape in enumerate([(16, 8, 32, 32)] * 4 + [(32, 16, 8, 8)] * 4 + [(64, 16, 4, 4)] * 4):
+        xs, probes = _plif_frames(100 + seed, shape=shape)
+        exact = _run_plif(_oracle_step, [x.astype(np.float64) for x in xs], [p.astype(np.float64) for p in probes])
+        fused = _run_plif(ag.plif, xs, probes)
+        oracle = _run_plif(_oracle_step, xs, probes)
+        for spikes, reference in zip(fused[0], exact[0]):
+            assert np.array_equal(spikes, reference)  # the same neurons spike, so the gradients compare
+        errors.append([abs(run[3][0] - exact[3][0]) / abs(exact[3][0]) for run in (fused, oracle)])
+    fused_error, oracle_error = np.mean(errors, axis=0)
+    assert fused_error <= oracle_error
+
+
+def _straight_through_plif(xs, w, alpha, u0s=None):
+    """float64 PLIF whose spike is H(u0) + S(v - 1) - S(u0), with S(u) =
+    arctan(pi alpha u / 2) / pi the primitive of the ATan surrogate and u0
+    the v - 1 of the base run (``u0s`` None: this run is the base). At the
+    base its spikes are the step's, and its exact derivative is the
+    surrogate gradient, the reset term included. Returns (spikes, u0s)."""
+    a = 1.0 / (1.0 + np.exp(-w))
+    membrane, spikes, potentials = 0.0, [], []
+    for t, x in enumerate(xs):
+        v = membrane + (x - membrane) * a
+        u0 = v - 1.0 if u0s is None else u0s[t]
+        s = (u0 >= 0) + (np.arctan(0.5 * np.pi * alpha * (v - 1.0)) - np.arctan(0.5 * np.pi * alpha * u0)) / np.pi
+        membrane = v * (1.0 - s)
+        spikes.append(s)
+        potentials.append(u0)
+    return spikes, potentials
+
+
+def test_plif_finite_differences_with_reset():
+    """``ag.plif``'s float64 gradients of sum_t probe_t . s_t with respect to
+    every input element and w equal central differences of the
+    straight-through PLIF (``_straight_through_plif``) at the same point."""
+    alpha, steps, shape = 1.5, 4, (2, 3, 3)
+    rng = np.random.default_rng(3)
+    arrays = [1.6 * rng.standard_normal(shape) for _ in range(steps)] + [np.array([0.4])]
+    probes = [rng.standard_normal(shape) for _ in range(steps)]
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    state, loss, spikes = None, 0.0, []
+    for xt, probe in zip(tensors, probes):
+        s, state = ag.plif(xt, state, tensors[-1], alpha)
+        spikes.append(s.data)
+        loss = (s * Tensor(probe)).sum() + loss
+    loss.backward()
+
+    base, u0s = _straight_through_plif(arrays[:-1], arrays[-1], alpha)
+    for got, want in zip(spikes, base):
+        assert np.array_equal(got, want)
+    assert sum(float(s.sum()) for s in spikes[:-1]) > 0  # resets feed later steps
+
+    def loss_of(*arrs):
+        out, _ = _straight_through_plif(arrs[:-1], arrs[-1], alpha, u0s)
+        return float(sum((s * p).sum() for s, p in zip(out, probes)))
+
+    for i, t in enumerate(tensors):
+        num = numeric_grad(loss_of, arrays, i, eps=1e-6)
+        assert np.abs(t.grad - num).max() <= 1e-6 * np.abs(num).max(), f"input {i}"
+
+
+def test_plif_step_records_one_tape_op():
+    x = Tensor(np.ones((2, 1, 3, 3), dtype=np.float32), requires_grad=True)
+    w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    with count_tape_ops() as first:
+        _, state = ag.plif(x, None, w)
+    with count_tape_ops() as later:
+        ag.plif(x, state, w)
+    assert first.ops == later.ops == 1
+
+
+def test_plif_tape_is_freed_without_a_walk():
+    """The tape keeps no membrane alive, and a recorded step that is never
+    walked holds no reference cycle: its arrays go when the caller drops
+    the spikes and the state."""
+    gc.disable()
+    try:
+        w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+        x = Tensor(np.ones((2, 1, 3, 3), dtype=np.float32), requires_grad=True)
+        spikes, state = ag.plif(x, None, w)
+        first_membrane = weakref.ref(state[0])
+        spikes, state = ag.plif(x, state, w)
+        assert first_membrane() is None
+        arrays = [weakref.ref(spikes.data), weakref.ref(state[0])]
+        del spikes, state
+        assert [ref() for ref in arrays] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_plif_hand_simulation():
@@ -86,35 +249,33 @@ def test_plif_hand_simulation():
     spikes = []
     vs = []
     for x in (1.5, 0.0, 2.0):
-        s, state = plif_step(state, Tensor(np.array([x])), cfg, 1.0 / cfg.tau_init)
+        s, state = ag.plif(Tensor(np.array([x])), state, 1.0 / cfg.tau_init)
         spikes.append(float(s.data[0]))
-        vs.append(float(state.data[0]))
+        vs.append(float(state[0][0]))
     assert spikes == [0.0, 0.0, 1.0]
     assert np.allclose(vs, [0.75, 0.375, 0.0])  # 0.375 + (2 - 0.375)/2 = 1.1875 -> spike, reset
 
 
 def test_plif_threshold_boundary():
-    cfg = PLIFConfig(learnable_tau=False)
-    s, v = plif_step(None, Tensor(np.array([2.0])), cfg, 0.5)  # v hits exactly 1.0
+    s, (v, _, _) = ag.plif(Tensor(np.array([2.0])), None, 0.5)  # v hits exactly 1.0
     assert float(s.data[0]) == 1.0
-    assert float(v.data[0]) == 0.0
+    assert float(v[0]) == 0.0
 
 
 def test_plif_layer_tau_init():
     layer = PLIFLayer("p", PLIFConfig(tau_init=2.0))
-    assert np.isclose(layer.inv_tau().data[0], 0.5)  # sigmoid(0) = 1/tau_init
+    assert np.isclose(ag.sigmoid(layer.w).data[0], 0.5)  # sigmoid(0) = 1/tau_init
     layer3 = PLIFLayer("p3", PLIFConfig(tau_init=3.0))
-    assert np.isclose(layer3.inv_tau().data[0], 1.0 / 3.0)
+    assert np.isclose(ag.sigmoid(layer3.w).data[0], 1.0 / 3.0)
 
 
 def test_bptt_two_step_hand_chain():
     """Autodiff through two PLIF steps matches the hand-derived gradient."""
     alpha, a = 2.0, 0.5
-    cfg = PLIFConfig(learnable_tau=False, alpha=alpha)
     x1 = Tensor(np.array([1.6]), requires_grad=True)
     x2 = Tensor(np.array([2.4]), requires_grad=True)
-    s1, v1p = plif_step(None, x1, cfg, a)
-    s2, _ = plif_step(v1p, x2, cfg, a)
+    s1, state1 = ag.plif(x1, None, a, alpha)
+    s2, _ = ag.plif(x2, state1, a, alpha)
     (s1 + s2).sum().backward()
 
     def sg(u):  # surrogate derivative at membrane excess u
@@ -271,6 +432,90 @@ def test_state_carried_within_forward():
     assert spikes == [0.0, 0.0, 1.0]
     alone = net.forward(x[:, :, 2:])["plif"]
     assert float(alone[0].data.sum()) == 0.0
+
+
+def _composed_plif_call(layer, x, membranes):
+    """``PLIFLayer.__call__`` as the generic ops composed it before the fused
+    op: a sigmoid and 7 ops per step, 5 on the first (no membrane to leak)."""
+    inv_tau = ag.sigmoid(layer.w)
+    state = membranes.get(layer.name)
+    v = x * inv_tau if state is None else state + (x - state) * inv_tau
+    spikes = _heaviside_surrogate(v - 1.0, layer.config.alpha)
+    membranes[layer.name] = v * (1.0 - spikes)
+    return spikes
+
+
+def _detector_case():
+    spec, _, _ = build_toy_detector_spec(in_channels=4)
+    net = Network(spec, rng=np.random.default_rng(0))
+    batch = (np.random.default_rng(1).random((2, 4, 3, 32, 32)) < 0.3).astype(np.float32)
+    shapes, rng = net.trace_shapes(32, 32), np.random.default_rng(2)
+    probes = {o: Tensor(rng.standard_normal((shapes[o][0], 2, *shapes[o][1:])).astype(np.float32)) for o in spec.outputs}
+
+    def loss_of(outputs):
+        return sum((outputs[o] * probes[o]).sum() for o in spec.outputs)
+
+    return net, batch, loss_of
+
+
+def test_toy_detector_forward_tape_ops(monkeypatch):
+    """A training forward of the toy detector records P * T PLIF ops for P
+    PLIF layers over T steps: 10 per step fewer than the oracle neuron, and
+    (7 T - 2) P fewer than the composition the fused op replaced."""
+    net, batch, _ = _detector_case()
+    steps, layers = batch.shape[2], sum(node["type"] == "plif" for node in net.spec.nodes)
+    counts = {}
+    for name, call in (("fused", PLIFLayer.__call__), ("oracle", _oracle_plif_call), ("composed", _composed_plif_call)):
+        monkeypatch.setattr(PLIFLayer, "__call__", call)
+        with count_tape_ops() as counter:
+            net.forward(batch)
+        counts[name] = counter.ops
+    assert layers == 3
+    assert counts["oracle"] - counts["fused"] == 10 * layers * steps
+    assert counts["composed"] - counts["fused"] == (7 * steps - 2) * layers
+
+
+def test_training_gradients_match_oracle_neuron(monkeypatch):
+    """Toy detector, one training forward and backward with the oracle
+    neuron and without: the outputs are equal, and every gradient is within
+    1e-5 of its largest magnitude. The fused op adds the spikes' gradient
+    from downstream and the reset term's in its own order, where the oracle
+    adds them in the tape walk's; it sums w's gradient in another order."""
+    net, batch, loss_of = _detector_case()
+    new, new_grads = outputs_and_grads(net, lambda: net.forward(batch), loss_of)
+    monkeypatch.setattr(PLIFLayer, "__call__", _oracle_plif_call)
+    old, old_grads = outputs_and_grads(net, lambda: net.forward(batch), loss_of)
+    for o in net.spec.outputs:
+        assert np.array_equal(new[o].data, old[o].data), o
+    assert new_grads.keys() == old_grads.keys()
+    for name, grad in old_grads.items():
+        assert np.abs(new_grads[name] - grad).max() <= 1e-5 * np.abs(grad).max(), name
+
+
+def test_no_grad_forward_matches_oracle_neuron(monkeypatch):
+    """Under no_grad, the classifier's ``forward`` and the detector's
+    per-step run give the outputs and spike counts of ``stepwise_forward``
+    with the oracle neuron, exactly."""
+    classifier = Network(_tiny_spec(), rng=np.random.default_rng(0))
+    classifier_batch = (np.random.default_rng(1).random((4, 2, 5, 8, 8)) < 0.5).astype(np.float32)
+    detector, detector_batch, _ = _detector_case()
+
+    def run(call, classify):
+        monkeypatch.setattr(PLIFLayer, "__call__", call)
+        records = [SpikeRecord(), SpikeRecord()]
+        with ag.no_grad():
+            outputs = [classify(classifier_batch, records[0]), stepwise_forward(detector, detector_batch, records[1])]
+        return outputs, records
+
+    new, new_records = run(PLIFLayer.__call__, classifier.forward)
+    old, old_records = run(_oracle_plif_call, lambda batch, record: stepwise_forward(classifier, batch, record))
+    for got, want in zip(new, old):
+        assert got.keys() == want.keys()
+        for o in want:
+            assert np.array_equal(got[o].data, want[o].data), o
+    for got, want in zip(new_records, old_records):
+        assert got.spikes == want.spikes and got.elements == want.elements and got.steps == want.steps
+        assert sum(got.spikes.values()) > 0
 
 
 def test_spike_record_rates():
