@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .autograd.ops import _softmax
-from .spiking.builders import _Builder, build_densenet, build_toy_classifier
+from .spiking.builders import _Builder, build_densenet
 from .spiking.layers import Network, NetworkSpec
 
 
@@ -233,15 +233,14 @@ def _add_heads(spec: NetworkSpec, taps, num_classes, anchors_per_cell):
     return head_taps
 
 
-def build_detector_spec(num_classes, in_channels=4, depth=121, growth=24, extra_channels=(512, 512, 512), anchor_config=None, **kw):
+def build_detector_spec(num_classes, in_channels=4, depth=121, growth=24, extra_channels=(512, 512, 512), anchor_config=None):
     """Spiking DenseNet backbone (standard layout, taps at the last two
     dense blocks) + strided spiking extra blocks + SSD heads."""
     if anchor_config is None:
         anchor_config = AnchorConfig()
-    spec = build_densenet(depth=depth, growth=growth, in_channels=in_channels, layout="standard", backbone_taps=True, **kw)
+    spec = build_densenet(depth=depth, growth=growth, in_channels=in_channels, backbone_taps=True)
     taps = list(spec.outputs)
-    b = _Builder(spec, **kw)
-    b.counter = 10_000  # keep generated names clear of the backbone's
+    b = _Builder(spec)
     cur = taps[-1]
     for i, ch in enumerate(extra_channels):
         cur = b.conv_block(cur, ch // 2, kernel=1, prefix=f"extra{i + 1}a")
@@ -252,7 +251,7 @@ def build_detector_spec(num_classes, in_channels=4, depth=121, growth=24, extra_
     return spec, head_taps, anchor_config
 
 
-def build_toy_detector_spec(num_classes=2, in_channels=4, anchor_config=None, **kw):
+def build_toy_detector_spec(num_classes=2, in_channels=4, anchor_config=None):
     """Small two-scale detector for the synthetic moving-shapes task.
 
     Feature taps at strides 4 and 8 so the anchor grid is fine enough for
@@ -262,7 +261,7 @@ def build_toy_detector_spec(num_classes=2, in_channels=4, anchor_config=None, **
     if anchor_config is None:
         anchor_config = AnchorConfig(scale_min=0.15, scale_max=0.28, iou_threshold=0.4)
     spec = NetworkSpec(input_channels=in_channels, name="toy_ssd")
-    b = _Builder(spec, **kw)
+    b = _Builder(spec)
     cur = b.conv_block("input", 16, kernel=5, stride=2, padding=2, prefix="c1")
     t1 = b.conv_block(cur, 32, kernel=3, stride=2, prefix="c2")
     t2 = b.conv_block(t1, 48, kernel=3, stride=2, prefix="c3")

@@ -11,9 +11,8 @@ focal + smooth-L1 loss on the time-summed logits.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -236,21 +235,6 @@ def load_backbone(detector: DetectionModel, classifier_ckpt_path):
 # --------------------------------------------------------------------------
 # Experiments
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class ExperimentManifest:
-    name: str
-    config: dict
-    encoder: dict
-    results: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return json.dumps({"name": self.name, "config": self.config, "encoder": self.encoder, "results": self.results}, indent=2)
-
-    @classmethod
-    def from_run(cls, name, config: TrainConfig, encoder: EncoderConfig, **results):
-        return cls(name=name, config=asdict(config), encoder=asdict(encoder), results=results)
 
 
 def run_encoding_ablation(build_net, samples, val_samples, grid, config: TrainConfig, sample_duration=100_000, height=64,

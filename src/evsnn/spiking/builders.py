@@ -7,10 +7,8 @@ the paper's PLIF neuron: threshold 1 and hard reset to 0. The classifier
 is spike-compatible: bn -> 1x1 conv to num_classes -> plif -> spatial sum,
 taken once over the spikes summed over time (see ``Network.forward``).
 
-Ablation switches:
-  bn_placement: "pre" (default), "post" (bn after conv), "none" (conv gets
-                a bias term instead)
-  neuron:       "plif" (learnable tau) or "lif" (fixed tau)
+MobileNet is built depthwise-separable; its dense form (each pair folded
+into one convolution) comes from ``transforms.convert_dwsep_network``.
 """
 
 from __future__ import annotations
@@ -19,45 +17,23 @@ from .layers import NetworkSpec
 
 
 class _Builder:
-    def __init__(self, spec: NetworkSpec, bn_placement="pre", neuron="plif", alpha=2.0, tau_init=2.0):
-        if bn_placement not in ("pre", "post", "none"):
-            raise ValueError(f"unknown bn_placement {bn_placement!r}")
-        if neuron not in ("plif", "lif"):
-            raise ValueError(f"unknown neuron {neuron!r}")
+    def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        self.bn_placement = bn_placement
-        self.neuron = neuron
-        self.alpha = alpha
-        self.tau_init = tau_init
         self.counter = 0
 
     def _name(self, kind):
         self.counter += 1
         return f"{kind}{self.counter}"
 
-    def conv_block(self, src, out_channels, kernel=3, stride=1, padding=None, groups=1, depthwise=False, prefix=None):
-        """bn -> conv -> plif (order per the bn_placement ablation)."""
+    def conv_block(self, src, out_channels, kernel=3, stride=1, padding=None, prefix=None):
+        """bn -> conv -> plif."""
         p = prefix or self._name("blk")
-        cur = src
-        if self.bn_placement == "pre":
-            cur = self.spec.add(f"{p}_bn", "bn", [cur])
+        cur = self.spec.add(f"{p}_bn", "bn", [src])
         cur = self.spec.add(
-            f"{p}_conv", "conv", [cur],
-            out_channels=out_channels, kernel=kernel, stride=stride,
+            f"{p}_conv", "conv", [cur], out_channels=out_channels, kernel=kernel, stride=stride,
             **({"padding": padding} if padding is not None else {}),
-            **({"groups": groups} if groups != 1 else {}),
-            **({"depthwise": True} if depthwise else {}),
-            bias=self.bn_placement == "none",
         )
-        if self.bn_placement == "post":
-            cur = self.spec.add(f"{p}_postbn", "bn", [cur])
-        return self.plif(cur, p)
-
-    def plif(self, src, prefix):
-        return self.spec.add(
-            f"{prefix}_plif", "plif", [src],
-            learnable_tau=self.neuron == "plif", alpha=self.alpha, tau_init=self.tau_init,
-        )
+        return self.spec.add(f"{p}_plif", "plif", [cur])
 
     def maxpool(self, src, kernel=2, stride=None, padding=0, prefix=None):
         p = prefix or self._name("pool")
@@ -81,11 +57,11 @@ _VGG_CFGS = {
 }
 
 
-def build_vgg(variant=11, num_classes=2, in_channels=4, **kw):
+def build_vgg(variant=11, num_classes=2, in_channels=4):
     if variant not in _VGG_CFGS:
         raise ValueError(f"unknown VGG variant {variant}; choose from {sorted(_VGG_CFGS)}")
     spec = NetworkSpec(input_channels=in_channels, name=f"vgg{variant}")
-    b = _Builder(spec, **kw)
+    b = _Builder(spec)
     cur = "input"
     for item in _VGG_CFGS[variant]:
         if item == "M":
@@ -105,13 +81,13 @@ _FIRE_CFGS = {
 }
 
 
-def build_squeezenet(version="1.1", num_classes=2, in_channels=4, **kw):
+def build_squeezenet(version="1.1", num_classes=2, in_channels=4):
     version = str(version)
     if version not in _FIRE_CFGS:
         raise ValueError(f"unknown SqueezeNet version {version!r}")
     c1, k1, pools, fires = _FIRE_CFGS[version]
     spec = NetworkSpec(input_channels=in_channels, name=f"squeezenet{version.replace('.', '')}")
-    b = _Builder(spec, **kw)
+    b = _Builder(spec)
     cur = b.conv_block("input", c1, kernel=k1, stride=2, prefix="stem")
     stage = 1
     for i, (s, e1, e3) in enumerate(fires):
@@ -138,37 +114,23 @@ _MOBILENET_BASE = [
 ]
 
 
-def build_mobilenet(first_filters=64, num_classes=2, in_channels=4, conv_mode="dwsep", **kw):
+def build_mobilenet(first_filters=64, num_classes=2, in_channels=4):
     if first_filters not in (16, 32, 64):
         raise ValueError("first_filters must be one of 16, 32, 64")
-    if conv_mode not in ("dwsep", "normal"):
-        raise ValueError(f"unknown conv_mode {conv_mode!r}")
     scale = first_filters / 64
-    spec = NetworkSpec(input_channels=in_channels, name=f"mobilenet{first_filters}_{conv_mode}")
-    b = _Builder(spec, **kw)
+    spec = NetworkSpec(input_channels=in_channels, name=f"mobilenet{first_filters}_dwsep")
+    b = _Builder(spec)
     cur_ch = int(32 * scale)
     cur = b.conv_block("input", cur_ch, kernel=3, stride=2, prefix="stem")
     for i, (ch, stride) in enumerate(_MOBILENET_BASE):
         out = int(ch * scale)
         p = f"dw{i + 1}"
-        if conv_mode == "normal":
-            cur = b.conv_block(cur, out, kernel=3, stride=stride, prefix=p)
-        else:
-            # bn -> depthwise 3x3 -> pointwise 1x1 -> plif, no activation
-            # between the two convs so they stay fusable into one dense conv
-            if b.bn_placement == "pre":
-                cur = spec.add(f"{p}_bn", "bn", [cur])
-            cur = spec.add(
-                f"{p}_dwconv", "conv", [cur], out_channels=cur_ch, kernel=3, stride=stride,
-                depthwise=True, bias=b.bn_placement == "none",
-            )
-            cur = spec.add(
-                f"{p}_pwconv", "conv", [cur], out_channels=out, kernel=1,
-                bias=b.bn_placement == "none", pointwise_of=f"{p}_dwconv",
-            )
-            if b.bn_placement == "post":
-                cur = spec.add(f"{p}_postbn", "bn", [cur])
-            cur = b.plif(cur, p)
+        # bn -> depthwise 3x3 -> pointwise 1x1 -> plif, no activation
+        # between the two convs so they stay fusable into one dense conv
+        cur = spec.add(f"{p}_bn", "bn", [cur])
+        cur = spec.add(f"{p}_dwconv", "conv", [cur], out_channels=cur_ch, kernel=3, stride=stride, depthwise=True)
+        cur = spec.add(f"{p}_pwconv", "conv", [cur], out_channels=out, kernel=1, pointwise_of=f"{p}_dwconv")
+        cur = spec.add(f"{p}_plif", "plif", [cur])
         cur_ch = out
     b.classifier(cur, num_classes)
     return spec
@@ -177,24 +139,23 @@ def build_mobilenet(first_filters=64, num_classes=2, in_channels=4, conv_mode="d
 _DENSENET_BLOCKS = {121: (6, 12, 24, 16), 169: (6, 12, 32, 32)}
 
 
-def build_densenet(depth=121, growth=16, num_classes=2, in_channels=4, layout="small", backbone_taps=False, **kw):
+def build_densenet(depth=121, growth=16, num_classes=2, in_channels=4, backbone_taps=False):
     """Spiking DenseNet-BC (bottleneck 4k, transition compression 0.5).
 
-    layout:
-      "small"    stem stride 1, pooling only in the first two transitions;
-                 sized for 64x64 classification inputs.
-      "standard" 7x7 stride-2 stem + pool and pooling in every transition;
-                 used as the detection backbone at native sensor resolution.
+    As a classifier: stem stride 1, pooling only in the first two
+    transitions, and the spiking classifier head; sized for 64x64 inputs.
+    With ``backbone_taps``: the standard layout (7x7 stride-2 stem + pool,
+    pooling in every transition) and no head, the last two dense blocks'
+    outputs as the spec's outputs; the detection backbone at native sensor
+    resolution.
     """
     if depth not in _DENSENET_BLOCKS:
         raise ValueError(f"unknown DenseNet depth {depth}; choose from {sorted(_DENSENET_BLOCKS)}")
-    if layout not in ("small", "standard"):
-        raise ValueError(f"unknown layout {layout!r}")
     blocks = _DENSENET_BLOCKS[depth]
     spec = NetworkSpec(input_channels=in_channels, name=f"densenet{depth}_{growth}")
-    b = _Builder(spec, **kw)
+    b = _Builder(spec)
     channels = 2 * growth
-    if layout == "standard":
+    if backbone_taps:
         cur = b.conv_block("input", channels, kernel=7, stride=2, prefix="stem")
         cur = b.maxpool(cur, kernel=3, stride=2, padding=1, prefix="stempool")
     else:
@@ -214,8 +175,7 @@ def build_densenet(depth=121, growth=16, num_classes=2, in_channels=4, layout="s
         if bi < len(blocks) - 1:
             channels = channels // 2
             cur = b.conv_block(cur, channels, kernel=1, prefix=f"trans{bi + 1}")
-            pool_here = layout == "standard" or bi < 2
-            if pool_here:
+            if backbone_taps or bi < 2:
                 cur = b.maxpool(cur, kernel=2, stride=2, prefix=f"transpool{bi + 1}")
     if backbone_taps:
         spec.outputs.extend([taps[-2], taps[-1]])
@@ -224,11 +184,11 @@ def build_densenet(depth=121, growth=16, num_classes=2, in_channels=4, layout="s
     return spec
 
 
-def build_toy_classifier(num_classes=2, in_channels=4, **kw):
+def build_toy_classifier(num_classes=2, in_channels=4):
     """Small spiking CNN for the synthetic temporal tasks: three strided
     conv blocks then the spiking classifier."""
     spec = NetworkSpec(input_channels=in_channels, name="toy")
-    b = _Builder(spec, **kw)
+    b = _Builder(spec)
     cur = b.conv_block("input", 12, kernel=5, stride=4, padding=2, prefix="c1")
     cur = b.conv_block(cur, 24, kernel=3, stride=2, prefix="c2")
     cur = b.conv_block(cur, 32, kernel=3, stride=2, prefix="c3")
@@ -253,12 +213,12 @@ _NAMED = {
 }
 
 
-def named_spec(name, in_channels=4, num_classes=2, **kw):
+def named_spec(name, in_channels=4, num_classes=2):
     """Build a classification NetworkSpec by its variant name."""
     if name not in _NAMED:
         raise ValueError(f"unknown architecture {name!r}; choose from {sorted(_NAMED)}")
     fn, base = _NAMED[name]
-    return fn(in_channels=in_channels, num_classes=num_classes, **base, **kw)
+    return fn(in_channels=in_channels, num_classes=num_classes, **base)
 
 
 ARCH_NAMES = tuple(sorted(_NAMED))

@@ -37,12 +37,11 @@ from ..autograd.ops import _out_size
 @dataclass(frozen=True)
 class PLIFConfig:
     """The paper's PLIF neuron (SpikingJelly's definition): threshold 1 and
-    hard reset to 0 are constants; tau = 1/sigmoid(w) is learned unless
-    ``learnable_tau`` is off (a plain LIF neuron with tau = tau_init)."""
+    hard reset to 0 are constants; tau = 1/sigmoid(w) is learned, one w per
+    layer, starting from tau = tau_init."""
 
     tau_init: float = 2.0
     alpha: float = 2.0  # surrogate width
-    learnable_tau: bool = True
 
     def __post_init__(self):
         if self.tau_init <= 1.0:
@@ -119,25 +118,21 @@ class PLIFLayer:
     def __init__(self, name, config: PLIFConfig):
         self.name = name
         self.config = config
-        if config.learnable_tau:
-            # 1/tau = sigmoid(w); w chosen so tau starts at tau_init
-            w0 = -math.log(config.tau_init - 1.0)
-            self.w = Tensor(np.asarray([w0], dtype=np.float32), requires_grad=True, name=f"{name}.w")
-        else:
-            self.w = None
+        # 1/tau = sigmoid(w); w chosen so tau starts at tau_init
+        w0 = -math.log(config.tau_init - 1.0)
+        self.w = Tensor(np.asarray([w0], dtype=np.float32), requires_grad=True, name=f"{name}.w")
 
     def __call__(self, x, membranes):
         """One timestep. Reads this layer's state from ``membranes`` (none on
         the first step), stores the next one there, returns spikes."""
-        w = self.w if self.w is not None else 1.0 / self.config.tau_init
-        spikes, membranes[self.name] = ag.plif(x, membranes.get(self.name), w, self.config.alpha)
+        spikes, membranes[self.name] = ag.plif(x, membranes.get(self.name), self.w, self.config.alpha)
         return spikes
 
     def out_shape(self, shape):
         return shape
 
     def params(self):
-        return {f"{self.name}.w": self.w} if self.w is not None else {}
+        return {f"{self.name}.w": self.w}
 
 
 class MaxPoolLayer:
@@ -259,6 +254,11 @@ class Network:
         self.channels = {"input": spec.input_channels}
         for node in spec.nodes:
             name, typ = node["name"], node["type"]
+            if name in self.channels:
+                raise ValueError(f"{name}: duplicate node name")
+            undefined = [i for i in node["inputs"] if i not in self.channels]
+            if undefined:
+                raise ValueError(f"{name}: inputs {undefined} are not defined by an earlier node")
             cin = sum(self.channels[i] for i in node["inputs"])
             if typ == "conv":
                 layer = ConvLayer(
@@ -286,6 +286,9 @@ class Network:
             else:
                 raise ValueError(f"unknown layer type {typ!r}")
             self.layers[name] = layer
+        undefined = [o for o in spec.outputs if o not in self.channels]
+        if undefined:
+            raise ValueError(f"outputs {undefined} are not defined by any node")
         # the nodes that run once per sample on the time-summed input: a conv
         # or spatial sum (they commute with that sum) whose consumers all do
         self.once, read_per_step = set(), set()

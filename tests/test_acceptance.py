@@ -66,8 +66,8 @@ PARAM_TARGETS = {
 
 
 def _build(name):
-    kw = {"conv_mode": "normal"} if name.startswith("mobilenet") else {}
-    return Network(named_spec(name, in_channels=4, num_classes=2, **kw))
+    net = Network(named_spec(name, in_channels=4, num_classes=2))
+    return convert_dwsep_network(net) if name.startswith("mobilenet") else net
 
 
 def test_criterion_1_parameter_counts():

@@ -14,7 +14,6 @@ from evsnn.autograd import AdamW
 from evsnn.detection import DetectionModel, build_toy_detector_spec
 from evsnn.encoding import EncoderConfig, batch_cubes, parse_vxc
 from evsnn.pipeline import (
-    ExperimentManifest,
     TrainConfig,
     TrainingDiverged,
     evaluate_classifier,
@@ -26,8 +25,8 @@ from evsnn.pipeline import (
     train_classifier,
     train_detector,
 )
-from evsnn.spiking import Network, fuse_network
-from evsnn.spiking.builders import build_toy_classifier
+from evsnn.spiking import Network, NetworkSpec, fuse_network
+from evsnn.spiking.builders import build_toy_classifier, named_spec
 from evsnn.tasks import (
     SQUARE_SIZES,
     detection_ground_truth,
@@ -350,15 +349,6 @@ def test_run_encoding_ablation_grid():
     assert all(0.0 <= v <= 1.0 for v in results.values())
 
 
-def test_experiment_manifest_json():
-    m = ExperimentManifest.from_run("bars", FAST, ENC, accuracy=0.97)
-    d = json.loads(m.to_json())
-    assert d["name"] == "bars"
-    assert d["results"]["accuracy"] == 0.97
-    assert d["encoder"]["timesteps"] == 2
-    assert d["config"]["epochs"] == 2
-
-
 # --------------------------------------------------------------------------
 # CLI
 # --------------------------------------------------------------------------
@@ -376,6 +366,10 @@ def test_cli_count_and_export(tmp_path, capsys):
     assert cli.main(["export-arch", "--arch", "squeezenet1.1", "--out", arch_out]) == 0
     arch = json.load(open(arch_out))
     assert arch["nodes"]
+    # the exported spec builds the same network as the builder
+    exported = Network(NetworkSpec.from_json(open(arch_out).read()))
+    shapes = {k: p.data.shape for k, p in exported.params().items()}
+    assert shapes == {k: p.data.shape for k, p in Network(named_spec("squeezenet1.1")).params().items()}
 
 
 def test_cli_synth_and_encode(tmp_path, capsys):

@@ -36,6 +36,11 @@ def test_plif_config_validation():
     spec.add("p", "plif", ["input"], tau_init=3.0, v_threshold=0.5)
     with pytest.raises(ValueError, match="unknown plif keys.*v_threshold"):
         Network(spec)
+    # a spec exported with the fixed-tau switch is refused, not reinterpreted
+    spec = NetworkSpec(input_channels=1)
+    spec.add("p", "plif", ["input"], learnable_tau=True)
+    with pytest.raises(ValueError, match=r"unknown plif keys \['learnable_tau'\]"):
+        Network(spec)
 
 
 def _heaviside_surrogate(v, alpha=2.0):
@@ -79,8 +84,7 @@ def _membrane(state):
 
 def _oracle_plif_call(layer, x, membranes):
     """``PLIFLayer.__call__`` with the oracle neuron."""
-    w = layer.w if layer.w is not None else 1.0 / layer.config.tau_init
-    spikes, membranes[layer.name] = _oracle_step(x, membranes.get(layer.name), w, layer.config.alpha)
+    spikes, membranes[layer.name] = _oracle_step(x, membranes.get(layer.name), layer.w, layer.config.alpha)
     return spikes
 
 
@@ -244,7 +248,7 @@ def test_plif_tape_is_freed_without_a_walk():
 
 def test_plif_hand_simulation():
     """tau=2, v_th=1: V <- V + (X - V)/2, spike and hard-reset on V >= 1."""
-    cfg = PLIFConfig(learnable_tau=False)
+    cfg = PLIFConfig()
     state = None
     spikes = []
     vs = []
@@ -597,6 +601,28 @@ def test_unknown_layer_type():
         Network(spec)
 
 
+def test_malformed_graph_names_the_node():
+    dup = NetworkSpec(input_channels=1)
+    dup.add("a", "bn", ["input"])
+    dup.add("a", "conv", ["a"], out_channels=2, kernel=3)
+    with pytest.raises(ValueError, match="a: duplicate node name"):
+        Network(dup)
+    undefined = NetworkSpec(input_channels=1)
+    undefined.add("a", "bn", ["input"])
+    undefined.add("b", "conv", ["nope"], out_channels=2, kernel=3)
+    with pytest.raises(ValueError, match=r"b: inputs \['nope'\]"):
+        Network(undefined)
+    later = NetworkSpec(input_channels=1)
+    later.add("a", "bn", ["b"])
+    later.add("b", "bn", ["input"])
+    with pytest.raises(ValueError, match=r"a: inputs \['b'\]"):
+        Network(later)
+    no_output = NetworkSpec(input_channels=1, outputs=["ghost"])
+    no_output.add("a", "bn", ["input"])
+    with pytest.raises(ValueError, match=r"outputs \['ghost'\]"):
+        Network(no_output)
+
+
 def test_load_params_roundtrip():
     net_a = Network(_tiny_spec(), rng=np.random.default_rng(0))
     net_a.forward((np.random.default_rng(1).random((2, 2, 3, 8, 8)) < 0.4).astype(np.float32))  # moves BN stats
@@ -643,29 +669,6 @@ def test_classifier_head_is_spiking():
     assert spec.nodes[-3]["out_channels"] == 7
 
 
-def test_bn_placement_variants():
-    pre = build_toy_classifier(in_channels=4, bn_placement="pre")
-    post = build_toy_classifier(in_channels=4, bn_placement="post")
-    none = build_toy_classifier(in_channels=4, bn_placement="none")
-    assert any(n["type"] == "bn" for n in pre.nodes)
-    first_conv = next(n for n in none.nodes if n["type"] == "conv")
-    assert first_conv["bias"] is True  # no BN -> conv carries the bias
-    assert not any(n["type"] == "bn" for n in none.nodes)
-    # post: bn comes after its conv
-    idx = {n["name"]: i for i, n in enumerate(post.nodes)}
-    bn = next(n for n in post.nodes if n["type"] == "bn")
-    assert idx[bn["inputs"][0]] < idx[bn["name"]]
-    assert post.node(bn["inputs"][0])["type"] == "conv"
-
-
-def test_lif_variant_has_no_tau_params():
-    spec = build_toy_classifier(in_channels=4, neuron="lif")
-    net = Network(spec)
-    assert not any(name.endswith(".w") for name in net.params())
-    spec_p = build_toy_classifier(in_channels=4, neuron="plif")
-    assert any(name.endswith(".w") for name in Network(spec_p).params())
-
-
 def test_plif_one_tau_per_layer():
     spec = build_vgg(11, in_channels=4)
     net = Network(spec)
@@ -675,16 +678,23 @@ def test_plif_one_tau_per_layer():
     assert all(p.data.size == 1 for p in taus)
 
 
-def test_purity_audit_clean_builders():
-    for spec in (build_vgg(11, in_channels=4), build_squeezenet("1.0", in_channels=4),
-                 build_densenet(121, 16, in_channels=4), build_toy_classifier(in_channels=4)):
-        assert audit_spike_purity(spec) == []
+@pytest.mark.parametrize("name", [*ARCH_NAMES, "toy_ssd", "densenet121-24_ssd"])
+def test_purity_audit_clean_builders(name):
+    if name == "toy_ssd":
+        spec = build_toy_detector_spec()[0]
+    elif name == "densenet121-24_ssd":
+        spec = build_detector_spec(2)[0]
+    else:
+        spec = named_spec(name)
+    assert audit_spike_purity(spec, allow_dwsep=name.startswith("mobilenet")) == []
+    names = [node["name"] for node in spec.nodes]
+    assert len(set(names)) == len(names)
 
 
 def test_purity_audit_mobilenet_dwsep():
     from evsnn.spiking.builders import build_mobilenet
 
-    spec = build_mobilenet(16, in_channels=4, conv_mode="dwsep")
+    spec = build_mobilenet(16, in_channels=4)
     assert audit_spike_purity(spec, allow_dwsep=True) == []
     assert audit_spike_purity(spec, allow_dwsep=False) != []
 

@@ -162,7 +162,7 @@ def test_fuse_network_twice_keeps_pad_values():
 
 def test_convert_dwsep_network_equivalence():
     rng = np.random.default_rng(5)
-    net = Network(build_mobilenet(16, in_channels=4, conv_mode="dwsep"), rng=rng)
+    net = Network(build_mobilenet(16, in_channels=4), rng=rng)
     _randomize_bn_stats(net, rng)
     converted = convert_dwsep_network(net)
     assert not any(n.get("pointwise_of") for n in converted.spec.nodes)
@@ -177,7 +177,7 @@ def test_convert_dwsep_network_equivalence():
 def test_convert_then_fuse_chain():
     """Full inference-prep path: dwsep -> dense, then fold the BNs."""
     rng = np.random.default_rng(6)
-    net = Network(build_mobilenet(16, in_channels=4, conv_mode="dwsep"), rng=rng)
+    net = Network(build_mobilenet(16, in_channels=4), rng=rng)
     _randomize_bn_stats(net, rng)
     final = fuse_network(convert_dwsep_network(net))
     batch = (rng.random((2, 4, 2, 32, 32)) < 0.3).astype(np.float32)
