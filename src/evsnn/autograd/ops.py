@@ -1,16 +1,24 @@
 """Neural-net ops with explicit backward passes.
 
-Activations are channel-major, (C, N, H, W). A convolution copies its padded
-input k*k times with strided slices into one (Cin, kh*kw, N, Ho, Wo) column
-buffer and runs one GEMM per group over all N*Ho*Wo columns, for the output,
-dW and the column gradient, which goes back through the same windows. Max
-pooling is a running maximum over the k*k windows; batch norm reduces each
-channel's contiguous row. Padding happens only inside the ops (``_pad``).
+Activations are channel-major, (C, N, H, W). Convolution and max pooling
+share one window layout (``_PhaseGrid``): the input is padded and split into
+its s*s stride phases in one pass, each (channel, sample) row flattened, so
+that every kernel tap reads one contiguous slice of an ho x wq output grid,
+cropped to the ho x wo output. A convolution copies the k*k slices into one
+(Cin, kh*kw, N, ho*wq) column buffer and runs one GEMM per group over all of
+its columns. Its tape keeps only the phase buffer (the input itself for an
+unpadded 1x1 stride-1 conv): the backward rebuilds the columns for dW, adds
+the column gradient back tap by tap, and writes dx in one copy that drops the
+border. Max pooling is a running maximum over the same slices. Batch norm
+reduces each channel's contiguous row.
 
 A PLIF neuron step (``plif``) is one op with a hand-derived backward, so a
 layer records one tape entry per timestep. The membrane is an array handed
 from step to step, not a Tensor; its gradient goes back through a
 ``PLIFLink``.
+
+Gradients an op builds fresh are handed over with
+``Tensor.accumulate_fresh_grad``, which stores a first gradient uncopied.
 """
 
 from __future__ import annotations
@@ -20,18 +28,6 @@ import functools
 import numpy as np
 
 from .tensor import Tensor, _sigmoid
-
-
-def _pad(x, p, value=None):
-    """Pad H and W of (C, N, H, W) by p with zero, or with value[c] for channel c."""
-    if not p:
-        return x
-    c, n, h, w = x.shape
-    out = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    if value is not None:
-        out[:] = np.asarray(value, dtype=x.dtype).reshape(c, 1, 1, 1)
-    out[:, :, p : p + h, p : p + w] = x
-    return out
 
 
 def _out_size(h, w, kh, kw, stride, padding):
@@ -44,47 +40,148 @@ def _out_size(h, w, kh, kw, stride, padding):
     return ho, wo
 
 
-def _windows(xp, kh, kw, s, ho, wo):
-    """The kh*kw strided (C, N, ho, wo) views of a padded input, row-major."""
-    return [xp[:, :, i : i + ho * s : s, j : j + wo * s : s] for i in range(kh) for j in range(kw)]
+def _phase_axis(a, s, p, size):
+    """Along one axis of phase a: the slice of its grid and the slice of the
+    unpadded input that hold the same cells (grid index q is padded index
+    q*s + a, input index q*s + a - p)."""
+    q0 = -((a - p) // s)  # the first q with q*s + a >= p
+    r0 = q0 * s + a - p
+    count = len(range(r0, size, s))
+    return slice(q0, q0 + count), slice(r0, size, s)
+
+
+class _PhaseGrid:
+    """A kh x kw window at stride s over a (C, N, H, W) input padded by p,
+    laid out so that each kernel tap reads one contiguous slice.
+
+    The padded input is split into its stride phases, a (ph, pw, C, N, size)
+    buffer: phase (a, b) holds padded cell (q*s + a, r*s + b) at q*wq + r,
+    hq*wq cells plus (kw - 1)//s of slack. Tap (i, j) then reads
+    ``phases[i % s, j % s, :, :, off:off + span]`` with
+    off = (i // s)*wq + j // s and span = ho*wq: an ho x wq output grid whose
+    first wo columns are the output; the other wq - wo columns read cells
+    that ``crop`` drops and that ``extend`` gives a zero gradient. Only the
+    phases some tap reads are built: min(s, k) per axis.
+    """
+
+    def __init__(self, shape, kh, kw, s, p):
+        c, n, h, w = shape
+        self.shape, self.s, self.p = shape, s, p
+        self.ho, self.wo = _out_size(h, w, kh, kw, s, p)
+        self.hq, self.wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+        self.span = self.ho * self.wq
+        self.taps = [(i % s, j % s, (i // s) * self.wq + j // s) for i in range(kh) for j in range(kw)]
+        self.phases_shape = (min(s, kh), min(s, kw), c, n, self.hq * self.wq + (kw - 1) // s)
+        self.is_input = s == 1 and p == 0 and kw == 1  # no border, no slack: the input is its one phase
+
+    def _grids(self, phases):
+        """For each phase: its (C, N, hq, wq) grid, and the index of the grid
+        and of the unpadded input that hold the same cells."""
+        c, n, h, w = self.shape
+        for a in range(phases.shape[0]):
+            rq, rx = _phase_axis(a, self.s, self.p, h)
+            for b in range(phases.shape[1]):
+                cq, cx = _phase_axis(b, self.s, self.p, w)
+                grid = phases[a, b, :, :, : self.hq * self.wq].reshape(c, n, self.hq, self.wq)
+                yield grid, (..., rq, cq), (..., rx, cx)
+
+    def split(self, x, fill=None):
+        """The phase buffer of x, padded with zero or with fill[c] for channel c."""
+        if self.is_input:
+            return x.reshape(self.phases_shape)
+        if fill is None:
+            phases = np.zeros(self.phases_shape, dtype=x.dtype)
+        else:
+            phases = np.empty(self.phases_shape, dtype=x.dtype)
+            phases[:] = np.asarray(fill, dtype=x.dtype).reshape(-1, 1, 1)
+        for grid, cells, x_cells in self._grids(phases):
+            grid[cells] = x[x_cells]
+        return phases
+
+    def merge(self, d):
+        """The (C, N, H, W) input gradient of a phase-buffer gradient d: one
+        copy that drops the border."""
+        if self.is_input:
+            return d.reshape(self.shape)
+        every_cell = d.shape[:2] == (self.s, self.s)  # else some rows or columns no tap reads
+        dx = (np.empty if every_cell else np.zeros)(self.shape, dtype=d.dtype)
+        for grid, cells, x_cells in self._grids(d):
+            dx[x_cells] = grid[cells]
+        return dx
+
+    def window(self, phases, tap):
+        a, b, off = tap
+        return phases[a, b, :, :, off : off + self.span]
+
+    def columns(self, phases):
+        """The (C, kh*kw, N, span) column buffer, tap by tap in row-major order."""
+        if len(self.taps) == 1:
+            return self.window(phases, self.taps[0])[:, None]
+        cols = np.empty((self.shape[0], len(self.taps), self.shape[1], self.span), dtype=phases.dtype)
+        for t, tap in enumerate(self.taps):
+            cols[:, t] = self.window(phases, tap)
+        return cols
+
+    def scatter(self, dcols):
+        """The phase-buffer gradient of a column-buffer gradient: each tap's
+        slice added in row-major tap order."""
+        if len(self.taps) == 1:  # a 1x1 window's one slice is the whole buffer
+            return dcols.reshape(self.phases_shape)
+        d = np.zeros(self.phases_shape, dtype=dcols.dtype)
+        for t, tap in enumerate(self.taps):
+            window = self.window(d, tap)
+            window += dcols[:, t]
+        return d
+
+    def crop(self, grid_out):
+        """(C, N, ho, wo) from values on the (C, N, ho, wq) output grid."""
+        return np.ascontiguousarray(grid_out.reshape(-1, self.shape[1], self.ho, self.wq)[..., : self.wo])
+
+    def extend(self, g):
+        """(C, N, span) from a (C, N, ho, wo) gradient, zero in the wq - wo
+        columns the crop dropped."""
+        c, n = g.shape[:2]
+        if self.wq == self.wo:
+            return g.reshape(c, n, self.span)
+        out = np.zeros((c, n, self.ho, self.wq), dtype=g.dtype)
+        out[..., : self.wo] = g
+        return out.reshape(c, n, self.span)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, groups=1, pad_value=None):
     """2-D cross-correlation. x: (Cin,N,H,W), w: (Cout,Cin/g,kh,kw) -> (Cout,N,Ho,Wo).
 
-    The border is zero, or ``pad_value[c]`` for input channel c.
+    The border is zero, or ``pad_value[c]`` for input channel c. The tape
+    keeps the phase buffer, not the column buffer; the backward rebuilds the
+    columns for dW.
     """
     cin, n, h, wd = x.data.shape
     cout, cin_g, kh, kw = w.data.shape
-    s, p = stride, padding
     if cin % groups != 0 or cout % groups != 0:
         raise ValueError(f"channels not divisible by groups: Cin={cin}, Cout={cout}, groups={groups}")
     if cin_g != cin // groups:
         raise ValueError(f"weight expects Cin/g={cin_g} input channels per group, got Cin={cin} with groups={groups}")
-    ho, wo = _out_size(h, wd, kh, kw, s, p)
-
-    xp = _pad(x.data, p, pad_value)
-    cols = np.stack(_windows(xp, kh, kw, s, ho, wo), axis=1)  # (Cin, kh*kw, N, ho, wo)
-    cols_m = cols.reshape(groups, cin_g * kh * kw, n * ho * wo)
+    grid = _PhaseGrid(x.data.shape, kh, kw, stride, padding)
+    phases = grid.split(x.data, pad_value)
+    columns = (groups, cin_g * kh * kw, n * grid.span)
     w_m = w.data.reshape(groups, cout // groups, cin_g * kh * kw)
-    out = np.matmul(w_m, cols_m).reshape(cout, n, ho, wo)
+    out = grid.crop(np.matmul(w_m, grid.columns(phases).reshape(columns)))
     if b is not None:
-        out = out + b.data.reshape(cout, 1, 1, 1)
+        out += b.data.reshape(cout, 1, 1, 1)
 
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
-        gm = g.reshape(groups, cout // groups, n * ho * wo)
+        gm = grid.extend(g).reshape(groups, cout // groups, n * grid.span)
         if w.requires_grad:
-            w.accumulate_grad(np.matmul(gm, cols_m.transpose(0, 2, 1)).reshape(w.data.shape))
+            cols_t = grid.columns(phases).reshape(columns).transpose(0, 2, 1)
+            w.accumulate_fresh_grad(np.matmul(gm, cols_t).reshape(w.data.shape))
+            del cols_t  # freed before the column gradient is allocated
         if b is not None and b.requires_grad:
-            b.accumulate_grad(g.reshape(cout, -1).sum(axis=1))
+            b.accumulate_fresh_grad(g.reshape(cout, -1).sum(axis=1))
         if x.requires_grad:
-            dcols = np.matmul(w_m.transpose(0, 2, 1), gm).reshape(cin, kh * kw, n, ho, wo)
-            dxp = np.zeros(xp.shape, dtype=dcols.dtype)
-            for k, window in enumerate(_windows(dxp, kh, kw, s, ho, wo)):
-                window += dcols[:, k]
-            x.accumulate_grad(dxp[:, :, p : p + h, p : p + wd])
+            dcols = np.matmul(w_m.transpose(0, 2, 1), gm).reshape(cin, kh * kw, n, grid.span)
+            x.accumulate_fresh_grad(grid.merge(grid.scatter(dcols)))
 
     return Tensor.from_op(out, parents, backward)
 
@@ -93,7 +190,9 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
     """Per-channel batch normalization of (C, N, H, W) over each channel's row.
 
     ``running_mean``/``running_var`` are plain numpy arrays mutated in place
-    during training (unbiased variance, torch-style momentum update).
+    during training (unbiased variance, torch-style momentum update). In
+    training the centred rows and their squares give the variance with the
+    same float ops as ``np.var``, then become xhat and the output in place.
     """
     c = x.data.shape[0]
     xm = x.data.reshape(c, -1)
@@ -101,25 +200,29 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
     if training:
         if m < 2:
             raise ValueError("batchnorm2d needs more than one value per channel in train mode")
-        mean = xm.mean(axis=1)
-        var = xm.var(axis=1)
+        mean = xm.mean(axis=1, keepdims=True)
+        xhat = xm - mean  # centred, scaled to xhat below
+        out = np.square(xhat)
+        var = out.sum(axis=1) / m
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
+        running_mean += momentum * mean.reshape(c)
         running_var *= 1.0 - momentum
         running_var += momentum * var * m / (m - 1)
     else:
-        mean = running_mean
         var = running_var
+        xhat = xm - running_mean.reshape(c, 1)
+        out = np.empty_like(xhat)
     invstd = (1.0 / np.sqrt(var + eps)).reshape(c, 1)
-    xhat = (xm - mean.reshape(c, 1)) * invstd
-    out = xhat * gamma.data.reshape(c, 1) + beta.data.reshape(c, 1)
+    xhat *= invstd
+    np.multiply(xhat, gamma.data.reshape(c, 1), out=out)
+    out += beta.data.reshape(c, 1)
 
     def backward(g):
         gm = g.reshape(c, -1)
         if gamma.requires_grad:
-            gamma.accumulate_grad((gm * xhat).sum(axis=1))
+            gamma.accumulate_fresh_grad((gm * xhat).sum(axis=1))
         if beta.requires_grad:
-            beta.accumulate_grad(gm.sum(axis=1))
+            beta.accumulate_fresh_grad(gm.sum(axis=1))
         if x.requires_grad:
             gi = gamma.data.reshape(c, 1) * invstd
             if training:
@@ -128,36 +231,38 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
                 dx = gi * (gm - gsum / m - xhat * gx / m)
             else:
                 dx = gi * gm
-            x.accumulate_grad(dx.reshape(x.data.shape).astype(x.data.dtype))
+            x.accumulate_fresh_grad(dx.reshape(x.data.shape))
 
-    return Tensor.from_op(out.reshape(x.data.shape).astype(x.data.dtype), (x, gamma, beta), backward)
+    return Tensor.from_op(out.reshape(x.data.shape), (x, gamma, beta), backward)
 
 
 def maxpool2d(x, kernel, stride=None, padding=0):
     """Max pooling of (C, N, H, W) over a zero border of ``padding``; ties go
     to the first element in row-major window order."""
     k, s, p = kernel, kernel if stride is None else stride, padding
-    c, n, h, w = x.data.shape
-    ho, wo = _out_size(h, w, k, k, s, p)
-    xp = _pad(x.data, p)
-    windows = _windows(xp, k, k, s, ho, wo)
-    out = windows[0].copy()
-    index = np.zeros(out.shape, dtype=np.uint8)  # the window holding each maximum
-    for i, window in enumerate(windows[1:], 1):
+    grid = _PhaseGrid(x.data.shape, k, k, s, p)
+    phases = grid.split(x.data)
+    out = grid.window(phases, grid.taps[0]).copy()
+    index = np.zeros(out.shape, dtype=np.uint8)  # the tap holding each maximum
+    for i, tap in enumerate(grid.taps[1:], 1):
+        window = grid.window(phases, tap)
         better = window > out  # strict: an equal later value does not take over
-        np.copyto(out, window, where=better)
-        np.copyto(index, i, where=better)
-    padded_shape = xp.shape  # not xp itself: the tape keeps no padded copy alive
+        np.maximum(out, window, out=out)
+        # taps come in increasing order, so the last that was better is the
+        # largest; an unmasked maximum is much faster than a masked copy
+        np.maximum(index, better.view(np.uint8) * np.uint8(i), out=index)
 
     def backward(g):
-        dxp = np.zeros(padded_shape, dtype=x.data.dtype)
-        # reverse window order adds overlapping contributions to a cell in
+        ge = grid.extend(g)
+        d = np.zeros(grid.phases_shape, dtype=x.data.dtype)
+        # reverse tap order adds overlapping contributions to a cell in
         # row-major output order, as a scatter over the outputs would
-        for i, window in reversed(list(enumerate(_windows(dxp, k, k, s, ho, wo)))):
-            window += np.where(index == i, g, 0)
-        x.accumulate_grad(dxp[:, :, p : p + h, p : p + w])
+        for i, tap in reversed(list(enumerate(grid.taps))):
+            window = grid.window(d, tap)
+            window += ge * (index == i)
+        x.accumulate_fresh_grad(grid.merge(d))
 
-    return Tensor.from_op(out, (x,), backward)
+    return Tensor.from_op(grid.crop(out), (x,), backward)
 
 
 def concat(tensors, axis):
@@ -242,10 +347,7 @@ def plif(x, state, w, alpha=2.0):
         if x.requires_grad or feeds_back:
             dx = dv * a
             if x.requires_grad:
-                if x.grad is None:
-                    x.grad = dx  # a fresh array: no copy needed
-                else:
-                    x.grad += dx
+                x.accumulate_fresh_grad(dx)
             if feeds_back:
                 link.grad = np.subtract(dv, dx, out=dv)
                 if prev_spikes.grad is None:

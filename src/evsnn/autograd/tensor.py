@@ -89,6 +89,15 @@ class Tensor:
         else:
             self.grad += g
 
+    def accumulate_fresh_grad(self, g):
+        """``accumulate_grad`` for an array an op has just built and keeps no
+        reference to: a first gradient of this tensor's shape and dtype is
+        stored as is, not copied."""
+        if self.grad is None and g.shape == self.data.shape and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
+            self.accumulate_grad(g)
+
     # -- autodiff -------------------------------------------------------------
 
     def backward(self, grad=None):

@@ -380,11 +380,15 @@ class Network:
 
 def audit_spike_purity(spec: NetworkSpec, allow_dwsep=False):
     """Check that convolutions only ever see binary spike tensors or the
-    immediately preceding BN output. Returns a list of violations."""
+    immediately preceding BN output. Returns a list of violations; raises
+    ValueError naming the node that reads an undefined input."""
     kind = {"input": "binary"}
     violations = []
     for node in spec.nodes:
         name, typ = node["name"], node["type"]
+        undefined = [i for i in node["inputs"] if i not in kind]
+        if undefined:
+            raise ValueError(f"{name}: inputs {undefined} are not defined by an earlier node")
         in_kinds = [kind[i] for i in node["inputs"]]
         if typ == "plif":
             kind[name] = "binary"

@@ -1,6 +1,7 @@
 """Gradient checks and optimizer/checkpoint unit tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ def test_first_gradient_is_a_private_copy():
     assert not np.shares_memory(a.grad, b.grad)
     clip_grad_norm([a], 1.0)
     assert np.array_equal(b.grad, np.full(3, 2.0, dtype=np.float32))
+
+
+def test_fresh_gradient_is_stored_uncopied():
+    """An op's freshly built gradient becomes the first ``.grad`` as is; a
+    later one is added; one of another dtype is cast into a copy."""
+    a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    g = np.full(3, 2.0, dtype=np.float32)
+    a.accumulate_fresh_grad(g)
+    assert a.grad is g
+    a.accumulate_fresh_grad(np.ones(3, dtype=np.float32))
+    assert a.grad is g and np.array_equal(g, np.full(3, 3.0, dtype=np.float32))
+    b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    b.accumulate_fresh_grad(np.ones(3))
+    assert b.grad.dtype == np.float32
 
 
 def test_sum_reshape_transpose_grad(rng):
@@ -110,35 +125,141 @@ def test_conv2d_float32_grad(rng):
         check_grad(lambda x_, w_: ag.conv2d(x_, w_, stride=2, padding=1), [x, w], TOL32, eps=1e-2)
 
 
+def _naive_conv(x, w, s, p, groups, pad_value):
+    """Direct NCHW loop over output positions with an ``einsum`` per group."""
+    n, cin, h, wd = x.shape
+    cout, cin_g, k = w.shape[0], w.shape[1], w.shape[2]
+    cout_g = cout // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    if p and pad_value is not None:
+        border = np.ones_like(xp, dtype=bool)
+        border[:, :, p:-p, p:-p] = False
+        xp[border] = np.broadcast_to(pad_value.reshape(1, cin, 1, 1), xp.shape)[border]
+    ho, wo = (h + 2 * p - k) // s + 1, (wd + 2 * p - k) // s + 1
+    ref = np.zeros((n, cout, ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            patch = xp[:, :, i * s : i * s + k, j * s : j * s + k]
+            for g in range(groups):
+                ref[:, g * cout_g : (g + 1) * cout_g, i, j] = np.einsum(
+                    "ncij,ocij->no", patch[:, g * cin_g : (g + 1) * cin_g], w[g * cout_g : (g + 1) * cout_g])
+    return ref
+
+
 def test_conv2d_matches_naive(rng):
-    """The column-buffer GEMM conv against a direct NCHW loop over output
+    """The phase-layout GEMM conv against a direct NCHW loop over output
     positions, for dense, grouped (g=2) and depthwise weights, with a zero or
-    a per-channel constant border."""
+    a per-channel constant border, on non-square inputs, and for the
+    detector's first conv (5x5, stride 2, padding 2)."""
     for groups, cin, cout in ((1, 3, 4), (2, 4, 6), (3, 3, 3), (4, 4, 8)):  # the last two are depthwise
-        cin_g, cout_g = cin // groups, cout // groups
         for _ in range(10):
             n, k = 2, 3
             s, p = int(rng.integers(1, 3)), int(rng.integers(0, 2))
-            h = int(rng.integers(4, 8))
-            x = rng.standard_normal((n, cin, h, h))
-            w = rng.standard_normal((cout, cin_g, k, k))
+            h, wd = int(rng.integers(4, 8)), int(rng.integers(4, 8))
+            x = rng.standard_normal((n, cin, h, wd))
+            w = rng.standard_normal((cout, cin // groups, k, k))
             pad_value = rng.standard_normal(cin) if rng.random() < 0.5 else None
             out = cnhw(ag.conv2d(Tensor(cnhw(x)), Tensor(w), stride=s, padding=p, groups=groups,
                                  pad_value=pad_value).data)
-            xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-            if p and pad_value is not None:
-                border = np.ones_like(xp, dtype=bool)
-                border[:, :, p:-p, p:-p] = False
-                xp[border] = np.broadcast_to(pad_value.reshape(1, cin, 1, 1), xp.shape)[border]
-            ho = (h + 2 * p - k) // s + 1
-            ref = np.zeros((n, cout, ho, ho))
-            for i in range(ho):
-                for j in range(ho):
-                    patch = xp[:, :, i * s : i * s + k, j * s : j * s + k]
-                    for g in range(groups):
-                        ref[:, g * cout_g : (g + 1) * cout_g, i, j] = np.einsum(
-                            "ncij,ocij->no", patch[:, g * cin_g : (g + 1) * cin_g], w[g * cout_g : (g + 1) * cout_g])
-            assert np.allclose(out, ref, atol=1e-10)
+            assert np.allclose(out, _naive_conv(x, w, s, p, groups, pad_value), atol=1e-10)
+    for h, wd in ((16, 16), (13, 10)):
+        x = rng.standard_normal((2, 4, h, wd))
+        w = rng.standard_normal((6, 4, 5, 5))
+        out = cnhw(ag.conv2d(Tensor(cnhw(x)), Tensor(w), stride=2, padding=2).data)
+        assert np.allclose(out, _naive_conv(x, w, 2, 2, 1, None), atol=1e-10)
+
+
+def _conv2d_oracle(x, w, b, s, p, groups, pad_value, g):
+    """The strided-window conv on channel-major ``x`` that the phase layout
+    replaced: a padded copy, a (Cin, k*k, N, Ho, Wo) column buffer filled
+    window by window, and a col2im that adds the column gradient back window
+    by window. Returns out, dx, dW and db for the upstream gradient ``g``."""
+    cin, n, h, wd = x.shape
+    cout, cin_g, kh, kw = w.shape
+    ho, wo = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
+    xp = np.zeros((cin, n, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+    if pad_value is not None:
+        xp[:] = pad_value.astype(x.dtype).reshape(cin, 1, 1, 1)
+    xp[:, :, p : p + h, p : p + wd] = x
+
+    def windows(a):
+        return [a[:, :, i : i + ho * s : s, j : j + wo * s : s] for i in range(kh) for j in range(kw)]
+
+    cols = np.stack(windows(xp), axis=1).reshape(groups, cin_g * kh * kw, n * ho * wo)
+    w_m = w.reshape(groups, cout // groups, cin_g * kh * kw)
+    out = np.matmul(w_m, cols).reshape(cout, n, ho, wo) + b.reshape(cout, 1, 1, 1)
+    gm = g.reshape(groups, cout // groups, n * ho * wo)
+    dw = np.matmul(gm, cols.transpose(0, 2, 1)).reshape(w.shape)
+    dcols = np.matmul(w_m.transpose(0, 2, 1), gm).reshape(cin, kh * kw, n, ho, wo)
+    dxp = np.zeros(xp.shape, dtype=dcols.dtype)
+    for k, window in enumerate(windows(dxp)):
+        window += dcols[:, k]
+    return out, dxp[:, :, p : p + h, p : p + wd], dw, g.reshape(cout, -1).sum(axis=1)
+
+
+# The phase-layout GEMM runs over ho*wq columns where the oracle runs over
+# ho*wo, so BLAS may block and order the sums of out and dW differently; over
+# 3,000 such cases they stayed within 3.8 (float32) and 7.2 (float64) machine
+# epsilons of each array's largest magnitude
+def _conv_oracle_tol(dtype):
+    return 16 * np.finfo(dtype).eps
+
+
+def test_conv2d_matches_window_oracle():
+    """Against the strided-window conv: dx and db are equal bit for bit (the
+    column gradient is the same GEMM per column and each cell gets its taps in
+    the same order); out and dW are within 16 epsilons of each array's largest
+    magnitude. One exception for dx: where the oracle's GEMMs have a single
+    column (N*Ho*Wo = 1), numpy runs them as matrix-vector products, whose
+    float64 sums may round differently (by 1 epsilon over 3,000 cases), so
+    there dx is held to the same tolerance."""
+    rng = np.random.default_rng(13)
+    for case in range(150):
+        dtype = (np.float32, np.float64)[case % 2]
+        k, s, p = int(rng.choice([1, 3, 5])), int(rng.choice([1, 2, 3])), int(rng.integers(0, 3))
+        groups = int(rng.choice([1, 2, 4]))
+        cin, cout = groups * int(rng.integers(1, 4)), groups * int(rng.integers(1, 4))
+        if case % 5 == 0:  # depthwise
+            groups, cout = cin, cin * int(rng.integers(1, 3))
+        n = int(rng.integers(1, 4))
+        h, wd = (int(rng.integers(max(1, k - 2 * p), 12)) for _ in range(2))
+        x = rng.standard_normal((cin, n, h, wd)).astype(dtype)
+        w = rng.standard_normal((cout, cin // groups, k, k)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        pad_value = rng.standard_normal(cin).astype(dtype) if rng.random() < 0.5 else None
+        tensors = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = ag.conv2d(*tensors, stride=s, padding=p, groups=groups, pad_value=pad_value)
+        g = rng.standard_normal(out.data.shape).astype(dtype)
+        out.backward(g)
+        want = _conv2d_oracle(x, w, b, s, p, groups, pad_value, g)
+        case_id = (k, s, p, groups, (h, wd), dtype.__name__)
+        assert np.array_equal(tensors[2].grad, want[3]), case_id
+        near = [(out.data, want[0]), (tensors[1].grad, want[2])]
+        if out.data[0].size > 1:
+            assert np.array_equal(tensors[0].grad, want[1]), case_id
+        else:
+            near.append((tensors[0].grad, want[1]))
+        for got, ref in near:
+            assert got.dtype == ref.dtype and got.shape == ref.shape, case_id
+            assert np.abs(got - ref).max() <= _conv_oracle_tol(dtype) * np.abs(ref).max(), case_id
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("s", [1, 2])
+def test_conv2d_tape_keeps_about_the_input(k, s):
+    """What a taped conv keeps for its backward, beyond its output, is at most
+    1.5x its input: the padded phase buffer, not a k*k column buffer."""
+    rng = np.random.default_rng(3)
+    for p in range(3):
+        x = Tensor(rng.standard_normal((8, 4, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 8, k, k)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ag.conv2d(x, w, stride=s, padding=p)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - out.data.nbytes <= 1.5 * x.data.nbytes, (k, s, p, held / x.data.nbytes)
 
 
 def test_batchnorm_grad(rng):
@@ -174,6 +295,58 @@ def test_batchnorm_running_stats():
     v = x.var(axis=(0, 2, 3)) * cnt / (cnt - 1)
     assert np.allclose(rm, 0.1 * m)
     assert np.allclose(rv, 0.9 + 0.1 * v)
+
+
+def _batchnorm_oracle(x, gamma, beta, running_mean, running_var, training, g, momentum=0.1, eps=1e-5):
+    """Batch norm from ``mean``/``var`` and fresh arrays at each step, on
+    channel-major ``x``: returns out and dx, and updates the running
+    statistics in place."""
+    c = x.shape[0]
+    xm = x.reshape(c, -1)
+    m = xm.shape[1]
+    if training:
+        mean, var = xm.mean(axis=1), xm.var(axis=1)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var * m / (m - 1)
+    else:
+        mean, var = running_mean, running_var
+    invstd = (1.0 / np.sqrt(var + eps)).reshape(c, 1)
+    xhat = (xm - mean.reshape(c, 1)) * invstd
+    out = xhat * gamma.reshape(c, 1) + beta.reshape(c, 1)
+    gm = g.reshape(c, -1)
+    gi = gamma.reshape(c, 1) * invstd
+    if training:
+        gsum = gm.sum(axis=1, keepdims=True)
+        gx = (gm * xhat).sum(axis=1, keepdims=True)
+        dx = gi * (gm - gsum / m - xhat * gx / m)
+    else:
+        dx = gi * gm
+    return out.reshape(x.shape), dx.reshape(x.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_matches_oracle_bit_for_bit(dtype, training):
+    """The in-place batch norm (centred rows squared for the variance, then
+    scaled to xhat; the output written over the squares) makes the same
+    float ops as ``np.var`` and the fresh-array formula."""
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        c, n, h, w = (int(v) for v in rng.integers(1, 6, size=4))
+        n = max(n, 2)
+        x = (rng.standard_normal((c, n, h, w)) * 3 + 1).astype(dtype)
+        gamma, beta, g = (rng.standard_normal(s).astype(dtype) for s in (c, c, x.shape))
+        stats = [rng.standard_normal(c).astype(dtype), (rng.random(c) + 0.5).astype(dtype)]
+        want_stats = [a.copy() for a in stats]
+        want_out, want_dx = _batchnorm_oracle(x, gamma, beta, *want_stats, training, g)
+        t = Tensor(x, requires_grad=True)
+        out = ag.batchnorm2d(t, Tensor(gamma, requires_grad=True), Tensor(beta), *stats, training)
+        out.backward(g)
+        assert out.data.dtype == dtype and t.grad.dtype == dtype
+        assert np.array_equal(out.data, want_out) and np.array_equal(t.grad, want_dx)
+        assert all(np.array_equal(a, b) for a, b in zip(stats, want_stats))
 
 
 def test_maxpool_grad(rng):
@@ -220,26 +393,28 @@ def _maxpool_oracle(x, k, s, p, g):
 
 def test_maxpool_matches_scatter_oracle():
     """The running-maximum pool equals the argmax / scatter pool bit for bit,
-    forward and backward: ties (binary spikes at every density) go to the
-    first window cell, and overlapping windows add their float32 gradients
-    into a cell in the same order."""
+    forward and backward, on square and non-square maps and at strides 1-3:
+    ties (binary spikes at every density) go to the first window cell, and
+    overlapping windows add their float32 gradients into a cell in the same
+    order."""
     rng = np.random.default_rng(11)
-    inputs = [lambda d=d: (rng.random((2, 3, 10, 10)) < d).astype(np.float32) for d in (0.0, 0.05, 0.5, 1.0)]
-    inputs.append(lambda: rng.standard_normal((2, 3, 10, 10)).astype(np.float32))
-    for k in (2, 3):
-        for s in (1, 2):
-            for p in (0, 1):
-                for make in inputs:
-                    for _ in range(3):
-                        x = make()
-                        ho = (10 + 2 * p - k) // s + 1
-                        g = rng.standard_normal((2, 3, ho, ho)).astype(np.float32)
-                        want_out, want_dx = _maxpool_oracle(x, k, s, p, g)
-                        t = Tensor(cnhw(x), requires_grad=True)
-                        out = ag.maxpool2d(t, k, s, padding=p)
-                        out.backward(cnhw(g))
-                        assert np.array_equal(cnhw(out.data), want_out)
-                        assert np.array_equal(cnhw(t.grad), want_dx), (k, s, p)
+    for h, w in ((10, 10), (9, 13)):
+        inputs = [lambda d=d: (rng.random((2, 3, h, w)) < d).astype(np.float32) for d in (0.0, 0.05, 0.5, 1.0)]
+        inputs.append(lambda: rng.standard_normal((2, 3, h, w)).astype(np.float32))
+        for k in (2, 3):
+            for s in (1, 2, 3):
+                for p in (0, 1):
+                    for make in inputs:
+                        for _ in range(3):
+                            x = make()
+                            ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+                            g = rng.standard_normal((2, 3, ho, wo)).astype(np.float32)
+                            want_out, want_dx = _maxpool_oracle(x, k, s, p, g)
+                            t = Tensor(cnhw(x), requires_grad=True)
+                            out = ag.maxpool2d(t, k, s, padding=p)
+                            out.backward(cnhw(g))
+                            assert np.array_equal(cnhw(out.data), want_out)
+                            assert np.array_equal(cnhw(t.grad), want_dx), (h, w, k, s, p)
 
 
 def test_concat_grad(rng):

@@ -707,6 +707,18 @@ def test_purity_audit_flags_conv_on_real_values():
     assert any("c2" in v for v in violations)
 
 
+def test_purity_audit_names_an_undefined_input():
+    spec = NetworkSpec(input_channels=2)
+    spec.add("c1", "conv", ["nope"], out_channels=4, kernel=3)
+    with pytest.raises(ValueError, match=r"c1: inputs \['nope'\]"):
+        audit_spike_purity(spec)
+    later = NetworkSpec.from_json(spec.to_json())
+    later.nodes[0]["inputs"] = ["b"]
+    later.add("b", "bn", ["input"])
+    with pytest.raises(ValueError, match=r"c1: inputs \['b'\]"):
+        audit_spike_purity(later)
+
+
 def test_densenet_concat_growth():
     spec = build_densenet(121, growth=16, in_channels=4)
     net = Network(spec)
