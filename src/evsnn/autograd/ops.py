@@ -10,12 +10,19 @@ its columns. Its tape keeps only the phase buffer (the input itself for an
 unpadded 1x1 stride-1 conv): the backward rebuilds the columns for dW, adds
 the column gradient back tap by tap, and writes dx in one copy that drops the
 border. Max pooling is a running maximum over the same slices. Batch norm
-reduces each channel's contiguous row.
+reduces each channel's contiguous row; its tape keeps the channel mean and
+1/std, and the backward rebuilds xhat from the input.
 
 A PLIF neuron step (``plif``) is one op with a hand-derived backward, so a
 layer records one tape entry per timestep. The membrane is an array handed
 from step to step, not a Tensor; its gradient goes back through a
-``PLIFLink``.
+``PLIFLink``. The tape keeps the step's spikes and pre-reset membrane; the
+backward rebuilds X - V from the input and the previous step's membrane.
+
+Conv, batch norm and PLIF keep on the tape only what their backward reads
+and cannot rebuild, with the forward's own float ops, from arrays the tape
+holds anyway (the store-less trade of Chen et al., 2016); the rebuilt values
+are bit for bit those of the forward.
 
 Gradients an op builds fresh are handed over with
 ``Tensor.accumulate_fresh_grad``, which stores a first gradient uncopied.
@@ -193,6 +200,11 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
     during training (unbiased variance, torch-style momentum update). In
     training the centred rows and their squares give the variance with the
     same float ops as ``np.var``, then become xhat and the output in place.
+
+    The tape keeps the channel mean and 1/std, O(C): the backward rebuilds
+    xhat = (x - mean) * invstd from the input, with the forward's float ops.
+    In eval mode the mean is the running mean copied at call time, since a
+    training call updates the running statistics in place.
     """
     c = x.data.shape[0]
     xm = x.data.reshape(c, -1)
@@ -209,8 +221,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
         running_var *= 1.0 - momentum
         running_var += momentum * var * m / (m - 1)
     else:
-        var = running_var
-        xhat = xm - running_mean.reshape(c, 1)
+        mean, var = running_mean.reshape(c, 1).copy(), running_var
+        xhat = xm - mean
         out = np.empty_like(xhat)
     invstd = (1.0 / np.sqrt(var + eps)).reshape(c, 1)
     xhat *= invstd
@@ -219,16 +231,26 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
 
     def backward(g):
         gm = g.reshape(c, -1)
-        if gamma.requires_grad:
-            gamma.accumulate_fresh_grad((gm * xhat).sum(axis=1))
-        if beta.requires_grad:
-            beta.accumulate_fresh_grad(gm.sum(axis=1))
+        batch_dx = training and x.requires_grad
+        if beta.requires_grad or batch_dx:
+            gsum = gm.sum(axis=1, keepdims=True)
+            if beta.requires_grad:
+                beta.accumulate_fresh_grad(gsum.reshape(c))
+        if gamma.requires_grad or batch_dx:
+            xhat = x.data.reshape(c, -1) - mean
+            xhat *= invstd
+            gx = (gm * xhat).sum(axis=1, keepdims=True)
+            if gamma.requires_grad:
+                gamma.accumulate_fresh_grad(gx.reshape(c))
         if x.requires_grad:
             gi = gamma.data.reshape(c, 1) * invstd
             if training:
-                gsum = gm.sum(axis=1, keepdims=True)
-                gx = (gm * xhat).sum(axis=1, keepdims=True)
-                dx = gi * (gm - gsum / m - xhat * gx / m)
+                # gi * (gm - gsum/m - xhat*gx/m), written over xhat
+                xhat *= gx
+                xhat /= m
+                np.subtract(gm - gsum / m, xhat, out=xhat)
+                xhat *= gi
+                dx = xhat
             else:
                 dx = gi * gm
             x.accumulate_fresh_grad(dx.reshape(x.data.shape))
@@ -280,12 +302,15 @@ def concat(tensors, axis):
 
 
 class PLIFLink:
-    """Where a PLIF step's backward leaves dL/dV' for the step that made V'."""
+    """What a PLIF step hands the next one besides V': its pre-reset membrane
+    v while the tape records it (None otherwise), from which the next step's
+    backward rebuilds X - V = X - v [v < 1], and the slot where that
+    backward leaves dL/dV' for this step."""
 
-    __slots__ = ("grad",)
+    __slots__ = ("v", "grad")
 
     def __init__(self):
-        self.grad = None
+        self.v = self.grad = None
 
 
 def plif(x, state, w, alpha=2.0):
@@ -305,6 +330,11 @@ def plif(x, state, w, alpha=2.0):
         dX = a dv,  dL/dV = dv - dX,  dw = a (1 - a) sum(dv (X - V))
     The previous step's spikes are a parent, so the tape walk reaches that
     step after this one has left dL/dV in its link.
+
+    The tape keeps v and, through the parents and the link, X and the
+    previous step's v. X - V is not kept: when w is learned, the backward
+    rebuilds it as X (from rest) or X - v_prev [v_prev < 1], the same float
+    ops that made V' and X - V.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -312,16 +342,13 @@ def plif(x, state, w, alpha=2.0):
     a = _sigmoid(w.data) if learned else x.data.dtype.type(w)
     if state is None:
         prev_spikes = link = None
-        drive = x.data
         v = x.data * a
     else:
         prev_v, prev_spikes, link = state
-        drive = x.data - prev_v
-        v = drive * a
+        v = (x.data - prev_v) * a
         v += prev_v
     spiked = v >= 1.0
-    if not (learned and w.requires_grad):
-        drive = None  # the backward needs X - V only for dw
+    learns_w = learned and w.requires_grad  # only dw reads X - V
     parents = (x,) + ((w,) if learned else ()) + ((prev_spikes,) if state is not None else ())
     scale = 0.5 * np.pi * alpha
     out_link = PLIFLink()
@@ -341,7 +368,12 @@ def plif(x, state, w, alpha=2.0):
             np.subtract(g, gs, out=gs)
             dv *= gs
             dv += np.multiply(g_m, v < 1.0, out=gs)  # (1 - s) g_m
-        if drive is not None:
+        if learns_w:
+            if link is None:
+                drive = x.data
+            else:
+                drive = link.v * (link.v < 1.0)  # V', as the previous step made it
+                np.subtract(x.data, drive, out=drive)
             w.accumulate_grad(np.vdot(dv, drive) * a * (1.0 - a))
         feeds_back = prev_spikes is not None and prev_spikes.requires_grad
         if x.requires_grad or feeds_back:
@@ -356,6 +388,10 @@ def plif(x, state, w, alpha=2.0):
                     prev_spikes.grad = np.zeros_like(prev_spikes.data)
 
     spikes = Tensor.from_op(spiked.astype(x.data.dtype), parents, backward)
+    if spikes.requires_grad:
+        if learns_w and link is not None and link.v is None:
+            raise ValueError("a recorded PLIF step with a learned w cannot follow a step run without the tape")
+        out_link.v = v
     return spikes, (v * ~spiked, spikes, out_link)
 
 

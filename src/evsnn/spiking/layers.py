@@ -8,8 +8,8 @@ frame per timestep, so each convolution is one GEMM over the whole batch
 holds the PLIF membranes in a dict local to the call and carries them
 between steps. Each PLIF step is one fused op, ``autograd.ops.plif``; a
 layer's entry in that dict is the (membrane, spikes, link) triple the op
-returns, through which the next step's backward hands the membrane's
-gradient back.
+returns; through the link the next step's backward reads the pre-reset
+membrane and hands the membrane's gradient back.
 
 The trailing convs and spatial sums (the SSD heads, the classifier's
 spatial sum) commute with the sum over time, so they run once per sample

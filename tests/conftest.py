@@ -114,3 +114,46 @@ def count_tape_ops():
         yield counter
     finally:
         Tensor.from_op = staticmethod(from_op)
+
+
+def _base_array(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def tape_bytes(loss):
+    """Bytes the tape behind ``loss`` holds, by op: a walk over the recorded
+    entries that charges each distinct base array to the first entry whose
+    output or backward closure holds it (in a closure cell, or in a slot of
+    an object there, as a PLIF link's membrane). Tensors in a closure are
+    parents, counted as their own entries; the arrays of leaf tensors
+    (parameters, inputs) and views of them are not tape. Keyed by the
+    closure's qualified name, e.g. ``batchnorm2d.<locals>.backward``;
+    ``elements`` counts the output elements of each key's entries."""
+    entries, seen, visited = [], set(), set()
+    stack = [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) in visited:
+            continue
+        visited.add(id(t))
+        if t._backward is None:
+            seen.add(id(_base_array(t.data)))
+            continue
+        entries.append(t)
+        stack.extend(t._parents)
+    held, elements = {}, {}
+    for t in entries:
+        key = t._backward.__qualname__
+        elements[key] = elements.get(key, 0) + t.data.size
+        arrays = [t.data]
+        for cell in t._backward.__closure__ or ():
+            value = cell.cell_contents
+            slots = () if isinstance(value, Tensor) else getattr(type(value), "__slots__", ())
+            arrays += [value] + [getattr(value, s, None) for s in slots]
+        for a in arrays:
+            if isinstance(a, np.ndarray) and id(_base_array(a)) not in seen:
+                seen.add(id(_base_array(a)))
+                held[key] = held.get(key, 0) + _base_array(a).nbytes
+    return types.SimpleNamespace(held=held, elements=elements)

@@ -262,6 +262,45 @@ def test_conv2d_tape_keeps_about_the_input(k, s):
         assert held - out.data.nbytes <= 1.5 * x.data.nbytes, (k, s, p, held / x.data.nbytes)
 
 
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_tape_keeps_no_xhat(training):
+    """A taped batch norm keeps O(C) beyond its output (the mean and 1/std
+    per channel), not a full-size xhat: the backward rebuilds it."""
+    rng = np.random.default_rng(4)
+    for c in (8, 64):
+        x = Tensor(rng.standard_normal((c, 4, 32, 32)).astype(np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(c, dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
+        stats = np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = ag.batchnorm2d(x, gamma, beta, *stats, training)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - out.data.nbytes <= 4096 + 64 * c, (c, held - out.data.nbytes)
+
+
+@pytest.mark.parametrize("learned", [True, False])
+def test_plif_tape_keeps_only_the_membrane(learned):
+    """A taped PLIF step after the first keeps one input-sized array beyond
+    its spikes and its state, the pre-reset membrane v: X - V is rebuilt by
+    the backward from X and the previous step's v."""
+    rng = np.random.default_rng(5)
+    xs = [Tensor(2 * rng.standard_normal((16, 4, 32, 32)).astype(np.float32), requires_grad=True) for _ in range(3)]
+    w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=learned)
+    _, state = ag.plif(xs[0], None, w)
+    for x in xs[1:]:
+        tracemalloc.start()
+        try:
+            spikes, state = ag.plif(x, state, w)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        beyond = held - spikes.data.nbytes - state[0].nbytes
+        assert beyond <= 1.1 * x.data.nbytes, beyond / x.data.nbytes
+
+
 def test_batchnorm_grad(rng):
     for _ in range(20):
         c = int(rng.integers(1, 5))
@@ -299,8 +338,8 @@ def test_batchnorm_running_stats():
 
 def _batchnorm_oracle(x, gamma, beta, running_mean, running_var, training, g, momentum=0.1, eps=1e-5):
     """Batch norm from ``mean``/``var`` and fresh arrays at each step, on
-    channel-major ``x``: returns out and dx, and updates the running
-    statistics in place."""
+    channel-major ``x``: returns out, dx, dgamma and dbeta, and updates the
+    running statistics in place."""
     c = x.shape[0]
     xm = x.reshape(c, -1)
     m = xm.shape[1]
@@ -323,7 +362,7 @@ def _batchnorm_oracle(x, gamma, beta, running_mean, running_var, training, g, mo
         dx = gi * (gm - gsum / m - xhat * gx / m)
     else:
         dx = gi * gm
-    return out.reshape(x.shape), dx.reshape(x.shape)
+    return out.reshape(x.shape), dx.reshape(x.shape), (gm * xhat).sum(axis=1), gm.sum(axis=1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -331,7 +370,11 @@ def _batchnorm_oracle(x, gamma, beta, running_mean, running_var, training, g, mo
 def test_batchnorm_matches_oracle_bit_for_bit(dtype, training):
     """The in-place batch norm (centred rows squared for the variance, then
     scaled to xhat; the output written over the squares) makes the same
-    float ops as ``np.var`` and the fresh-array formula."""
+    float ops as ``np.var`` and the fresh-array formula, and its backward
+    rebuilds xhat with the forward's ops. In eval mode the running
+    statistics are changed between forward and backward, as a training
+    call of the same layer would: the backward still uses the ones the
+    forward normalized with."""
     rng = np.random.default_rng(17)
     for _ in range(20):
         c, n, h, w = (int(v) for v in rng.integers(1, 6, size=4))
@@ -340,12 +383,16 @@ def test_batchnorm_matches_oracle_bit_for_bit(dtype, training):
         gamma, beta, g = (rng.standard_normal(s).astype(dtype) for s in (c, c, x.shape))
         stats = [rng.standard_normal(c).astype(dtype), (rng.random(c) + 0.5).astype(dtype)]
         want_stats = [a.copy() for a in stats]
-        want_out, want_dx = _batchnorm_oracle(x, gamma, beta, *want_stats, training, g)
-        t = Tensor(x, requires_grad=True)
-        out = ag.batchnorm2d(t, Tensor(gamma, requires_grad=True), Tensor(beta), *stats, training)
+        want_out, want_dx, *want_dparams = _batchnorm_oracle(x, gamma, beta, *want_stats, training, g)
+        t, params = Tensor(x, requires_grad=True), [Tensor(a, requires_grad=True) for a in (gamma, beta)]
+        out = ag.batchnorm2d(t, *params, *stats, training)
+        if not training:
+            for a in stats + want_stats:
+                a += 1.0
         out.backward(g)
         assert out.data.dtype == dtype and t.grad.dtype == dtype
         assert np.array_equal(out.data, want_out) and np.array_equal(t.grad, want_dx)
+        assert all(np.array_equal(p.grad, want) for p, want in zip(params, want_dparams))
         assert all(np.array_equal(a, b) for a, b in zip(stats, want_stats))
 
 

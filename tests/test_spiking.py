@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import evsnn.autograd as ag
-from evsnn.autograd import Tensor
+from evsnn.autograd import Tensor, ops
+from evsnn.autograd.tensor import _sigmoid
 from evsnn.spiking import (
     Network,
     NetworkSpec,
@@ -20,7 +21,7 @@ from evsnn.spiking.builders import (ARCH_NAMES, build_densenet, build_mobilenet,
                                     build_vgg, named_spec)
 from evsnn.spiking.layers import MaxPoolLayer, PLIFLayer
 
-from conftest import cnhw, count_tape_ops, numeric_grad, outputs_and_grads, stepwise_forward
+from conftest import cnhw, count_tape_ops, numeric_grad, outputs_and_grads, stepwise_forward, tape_bytes
 
 
 # --------------------------------------------------------------------------
@@ -217,6 +218,127 @@ def test_plif_finite_differences_with_reset():
         assert np.abs(t.grad - num).max() <= 1e-6 * np.abs(num).max(), f"input {i}"
 
 
+def _plif_keep_drive_oracle(x, state, w, alpha=2.0):
+    """``ag.plif`` as it was when its tape kept X - V for w's gradient: the
+    reference for the op that rebuilds X - V in its backward."""
+    learned = isinstance(w, Tensor)
+    a = _sigmoid(w.data) if learned else x.data.dtype.type(w)
+    if state is None:
+        prev_spikes = link = None
+        drive = x.data
+        v = x.data * a
+    else:
+        prev_v, prev_spikes, link = state
+        drive = x.data - prev_v
+        v = drive * a
+        v += prev_v
+    spiked = v >= 1.0
+    if not (learned and w.requires_grad):
+        drive = None  # the backward needs X - V only for dw
+    parents = (x,) + ((w,) if learned else ()) + ((prev_spikes,) if state is not None else ())
+    scale = 0.5 * np.pi * alpha
+    out_link = ops.PLIFLink()
+
+    def backward(g):
+        dv = v - 1.0
+        dv *= scale
+        np.multiply(dv, dv, out=dv)
+        dv += 1.0
+        dv *= 2.0
+        np.divide(alpha, dv, out=dv)  # sg(v - 1)
+        g_m, out_link.grad = out_link.grad, None
+        if g_m is None:  # V' fed no later step
+            dv *= g
+        else:
+            gs = v * g_m
+            np.subtract(g, gs, out=gs)
+            dv *= gs
+            dv += np.multiply(g_m, v < 1.0, out=gs)  # (1 - s) g_m
+        if drive is not None:
+            w.accumulate_grad(np.vdot(dv, drive) * a * (1.0 - a))
+        feeds_back = prev_spikes is not None and prev_spikes.requires_grad
+        if x.requires_grad or feeds_back:
+            dx = dv * a
+            if x.requires_grad:
+                x.accumulate_fresh_grad(dx)
+            if feeds_back:
+                link.grad = np.subtract(dv, dx, out=dv)
+                if prev_spikes.grad is None:
+                    prev_spikes.grad = np.zeros_like(prev_spikes.data)
+
+    spikes = Tensor.from_op(spiked.astype(x.data.dtype), parents, backward)
+    return spikes, (v * ~spiked, spikes, out_link)
+
+
+_LINK_GRAD = ops.PLIFLink.grad  # the slot, taken before any test swaps the class
+
+
+def _logging_link(handed):
+    """A ``PLIFLink`` class that appends a copy of every gradient handed to a
+    link to ``handed``."""
+
+    class LoggingLink(ops.PLIFLink):
+        __slots__ = ()
+
+        @property
+        def grad(self):
+            return _LINK_GRAD.__get__(self)
+
+        @grad.setter
+        def grad(self, g):
+            if g is not None:
+                handed.append(g.copy())
+            _LINK_GRAD.__set__(self, g)
+
+    return LoggingLink
+
+
+def _plif_chain(step, xs, probes, w, monkeypatch):
+    """``step`` over the frames ``xs`` from rest; the loss is
+    sum_t probe_t . s_t, leaving out a step whose probe is None. Returns the
+    spikes, V', input gradients and w's gradient per step, and every
+    gradient handed to a link, in the order the backward handed them."""
+    handed = []
+    monkeypatch.setattr(ops, "PLIFLink", _logging_link(handed))
+    x = [Tensor(a, requires_grad=True) for a in xs]
+    state, spikes, membranes, loss = None, [], [], 0.0
+    for xt, probe in zip(x, probes):
+        s, state = step(xt, state, w)
+        spikes.append(s.data)
+        membranes.append(state[0])
+        if probe is not None:
+            loss = (s * Tensor(probe)).sum() + loss
+    loss.backward()
+    return spikes, membranes, [t.grad for t in x], [w.grad] if isinstance(w, Tensor) else [], handed
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("w_kind", ["learned", "frozen", "float"])
+def test_plif_matches_keep_drive_oracle_bit_for_bit(dtype, w_kind, monkeypatch):
+    """``ag.plif``, which rebuilds X - V in its backward, equals the op that
+    kept it (``_plif_keep_drive_oracle``) bit for bit: spikes, V', input
+    gradients, w's gradient and the gradient each link is handed, over five
+    steps with resets, one of them left out of the loss."""
+    rng = np.random.default_rng(21)
+    shape = (4, 3, 8, 8)
+    xs = [(1.5 * rng.standard_normal(shape) + 0.5).astype(dtype) for _ in range(5)]
+    probes = [rng.standard_normal(shape).astype(dtype) for _ in range(5)]
+    probes[2] = None
+
+    def make_w():
+        return 0.4 if w_kind == "float" else Tensor(np.asarray([0.3], dtype=dtype), requires_grad=w_kind == "learned")
+
+    got = _plif_chain(ag.plif, xs, probes, make_w(), monkeypatch)
+    want = _plif_chain(_plif_keep_drive_oracle, xs, probes, make_w(), monkeypatch)
+    assert sum(float(s[:-1].sum()) for s in got[0]) > 0  # some neurons spike and reset before the last step
+    assert len(got[4]) == len(xs) - 1
+    assert [g is not None for g in got[3]] == {"learned": [True], "frozen": [False], "float": []}[w_kind]
+    for kind, g, r in zip(("spikes", "V'", "x.grad", "w.grad", "link.grad"), got, want):
+        assert len(g) == len(r), kind
+        for t, (a, b) in enumerate(zip(g, r)):
+            assert (a is None and b is None) or (a.dtype == b.dtype == dtype and np.array_equal(a, b)), f"{kind} differ at {t}"
+
+
 def test_plif_step_records_one_tape_op():
     x = Tensor(np.ones((2, 1, 3, 3), dtype=np.float32), requires_grad=True)
     w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
@@ -244,6 +366,18 @@ def test_plif_tape_is_freed_without_a_walk():
         assert [ref() for ref in arrays] == [None, None]
     finally:
         gc.enable()
+
+
+def test_plif_recorded_step_after_an_untaped_one_raises():
+    """A step run under no_grad hands on no pre-reset membrane, so a recorded
+    step with a learned w after it could not rebuild X - V for w's gradient:
+    it says so in the forward, not in the backward."""
+    w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    x = Tensor(np.ones((2, 3), dtype=np.float32))
+    with ag.no_grad():
+        _, state = ag.plif(x, None, w)
+    with pytest.raises(ValueError, match="without the tape"):
+        ag.plif(x, state, w)
 
 
 def test_plif_hand_simulation():
@@ -477,6 +611,19 @@ def test_toy_detector_forward_tape_ops(monkeypatch):
     assert layers == 3
     assert counts["oracle"] - counts["fused"] == 10 * layers * steps
     assert counts["composed"] - counts["fused"] == (7 * steps - 2) * layers
+
+
+def test_squeezenet_tape_bytes_per_plif_element():
+    """The tape of a SqueezeNet-1.1 training forward (batch 4, 32x32, T=3)
+    holds at most 22 bytes per PLIF output element (measured 19.4; 24.9 when
+    PLIF kept X - V and batch norm kept xhat). PLIF's own share is its
+    float32 spikes and pre-reset membrane, 8 bytes (12 with X - V)."""
+    net = Network(named_spec("squeezenet1.1", in_channels=4), rng=np.random.default_rng(0))
+    batch = (np.random.default_rng(5).random((4, 4, 3, 32, 32)) < 0.1).astype(np.float32)
+    tape = tape_bytes(ag.softmax_cross_entropy(net.forward(batch)["scores"], np.array([0, 1, 0, 1])))
+    plif = "plif.<locals>.backward"
+    assert tape.held[plif] <= 8 * tape.elements[plif] + 1024  # and a 1-element a per step
+    assert sum(tape.held.values()) <= 22 * tape.elements[plif], sum(tape.held.values()) / tape.elements[plif]
 
 
 def test_training_gradients_match_oracle_neuron(monkeypatch):
