@@ -4,6 +4,7 @@ from .ops import (
     batchnorm2d,
     maxpool2d,
     concat,
+    time_sum,
     plif,
     softmax_cross_entropy,
     focal_loss,
@@ -27,6 +28,7 @@ __all__ = [
     "batchnorm2d",
     "maxpool2d",
     "concat",
+    "time_sum",
     "plif",
     "softmax_cross_entropy",
     "focal_loss",

@@ -16,13 +16,23 @@ reduces each channel's contiguous row; its tape keeps the channel mean and
 A PLIF neuron step (``plif``) is one op with a hand-derived backward, so a
 layer records one tape entry per timestep. The membrane is an array handed
 from step to step, not a Tensor; its gradient goes back through a
-``PLIFLink``. The tape keeps the step's spikes and pre-reset membrane; the
-backward rebuilds X - V from the input and the previous step's membrane.
+``PLIFLink``. The tape keeps the step's spikes (1 byte each) and pre-reset
+membrane; the backward rebuilds X - V from the input and the previous
+step's membrane.
 
 Conv, batch norm and PLIF keep on the tape only what their backward reads
 and cannot rebuild, with the forward's own float ops, from arrays the tape
 holds anyway (the store-less trade of Chen et al., 2016); the rebuilt values
 are bit for bit those of the forward.
+
+Spikes are one byte: ``plif`` returns the ``uint8`` view of its boolean
+comparison, and max pooling and concat pass one-byte inputs on as one-byte
+outputs, so the tape holds 1 byte per spike, not 4. Batch norm sums a
+one-byte row into the parameters' float dtype, an exact count divided by m
+while m < 2**24 (the mean of the float32 copy bit for bit); conv2d splits
+it into a float phase buffer; ``time_sum`` adds spikes over time into
+float32. Gradients are float: a one-byte tensor takes the dtype of the
+first gradient it receives.
 
 Gradients an op builds fresh are handed over with
 ``Tensor.accumulate_fresh_grad``, which stores a first gradient uncopied.
@@ -34,7 +44,7 @@ import functools
 
 import numpy as np
 
-from .tensor import Tensor, _sigmoid
+from .tensor import Tensor, _float, _sigmoid
 
 
 def _out_size(h, w, kh, kw, stride, padding):
@@ -92,15 +102,17 @@ class _PhaseGrid:
                 grid = phases[a, b, :, :, : self.hq * self.wq].reshape(c, n, self.hq, self.wq)
                 yield grid, (..., rq, cq), (..., rx, cx)
 
-    def split(self, x, fill=None):
-        """The phase buffer of x, padded with zero or with fill[c] for channel c."""
+    def split(self, x, fill=None, dtype=None):
+        """The phase buffer of x at ``dtype`` (x's own by default), padded
+        with zero or with fill[c] for channel c."""
+        dtype = x.dtype if dtype is None else dtype
         if self.is_input:
-            return x.reshape(self.phases_shape)
+            return x.astype(dtype, copy=False).reshape(self.phases_shape)
         if fill is None:
-            phases = np.zeros(self.phases_shape, dtype=x.dtype)
+            phases = np.zeros(self.phases_shape, dtype=dtype)
         else:
-            phases = np.empty(self.phases_shape, dtype=x.dtype)
-            phases[:] = np.asarray(fill, dtype=x.dtype).reshape(-1, 1, 1)
+            phases = np.empty(self.phases_shape, dtype=dtype)
+            phases[:] = np.asarray(fill, dtype=dtype).reshape(-1, 1, 1)
         for grid, cells, x_cells in self._grids(phases):
             grid[cells] = x[x_cells]
         return phases
@@ -158,7 +170,8 @@ class _PhaseGrid:
 def conv2d(x, w, b=None, stride=1, padding=0, groups=1, pad_value=None):
     """2-D cross-correlation. x: (Cin,N,H,W), w: (Cout,Cin/g,kh,kw) -> (Cout,N,Ho,Wo).
 
-    The border is zero, or ``pad_value[c]`` for input channel c. The tape
+    The border is zero, or ``pad_value[c]`` for input channel c. One-byte
+    spikes are split into a phase buffer of the weight's dtype. The tape
     keeps the phase buffer, not the column buffer; the backward rebuilds the
     columns for dW.
     """
@@ -169,7 +182,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1, pad_value=None):
     if cin_g != cin // groups:
         raise ValueError(f"weight expects Cin/g={cin_g} input channels per group, got Cin={cin} with groups={groups}")
     grid = _PhaseGrid(x.data.shape, kh, kw, stride, padding)
-    phases = grid.split(x.data, pad_value)
+    phases = grid.split(x.data, pad_value, np.result_type(x.data.dtype, w.data.dtype))
     columns = (groups, cin_g * kh * kw, n * grid.span)
     w_m = w.data.reshape(groups, cout // groups, cin_g * kh * kw)
     out = grid.crop(np.matmul(w_m, grid.columns(phases).reshape(columns)))
@@ -200,6 +213,9 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
     during training (unbiased variance, torch-style momentum update). In
     training the centred rows and their squares give the variance with the
     same float ops as ``np.var``, then become xhat and the output in place.
+    One-byte spikes are summed into the parameters' float dtype: the mean of
+    binary rows is an exact count divided by m while m < 2**24, equal to the
+    mean of their float copy, and xhat is float.
 
     The tape keeps the channel mean and 1/std, O(C): the backward rebuilds
     xhat = (x - mean) * invstd from the input, with the forward's float ops.
@@ -212,7 +228,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
     if training:
         if m < 2:
             raise ValueError("batchnorm2d needs more than one value per channel in train mode")
-        mean = xm.mean(axis=1, keepdims=True)
+        dtype = xm.dtype if xm.dtype.kind == "f" else gamma.data.dtype
+        mean = xm.mean(axis=1, keepdims=True, dtype=dtype)
         xhat = xm - mean  # centred, scaled to xhat below
         out = np.square(xhat)
         var = out.sum(axis=1) / m
@@ -260,7 +277,8 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
 
 def maxpool2d(x, kernel, stride=None, padding=0):
     """Max pooling of (C, N, H, W) over a zero border of ``padding``; ties go
-    to the first element in row-major window order."""
+    to the first element in row-major window order. The output has x's
+    dtype, one byte for spikes; the gradient has g's."""
     k, s, p = kernel, kernel if stride is None else stride, padding
     grid = _PhaseGrid(x.data.shape, k, k, s, p)
     phases = grid.split(x.data)
@@ -276,7 +294,7 @@ def maxpool2d(x, kernel, stride=None, padding=0):
 
     def backward(g):
         ge = grid.extend(g)
-        d = np.zeros(grid.phases_shape, dtype=x.data.dtype)
+        d = np.zeros(grid.phases_shape, dtype=ge.dtype)
         # reverse tap order adds overlapping contributions to a cell in
         # row-major output order, as a scatter over the outputs would
         for i, tap in reversed(list(enumerate(grid.taps))):
@@ -288,8 +306,8 @@ def maxpool2d(x, kernel, stride=None, padding=0):
 
 
 def concat(tensors, axis):
-    """Concatenate tensors along ``axis``; numpy raises ValueError unless
-    every other axis matches."""
+    """Concatenate tensors along ``axis``, one-byte spikes into one-byte
+    spikes; numpy raises ValueError unless every other axis matches."""
     out = np.concatenate([t.data for t in tensors], axis=axis)
     splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
@@ -299,6 +317,23 @@ def concat(tensors, axis):
                 t.accumulate_grad(gs)
 
     return Tensor.from_op(out, tuple(tensors), backward)
+
+
+def time_sum(frames):
+    """The sum of equal-shape tensors, one per timestep, added in order into
+    one float array, float32 for one-byte spikes (counts are exact). One
+    tape entry that keeps no partial sums, where T - 1 ``add`` ops keep
+    T - 2; the backward hands every frame the sum's gradient."""
+    out = frames[0].data.astype(_float(frames[0].dtype))
+    for frame in frames[1:]:
+        out += frame.data
+
+    def backward(g):
+        for frame in frames:
+            if frame.requires_grad:
+                frame.accumulate_grad(g)
+
+    return Tensor.from_op(out, tuple(frames), backward)
 
 
 class PLIFLink:
@@ -320,7 +355,8 @@ def plif(x, state, w, alpha=2.0):
     None), spikes s = [v >= 1], reset membrane V' = v (1 - s). ``w`` sets a:
     a Tensor is the learned w with a = sigmoid(w), a float is a itself.
     ``state`` is the (V', spikes, PLIFLink) triple the previous step
-    returned; returns (spikes, state').
+    returned; returns (spikes, state'). The spikes are the ``uint8`` view of
+    the boolean s, one byte each; their gradient is float.
 
     Backward is BPTT with the ATan surrogate sg(u) = alpha / (2 (1 + (pi
     alpha u / 2)^2)) for the step's derivative. With g_s the spikes' gradient
@@ -385,9 +421,9 @@ def plif(x, state, w, alpha=2.0):
                 if prev_spikes.grad is None:
                     # no consumer handed those spikes a gradient; the walk
                     # runs a backward only for a node that has one
-                    prev_spikes.grad = np.zeros_like(prev_spikes.data)
+                    prev_spikes.grad = np.zeros(prev_spikes.data.shape, dtype=dv.dtype)
 
-    spikes = Tensor.from_op(spiked.astype(x.data.dtype), parents, backward)
+    spikes = Tensor.from_op(spiked.view(np.uint8), parents, backward)
     if spikes.requires_grad:
         if learns_w and link is not None and link.v is None:
             raise ValueError("a recorded PLIF step with a learned w cannot follow a step run without the tape")

@@ -7,7 +7,10 @@ consumes the tape: each entry is dropped once used, so the saved
 activations are freed during the walk and a graph is walked only once.
 
 Compute dtype follows the data: float32 is the default everywhere, float64
-is used by the gradient-check tests only.
+is used by the gradient-check tests only. Spikes are the exception: PLIF,
+max pooling and concat return them as one-byte ``uint8`` arrays, which
+``from_op`` keeps. Gradients are always float: a tensor with non-float data
+takes the dtype of the first gradient it receives.
 """
 
 from __future__ import annotations
@@ -59,8 +62,10 @@ class Tensor:
 
     @staticmethod
     def from_op(data, parents, backward):
-        """Result tensor of an op; records the tape entry when grad is on."""
-        out = Tensor(data)
+        """Result tensor of an op; records the tape entry when grad is on.
+        ``uint8`` data (spikes) is kept as is, other data as in ``Tensor``."""
+        data = np.asarray(data)
+        out = Tensor(data, dtype=np.uint8 if data.dtype == np.uint8 else None)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -82,18 +87,23 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
+    def _grad_dtype(self, g):
+        """The data's dtype when it is float, else (spikes) g's."""
+        return self.data.dtype if self.data.dtype.kind == "f" else g.dtype
+
     def accumulate_grad(self, g):
         if self.grad is None:
             # a copy, so no two tensors share a gradient array
-            self.grad = np.broadcast_to(g, self.data.shape).astype(self.data.dtype)
+            g = np.broadcast_to(g, self.data.shape)
+            self.grad = g.astype(self._grad_dtype(g))
         else:
             self.grad += g
 
     def accumulate_fresh_grad(self, g):
         """``accumulate_grad`` for an array an op has just built and keeps no
-        reference to: a first gradient of this tensor's shape and dtype is
-        stored as is, not copied."""
-        if self.grad is None and g.shape == self.data.shape and g.dtype == self.data.dtype:
+        reference to: a first gradient of this tensor's shape and gradient
+        dtype is stored as is, not copied."""
+        if self.grad is None and g.shape == self.data.shape and g.dtype == self._grad_dtype(g):
             self.grad = g
         else:
             self.accumulate_grad(g)
@@ -104,7 +114,7 @@ class Tensor:
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar output")
-            grad = np.ones_like(self.data)
+            grad = np.ones(self.data.shape, dtype=_float(self.data.dtype))
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -120,7 +130,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        self.accumulate_grad(np.asarray(grad, dtype=self.data.dtype))
+        self.accumulate_grad(np.asarray(grad))
         while topo:
             node = topo.pop()
             if node._backward is not None and node.grad is not None:
@@ -164,10 +174,16 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+def _float(*dtypes):
+    """The float dtype arithmetic on these dtypes computes in: float32 for
+    one-byte spikes, so that spike arithmetic cannot wrap or truncate."""
+    return np.result_type(*dtypes, np.float32)
+
+
 def _wrap(x, dtype):
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=dtype))
+    return Tensor(np.asarray(x, dtype=_float(dtype)))
 
 
 def _unbroadcast(grad, shape):
@@ -185,7 +201,7 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     b = _wrap(b, a.dtype)
-    out_data = a.data + b.data
+    out_data = np.add(a.data, b.data, dtype=_float(a.dtype, b.dtype))
 
     def backward(g):
         if a.requires_grad:
@@ -198,7 +214,7 @@ def add(a, b):
 
 def sub(a, b):
     b = _wrap(b, a.dtype)
-    out_data = a.data - b.data
+    out_data = np.subtract(a.data, b.data, dtype=_float(a.dtype, b.dtype))
 
     def backward(g):
         if a.requires_grad:
@@ -211,7 +227,7 @@ def sub(a, b):
 
 def mul(a, b):
     b = _wrap(b, a.dtype)
-    out_data = a.data * b.data
+    out_data = np.multiply(a.data, b.data, dtype=_float(a.dtype, b.dtype))
 
     def backward(g):
         if a.requires_grad:

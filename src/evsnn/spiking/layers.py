@@ -11,9 +11,14 @@ layer's entry in that dict is the (membrane, spikes, link) triple the op
 returns; through the link the next step's backward reads the pre-reset
 membrane and hands the membrane's gradient back.
 
+Spikes are one byte: PLIF outputs ``uint8`` arrays, max pooling and concat
+pass them on as ``uint8``, batch norm and conv read them into float, and
+every gradient is float. ``SpikeRecord`` counts them exactly.
+
 The trailing convs and spatial sums (the SSD heads, the classifier's
 spatial sum) commute with the sum over time, so they run once per sample
-on the time-summed input: sum_t(W*x_t + b) = W*(sum_t x_t) + T*b.
+on the time-summed input: sum_t(W*x_t + b) = W*(sum_t x_t) + T*b. The
+time sum (``ag.time_sum``) adds into float32, where spike counts are exact.
 
 Batch norm takes its mode from the autograd tape: while the tape records it
 normalizes with batch statistics and updates its running statistics; under
@@ -224,7 +229,7 @@ class SpikeRecord:
         self.steps = 0
 
     def add(self, layer, n_spikes, n_elements):
-        self.spikes[layer] = self.spikes.get(layer, 0.0) + n_spikes
+        self.spikes[layer] = self.spikes.get(layer, 0) + n_spikes
         self.elements[layer] = self.elements.get(layer, 0) + n_elements
 
     def layer_rates(self):
@@ -356,14 +361,14 @@ class Network:
                 name, extra = node["name"], [membranes] if node["type"] == "plif" else []
                 values[name] = out = self.layers[name](*[values[i] for i in node["inputs"]], *extra)
                 if extra and record is not None:
-                    record.add(name, float(out.data.sum()), out.data.size)
+                    record.add(name, int(np.count_nonzero(out.data)), out.data.size)
             for tap, seq in per_step.items():
                 seq.append(values[tap])
         if record is not None:
             record.steps += steps
-        # each tap is summed once (T - 1 adds), shared by every node that
-        # reads it; the sum's backward hands every timestep the same gradient
-        values = {tap: sum(per_step[tap][1:], per_step[tap][0]) for tap in summed}
+        # each tap is summed once into float32 (spike counts are exact), shared
+        # by every node that reads it
+        values = {tap: ag.time_sum(per_step[tap]) for tap in summed}
         for node in once:
             name, extra = node["name"], [steps] if node["type"] == "conv" else []
             values[name] = self.layers[name](*[values[i] for i in node["inputs"]], *extra)

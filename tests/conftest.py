@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+import evsnn.autograd as ag
 from evsnn.autograd import Tensor
 
 
@@ -63,8 +64,8 @@ def cnhw(a):
 
 def stepwise_forward(net, batch, record=None):
     """Reference for ``Network.forward``: every node at every timestep, then
-    each output summed over time with T - 1 adds. ``forward`` runs the nodes
-    that commute with that sum once, on the time-summed input instead.
+    each output summed over time with ``ag.time_sum``. ``forward`` runs the
+    nodes that commute with that sum once, on the time-summed input instead.
     ``record`` counts spikes as ``forward`` does."""
     membranes = {}
     per_step = {o: [] for o in net.spec.outputs}
@@ -75,17 +76,12 @@ def stepwise_forward(net, batch, record=None):
             extra = (membranes,) if node["type"] == "plif" else ()
             values[node["name"]] = out = net.layers[node["name"]](*inputs, *extra)
             if extra and record is not None:
-                record.add(node["name"], float(out.data.sum()), out.data.size)
+                record.add(node["name"], int(np.count_nonzero(out.data)), out.data.size)
         for o, seq in per_step.items():
             seq.append(values[o])
     if record is not None:
         record.steps += batch.shape[2]
-    summed = {}
-    for o, seq in per_step.items():
-        summed[o] = seq[0]
-        for v in seq[1:]:
-            summed[o] = summed[o] + v
-    return summed
+    return {o: ag.time_sum(seq) for o, seq in per_step.items()}
 
 
 def outputs_and_grads(net, run, loss_of):

@@ -56,7 +56,8 @@ def test_first_gradient_is_a_private_copy():
 
 def test_fresh_gradient_is_stored_uncopied():
     """An op's freshly built gradient becomes the first ``.grad`` as is; a
-    later one is added; one of another dtype is cast into a copy."""
+    later one is added; one of another dtype is cast into a copy. A tensor
+    of one-byte spikes takes the first gradient's float dtype."""
     a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     g = np.full(3, 2.0, dtype=np.float32)
     a.accumulate_fresh_grad(g)
@@ -66,6 +67,22 @@ def test_fresh_gradient_is_stored_uncopied():
     b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     b.accumulate_fresh_grad(np.ones(3))
     assert b.grad.dtype == np.float32
+    spikes = Tensor(np.ones(3, dtype=np.uint8), requires_grad=True, dtype=np.uint8)
+    g64 = np.full(3, 0.5)
+    spikes.accumulate_fresh_grad(g64)
+    assert spikes.grad is g64
+    spikes.grad = None
+    spikes.accumulate_grad(g)
+    assert spikes.grad is not g and spikes.grad.dtype == np.float32 and np.array_equal(spikes.grad, g)
+
+
+def test_arithmetic_on_spikes_is_float32():
+    """``add``, ``sub`` and ``mul`` on one-byte spikes compute in float32:
+    they neither wrap (0 - 1) nor truncate a float operand (0.5, -1)."""
+    s = Tensor(np.array([1, 0], dtype=np.uint8), dtype=np.uint8)
+    t = Tensor(np.array([0, 1], dtype=np.uint8), dtype=np.uint8)
+    for got, want in ((s - t, [1, -1]), (s * 0.5, [0.5, 0]), (-s, [-1, 0]), (1.0 - s, [0, 1]), (s + t + s, [2, 1])):
+        assert got.data.dtype == np.float32 and np.array_equal(got.data, want)
 
 
 def test_sum_reshape_transpose_grad(rng):
@@ -244,6 +261,31 @@ def test_conv2d_matches_window_oracle():
             assert np.abs(got - ref).max() <= _conv_oracle_tol(dtype) * np.abs(ref).max(), case_id
 
 
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("p", [0, 1])
+def test_conv2d_on_one_byte_spikes_equals_float_copy(k, s, p):
+    """A conv reading one-byte spikes (as a fused network's convs do) gives
+    the output, dW and dx of the same call on their float32 copy, bit for
+    bit, with a zero and with a per-channel constant border; k = 1, s = 1,
+    p = 0 is the case whose phase buffer is the input itself."""
+    rng = np.random.default_rng(7)
+    spikes = (rng.random((3, 2, 7, 6)) < 0.4).astype(np.uint8)
+    w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
+    g = None
+    for pad_value in (None, rng.standard_normal(3).astype(np.float32)):
+        runs = []
+        for x in (Tensor(spikes, requires_grad=True, dtype=np.uint8), Tensor(spikes.astype(np.float32), requires_grad=True)):
+            wt = Tensor(w, requires_grad=True)
+            out = ag.conv2d(x, wt, stride=s, padding=p, pad_value=pad_value)
+            g = rng.standard_normal(out.data.shape).astype(np.float32) if g is None else g
+            out.backward(g)
+            runs.append((out.data, wt.grad, x.grad))
+        assert runs[0][0].dtype == runs[0][2].dtype == np.float32
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("s", [1, 2])
 def test_conv2d_tape_keeps_about_the_input(k, s):
@@ -315,6 +357,25 @@ def test_batchnorm_grad(rng):
         check_grad(run, [x, gamma, beta], 1e-5)
 
 
+def test_plif_bn_conv_grad_float64(rng):
+    """float64 gradients of batch norm and conv through one-byte spikes: a
+    PLIF step's uint8 output feeds a training batch norm (float64 mean of
+    the count) and a 3x3 conv. The spikes' own gradient is the surrogate's,
+    which finite differences do not see, so it is not checked here."""
+    for _ in range(5):
+        c = int(rng.integers(1, 4))
+        x = 2.0 * rng.standard_normal((c, 3, 5, 5))
+        gamma, beta = rng.standard_normal(c) + 1.0, rng.standard_normal(c)
+        w = rng.standard_normal((2, c, 3, 3))
+
+        def run(g_, b_, w_):
+            spikes, _ = ag.plif(Tensor(x, requires_grad=True), None, 0.5)
+            assert spikes.data.dtype == np.uint8 and spikes.data.any() and not spikes.data.all()
+            return ag.conv2d(ag.batchnorm2d(spikes, g_, b_, np.zeros(c), np.ones(c), training=True), w_, padding=1)
+
+        check_grad(run, [gamma, beta, w], TOL64)
+
+
 def test_batchnorm_eval_grad(rng):
     c = 3
     rm = rng.standard_normal(c)
@@ -365,7 +426,7 @@ def _batchnorm_oracle(x, gamma, beta, running_mean, running_var, training, g, mo
     return out.reshape(x.shape), dx.reshape(x.shape), (gm * xhat).sum(axis=1), gm.sum(axis=1)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
 @pytest.mark.parametrize("training", [True, False])
 def test_batchnorm_matches_oracle_bit_for_bit(dtype, training):
     """The in-place batch norm (centred rows squared for the variance, then
@@ -374,23 +435,30 @@ def test_batchnorm_matches_oracle_bit_for_bit(dtype, training):
     rebuilds xhat with the forward's ops. In eval mode the running
     statistics are changed between forward and backward, as a training
     call of the same layer would: the backward still uses the ones the
-    forward normalized with."""
+    forward normalized with. One-byte spikes (``uint8``) with float32
+    parameters give the oracle's results on their float32 copy: a binary
+    row's mean is an exact count over m."""
     rng = np.random.default_rng(17)
+    fdtype = np.float32 if dtype == np.uint8 else dtype
     for _ in range(20):
         c, n, h, w = (int(v) for v in rng.integers(1, 6, size=4))
         n = max(n, 2)
-        x = (rng.standard_normal((c, n, h, w)) * 3 + 1).astype(dtype)
-        gamma, beta, g = (rng.standard_normal(s).astype(dtype) for s in (c, c, x.shape))
-        stats = [rng.standard_normal(c).astype(dtype), (rng.random(c) + 0.5).astype(dtype)]
+        if dtype == np.uint8:
+            x = (rng.random((c, n, h, w)) < rng.random()).astype(dtype)
+        else:
+            x = (rng.standard_normal((c, n, h, w)) * 3 + 1).astype(dtype)
+        gamma, beta, g = (rng.standard_normal(s).astype(fdtype) for s in (c, c, x.shape))
+        stats = [rng.standard_normal(c).astype(fdtype), (rng.random(c) + 0.5).astype(fdtype)]
         want_stats = [a.copy() for a in stats]
-        want_out, want_dx, *want_dparams = _batchnorm_oracle(x, gamma, beta, *want_stats, training, g)
-        t, params = Tensor(x, requires_grad=True), [Tensor(a, requires_grad=True) for a in (gamma, beta)]
+        want_out, want_dx, *want_dparams = _batchnorm_oracle(x.astype(fdtype), gamma, beta, *want_stats, training, g)
+        t = Tensor(x, requires_grad=True, dtype=dtype)
+        params = [Tensor(a, requires_grad=True) for a in (gamma, beta)]
         out = ag.batchnorm2d(t, *params, *stats, training)
         if not training:
             for a in stats + want_stats:
                 a += 1.0
         out.backward(g)
-        assert out.data.dtype == dtype and t.grad.dtype == dtype
+        assert out.data.dtype == fdtype and t.grad.dtype == fdtype
         assert np.array_equal(out.data, want_out) and np.array_equal(t.grad, want_dx)
         assert all(np.array_equal(p.grad, want) for p, want in zip(params, want_dparams))
         assert all(np.array_equal(a, b) for a, b in zip(stats, want_stats))
@@ -443,25 +511,29 @@ def test_maxpool_matches_scatter_oracle():
     forward and backward, on square and non-square maps and at strides 1-3:
     ties (binary spikes at every density) go to the first window cell, and
     overlapping windows add their float32 gradients into a cell in the same
-    order."""
+    order. Binary maps are also pooled as one-byte spikes: the output stays
+    ``uint8`` with the float32 map's values, the gradient is float32."""
     rng = np.random.default_rng(11)
     for h, w in ((10, 10), (9, 13)):
-        inputs = [lambda d=d: (rng.random((2, 3, h, w)) < d).astype(np.float32) for d in (0.0, 0.05, 0.5, 1.0)]
-        inputs.append(lambda: rng.standard_normal((2, 3, h, w)).astype(np.float32))
+        inputs = [(lambda d=d: (rng.random((2, 3, h, w)) < d).astype(np.float32), (np.float32, np.uint8))
+                  for d in (0.0, 0.05, 0.5, 1.0)]
+        inputs.append((lambda: rng.standard_normal((2, 3, h, w)).astype(np.float32), (np.float32,)))
         for k in (2, 3):
             for s in (1, 2, 3):
                 for p in (0, 1):
-                    for make in inputs:
+                    for make, dtypes in inputs:
                         for _ in range(3):
                             x = make()
                             ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
                             g = rng.standard_normal((2, 3, ho, wo)).astype(np.float32)
                             want_out, want_dx = _maxpool_oracle(x, k, s, p, g)
-                            t = Tensor(cnhw(x), requires_grad=True)
-                            out = ag.maxpool2d(t, k, s, padding=p)
-                            out.backward(cnhw(g))
-                            assert np.array_equal(cnhw(out.data), want_out)
-                            assert np.array_equal(cnhw(t.grad), want_dx), (h, w, k, s, p)
+                            for dtype in dtypes:
+                                t = Tensor(cnhw(x).astype(dtype), requires_grad=True, dtype=dtype)
+                                out = ag.maxpool2d(t, k, s, padding=p)
+                                out.backward(cnhw(g))
+                                assert out.data.dtype == dtype and t.grad.dtype == np.float32
+                                assert np.array_equal(cnhw(out.data), want_out)
+                                assert np.array_equal(cnhw(t.grad), want_dx), (h, w, k, s, p, dtype)
 
 
 def test_concat_grad(rng):
@@ -471,6 +543,21 @@ def test_concat_grad(rng):
         check_grad(lambda *xs: ag.concat(list(xs), 0), parts, TOL64)
     with pytest.raises(ValueError):  # the other axes must match
         ag.concat([Tensor(np.zeros((2, 3, 4, 4))), Tensor(np.zeros((2, 2, 4, 4)))], 0)
+
+
+def test_time_sum_adds_spikes_into_float32():
+    """300 one-byte frames of ones sum to 300 in float32, where uint8 adds
+    would wrap; every frame gets its own float32 copy of the sum's gradient.
+    Float frames keep their dtype and sum as chained ``add`` ops do."""
+    frames = [Tensor(np.ones((2, 3), dtype=np.uint8), requires_grad=True, dtype=np.uint8) for _ in range(300)]
+    out = ag.time_sum(frames)
+    g = np.arange(6, dtype=np.float32).reshape(2, 3)
+    out.backward(g)
+    assert out.data.dtype == np.float32 and np.all(out.data == 300)
+    assert all(f.grad.dtype == np.float32 and np.array_equal(f.grad, g) and f.grad is not g for f in frames)
+    xs = [Tensor(a) for a in np.random.default_rng(2).standard_normal((5, 4, 3))]
+    chained = xs[0] + xs[1] + xs[2] + xs[3] + xs[4]
+    assert ag.time_sum(xs).data.dtype == np.float64 and np.array_equal(ag.time_sum(xs).data, chained.data)
 
 
 # --------------------------------------------------------------------------

@@ -118,10 +118,13 @@ def _plif_frames(seed, steps=5, shape=(2, 3, 4, 4)):
 def _assert_matches_oracle(got, want):
     """Spikes, membranes and input gradients equal, bit for bit: dv, dX and
     the membrane gradient dv - dX take the oracle's float operations in its
-    order. w's gradient sums dv (X - V) over the frame with a dot product,
-    which adds in another order than the oracle's reductions: within 1e-5
-    of its magnitude, about 100 float32 epsilons (measured: 6e-7)."""
-    for kind, g, r in zip(("spikes", "membranes", "x.grad"), got, want):
+    order. The spikes are one byte, the oracle's float32, equal in value.
+    w's gradient sums dv (X - V) over the frame with a dot product, which
+    adds in another order than the oracle's reductions: within 1e-5 of its
+    magnitude, about 100 float32 epsilons (measured: 6e-7)."""
+    for t, (a, b) in enumerate(zip(got[0], want[0])):
+        assert a.dtype == np.uint8 and b.dtype == np.float32 and np.array_equal(a, b), f"spikes differ at step {t}"
+    for kind, g, r in zip(("membranes", "x.grad"), got[1:3], want[1:3]):
         for t, (a, b) in enumerate(zip(g, r)):
             assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b), f"{kind} differ at step {t}"
     assert got[3].dtype == np.float32 and got[3].shape == want[3].shape == (1,)
@@ -318,7 +321,8 @@ def test_plif_matches_keep_drive_oracle_bit_for_bit(dtype, w_kind, monkeypatch):
     """``ag.plif``, which rebuilds X - V in its backward, equals the op that
     kept it (``_plif_keep_drive_oracle``) bit for bit: spikes, V', input
     gradients, w's gradient and the gradient each link is handed, over five
-    steps with resets, one of them left out of the loss."""
+    steps with resets, one of them left out of the loss. Its spikes are one
+    byte, the oracle's of the frames' dtype, equal in value."""
     rng = np.random.default_rng(21)
     shape = (4, 3, 8, 8)
     xs = [(1.5 * rng.standard_normal(shape) + 0.5).astype(dtype) for _ in range(5)]
@@ -333,7 +337,9 @@ def test_plif_matches_keep_drive_oracle_bit_for_bit(dtype, w_kind, monkeypatch):
     assert sum(float(s[:-1].sum()) for s in got[0]) > 0  # some neurons spike and reset before the last step
     assert len(got[4]) == len(xs) - 1
     assert [g is not None for g in got[3]] == {"learned": [True], "frozen": [False], "float": []}[w_kind]
-    for kind, g, r in zip(("spikes", "V'", "x.grad", "w.grad", "link.grad"), got, want):
+    for t, (a, b) in enumerate(zip(got[0], want[0])):
+        assert a.dtype == np.uint8 and b.dtype == dtype and np.array_equal(a, b), f"spikes differ at {t}"
+    for kind, g, r in zip(("V'", "x.grad", "w.grad", "link.grad"), got[1:], want[1:]):
         assert len(g) == len(r), kind
         for t, (a, b) in enumerate(zip(g, r)):
             assert (a is None and b is None) or (a.dtype == b.dtype == dtype and np.array_equal(a, b)), f"{kind} differ at {t}"
@@ -615,15 +621,36 @@ def test_toy_detector_forward_tape_ops(monkeypatch):
 
 def test_squeezenet_tape_bytes_per_plif_element():
     """The tape of a SqueezeNet-1.1 training forward (batch 4, 32x32, T=3)
-    holds at most 22 bytes per PLIF output element (measured 19.4; 24.9 when
-    PLIF kept X - V and batch norm kept xhat). PLIF's own share is its
-    float32 spikes and pre-reset membrane, 8 bytes (12 with X - V)."""
+    holds at most 15 bytes per PLIF output element (measured 13.9; 19.4 with
+    float32 spikes, 24.9 when PLIF also kept X - V and batch norm kept
+    xhat). PLIF's own share is its one-byte spikes and float32 pre-reset
+    membrane, 5 bytes (8 with float32 spikes)."""
     net = Network(named_spec("squeezenet1.1", in_channels=4), rng=np.random.default_rng(0))
     batch = (np.random.default_rng(5).random((4, 4, 3, 32, 32)) < 0.1).astype(np.float32)
     tape = tape_bytes(ag.softmax_cross_entropy(net.forward(batch)["scores"], np.array([0, 1, 0, 1])))
     plif = "plif.<locals>.backward"
-    assert tape.held[plif] <= 8 * tape.elements[plif] + 1024  # and a 1-element a per step
-    assert sum(tape.held.values()) <= 22 * tape.elements[plif], sum(tape.held.values()) / tape.elements[plif]
+    assert tape.held[plif] <= 5 * tape.elements[plif] + 1024  # and a 1-element a per step
+    assert sum(tape.held.values()) <= 15 * tape.elements[plif], sum(tape.held.values()) / tape.elements[plif]
+
+
+def test_squeezenet_spikes_are_one_byte_gradients_float():
+    """In a SqueezeNet-1.1 training forward and backward every PLIF, max
+    pooling and concat output is a one-byte ``uint8`` array, and every
+    gradient one receives is float32."""
+    net = Network(named_spec("squeezenet1.1", in_channels=4), rng=np.random.default_rng(0))
+    outputs = {"plif": [], "maxpool": [], "concat": []}
+    for node in net.spec.nodes:
+        if node["type"] in outputs:
+            def recorded(*args, layer=net.layers[node["name"]], seen=outputs[node["type"]]):
+                seen.append(layer(*args))
+                return seen[-1]
+            net.layers[node["name"]] = recorded
+    batch = (np.random.default_rng(5).random((4, 4, 3, 32, 32)) < 0.1).astype(np.float32)
+    ag.softmax_cross_entropy(net.forward(batch)["scores"], np.array([0, 1, 0, 1])).backward()
+    for kind, seen in outputs.items():
+        assert seen, kind
+        for out in seen:
+            assert out.data.dtype == np.uint8 and out.grad is not None and out.grad.dtype == np.float32, kind
 
 
 def test_training_gradients_match_oracle_neuron(monkeypatch):
@@ -679,6 +706,7 @@ def test_spike_record_rates():
     assert all(0.0 <= r <= 1.0 for r in rates.values())
     assert 0.0 <= record.global_rate() <= 1.0
     assert record.steps == 5
+    assert all(type(n) is int for n in record.spikes.values())  # exact counts
 
 
 def test_trace_shapes_match_execution():
