@@ -2,6 +2,7 @@ from .tensor import Tensor, no_grad, grad_enabled, add, sub, mul, tensor_sum, re
 from .ops import (
     conv2d,
     batchnorm2d,
+    bn_conv,
     maxpool2d,
     concat,
     time_sum,
@@ -26,6 +27,7 @@ __all__ = [
     "sigmoid",
     "conv2d",
     "batchnorm2d",
+    "bn_conv",
     "maxpool2d",
     "concat",
     "time_sum",

@@ -13,6 +13,14 @@ border. Max pooling is a running maximum over the same slices. Batch norm
 reduces each channel's contiguous row; its tape keeps the channel mean and
 1/std, and the backward rebuilds xhat from the input.
 
+``bn_conv`` is a batch norm and the conv that reads it as one tape entry,
+built from the same helpers as ``batchnorm2d`` and ``conv2d`` and bit for
+bit their composition. Its tape keeps the conv's output and the channel
+mean and 1/std, not the batch norm's float output nor the phase buffer:
+the backward rebuilds xhat once from the input (a block's one-byte spikes,
+a parent), the phase buffer from xhat, then runs the conv's backward and
+the batch norm's on that xhat.
+
 A PLIF neuron step (``plif``) is one op with a hand-derived backward, so a
 layer records one tape entry per timestep. The membrane is an array handed
 from step to step, not a Tensor; its gradient goes back through a
@@ -20,7 +28,7 @@ from step to step, not a Tensor; its gradient goes back through a
 membrane; the backward rebuilds X - V from the input and the previous
 step's membrane.
 
-Conv, batch norm and PLIF keep on the tape only what their backward reads
+Conv, batch norm, their pair and PLIF keep on the tape only what their backward reads
 and cannot rebuild, with the forward's own float ops, from arrays the tape
 holds anyway (the store-less trade of Chen et al., 2016); the rebuilt values
 are bit for bit those of the forward.
@@ -167,6 +175,49 @@ class _PhaseGrid:
         return out.reshape(c, n, self.span)
 
 
+def _conv_grid(x_shape, w_shape, stride, padding, groups):
+    """The ``_PhaseGrid`` of a conv of an x_shape input with a w_shape
+    weight; raises ValueError when the channels do not divide into groups."""
+    cin = x_shape[0]
+    cout, cin_g, kh, kw = w_shape
+    if cin % groups != 0 or cout % groups != 0:
+        raise ValueError(f"channels not divisible by groups: Cin={cin}, Cout={cout}, groups={groups}")
+    if cin_g != cin // groups:
+        raise ValueError(f"weight expects Cin/g={cin_g} input channels per group, got Cin={cin} with groups={groups}")
+    return _PhaseGrid(x_shape, kh, kw, stride, padding)
+
+
+def _conv_forward(grid, phases, w, b, groups):
+    """The (Cout, N, Ho, Wo) output of a conv on its phase buffer: one GEMM
+    per group over all of its columns, plus the bias."""
+    cout = w.data.shape[0]
+    w_m = w.data.reshape(groups, cout // groups, -1)
+    out = grid.crop(np.matmul(w_m, grid.columns(phases).reshape(groups, w_m.shape[2], -1)))
+    if b is not None:
+        out += b.data.reshape(cout, 1, 1, 1)
+    return out
+
+
+def _conv_backward(grid, phases, g, w, b, groups, needs_dx):
+    """Hands w and b their gradients from the output gradient g, the columns
+    rebuilt from ``phases`` for dW; returns the phase buffer's gradient when
+    ``needs_dx``, else None."""
+    cout = w.data.shape[0]
+    w_m = w.data.reshape(groups, cout // groups, -1)
+    gm = grid.extend(g).reshape(groups, cout // groups, -1)
+    if w.requires_grad:
+        cols_t = grid.columns(phases).reshape(groups, w_m.shape[2], -1).transpose(0, 2, 1)
+        w.accumulate_fresh_grad(np.matmul(gm, cols_t).reshape(w.data.shape))
+        del cols_t  # freed before the column gradient is allocated
+    if b is not None and b.requires_grad:
+        b.accumulate_fresh_grad(g.reshape(cout, -1).sum(axis=1))
+    if not needs_dx:
+        return None
+    cin, n = grid.shape[:2]
+    dcols = np.matmul(w_m.transpose(0, 2, 1), gm).reshape(cin, len(grid.taps), n, grid.span)
+    return grid.scatter(dcols)
+
+
 def conv2d(x, w, b=None, stride=1, padding=0, groups=1, pad_value=None):
     """2-D cross-correlation. x: (Cin,N,H,W), w: (Cout,Cin/g,kh,kw) -> (Cout,N,Ho,Wo).
 
@@ -175,55 +226,33 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1, pad_value=None):
     keeps the phase buffer, not the column buffer; the backward rebuilds the
     columns for dW.
     """
-    cin, n, h, wd = x.data.shape
-    cout, cin_g, kh, kw = w.data.shape
-    if cin % groups != 0 or cout % groups != 0:
-        raise ValueError(f"channels not divisible by groups: Cin={cin}, Cout={cout}, groups={groups}")
-    if cin_g != cin // groups:
-        raise ValueError(f"weight expects Cin/g={cin_g} input channels per group, got Cin={cin} with groups={groups}")
-    grid = _PhaseGrid(x.data.shape, kh, kw, stride, padding)
+    grid = _conv_grid(x.data.shape, w.data.shape, stride, padding, groups)
     phases = grid.split(x.data, pad_value, np.result_type(x.data.dtype, w.data.dtype))
-    columns = (groups, cin_g * kh * kw, n * grid.span)
-    w_m = w.data.reshape(groups, cout // groups, cin_g * kh * kw)
-    out = grid.crop(np.matmul(w_m, grid.columns(phases).reshape(columns)))
-    if b is not None:
-        out += b.data.reshape(cout, 1, 1, 1)
-
-    parents = (x, w) if b is None else (x, w, b)
+    out = _conv_forward(grid, phases, w, b, groups)
 
     def backward(g):
-        gm = grid.extend(g).reshape(groups, cout // groups, n * grid.span)
-        if w.requires_grad:
-            cols_t = grid.columns(phases).reshape(columns).transpose(0, 2, 1)
-            w.accumulate_fresh_grad(np.matmul(gm, cols_t).reshape(w.data.shape))
-            del cols_t  # freed before the column gradient is allocated
-        if b is not None and b.requires_grad:
-            b.accumulate_fresh_grad(g.reshape(cout, -1).sum(axis=1))
-        if x.requires_grad:
-            dcols = np.matmul(w_m.transpose(0, 2, 1), gm).reshape(cin, kh * kw, n, grid.span)
-            x.accumulate_fresh_grad(grid.merge(grid.scatter(dcols)))
+        d = _conv_backward(grid, phases, g, w, b, groups, x.requires_grad)
+        if d is not None:
+            x.accumulate_fresh_grad(grid.merge(d))
 
-    return Tensor.from_op(out, parents, backward)
+    return Tensor.from_op(out, (x, w) if b is None else (x, w, b), backward)
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.1, eps=1e-5):
-    """Per-channel batch normalization of (C, N, H, W) over each channel's row.
+def _bn_forward(x, gamma, beta, running_mean, running_var, training, momentum, eps):
+    """Batch norm of (C, N, H, W) data x over each channel's row: the (C, m)
+    output, the channel mean and 1/std, both (C, 1).
 
-    ``running_mean``/``running_var`` are plain numpy arrays mutated in place
-    during training (unbiased variance, torch-style momentum update). In
-    training the centred rows and their squares give the variance with the
-    same float ops as ``np.var``, then become xhat and the output in place.
-    One-byte spikes are summed into the parameters' float dtype: the mean of
-    binary rows is an exact count divided by m while m < 2**24, equal to the
-    mean of their float copy, and xhat is float.
-
-    The tape keeps the channel mean and 1/std, O(C): the backward rebuilds
-    xhat = (x - mean) * invstd from the input, with the forward's float ops.
-    In eval mode the mean is the running mean copied at call time, since a
+    In training the centred rows and their squares give the variance with
+    the same float ops as ``np.var``, then become xhat and the output in
+    place, and the running statistics are updated in place (unbiased
+    variance, torch-style momentum). One-byte spikes are summed into the
+    parameters' float dtype: the mean of binary rows is an exact count
+    divided by m while m < 2**24, equal to the mean of their float copy. In
+    eval mode the mean is the running mean copied at call time, since a
     training call updates the running statistics in place.
     """
-    c = x.data.shape[0]
-    xm = x.data.reshape(c, -1)
+    c = x.shape[0]
+    xm = x.reshape(c, -1)
     m = xm.shape[1]
     if training:
         if m < 2:
@@ -243,36 +272,101 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
         out = np.empty_like(xhat)
     invstd = (1.0 / np.sqrt(var + eps)).reshape(c, 1)
     xhat *= invstd
+    return _bn_affine(xhat, gamma, beta, out), mean, invstd
+
+
+def _bn_xhat(x, mean, invstd):
+    """xhat = (x - mean) * invstd on (C, m) rows, with the forward's float ops."""
+    xhat = x.reshape(mean.shape[0], -1) - mean
+    xhat *= invstd
+    return xhat
+
+
+def _bn_affine(xhat, gamma, beta, out):
+    """out = xhat * gamma + beta, per channel row."""
+    c = xhat.shape[0]
     np.multiply(xhat, gamma.data.reshape(c, 1), out=out)
     out += beta.data.reshape(c, 1)
+    return out
+
+
+def _bn_backward(x, gamma, beta, mean, invstd, training, g, xhat=None):
+    """Hands x, gamma and beta their gradients from the output gradient g.
+    xhat is rebuilt from x when not given, and overwritten."""
+    c = mean.shape[0]
+    gm = g.reshape(c, -1)
+    m = gm.shape[1]
+    batch_dx = training and x.requires_grad
+    if beta.requires_grad or batch_dx:
+        gsum = gm.sum(axis=1, keepdims=True)
+        if beta.requires_grad:
+            beta.accumulate_fresh_grad(gsum.reshape(c))
+    if gamma.requires_grad or batch_dx:
+        if xhat is None:
+            xhat = _bn_xhat(x.data, mean, invstd)
+        gx = (gm * xhat).sum(axis=1, keepdims=True)
+        if gamma.requires_grad:
+            gamma.accumulate_fresh_grad(gx.reshape(c))
+    if x.requires_grad:
+        gi = gamma.data.reshape(c, 1) * invstd
+        if training:
+            # gi * (gm - gsum/m - xhat*gx/m), written over xhat
+            xhat *= gx
+            xhat /= m
+            np.subtract(gm - gsum / m, xhat, out=xhat)
+            xhat *= gi
+            dx = xhat
+        else:
+            dx = gi * gm
+        x.accumulate_fresh_grad(dx.reshape(x.data.shape))
+
+
+def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.1, eps=1e-5):
+    """Per-channel batch normalization of (C, N, H, W) over each channel's row.
+
+    ``running_mean``/``running_var`` are plain numpy arrays mutated in place
+    during training (see ``_bn_forward``). The tape keeps the channel mean
+    and 1/std, O(C): the backward rebuilds xhat = (x - mean) * invstd from
+    the input, with the forward's float ops.
+    """
+    out, mean, invstd = _bn_forward(x.data, gamma, beta, running_mean, running_var, training, momentum, eps)
 
     def backward(g):
-        gm = g.reshape(c, -1)
-        batch_dx = training and x.requires_grad
-        if beta.requires_grad or batch_dx:
-            gsum = gm.sum(axis=1, keepdims=True)
-            if beta.requires_grad:
-                beta.accumulate_fresh_grad(gsum.reshape(c))
-        if gamma.requires_grad or batch_dx:
-            xhat = x.data.reshape(c, -1) - mean
-            xhat *= invstd
-            gx = (gm * xhat).sum(axis=1, keepdims=True)
-            if gamma.requires_grad:
-                gamma.accumulate_fresh_grad(gx.reshape(c))
-        if x.requires_grad:
-            gi = gamma.data.reshape(c, 1) * invstd
-            if training:
-                # gi * (gm - gsum/m - xhat*gx/m), written over xhat
-                xhat *= gx
-                xhat /= m
-                np.subtract(gm - gsum / m, xhat, out=xhat)
-                xhat *= gi
-                dx = xhat
-            else:
-                dx = gi * gm
-            x.accumulate_fresh_grad(dx.reshape(x.data.shape))
+        _bn_backward(x, gamma, beta, mean, invstd, training, g)
 
     return Tensor.from_op(out.reshape(x.data.shape), (x, gamma, beta), backward)
+
+
+def bn_conv(x, gamma, beta, running_mean, running_var, w, b=None, stride=1, padding=0, groups=1, pad_value=None,
+            training=True, momentum=0.1, eps=1e-5):
+    """``conv2d(batchnorm2d(x, ...), w, b, ...)`` as one tape entry, with the
+    same float ops: batch norm, running-statistics update and conv are
+    those of ``batchnorm2d`` and ``conv2d``.
+
+    The forward drops the batch norm's output and the conv's phase buffer.
+    The tape keeps the output and the channel mean and 1/std, O(C); x (the
+    one-byte spikes of a block) is a parent. The backward rebuilds xhat
+    from x once, the batch norm's output and its phase buffer from xhat,
+    then runs the conv's backward and the batch norm's on that xhat.
+    """
+    grid = _conv_grid(x.data.shape, w.data.shape, stride, padding, groups)
+    y, mean, invstd = _bn_forward(x.data, gamma, beta, running_mean, running_var, training, momentum, eps)
+    y_dtype, dtype = y.dtype, np.result_type(y.dtype, w.data.dtype)
+    out = _conv_forward(grid, grid.split(y.reshape(x.data.shape), pad_value, dtype), w, b, groups)
+    del y
+    parents = (x, gamma, beta, w) if b is None else (x, gamma, beta, w, b)
+
+    def backward(g):
+        xhat = _bn_xhat(x.data, mean, invstd)
+        y = _bn_affine(xhat, gamma, beta, np.empty_like(xhat)).reshape(x.data.shape)
+        phases = grid.split(y, pad_value, dtype)
+        del y
+        d = _conv_backward(grid, phases, g, w, b, groups, x.requires_grad or gamma.requires_grad or beta.requires_grad)
+        del phases
+        if d is not None:
+            _bn_backward(x, gamma, beta, mean, invstd, training, grid.merge(d).astype(y_dtype, copy=False), xhat)
+
+    return Tensor.from_op(out, parents, backward)
 
 
 def maxpool2d(x, kernel, stride=None, padding=0):
@@ -394,8 +488,7 @@ def plif(x, state, w, alpha=2.0):
         dv *= scale
         np.multiply(dv, dv, out=dv)
         dv += 1.0
-        dv *= 2.0
-        np.divide(alpha, dv, out=dv)  # sg(v - 1)
+        np.divide(alpha / 2, dv, out=dv)  # sg(v - 1); halving alpha is exact, so this is alpha / (2 dv)
         g_m, out_link.grad = out_link.grad, None
         if g_m is None:  # V' fed no later step
             dv *= g

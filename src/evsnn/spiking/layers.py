@@ -23,6 +23,10 @@ time sum (``ag.time_sum``) adds into float32, where spike counts are exact.
 Batch norm takes its mode from the autograd tape: while the tape records it
 normalizes with batch statistics and updates its running statistics; under
 ``ag.no_grad()`` it uses the running statistics and leaves them unchanged.
+Each bn is the only input of exactly one conv, which ``Network`` checks at
+build time: ``forward`` skips the bn node and calls the conv's layer with
+the bn's input and the bn layer, and the pair is one tape entry
+(``ag.bn_conv``) that keeps the conv's output, not the bn's.
 """
 
 from __future__ import annotations
@@ -74,12 +78,18 @@ class ConvLayer:
         # BN fusion so a folded bn -> conv stays exact at the borders
         self.pad_value = np.zeros(in_channels, dtype=np.float32) if pad_value else None
 
-    def __call__(self, x, steps=1):
+    def __call__(self, x, steps=1, bn=None):
         """One frame, or the sum of ``steps`` frames: then the bias and the
-        border value count once per frame."""
+        border value count once per frame. With ``bn``, the batch norm layer
+        that reads x, the pair runs as one op, ``ag.bn_conv``."""
         bias = self.bias if self.bias is None or steps == 1 else self.bias * float(steps)
         pad_value = None if self.pad_value is None else self.pad_value * np.float32(steps)
-        return ag.conv2d(x, self.weight, bias, self.stride, self.padding, self.groups, pad_value)
+        if bn is None:
+            return ag.conv2d(x, self.weight, bias, self.stride, self.padding, self.groups, pad_value)
+        return ag.bn_conv(
+            x, bn.gamma, bn.beta, bn.running_mean, bn.running_var, self.weight, bias, self.stride, self.padding,
+            self.groups, pad_value, training=ag.grad_enabled(), momentum=bn.momentum, eps=bn.eps,
+        )
 
     def out_shape(self, shape):
         return (self.out_channels, *_out_size(*shape[1:], self.kernel, self.kernel, self.stride, self.padding))
@@ -302,6 +312,21 @@ class Network:
                 self.once.add(node["name"])
             else:
                 read_per_step.update(node["inputs"])
+        # each bn runs inside the one conv that reads it (ag.bn_conv): conv name -> bn name
+        readers = {}
+        for node in spec.nodes:
+            for i in node["inputs"]:
+                readers.setdefault(i, []).append(node)
+        self.bn_of = {}
+        for node in spec.nodes:
+            if node["type"] != "bn":
+                continue
+            name, read_by = node["name"], readers.get(node["name"], [])
+            if (len(read_by) != 1 or read_by[0]["type"] != "conv" or read_by[0]["inputs"] != [name]
+                    or read_by[0]["name"] in self.once or name in spec.outputs):
+                raise ValueError(f"{name}: a bn must be the only input of exactly one conv that runs every "
+                                 f"timestep, and not an output; it is read by {[n['name'] for n in read_by]}")
+            self.bn_of[read_by[0]["name"]] = name
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -345,7 +370,8 @@ class Network:
         Returns {tap: value}: one Tensor summed over time for the nodes that
         run once, a list of one Tensor per timestep for the others. Maps are
         (C, N, H, W); a spatial sum gives (N, C). The PLIF membranes live
-        only in this call, so every call starts from rest.
+        only in this call, so every call starts from rest. A bn node runs in
+        the call of the conv that reads it.
         """
         if batch.shape[1] != self.spec.input_channels:
             raise ValueError(f"batch has {batch.shape[1]} channels, network expects {self.spec.input_channels}")
@@ -355,12 +381,23 @@ class Network:
         summed = list(dict.fromkeys(i for node in once for i in node["inputs"] if i not in self.once))
         per_step = {tap: [] for tap in summed + [o for o in self.spec.outputs if o not in self.once]}
         membranes = {}
+        calls = []  # (name, layer, inputs, extra arguments, is plif); a bn runs in its conv's call
+        bn_inputs = {node["name"]: node["inputs"] for node in stepwise if node["type"] == "bn"}
+        for node in stepwise:
+            name, inputs, extra = node["name"], node["inputs"], []
+            if node["type"] == "bn":
+                continue
+            if name in self.bn_of:
+                bn = self.bn_of[name]
+                inputs, extra = bn_inputs[bn], [1, self.layers[bn]]
+            elif node["type"] == "plif":
+                extra = [membranes]
+            calls.append((name, self.layers[name], inputs, extra, node["type"] == "plif"))
         for t in range(steps):
             values = {"input": Tensor(np.ascontiguousarray(batch[:, :, t].transpose(1, 0, 2, 3)))}
-            for node in stepwise:
-                name, extra = node["name"], [membranes] if node["type"] == "plif" else []
-                values[name] = out = self.layers[name](*[values[i] for i in node["inputs"]], *extra)
-                if extra and record is not None:
+            for name, layer, inputs, extra, is_plif in calls:
+                values[name] = out = layer(*[values[i] for i in inputs], *extra)
+                if is_plif and record is not None:
                     record.add(name, int(np.count_nonzero(out.data)), out.data.size)
             for tap, seq in per_step.items():
                 seq.append(values[tap])

@@ -1,5 +1,6 @@
 """Gradient checks and optimizer/checkpoint unit tests."""
 
+import contextlib
 import math
 import tracemalloc
 
@@ -462,6 +463,104 @@ def test_batchnorm_matches_oracle_bit_for_bit(dtype, training):
         assert np.array_equal(out.data, want_out) and np.array_equal(t.grad, want_dx)
         assert all(np.array_equal(p.grad, want) for p, want in zip(params, want_dparams))
         assert all(np.array_equal(a, b) for a, b in zip(stats, want_stats))
+
+
+# case: (x dtype, Cin, Cout, kernel, stride, padding, groups, bias, constant border)
+_BN_CONV_CASES = {
+    "1x1": (np.float32, 6, 5, 1, 1, 0, 1, False, False),
+    "3x3-pad1": (np.float32, 4, 6, 3, 1, 1, 1, True, False),
+    "3x3-pad1-border": (np.float32, 4, 6, 3, 1, 1, 1, False, True),
+    "stem-3x3-s2": (np.float32, 4, 8, 3, 2, 1, 1, False, False),
+    "depthwise": (np.float32, 5, 5, 3, 1, 1, 5, False, False),
+    "spikes": (np.uint8, 4, 6, 3, 1, 1, 1, True, False),
+}
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("case", sorted(_BN_CONV_CASES))
+def test_bn_conv_equals_batchnorm_then_conv(case, training):
+    """``bn_conv`` is ``conv2d(batchnorm2d(...))`` bit for bit: the output,
+    dx, dW, db, dgamma, dbeta and the running statistics in training, and the
+    output and unchanged running statistics under ``no_grad`` (eval mode).
+    The stem case reads a float input, the spikes case one-byte spikes; the
+    border case pads with a per-channel constant."""
+    dtype, cin, cout, k, s, p, groups, bias, border = _BN_CONV_CASES[case]
+    rng = np.random.default_rng(11)
+    if dtype == np.uint8:
+        x = (rng.random((cin, 3, 7, 6)) < 0.3).astype(dtype)
+    else:
+        x = (rng.standard_normal((cin, 3, 7, 6)) * 2 + 0.5).astype(dtype)
+    arrays = {
+        "gamma": rng.standard_normal(cin).astype(np.float32),
+        "beta": rng.standard_normal(cin).astype(np.float32),
+        "w": rng.standard_normal((cout, cin // groups, k, k)).astype(np.float32),
+        "b": rng.standard_normal(cout).astype(np.float32) if bias else None,
+    }
+    stats = [rng.standard_normal(cin).astype(np.float32), (rng.random(cin) + 0.5).astype(np.float32)]
+    pad_value = rng.standard_normal(cin).astype(np.float32) if border else None
+    g = None
+    runs = []
+    for fused in (True, False):
+        t = Tensor(x, requires_grad=True, dtype=dtype)
+        ps = {key: None if a is None else Tensor(a, requires_grad=True) for key, a in arrays.items()}
+        run_stats = [a.copy() for a in stats]
+        with contextlib.nullcontext() if training else ag.no_grad():
+            if fused:
+                out = ag.bn_conv(t, ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups, pad_value,
+                                 training=training)
+            else:
+                y = ag.batchnorm2d(t, ps["gamma"], ps["beta"], *run_stats, training)
+                out = ag.conv2d(y, ps["w"], ps["b"], s, p, groups, pad_value)
+        if training:
+            g = rng.standard_normal(out.data.shape).astype(np.float32) if g is None else g
+            out.backward(g)
+            assert all(q.grad is not None for q in [t, *ps.values()] if q is not None)
+        else:
+            assert not out.requires_grad
+        runs.append([out.data, *run_stats] + [q.grad for q in [t, *ps.values()] if q is not None])
+    if not training:
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0][1:3], stats))
+    for i, (got, want) in enumerate(zip(*runs)):
+        assert (got is None) == (want is None), i
+        assert got is None or (got.dtype == want.dtype and np.array_equal(got, want)), i
+
+
+def test_bn_conv_grad_float64(rng):
+    """float64 gradients of the pair w.r.t. x, gamma, beta, W and b, in
+    training (batch statistics), over kernel, stride, padding and groups."""
+    for _ in range(10):
+        groups = int(rng.choice([1, 2]))
+        cin, cout = groups * int(rng.integers(1, 3)), groups * int(rng.integers(1, 3))
+        k, s, p = int(rng.choice([1, 3])), int(rng.integers(1, 3)), int(rng.integers(0, 2))
+        x = rng.standard_normal((cin, 2, 5, 5))
+        gamma, beta = rng.standard_normal(cin) + 1.0, rng.standard_normal(cin)
+        w, b = rng.standard_normal((cout, cin // groups, k, k)), rng.standard_normal(cout)
+
+        def run(x_, g_, be_, w_, b_):
+            return ag.bn_conv(x_, g_, be_, np.zeros(cin), np.ones(cin), w_, b_, s, p, groups)
+
+        check_grad(run, [x, gamma, beta, w, b], TOL64)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_bn_conv_tape_keeps_no_bn_output(training):
+    """A taped bn -> conv pair keeps O(C) beyond its output (the mean and
+    1/std per channel); the batch norm's output and the conv's phase buffer
+    are rebuilt by the backward from the spikes, a parent."""
+    rng = np.random.default_rng(4)
+    for c, k in ((8, 1), (64, 1), (64, 3)):
+        x = Tensor((rng.random((c, 4, 32, 32)) < 0.2).astype(np.uint8), requires_grad=True, dtype=np.uint8)
+        gamma = Tensor(np.ones(c, dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((c, c, k, k)).astype(np.float32), requires_grad=True)
+        stats = np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = ag.bn_conv(x, gamma, beta, *stats, w, padding=k // 2, training=training)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - out.data.nbytes <= 4096 + 64 * c, (c, k, held - out.data.nbytes)
 
 
 def test_maxpool_grad(rng):

@@ -19,7 +19,7 @@ from evsnn.spiking import (
 from evsnn.detection import build_detector_spec, build_toy_detector_spec
 from evsnn.spiking.builders import (ARCH_NAMES, build_densenet, build_mobilenet, build_squeezenet, build_toy_classifier,
                                     build_vgg, named_spec)
-from evsnn.spiking.layers import MaxPoolLayer, PLIFLayer
+from evsnn.spiking.layers import ConvLayer, MaxPoolLayer, PLIFLayer
 
 from conftest import cnhw, count_tape_ops, numeric_grad, outputs_and_grads, stepwise_forward, tape_bytes
 
@@ -619,18 +619,74 @@ def test_toy_detector_forward_tape_ops(monkeypatch):
     assert counts["composed"] - counts["fused"] == (7 * steps - 2) * layers
 
 
+def test_squeezenet_runs_each_bn_in_its_conv(monkeypatch):
+    """Each of SqueezeNet-1.1's 26 batch norms runs inside the conv that
+    reads it: a training forward records 26 T fewer tape entries than with
+    the batch norm and the conv as two ops, and gives the same scores."""
+    net = Network(named_spec("squeezenet1.1", in_channels=4), rng=np.random.default_rng(0))
+    batch = (np.random.default_rng(5).random((2, 4, 3, 32, 32)) < 0.1).astype(np.float32)
+    pair_call = ConvLayer.__call__
+
+    def two_ops(layer, x, steps=1, bn=None):
+        return pair_call(layer, x if bn is None else bn(x), steps)
+
+    assert len(net.bn_of) == sum(node["type"] == "bn" for node in net.spec.nodes) == 26
+    counts, scores = {}, {}
+    for name, call in (("pair", pair_call), ("two ops", two_ops)):
+        monkeypatch.setattr(ConvLayer, "__call__", call)
+        with count_tape_ops() as counter:
+            scores[name] = net.forward(batch)["scores"].data
+        counts[name] = counter.ops
+    assert counts["two ops"] - counts["pair"] == 26 * batch.shape[2]
+    assert np.array_equal(scores["pair"], scores["two ops"])
+
+
+def test_bn_that_does_not_feed_one_conv_names_the_node():
+    """A bn must be the only input of exactly one conv that runs every
+    timestep, and not an output; otherwise Network raises a ValueError that
+    names the bn."""
+    unread = NetworkSpec(input_channels=1, outputs=["p"])
+    unread.add("a", "bn", ["input"])
+    unread.add("p", "plif", ["input"])
+    to_plif = NetworkSpec(input_channels=1, outputs=["p"])
+    to_plif.add("a", "bn", ["input"])
+    to_plif.add("p", "plif", ["a"])
+    two_convs = NetworkSpec(input_channels=1, outputs=["p", "q"])
+    two_convs.add("a", "bn", ["input"])
+    for conv, plif in (("c", "p"), ("d", "q")):
+        two_convs.add(conv, "conv", ["a"], out_channels=2, kernel=3)
+        two_convs.add(plif, "plif", [conv])
+    with_concat = NetworkSpec(input_channels=1, outputs=["p"])
+    with_concat.add("a", "bn", ["input"])
+    with_concat.add("cat", "concat", ["a", "input"])
+    with_concat.add("c", "conv", ["cat"], out_channels=2, kernel=3)
+    with_concat.add("p", "plif", ["c"])
+    as_output = NetworkSpec(input_channels=1, outputs=["a", "p"])
+    as_output.add("a", "bn", ["input"])
+    as_output.add("c", "conv", ["a"], out_channels=2, kernel=3)
+    as_output.add("p", "plif", ["c"])
+    summed = NetworkSpec(input_channels=1, outputs=["c"])  # c runs once, on the time-summed input
+    summed.add("a", "bn", ["input"])
+    summed.add("c", "conv", ["a"], out_channels=2, kernel=3)
+    for spec in (unread, to_plif, two_convs, with_concat, as_output, summed):
+        with pytest.raises(ValueError, match="^a: a bn must be the only input of exactly one conv"):
+            Network(spec)
+
+
 def test_squeezenet_tape_bytes_per_plif_element():
     """The tape of a SqueezeNet-1.1 training forward (batch 4, 32x32, T=3)
-    holds at most 15 bytes per PLIF output element (measured 13.9; 19.4 with
-    float32 spikes, 24.9 when PLIF also kept X - V and batch norm kept
-    xhat). PLIF's own share is its one-byte spikes and float32 pre-reset
-    membrane, 5 bytes (8 with float32 spikes)."""
+    holds at most 10.5 bytes per PLIF output element (measured 10.1; 13.9
+    when each conv kept its batch norm's float32 output, 19.4 with float32
+    spikes, 24.9 when PLIF also kept X - V and batch norm kept xhat). PLIF's
+    own share is its one-byte spikes and float32 pre-reset membrane, 5 bytes
+    (8 with float32 spikes); a bn -> conv pair keeps its float32 output,
+    which PLIF reads, and O(C)."""
     net = Network(named_spec("squeezenet1.1", in_channels=4), rng=np.random.default_rng(0))
     batch = (np.random.default_rng(5).random((4, 4, 3, 32, 32)) < 0.1).astype(np.float32)
     tape = tape_bytes(ag.softmax_cross_entropy(net.forward(batch)["scores"], np.array([0, 1, 0, 1])))
     plif = "plif.<locals>.backward"
     assert tape.held[plif] <= 5 * tape.elements[plif] + 1024  # and a 1-element a per step
-    assert sum(tape.held.values()) <= 15 * tape.elements[plif], sum(tape.held.values()) / tape.elements[plif]
+    assert sum(tape.held.values()) <= 10.5 * tape.elements[plif], sum(tape.held.values()) / tape.elements[plif]
 
 
 def test_squeezenet_spikes_are_one_byte_gradients_float():
