@@ -13,13 +13,13 @@ border. Max pooling is a running maximum over the same slices. Batch norm
 reduces each channel's contiguous row; its tape keeps the channel mean and
 1/std, and the backward rebuilds xhat from the input.
 
-``bn_conv`` is a batch norm and the conv that reads it as one tape entry,
-built from the same helpers as ``batchnorm2d`` and ``conv2d`` and bit for
-bit their composition. Its tape keeps the conv's output and the channel
-mean and 1/std, not the batch norm's float output nor the phase buffer:
-the backward rebuilds xhat once from the input (a block's one-byte spikes,
-a parent), the phase buffer from xhat, then runs the conv's backward and
-the batch norm's on that xhat.
+``bn_conv`` is a batch norm and the conv that reads it as one op. On the
+tape it is one entry, bit for bit ``conv2d(batchnorm2d(...))``, that keeps
+the conv's output and the channel mean and 1/std: the backward rebuilds
+xhat once from the input (a block's one-byte spikes, a parent), the phase
+buffer from xhat, then runs the conv's and the batch norm's backward. In
+eval mode under ``no_grad`` the batch norm folds into the conv, which reads
+the spikes themselves.
 
 A PLIF neuron step (``plif``) is one op with a hand-derived backward, so a
 layer records one tape entry per timestep. The membrane is an array handed
@@ -52,7 +52,7 @@ import functools
 
 import numpy as np
 
-from .tensor import Tensor, _float, _sigmoid
+from .tensor import Tensor, _float, _sigmoid, grad_enabled
 
 
 def _out_size(h, w, kh, kw, stride, padding):
@@ -189,12 +189,12 @@ def _conv_grid(x_shape, w_shape, stride, padding, groups):
 
 def _conv_forward(grid, phases, w, b, groups):
     """The (Cout, N, Ho, Wo) output of a conv on its phase buffer: one GEMM
-    per group over all of its columns, plus the bias."""
-    cout = w.data.shape[0]
-    w_m = w.data.reshape(groups, cout // groups, -1)
+    per group over all of its columns, plus the bias (arrays, b may be None)."""
+    cout = w.shape[0]
+    w_m = w.reshape(groups, cout // groups, -1)
     out = grid.crop(np.matmul(w_m, grid.columns(phases).reshape(groups, w_m.shape[2], -1)))
     if b is not None:
-        out += b.data.reshape(cout, 1, 1, 1)
+        out += b.reshape(cout, 1, 1, 1)
     return out
 
 
@@ -218,17 +218,16 @@ def _conv_backward(grid, phases, g, w, b, groups, needs_dx):
     return grid.scatter(dcols)
 
 
-def conv2d(x, w, b=None, stride=1, padding=0, groups=1, pad_value=None):
+def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     """2-D cross-correlation. x: (Cin,N,H,W), w: (Cout,Cin/g,kh,kw) -> (Cout,N,Ho,Wo).
 
-    The border is zero, or ``pad_value[c]`` for input channel c. One-byte
-    spikes are split into a phase buffer of the weight's dtype. The tape
-    keeps the phase buffer, not the column buffer; the backward rebuilds the
-    columns for dW.
+    The border is zero. One-byte spikes are split into a phase buffer of the
+    weight's dtype. The tape keeps the phase buffer, not the column buffer;
+    the backward rebuilds the columns for dW.
     """
     grid = _conv_grid(x.data.shape, w.data.shape, stride, padding, groups)
-    phases = grid.split(x.data, pad_value, np.result_type(x.data.dtype, w.data.dtype))
-    out = _conv_forward(grid, phases, w, b, groups)
+    phases = grid.split(x.data, dtype=np.result_type(x.data.dtype, w.data.dtype))
+    out = _conv_forward(grid, phases, w.data, None if b is None else b.data, groups)
 
     def backward(g):
         d = _conv_backward(grid, phases, g, w, b, groups, x.requires_grad)
@@ -337,29 +336,60 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.
     return Tensor.from_op(out.reshape(x.data.shape), (x, gamma, beta), backward)
 
 
-def bn_conv(x, gamma, beta, running_mean, running_var, w, b=None, stride=1, padding=0, groups=1, pad_value=None,
-            training=True, momentum=0.1, eps=1e-5):
-    """``conv2d(batchnorm2d(x, ...), w, b, ...)`` as one tape entry, with the
-    same float ops: batch norm, running-statistics update and conv are
-    those of ``batchnorm2d`` and ``conv2d``.
+def _bn_fold(gamma, beta, running_mean, running_var, eps, w, b, groups):
+    """Arrays W', b', p of the conv on x that equals conv(bn(x)) in eval mode
+    (Jacob et al., CVPR 2018): with s = gamma / sqrt(running_var + eps) per
+    input channel, W' = W*s, b' = b + sum W*(beta - s*running_mean) over
+    each output's taps, and the border p = running_mean - beta/s that the
+    batch norm maps to 0 (0 where s = 0)."""
+    scale = gamma / np.sqrt(running_var + eps)
+    cout, cin_g = w.shape[:2]
+    # the input channel of each (output channel, weight column)
+    ic = (np.arange(cout)[:, None] // (cout // groups)) * cin_g + np.arange(cin_g)
+    w_f = w * scale[ic][:, :, None, None]
+    b_f = (w * (beta - scale * running_mean)[ic][:, :, None, None]).sum(axis=(1, 2, 3))
+    if b is not None:
+        b_f += b
+    nonzero = scale != 0
+    fill = np.where(nonzero, running_mean - beta / np.where(nonzero, scale, 1), 0)
+    return w_f, b_f, fill
 
-    The forward drops the batch norm's output and the conv's phase buffer.
-    The tape keeps the output and the channel mean and 1/std, O(C); x (the
-    one-byte spikes of a block) is a parent. The backward rebuilds xhat
-    from x once, the batch norm's output and its phase buffer from xhat,
-    then runs the conv's backward and the batch norm's on that xhat.
+
+def bn_conv(x, gamma, beta, running_mean, running_var, w, b=None, stride=1, padding=0, groups=1,
+            training=True, momentum=0.1, eps=1e-5):
+    """``conv2d(batchnorm2d(x, ...), w, b, ...)`` as one op.
+
+    In eval mode under ``no_grad`` the batch norm folds into the conv
+    (``_bn_fold``, O(Cout*Cin/g*k*k) per call): one conv on x, equal to the
+    composition to float round-off, with none of the batch norm's passes
+    over x. A channel with gamma = 0 is the constant beta, and the fold pads
+    it with beta, not 0: a window that reaches the border gains that
+    channel's border taps times beta.
+
+    Otherwise it is one tape entry, bit for bit the composition, running
+    statistics update included. The tape keeps the output and the channel
+    mean and 1/std, not the batch norm's output nor the phase buffer; x
+    (the one-byte spikes of a block) is a parent. The backward rebuilds
+    xhat from x once, the phase buffer from xhat, then runs the conv's
+    backward and the batch norm's on that xhat.
     """
     grid = _conv_grid(x.data.shape, w.data.shape, stride, padding, groups)
+    parents = (x, gamma, beta, w) if b is None else (x, gamma, beta, w, b)
+    if not (training or grad_enabled()):
+        w_f, b_f, fill = _bn_fold(gamma.data, beta.data, running_mean, running_var, eps, w.data,
+                                  None if b is None else b.data, groups)
+        phases = grid.split(x.data, fill, np.result_type(x.data.dtype, w_f.dtype))
+        return Tensor.from_op(_conv_forward(grid, phases, w_f, b_f, groups), parents, None)
     y, mean, invstd = _bn_forward(x.data, gamma, beta, running_mean, running_var, training, momentum, eps)
     y_dtype, dtype = y.dtype, np.result_type(y.dtype, w.data.dtype)
-    out = _conv_forward(grid, grid.split(y.reshape(x.data.shape), pad_value, dtype), w, b, groups)
+    out = _conv_forward(grid, grid.split(y.reshape(x.data.shape), dtype=dtype), w.data,
+                        None if b is None else b.data, groups)
     del y
-    parents = (x, gamma, beta, w) if b is None else (x, gamma, beta, w, b)
 
     def backward(g):
         xhat = _bn_xhat(x.data, mean, invstd)
         y = _bn_affine(xhat, gamma, beta, np.empty_like(xhat)).reshape(x.data.shape)
-        phases = grid.split(y, pad_value, dtype)
+        phases = grid.split(y, dtype=dtype)
         del y
         d = _conv_backward(grid, phases, g, w, b, groups, x.requires_grad or gamma.requires_grad or beta.requires_grad)
         del phases

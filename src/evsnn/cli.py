@@ -142,7 +142,7 @@ def cmd_eval_classifier(args):
     net = _toy_net(encoder.channels, args.seed)
     load_network(args.ckpt, net)
     samples = make_moving_bar_dataset(args.samples, seed=args.seed + 1)
-    acc, _ = evaluate_classifier(net, samples, encoder, fuse=args.fuse)
+    acc, _ = evaluate_classifier(net, samples, encoder)
     print(f"accuracy: {acc:.3f}")
     if args.sparsity:
         cubes, _ = encode_samples(samples, encoder)
@@ -265,7 +265,6 @@ def main(argv=None):
         p.add_argument("--samples", type=int, default=64)
         p.add_argument("--seed", type=int, default=0)
         if name == "eval-classifier":
-            p.add_argument("--fuse", action="store_true", help="fold batch norms into convolutions")
             p.add_argument("--sparsity", action="store_true", help="also report spike rates")
         else:
             p.add_argument("--out", help="detection dump (.json or text)")

@@ -22,7 +22,7 @@ from .autograd.checkpoint import check_state
 from .detection import DetectionModel, build_anchor_targets, decode_detections, detection_loss
 from .encoding import EncoderConfig, batch_cubes, encode_voxel_cube
 from .metrics import accuracy, coco_map
-from .spiking import Network, fuse_network
+from .spiking import Network
 from .tasks import detection_ground_truth, encode_samples
 
 
@@ -105,13 +105,11 @@ def train_classifier(net: Network, samples, encoder: EncoderConfig, config: Trai
     return _fit(net.param_list(), loss_fn, len(samples), config, log)
 
 
-def evaluate_classifier(net: Network, samples, encoder: EncoderConfig, batch_size=64, fuse=False):
-    """Returns (accuracy, predictions). With ``fuse`` the BNs are folded
-    into the convolutions before evaluation."""
+def evaluate_classifier(net: Network, samples, encoder: EncoderConfig, batch_size=64):
+    """Returns (accuracy, predictions). The forward runs under ``no_grad``,
+    where each batch norm folds into its conv."""
     cubes, labels = encode_samples(samples, encoder)
     data = batch_cubes(cubes)
-    if fuse:
-        net = fuse_network(net)
     preds = []
     with ag.no_grad():
         for i in range(0, len(cubes), batch_size):

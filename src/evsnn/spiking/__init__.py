@@ -15,7 +15,7 @@ from .builders import (
     build_densenet,
     build_toy_classifier,
 )
-from .transforms import fuse_bn_into_conv, fuse_network, dwsep_to_normal_conv, convert_dwsep_network
+from .transforms import dwsep_to_normal_conv, convert_dwsep_network
 
 __all__ = [
     "PLIFConfig",
@@ -31,8 +31,6 @@ __all__ = [
     "build_mobilenet",
     "build_densenet",
     "build_toy_classifier",
-    "fuse_bn_into_conv",
-    "fuse_network",
     "dwsep_to_normal_conv",
     "convert_dwsep_network",
 ]

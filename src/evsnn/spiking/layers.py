@@ -25,8 +25,8 @@ normalizes with batch statistics and updates its running statistics; under
 ``ag.no_grad()`` it uses the running statistics and leaves them unchanged.
 Each bn is the only input of exactly one conv, which ``Network`` checks at
 build time: ``forward`` skips the bn node and calls the conv's layer with
-the bn's input and the bn layer, and the pair is one tape entry
-(``ag.bn_conv``) that keeps the conv's output, not the bn's.
+the bn's input and the bn layer. The pair is one op, ``ag.bn_conv``: one
+tape entry, or under ``ag.no_grad()`` the bn folded into the conv.
 """
 
 from __future__ import annotations
@@ -55,11 +55,12 @@ class PLIFConfig:
     def __post_init__(self):
         if self.tau_init <= 1.0:
             raise ValueError("tau_init must be > 1 for a stable leak")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
 
 
 class ConvLayer:
-    def __init__(self, name, in_channels, out_channels, kernel, stride=1, padding=None, groups=1, bias=False,
-                 pad_value=False, rng=None):
+    def __init__(self, name, in_channels, out_channels, kernel, stride=1, padding=None, groups=1, bias=False, rng=None):
         self.name = name
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -74,21 +75,17 @@ class ConvLayer:
             w = ag.kaiming_uniform_init((out_channels, in_channels // groups, kernel, kernel), fan_in, rng)
         self.weight = Tensor(w, requires_grad=True, name=f"{name}.weight")
         self.bias = Tensor(np.zeros(out_channels, dtype=np.float32), requires_grad=True, name=f"{name}.bias") if bias else None
-        # per-input-channel constant used instead of zero padding; filled by
-        # BN fusion so a folded bn -> conv stays exact at the borders
-        self.pad_value = np.zeros(in_channels, dtype=np.float32) if pad_value else None
 
     def __call__(self, x, steps=1, bn=None):
-        """One frame, or the sum of ``steps`` frames: then the bias and the
-        border value count once per frame. With ``bn``, the batch norm layer
-        that reads x, the pair runs as one op, ``ag.bn_conv``."""
+        """One frame, or the sum of ``steps`` frames: then the bias counts
+        once per frame. With ``bn``, the batch norm layer that reads x, the
+        pair runs as one op, ``ag.bn_conv``."""
         bias = self.bias if self.bias is None or steps == 1 else self.bias * float(steps)
-        pad_value = None if self.pad_value is None else self.pad_value * np.float32(steps)
         if bn is None:
-            return ag.conv2d(x, self.weight, bias, self.stride, self.padding, self.groups, pad_value)
+            return ag.conv2d(x, self.weight, bias, self.stride, self.padding, self.groups)
         return ag.bn_conv(
             x, bn.gamma, bn.beta, bn.running_mean, bn.running_var, self.weight, bias, self.stride, self.padding,
-            self.groups, pad_value, training=ag.grad_enabled(), momentum=bn.momentum, eps=bn.eps,
+            self.groups, training=ag.grad_enabled(), momentum=bn.momentum, eps=bn.eps,
         )
 
     def out_shape(self, shape):
@@ -255,7 +252,37 @@ def _plif_config_from_node(node):
     unknown = sorted(set(keys) - {f.name for f in fields(PLIFConfig)})
     if unknown:
         raise ValueError(f"{node['name']}: unknown plif keys {unknown}")
-    return PLIFConfig(**keys)
+    try:
+        return PLIFConfig(**keys)
+    except ValueError as exc:
+        raise ValueError(f"{node['name']}: {exc}") from None
+
+
+def _schedule(spec: NetworkSpec):
+    """For a spec whose inputs are all defined: the nodes that run once per
+    sample on the time-summed input (a conv or spatial sum, which commute
+    with that sum, whose consumers all do), the bn each conv runs in its
+    call (conv name -> bn name), and a message naming each bn that cannot."""
+    once, read_per_step = set(), set()
+    for node in reversed(spec.nodes):  # consumers before producers
+        if node["type"] in ("conv", "spatial_sum") and node["name"] not in read_per_step:
+            once.add(node["name"])
+        else:
+            read_per_step.update(node["inputs"])
+    readers = {}
+    for node in spec.nodes:
+        for i in node["inputs"]:
+            readers.setdefault(i, []).append(node)
+    bn_of, problems = {}, []
+    for node in (n for n in spec.nodes if n["type"] == "bn"):
+        name, read_by = node["name"], readers.get(node["name"], [])
+        if (len(read_by) != 1 or read_by[0]["type"] != "conv" or read_by[0]["inputs"] != [name]
+                or read_by[0]["name"] in once or name in spec.outputs):
+            problems.append(f"{name}: a bn must be the only input of exactly one conv that runs every "
+                            f"timestep, and not an output; it is read by {[n['name'] for n in read_by]}")
+        else:
+            bn_of[read_by[0]["name"]] = name
+    return once, bn_of, problems
 
 
 class Network:
@@ -276,57 +303,36 @@ class Network:
                 raise ValueError(f"{name}: inputs {undefined} are not defined by an earlier node")
             cin = sum(self.channels[i] for i in node["inputs"])
             if typ == "conv":
+                if "pad_value" in node:  # a conv with a bn folded in, as an earlier exporter wrote it
+                    raise ValueError(f"{name}: the conv key 'pad_value' is no longer read; a bn folds into "
+                                     f"its conv under no_grad, so export the network with its bn nodes")
                 layer = ConvLayer(
                     name, cin, node["out_channels"], node["kernel"],
                     stride=node.get("stride", 1), padding=node.get("padding"),
                     groups=cin if node.get("depthwise") else node.get("groups", 1),
-                    bias=node.get("bias", False), pad_value=node.get("pad_value", False), rng=rng,
+                    bias=node.get("bias", False), rng=rng,
                 )
-                self.channels[name] = node["out_channels"]
             elif typ == "bn":
                 layer = BatchNormLayer(name, cin)
-                self.channels[name] = cin
             elif typ == "plif":
                 layer = PLIFLayer(name, _plif_config_from_node(node))
-                self.channels[name] = cin
             elif typ == "maxpool":
                 layer = MaxPoolLayer(name, node["kernel"], node.get("stride"), node.get("padding", 0))
-                self.channels[name] = cin
             elif typ == "concat":
                 layer = ConcatLayer(name)
-                self.channels[name] = cin
             elif typ == "spatial_sum":
                 layer = SpatialSumLayer(name)
-                self.channels[name] = cin
             else:
                 raise ValueError(f"unknown layer type {typ!r}")
             self.layers[name] = layer
+            self.channels[name] = node["out_channels"] if typ == "conv" else cin
         undefined = [o for o in spec.outputs if o not in self.channels]
         if undefined:
             raise ValueError(f"outputs {undefined} are not defined by any node")
-        # the nodes that run once per sample on the time-summed input: a conv
-        # or spatial sum (they commute with that sum) whose consumers all do
-        self.once, read_per_step = set(), set()
-        for node in reversed(spec.nodes):  # consumers before producers
-            if node["type"] in ("conv", "spatial_sum") and node["name"] not in read_per_step:
-                self.once.add(node["name"])
-            else:
-                read_per_step.update(node["inputs"])
-        # each bn runs inside the one conv that reads it (ag.bn_conv): conv name -> bn name
-        readers = {}
-        for node in spec.nodes:
-            for i in node["inputs"]:
-                readers.setdefault(i, []).append(node)
-        self.bn_of = {}
-        for node in spec.nodes:
-            if node["type"] != "bn":
-                continue
-            name, read_by = node["name"], readers.get(node["name"], [])
-            if (len(read_by) != 1 or read_by[0]["type"] != "conv" or read_by[0]["inputs"] != [name]
-                    or read_by[0]["name"] in self.once or name in spec.outputs):
-                raise ValueError(f"{name}: a bn must be the only input of exactly one conv that runs every "
-                                 f"timestep, and not an output; it is read by {[n['name'] for n in read_by]}")
-            self.bn_of[read_by[0]["name"]] = name
+        # each bn runs inside the one conv that reads it (ag.bn_conv)
+        self.once, self.bn_of, problems = _schedule(spec)
+        if problems:
+            raise ValueError(problems[0])
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -340,10 +346,10 @@ class Network:
         return list(self.params().values())
 
     def state_arrays(self):
-        """Parameters, BN running statistics and fused-conv pad values by name: what a checkpoint holds."""
+        """Parameters and BN running statistics by name: what a checkpoint holds."""
         out = {name: p.data for name, p in self.params().items()}
         for name, layer in self.layers.items():
-            for buffer in ("running_mean", "running_var", "pad_value"):
+            for buffer in ("running_mean", "running_var"):
                 value = getattr(layer, buffer, None)
                 if value is not None:
                     out[f"{name}.{buffer}"] = value
@@ -422,8 +428,9 @@ class Network:
 
 def audit_spike_purity(spec: NetworkSpec, allow_dwsep=False):
     """Check that convolutions only ever see binary spike tensors or the
-    immediately preceding BN output. Returns a list of violations; raises
-    ValueError naming the node that reads an undefined input."""
+    immediately preceding BN output, and that each bn pairs with its conv
+    (``Network`` raises the same message). Returns a list of violations;
+    raises ValueError naming the node that reads an undefined input."""
     kind = {"input": "binary"}
     violations = []
     for node in spec.nodes:
@@ -439,19 +446,11 @@ def audit_spike_purity(spec: NetworkSpec, allow_dwsep=False):
                 violations.append(f"{name}: bn input is {in_kinds[0]}, not spikes")
             kind[name] = "bn"
         elif typ == "conv":
-            ok = in_kinds[0] in ("binary", "bn")
-            if not ok and allow_dwsep and node.get("pointwise_of"):
-                ok = True
-            if not ok:
+            if in_kinds[0] not in ("binary", "bn") and not (allow_dwsep and node.get("pointwise_of")):
                 violations.append(f"{name}: conv input is {in_kinds[0]}, not spikes or a preceding bn")
             kind[name] = "conv"
-        elif typ in ("maxpool", "concat"):
-            if all(k == "binary" for k in in_kinds):
-                kind[name] = "binary"
-            else:
-                kind[name] = "real"
-        elif typ == "spatial_sum":
-            kind[name] = "real"
+        elif typ in ("maxpool", "concat") and all(k == "binary" for k in in_kinds):
+            kind[name] = "binary"
         else:
             kind[name] = "real"
-    return violations
+    return violations + _schedule(spec)[2]

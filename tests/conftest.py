@@ -62,21 +62,31 @@ def cnhw(a):
     return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
-def stepwise_forward(net, batch, record=None):
+def stepwise_forward(net, batch, record=None, unfolded=False):
     """Reference for ``Network.forward``: every node at every timestep, then
     each output summed over time with ``ag.time_sum``. ``forward`` runs the
     nodes that commute with that sum once, on the time-summed input instead.
-    ``record`` counts spikes as ``forward`` does."""
+    Each bn runs in its conv's call, ``conv(x, 1, bn)``, as in ``forward``;
+    with ``unfolded`` it runs as a call of its own before the conv's, the
+    batch norm that ``no_grad`` otherwise folds into the conv. ``record``
+    counts spikes as ``forward`` does."""
+    bn_of = {} if unfolded else net.bn_of
+    paired = set(bn_of.values())
     membranes = {}
     per_step = {o: [] for o in net.spec.outputs}
     for t in range(batch.shape[2]):
         values = {"input": Tensor(cnhw(batch[:, :, t]))}
         for node in net.spec.nodes:
-            inputs = [values[i] for i in node["inputs"]]
-            extra = (membranes,) if node["type"] == "plif" else ()
-            values[node["name"]] = out = net.layers[node["name"]](*inputs, *extra)
-            if extra and record is not None:
-                record.add(node["name"], int(np.count_nonzero(out.data)), out.data.size)
+            name, inputs, extra = node["name"], node["inputs"], ()
+            if name in paired:
+                continue
+            if name in bn_of:
+                inputs, extra = net.spec.node(bn_of[name])["inputs"], (1, net.layers[bn_of[name]])
+            elif node["type"] == "plif":
+                extra = (membranes,)
+            values[name] = out = net.layers[name](*[values[i] for i in inputs], *extra)
+            if node["type"] == "plif" and record is not None:
+                record.add(name, int(np.count_nonzero(out.data)), out.data.size)
         for o, seq in per_step.items():
             seq.append(values[o])
     if record is not None:

@@ -8,7 +8,7 @@ authoritative pass/fail signal. Criteria:
  2. accumulate-op (ACC) count reproduction
  3. voxel-cube encoder vs brute-force oracle, exact
  4. finite-difference gradient checks + hand-derived 2-step BPTT chain
- 5. BN-fusion / depthwise-separable conversion equivalences
+ 5. BN folding (no_grad bn_conv) / depthwise-separable conversion equivalences
  6. COCO mAP vs brute-force oracle + hand cases
  7. end-to-end temporal learning on the moving-bar task
  8. end-to-end detection learning on the moving-squares task
@@ -30,14 +30,14 @@ from evsnn.encoding import EncoderConfig, VoxelCube, encode_voxel_cube
 from evsnn.events import EventStream, load_events
 from evsnn.metrics import box_iou_xywh, coco_map, count_accs_per_timestep, count_params, measure_sparsity
 from evsnn.pipeline import TrainConfig, evaluate_classifier, evaluate_detector, train_classifier, train_detector
-from evsnn.spiking import Network, convert_dwsep_network, fuse_network
+from evsnn.spiking import Network, convert_dwsep_network
 from evsnn.spiking.builders import build_toy_classifier, named_spec
 from evsnn.spiking.layers import PLIFConfig
-from evsnn.spiking.transforms import dwsep_to_normal_conv, fuse_bn_into_conv
+from evsnn.spiking.transforms import dwsep_to_normal_conv
 from evsnn.spiking.layers import BatchNormLayer, ConvLayer
 from evsnn.tasks import make_moving_bar_dataset, make_moving_squares_dataset
 
-from conftest import check_grad, cnhw
+from conftest import check_grad, cnhw, stepwise_forward
 from test_metrics import _coco_map_oracle, _det, _gt, _random_scene
 
 
@@ -251,7 +251,7 @@ def test_criterion_4_gradient_checks():
 
 def test_criterion_5_structural_equivalences():
     rng = np.random.default_rng(9)
-    worst_fuse = worst_dw = 0.0
+    worst_fold = worst_dw = 0.0
     for _ in range(100):
         cin, cout = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         k = int(rng.choice([1, 3]))
@@ -263,8 +263,8 @@ def test_criterion_5_structural_equivalences():
         conv = ConvLayer("c", cin, cout, k, bias=bool(rng.random() < 0.5), rng=rng)
         x = Tensor(cnhw(rng.standard_normal((2, cin, 6, 6)).astype(np.float32)))
         with ag.no_grad():
-            diff = np.abs(fuse_bn_into_conv(bn, conv)(x).data - conv(bn(x)).data).max()
-        worst_fuse = max(worst_fuse, float(diff))
+            diff = np.abs(conv(x, 1, bn).data - conv(bn(x)).data).max()  # folded, against bn then conv
+        worst_fold = max(worst_fold, float(diff))
 
         dw = rng.standard_normal((cin, 1, 3, 3)).astype(np.float32)
         pw = rng.standard_normal((cout, cin, 1, 1)).astype(np.float32)
@@ -277,24 +277,23 @@ def test_criterion_5_structural_equivalences():
         with ag.no_grad():
             diff = np.abs(dense(x).data - pwl(dwl(x)).data).max()
         worst_dw = max(worst_dw, float(diff))
-    assert worst_fuse <= 1e-5
+    assert worst_fold <= 1e-5
     assert worst_dw <= 1e-5
 
-    # fused full-network inference keeps the argmax on 500 random inputs
+    # folded full-network inference keeps the unfolded argmax on 500 random inputs
     net = Network(build_toy_classifier(in_channels=4), rng=np.random.default_rng(10))
     for bn in [layer for layer in net.layers.values() if isinstance(layer, BatchNormLayer)]:
         bn.running_mean = rng.standard_normal(bn.channels).astype(np.float32) * 0.1
         bn.running_var = (rng.random(bn.channels) + 0.5).astype(np.float32)
-    fused = fuse_network(net)
     agree = 0
     for i in range(10):
         batch = (rng.random((50, 4, 3, 32, 32)) < 0.3).astype(np.float32)
         with ag.no_grad():
-            a = net.forward(batch)["scores"].data.argmax(axis=1)
-            b = fused.forward(batch)["scores"].data.argmax(axis=1)
+            a = stepwise_forward(net, batch, unfolded=True)["scores"].data.argmax(axis=1)
+            b = net.forward(batch)["scores"].data.argmax(axis=1)
         agree += int((a == b).sum())
     assert agree == 500
-    _report(5, f"— fuse diff {worst_fuse:.1e}, dwsep diff {worst_dw:.1e}, 500/500 argmax")
+    _report(5, f"— fold diff {worst_fold:.1e}, dwsep diff {worst_dw:.1e}, 500/500 argmax")
 
 
 # --------------------------------------------------------------------------

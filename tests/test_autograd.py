@@ -1,6 +1,5 @@
 """Gradient checks and optimizer/checkpoint unit tests."""
 
-import contextlib
 import math
 import tracemalloc
 
@@ -121,11 +120,7 @@ def test_conv2d_grad(rng):
         x = cnhw(rng.standard_normal((n, cin, h, h)))
         w = rng.standard_normal((cout, cin // groups, k, k))
         b = rng.standard_normal(cout)
-        pad_value = rng.standard_normal(cin) if rng.random() < 0.5 else None
-        check_grad(
-            lambda x_, w_, b_: ag.conv2d(x_, w_, b_, stride=stride, padding=pad, groups=groups, pad_value=pad_value),
-            [x, w, b], TOL64,
-        )
+        check_grad(lambda x_, w_, b_: ag.conv2d(x_, w_, b_, stride=stride, padding=pad, groups=groups), [x, w, b], TOL64)
 
 
 def test_conv2d_depthwise_grad(rng):
@@ -143,16 +138,12 @@ def test_conv2d_float32_grad(rng):
         check_grad(lambda x_, w_: ag.conv2d(x_, w_, stride=2, padding=1), [x, w], TOL32, eps=1e-2)
 
 
-def _naive_conv(x, w, s, p, groups, pad_value):
+def _naive_conv(x, w, s, p, groups):
     """Direct NCHW loop over output positions with an ``einsum`` per group."""
     n, cin, h, wd = x.shape
     cout, cin_g, k = w.shape[0], w.shape[1], w.shape[2]
     cout_g = cout // groups
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    if p and pad_value is not None:
-        border = np.ones_like(xp, dtype=bool)
-        border[:, :, p:-p, p:-p] = False
-        xp[border] = np.broadcast_to(pad_value.reshape(1, cin, 1, 1), xp.shape)[border]
     ho, wo = (h + 2 * p - k) // s + 1, (wd + 2 * p - k) // s + 1
     ref = np.zeros((n, cout, ho, wo))
     for i in range(ho):
@@ -166,9 +157,8 @@ def _naive_conv(x, w, s, p, groups, pad_value):
 
 def test_conv2d_matches_naive(rng):
     """The phase-layout GEMM conv against a direct NCHW loop over output
-    positions, for dense, grouped (g=2) and depthwise weights, with a zero or
-    a per-channel constant border, on non-square inputs, and for the
-    detector's first conv (5x5, stride 2, padding 2)."""
+    positions, for dense, grouped (g=2) and depthwise weights, on non-square
+    inputs, and for the detector's first conv (5x5, stride 2, padding 2)."""
     for groups, cin, cout in ((1, 3, 4), (2, 4, 6), (3, 3, 3), (4, 4, 8)):  # the last two are depthwise
         for _ in range(10):
             n, k = 2, 3
@@ -176,18 +166,16 @@ def test_conv2d_matches_naive(rng):
             h, wd = int(rng.integers(4, 8)), int(rng.integers(4, 8))
             x = rng.standard_normal((n, cin, h, wd))
             w = rng.standard_normal((cout, cin // groups, k, k))
-            pad_value = rng.standard_normal(cin) if rng.random() < 0.5 else None
-            out = cnhw(ag.conv2d(Tensor(cnhw(x)), Tensor(w), stride=s, padding=p, groups=groups,
-                                 pad_value=pad_value).data)
-            assert np.allclose(out, _naive_conv(x, w, s, p, groups, pad_value), atol=1e-10)
+            out = cnhw(ag.conv2d(Tensor(cnhw(x)), Tensor(w), stride=s, padding=p, groups=groups).data)
+            assert np.allclose(out, _naive_conv(x, w, s, p, groups), atol=1e-10)
     for h, wd in ((16, 16), (13, 10)):
         x = rng.standard_normal((2, 4, h, wd))
         w = rng.standard_normal((6, 4, 5, 5))
         out = cnhw(ag.conv2d(Tensor(cnhw(x)), Tensor(w), stride=2, padding=2).data)
-        assert np.allclose(out, _naive_conv(x, w, 2, 2, 1, None), atol=1e-10)
+        assert np.allclose(out, _naive_conv(x, w, 2, 2, 1), atol=1e-10)
 
 
-def _conv2d_oracle(x, w, b, s, p, groups, pad_value, g):
+def _conv2d_oracle(x, w, b, s, p, groups, g):
     """The strided-window conv on channel-major ``x`` that the phase layout
     replaced: a padded copy, a (Cin, k*k, N, Ho, Wo) column buffer filled
     window by window, and a col2im that adds the column gradient back window
@@ -196,8 +184,6 @@ def _conv2d_oracle(x, w, b, s, p, groups, pad_value, g):
     cout, cin_g, kh, kw = w.shape
     ho, wo = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
     xp = np.zeros((cin, n, h + 2 * p, wd + 2 * p), dtype=x.dtype)
-    if pad_value is not None:
-        xp[:] = pad_value.astype(x.dtype).reshape(cin, 1, 1, 1)
     xp[:, :, p : p + h, p : p + wd] = x
 
     def windows(a):
@@ -244,12 +230,11 @@ def test_conv2d_matches_window_oracle():
         x = rng.standard_normal((cin, n, h, wd)).astype(dtype)
         w = rng.standard_normal((cout, cin // groups, k, k)).astype(dtype)
         b = rng.standard_normal(cout).astype(dtype)
-        pad_value = rng.standard_normal(cin).astype(dtype) if rng.random() < 0.5 else None
         tensors = [Tensor(a, requires_grad=True) for a in (x, w, b)]
-        out = ag.conv2d(*tensors, stride=s, padding=p, groups=groups, pad_value=pad_value)
+        out = ag.conv2d(*tensors, stride=s, padding=p, groups=groups)
         g = rng.standard_normal(out.data.shape).astype(dtype)
         out.backward(g)
-        want = _conv2d_oracle(x, w, b, s, p, groups, pad_value, g)
+        want = _conv2d_oracle(x, w, b, s, p, groups, g)
         case_id = (k, s, p, groups, (h, wd), dtype.__name__)
         assert np.array_equal(tensors[2].grad, want[3]), case_id
         near = [(out.data, want[0]), (tensors[1].grad, want[2])]
@@ -266,25 +251,23 @@ def test_conv2d_matches_window_oracle():
 @pytest.mark.parametrize("s", [1, 2])
 @pytest.mark.parametrize("p", [0, 1])
 def test_conv2d_on_one_byte_spikes_equals_float_copy(k, s, p):
-    """A conv reading one-byte spikes (as a fused network's convs do) gives
-    the output, dW and dx of the same call on their float32 copy, bit for
-    bit, with a zero and with a per-channel constant border; k = 1, s = 1,
-    p = 0 is the case whose phase buffer is the input itself."""
+    """A conv reading one-byte spikes gives the output, dW and dx of the same
+    call on their float32 copy, bit for bit; k = 1, s = 1, p = 0 is the case
+    whose phase buffer is the input itself."""
     rng = np.random.default_rng(7)
     spikes = (rng.random((3, 2, 7, 6)) < 0.4).astype(np.uint8)
     w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
     g = None
-    for pad_value in (None, rng.standard_normal(3).astype(np.float32)):
-        runs = []
-        for x in (Tensor(spikes, requires_grad=True, dtype=np.uint8), Tensor(spikes.astype(np.float32), requires_grad=True)):
-            wt = Tensor(w, requires_grad=True)
-            out = ag.conv2d(x, wt, stride=s, padding=p, pad_value=pad_value)
-            g = rng.standard_normal(out.data.shape).astype(np.float32) if g is None else g
-            out.backward(g)
-            runs.append((out.data, wt.grad, x.grad))
-        assert runs[0][0].dtype == runs[0][2].dtype == np.float32
-        for got, want in zip(*runs):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    runs = []
+    for x in (Tensor(spikes, requires_grad=True, dtype=np.uint8), Tensor(spikes.astype(np.float32), requires_grad=True)):
+        wt = Tensor(w, requires_grad=True)
+        out = ag.conv2d(x, wt, stride=s, padding=p)
+        g = rng.standard_normal(out.data.shape).astype(np.float32) if g is None else g
+        out.backward(g)
+        runs.append((out.data, wt.grad, x.grad))
+    assert runs[0][0].dtype == runs[0][2].dtype == np.float32
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -465,26 +448,23 @@ def test_batchnorm_matches_oracle_bit_for_bit(dtype, training):
         assert all(np.array_equal(a, b) for a, b in zip(stats, want_stats))
 
 
-# case: (x dtype, Cin, Cout, kernel, stride, padding, groups, bias, constant border)
+# case: (x dtype, Cin, Cout, kernel, stride, padding, groups, bias)
 _BN_CONV_CASES = {
-    "1x1": (np.float32, 6, 5, 1, 1, 0, 1, False, False),
-    "3x3-pad1": (np.float32, 4, 6, 3, 1, 1, 1, True, False),
-    "3x3-pad1-border": (np.float32, 4, 6, 3, 1, 1, 1, False, True),
-    "stem-3x3-s2": (np.float32, 4, 8, 3, 2, 1, 1, False, False),
-    "depthwise": (np.float32, 5, 5, 3, 1, 1, 5, False, False),
-    "spikes": (np.uint8, 4, 6, 3, 1, 1, 1, True, False),
+    "1x1": (np.float32, 6, 5, 1, 1, 0, 1, False),
+    "3x3-pad1": (np.float32, 4, 6, 3, 1, 1, 1, True),
+    "stem-3x3-s2": (np.float32, 4, 8, 3, 2, 1, 1, False),
+    "grouped": (np.float32, 4, 6, 3, 1, 1, 2, True),
+    "depthwise": (np.float32, 5, 5, 3, 1, 1, 5, False),
+    "spikes": (np.uint8, 4, 6, 3, 1, 1, 1, True),
 }
 
 
-@pytest.mark.parametrize("training", [True, False])
-@pytest.mark.parametrize("case", sorted(_BN_CONV_CASES))
-def test_bn_conv_equals_batchnorm_then_conv(case, training):
-    """``bn_conv`` is ``conv2d(batchnorm2d(...))`` bit for bit: the output,
-    dx, dW, db, dgamma, dbeta and the running statistics in training, and the
-    output and unchanged running statistics under ``no_grad`` (eval mode).
-    The stem case reads a float input, the spikes case one-byte spikes; the
-    border case pads with a per-channel constant."""
-    dtype, cin, cout, k, s, p, groups, bias, border = _BN_CONV_CASES[case]
+def _bn_conv_arrays(case):
+    """The input, the batch norm's gamma, beta and running statistics, and
+    the conv's weight and bias (None without one) of a ``_BN_CONV_CASES``
+    case: the stem case reads a float input, the spikes case one-byte
+    spikes."""
+    dtype, cin, cout, k, s, p, groups, bias = _BN_CONV_CASES[case]
     rng = np.random.default_rng(11)
     if dtype == np.uint8:
         x = (rng.random((cin, 3, 7, 6)) < 0.3).astype(dtype)
@@ -497,32 +477,77 @@ def test_bn_conv_equals_batchnorm_then_conv(case, training):
         "b": rng.standard_normal(cout).astype(np.float32) if bias else None,
     }
     stats = [rng.standard_normal(cin).astype(np.float32), (rng.random(cin) + 0.5).astype(np.float32)]
-    pad_value = rng.standard_normal(cin).astype(np.float32) if border else None
+    return x, arrays, stats, (s, p, groups)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("case", sorted(_BN_CONV_CASES))
+def test_bn_conv_equals_batchnorm_then_conv(case, training):
+    """While the tape records, ``bn_conv`` is ``conv2d(batchnorm2d(...))``
+    bit for bit: the output, dx, dW, db, dgamma, dbeta and the running
+    statistics, in training and in eval mode (running statistics, left
+    unchanged)."""
+    x, arrays, stats, (s, p, groups) = _bn_conv_arrays(case)
     g = None
     runs = []
     for fused in (True, False):
-        t = Tensor(x, requires_grad=True, dtype=dtype)
+        t = Tensor(x, requires_grad=True, dtype=x.dtype)
         ps = {key: None if a is None else Tensor(a, requires_grad=True) for key, a in arrays.items()}
         run_stats = [a.copy() for a in stats]
-        with contextlib.nullcontext() if training else ag.no_grad():
-            if fused:
-                out = ag.bn_conv(t, ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups, pad_value,
-                                 training=training)
-            else:
-                y = ag.batchnorm2d(t, ps["gamma"], ps["beta"], *run_stats, training)
-                out = ag.conv2d(y, ps["w"], ps["b"], s, p, groups, pad_value)
-        if training:
-            g = rng.standard_normal(out.data.shape).astype(np.float32) if g is None else g
-            out.backward(g)
-            assert all(q.grad is not None for q in [t, *ps.values()] if q is not None)
+        if fused:
+            out = ag.bn_conv(t, ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups, training=training)
         else:
-            assert not out.requires_grad
+            y = ag.batchnorm2d(t, ps["gamma"], ps["beta"], *run_stats, training)
+            out = ag.conv2d(y, ps["w"], ps["b"], s, p, groups)
+        g = np.random.default_rng(12).standard_normal(out.data.shape).astype(np.float32) if g is None else g
+        out.backward(g)
+        assert all(q.grad is not None for q in [t, *ps.values()] if q is not None)
         runs.append([out.data, *run_stats] + [q.grad for q in [t, *ps.values()] if q is not None])
     if not training:
         assert all(np.array_equal(a, b) for a, b in zip(runs[0][1:3], stats))
     for i, (got, want) in enumerate(zip(*runs)):
-        assert (got is None) == (want is None), i
-        assert got is None or (got.dtype == want.dtype and np.array_equal(got, want)), i
+        assert got.dtype == want.dtype and np.array_equal(got, want), i
+
+
+def _pad_channels(y, p, values):
+    """(C, N, H, W) padded by p, channel c's border filled with values[c]."""
+    out = np.empty((y.shape[0], y.shape[1], y.shape[2] + 2 * p, y.shape[3] + 2 * p), dtype=y.dtype)
+    out[:] = values.astype(y.dtype).reshape(-1, 1, 1, 1)
+    out[:, :, p : p + y.shape[2], p : p + y.shape[3]] = y
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_BN_CONV_CASES))
+def test_bn_conv_eval_folds_within_tolerance(case):
+    """Under ``no_grad`` in eval mode, ``bn_conv`` is the batch norm folded
+    into the conv: within 1e-5 of ``conv2d(batchnorm2d(...))`` (criterion
+    5's bound), running statistics unchanged. A channel with gamma = 0 is
+    the constant beta, and the fold pads it with beta, not 0: the output
+    is the conv of the batch norm's output padded with beta in that channel
+    (and 0 in the others), which differs from the zero border."""
+    x, arrays, stats, (s, p, groups) = _bn_conv_arrays(case)
+    ps = {key: None if a is None else Tensor(a) for key, a in arrays.items()}
+
+    def both(run_stats):
+        with ag.no_grad():
+            got = ag.bn_conv(Tensor(x), ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups,
+                             training=False).data
+            y = ag.batchnorm2d(Tensor(x), ps["gamma"], ps["beta"], *run_stats, training=False)
+            return got, y, ag.conv2d(y, ps["w"], ps["b"], s, p, groups).data
+
+    run_stats = [a.copy() for a in stats]
+    got, _, want = both(run_stats)
+    assert all(np.array_equal(a, b) for a, b in zip(run_stats, stats))
+    assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-5
+    ps["gamma"].data[0] = 0.0
+    got, y, zero_border = both(stats)
+    border = np.zeros(len(stats[0]), dtype=np.float32)
+    border[0] = ps["beta"].data[0]
+    beta_border = ag.conv2d(Tensor(_pad_channels(y.data, p, border)), ps["w"], ps["b"], s, 0, groups).data
+    assert np.abs(got - beta_border).max() <= 1e-5
+    if p:
+        assert np.abs(got - zero_border).max() > 1e-3
 
 
 def test_bn_conv_grad_float64(rng):

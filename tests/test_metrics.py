@@ -17,10 +17,12 @@ from evsnn.metrics import (
     measure_sparsity,
     sparsity_from_record,
 )
-from evsnn.encoding import VoxelCube
-from evsnn.spiking import Network, NetworkSpec, fuse_network
+from evsnn.encoding import VoxelCube, batch_cubes
+from evsnn.spiking import Network, NetworkSpec
 from evsnn.spiking.builders import build_toy_classifier, build_vgg
 from evsnn.spiking.layers import BatchNormLayer, SpikeRecord
+
+from conftest import stepwise_forward
 
 
 # --------------------------------------------------------------------------
@@ -141,6 +143,8 @@ def test_sparsity_from_record_extremes():
 
 
 def test_sparsity_invariant_under_bn_fusion():
+    """The spike rates ``measure_sparsity`` reads with each bn folded into
+    its conv are those of the unfolded reference (each bn, then its conv)."""
     rng = np.random.default_rng(2)
     net = Network(build_toy_classifier(in_channels=4), rng=rng)
     for bn in [layer for layer in net.layers.values() if isinstance(layer, BatchNormLayer)]:
@@ -148,7 +152,10 @@ def test_sparsity_invariant_under_bn_fusion():
         bn.running_var = (rng.random(bn.channels) + 0.5).astype(np.float32)
     cubes = _random_cubes(rng, 4)
     a = measure_sparsity(net, cubes)
-    b = measure_sparsity(fuse_network(net), cubes)
+    record = SpikeRecord()
+    with ag.no_grad():
+        stepwise_forward(net, batch_cubes(cubes), record, unfolded=True)
+    b = sparsity_from_record(record, cubes[0].data.shape[1])
     assert a.global_rate == pytest.approx(b.global_rate, abs=1e-12)
     for name, rate in a.per_layer.items():
         assert b.per_layer[name] == pytest.approx(rate, abs=1e-12)

@@ -25,7 +25,7 @@ from evsnn.pipeline import (
     train_classifier,
     train_detector,
 )
-from evsnn.spiking import Network, NetworkSpec, fuse_network
+from evsnn.spiking import Network, NetworkSpec
 from evsnn.spiking.builders import build_toy_classifier, named_spec
 from evsnn.tasks import (
     SQUARE_SIZES,
@@ -34,6 +34,8 @@ from evsnn.tasks import (
     make_moving_bar_dataset,
     make_moving_squares_dataset,
 )
+
+from conftest import stepwise_forward
 
 ENC = EncoderConfig(sample_duration=100_000, timesteps=2, micro_bins=1, height=64, width=64)
 FAST = TrainConfig(epochs=2, batch_size=8, lr=2e-3, seed=0)
@@ -139,19 +141,24 @@ def test_train_classifier_diverged_on_nan():
 
 
 def test_evaluate_classifier_fused_matches_unfused():
+    """``evaluate_classifier``, each bn folded into its conv, predicts what
+    the unfolded reference (each bn, then its conv) predicts."""
     samples = make_moving_bar_dataset(8, seed=0)
     net = _toy_net()
     train_classifier(net, samples, ENC, TrainConfig(epochs=1, batch_size=8, lr=1e-3))
-    acc_a, preds_a = evaluate_classifier(net, samples, ENC)
-    acc_b, preds_b = evaluate_classifier(net, samples, ENC, fuse=True)
-    assert np.array_equal(preds_a, preds_b)
-    assert acc_a == acc_b
+    acc, preds = evaluate_classifier(net, samples, ENC)
+    cubes, labels = encode_samples(samples, ENC)
+    with ag.no_grad():
+        unfolded = stepwise_forward(net, batch_cubes(cubes), unfolded=True)["scores"].data.argmax(axis=1)
+    assert np.array_equal(preds, unfolded)
+    assert acc == float((unfolded == labels).mean())
 
 
 def test_no_grad_forward_after_training_uses_running_statistics():
     """Batch norm takes its mode from the tape: right after training, a
-    no_grad forward reads the running statistics and leaves them as they
-    are, and the net fuses with no mode switch."""
+    no_grad forward reads the running statistics, folded into the convs,
+    and leaves them as they are; it predicts what the unfolded reference
+    predicts, with no mode switch."""
     samples = make_moving_bar_dataset(8, seed=0)
     net = _toy_net()
     train_classifier(net, samples, ENC, TrainConfig(epochs=1, batch_size=8, lr=1e-3))
@@ -161,9 +168,10 @@ def test_no_grad_forward_after_training_uses_running_statistics():
     for k, v in net.state_arrays().items():
         assert np.array_equal(v, before[k]), k
     _, preds = evaluate_classifier(net, samples, ENC)
-    _, fused_preds = evaluate_classifier(fuse_network(net), samples, ENC)
+    with ag.no_grad():
+        unfolded = stepwise_forward(net, batch_cubes(encode_samples(samples, ENC)[0]), unfolded=True)["scores"]
     assert np.array_equal(scores.argmax(axis=1), preds)
-    assert np.array_equal(fused_preds, preds)
+    assert np.array_equal(unfolded.data.argmax(axis=1), preds)
 
 
 # --------------------------------------------------------------------------
@@ -391,20 +399,27 @@ def test_cli_train_and_eval_classifier(tmp_path, capsys):
     args = ["-T", "2", "-n", "1", "--samples", "8", "--epochs", "1", "--batch-size", "8"]
     assert cli.main(["train-classifier", *args, "--out", ckpt]) == 0
     assert os.path.exists(ckpt)
-    assert cli.main(["eval-classifier", *args[:4], "--ckpt", ckpt, "--fuse", "--sparsity", "--samples", "4"]) == 0
+    assert cli.main(["eval-classifier", *args[:4], "--ckpt", ckpt, "--sparsity", "--samples", "4"]) == 0
     out = capsys.readouterr().out
     assert "accuracy" in out and "spike rate" in out
 
 
 def test_cli_train_then_eval_round_trip(tmp_path, capsys):
     """eval-classifier on the trainer's validation set (16 samples, seed + 1)
-    reproduces the trainer's in-process accuracy, fused or not."""
+    reproduces the trainer's in-process accuracy, and so does the unfolded
+    reference (each bn, then its conv) on the saved network."""
     ckpt = str(tmp_path / "toy.ckpt")
     assert cli.main(["train-classifier", "--samples", "48", "--epochs", "4", "--batch-size", "16", "--out", ckpt]) == 0
     trained = re.search(r"validation accuracy: (\S+)", capsys.readouterr().out).group(1)
-    for fuse in ([], ["--fuse"]):
-        assert cli.main(["eval-classifier", "--ckpt", ckpt, "--samples", "16", *fuse]) == 0
-        assert re.search(r"accuracy: (\S+)", capsys.readouterr().out).group(1) == trained
+    assert cli.main(["eval-classifier", "--ckpt", ckpt, "--samples", "16"]) == 0
+    assert re.search(r"accuracy: (\S+)", capsys.readouterr().out).group(1) == trained
+    enc = EncoderConfig(sample_duration=100_000, timesteps=5, micro_bins=2, height=64, width=64)  # the CLI's defaults
+    net = Network(build_toy_classifier(in_channels=enc.channels))
+    load_network(ckpt, net)
+    cubes, labels = encode_samples(make_moving_bar_dataset(16, seed=1), enc)
+    with ag.no_grad():
+        preds = stepwise_forward(net, batch_cubes(cubes), unfolded=True)["scores"].data.argmax(axis=1)
+    assert f"{float((preds == labels).mean()):.3f}" == trained
 
 
 def test_cli_ablate(tmp_path, capsys):

@@ -510,20 +510,19 @@ def test_classifier_scores_equal_stepwise_oracle():
         assert np.array_equal(new_grads[name], grad), name
 
 
-def test_summed_conv_with_pad_value_matches_stepwise_oracle():
-    """A conv that runs once on T summed frames adds T times its bias and
-    uses T times its border value; outputs and gradients match running it
-    per step within 1e-5 of each array's largest magnitude (float32)."""
+def test_summed_conv_with_bias_matches_stepwise_oracle():
+    """A conv that runs once on T summed frames adds T times its bias;
+    outputs and gradients match running it per step within 1e-5 of each
+    array's largest magnitude (float32)."""
     spec = NetworkSpec(input_channels=2, name="padded_tail")
     spec.add("conv1", "conv", ["input"], out_channels=3, kernel=3)
     spec.add("plif1", "plif", ["conv1"])
-    spec.add("head", "conv", ["plif1"], out_channels=2, kernel=3, bias=True, pad_value=True)
+    spec.add("head", "conv", ["plif1"], out_channels=2, kernel=3, bias=True)
     spec.outputs.append("head")
     net = Network(spec, rng=np.random.default_rng(0))
     assert net.once == {"head"}
     rng = np.random.default_rng(1)
     net.layers["head"].bias.data = rng.standard_normal(2).astype(np.float32)
-    net.layers["head"].pad_value = rng.standard_normal(3).astype(np.float32)
     batch = (rng.random((2, 2, 4, 8, 8)) < 0.5).astype(np.float32)
     probe = Tensor(rng.standard_normal((2, 2, 8, 8)).astype(np.float32))
 
@@ -641,10 +640,8 @@ def test_squeezenet_runs_each_bn_in_its_conv(monkeypatch):
     assert np.array_equal(scores["pair"], scores["two ops"])
 
 
-def test_bn_that_does_not_feed_one_conv_names_the_node():
-    """A bn must be the only input of exactly one conv that runs every
-    timestep, and not an output; otherwise Network raises a ValueError that
-    names the bn."""
+def _unpaired_bn_specs():
+    """Specs whose bn ``a`` cannot run in the call of one conv, by case."""
     unread = NetworkSpec(input_channels=1, outputs=["p"])
     unread.add("a", "bn", ["input"])
     unread.add("p", "plif", ["input"])
@@ -668,8 +665,50 @@ def test_bn_that_does_not_feed_one_conv_names_the_node():
     summed = NetworkSpec(input_channels=1, outputs=["c"])  # c runs once, on the time-summed input
     summed.add("a", "bn", ["input"])
     summed.add("c", "conv", ["a"], out_channels=2, kernel=3)
-    for spec in (unread, to_plif, two_convs, with_concat, as_output, summed):
+    return {"unread": unread, "to_plif": to_plif, "two_convs": two_convs, "with_concat": with_concat,
+            "as_output": as_output, "summed": summed}
+
+
+def test_bn_that_does_not_feed_one_conv_names_the_node():
+    """A bn must be the only input of exactly one conv that runs every
+    timestep, and not an output; otherwise Network raises a ValueError that
+    names the bn."""
+    for spec in _unpaired_bn_specs().values():
         with pytest.raises(ValueError, match="^a: a bn must be the only input of exactly one conv"):
+            Network(spec)
+
+
+@pytest.mark.parametrize("case", ["two_convs", "summed"])
+def test_purity_audit_reports_the_bn_network_refuses(case):
+    """A bn read by two convs, or in front of a conv that runs once on the
+    time-summed input, passes the spike rules; the audit reports it with
+    the message ``Network`` raises."""
+    spec = _unpaired_bn_specs()[case]
+    with pytest.raises(ValueError) as refused:
+        Network(spec)
+    assert audit_spike_purity(spec) == [str(refused.value)]
+
+
+def test_conv_with_a_pad_value_key_names_the_node():
+    """A spec whose conv carries the border of a folded batch norm (the
+    ``pad_value`` key an earlier exporter wrote) is refused, not run with a
+    zero border."""
+    spec = NetworkSpec(input_channels=1, outputs=["p"])
+    spec.add("c", "conv", ["input"], out_channels=2, kernel=3, bias=True, pad_value=True)
+    spec.add("p", "plif", ["c"])
+    with pytest.raises(ValueError, match="^c: the conv key 'pad_value' is no longer read"):
+        Network(spec)
+
+
+def test_plif_alpha_must_be_positive_at_build_time():
+    """A surrogate width alpha <= 0 fails when the network is built, with
+    the node's name, not at the first forward."""
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        PLIFConfig(alpha=0.0)
+    for key, value, message in (("alpha", -1.0, "alpha must be positive"), ("tau_init", 1.0, "tau_init must be > 1")):
+        spec = NetworkSpec(input_channels=1, outputs=["p"])
+        spec.add("p", "plif", ["input"], **{key: value})
+        with pytest.raises(ValueError, match=f"^p: {message}"):
             Network(spec)
 
 

@@ -1,17 +1,17 @@
-"""BN-fusion and depthwise-separable conversion equivalences."""
+"""Batch norm folded into its conv under no_grad, and depthwise-separable
+conversion, against the unfolded reference."""
 
 import numpy as np
 import pytest
 
 import evsnn.autograd as ag
-from evsnn.autograd import Tensor
-from evsnn.pipeline import load_network, save_network
-from evsnn.spiking import (Network, SpikeRecord, convert_dwsep_network, dwsep_to_normal_conv,
-                           fuse_bn_into_conv, fuse_network)
+from evsnn.autograd import Tensor, save_checkpoint
+from evsnn.pipeline import load_network
+from evsnn.spiking import Network, convert_dwsep_network, dwsep_to_normal_conv
 from evsnn.spiking.builders import build_mobilenet, build_toy_classifier
 from evsnn.spiking.layers import BatchNormLayer, ConvLayer
 
-from conftest import cnhw
+from conftest import cnhw, stepwise_forward
 
 
 def _random_bn(rng, c):
@@ -31,6 +31,8 @@ def _random_conv(rng, cin, cout, k, groups=1, bias=False):
 
 
 def test_fuse_bn_into_conv_equivalence():
+    """Under no_grad a conv called with its bn (the fold) is within 1e-5 of
+    the bn layer, then the conv, as two calls."""
     rng = np.random.default_rng(0)
     for _ in range(100):
         cin = int(rng.integers(1, 6))
@@ -38,11 +40,10 @@ def test_fuse_bn_into_conv_equivalence():
         k = int(rng.choice([1, 3]))
         bn = _random_bn(rng, cin)
         conv = _random_conv(rng, cin, cout, k, bias=bool(rng.random() < 0.5))
-        fused = fuse_bn_into_conv(bn, conv)
         x = Tensor(cnhw(rng.standard_normal((2, cin, 6, 6)).astype(np.float32)))
         with ag.no_grad():
             ref = conv(bn(x)).data
-            got = fused(x).data
+            got = conv(x, 1, bn).data
         assert np.abs(got - ref).max() <= 1e-5
 
 
@@ -54,10 +55,9 @@ def test_fuse_bn_grouped_conv():
         cout = groups * int(rng.integers(1, 3))
         bn = _random_bn(rng, cin)
         conv = _random_conv(rng, cin, cout, 3, groups=groups)
-        fused = fuse_bn_into_conv(bn, conv)
         x = Tensor(cnhw(rng.standard_normal((2, cin, 5, 5)).astype(np.float32)))
         with ag.no_grad():
-            assert np.abs(fused(x).data - conv(bn(x)).data).max() <= 1e-5
+            assert np.abs(conv(x, 1, bn).data - conv(bn(x)).data).max() <= 1e-5
 
 
 def test_dwsep_to_normal_weight_equivalence():
@@ -97,67 +97,38 @@ def _randomize_bn_stats(net, rng):
 
 
 def test_fuse_network_preserves_predictions():
+    """The no_grad forward, each bn folded into its conv, keeps the argmax
+    of the unfolded reference (each bn, then its conv, as two calls)."""
     rng = np.random.default_rng(4)
     net = Network(build_toy_classifier(in_channels=4), rng=rng)
     _randomize_bn_stats(net, rng)
-    fused = fuse_network(net)
-    assert not any(n["type"] == "bn" for n in fused.spec.nodes)
     batch = (rng.random((8, 4, 3, 32, 32)) < 0.3).astype(np.float32)
     with ag.no_grad():
-        a = net.forward(batch)["scores"].data
-        b = fused.forward(batch)["scores"].data
+        a = stepwise_forward(net, batch, unfolded=True)["scores"].data
+        b = net.forward(batch)["scores"].data
     assert np.array_equal(a.argmax(axis=1), b.argmax(axis=1))
     assert np.abs(a - b).max() <= 1e-3  # scores drift only by float round-off
 
 
-def _pad_values(net):
-    return {k: v.pad_value for k, v in net.layers.items() if isinstance(v, ConvLayer) and v.pad_value is not None}
-
-
-def _fused_toy(seed):
-    rng = np.random.default_rng(seed)
-    net = Network(build_toy_classifier(in_channels=4), rng=rng)
-    _randomize_bn_stats(net, rng)  # non-zero betas: the fused convs pad with non-zero values
-    fused = fuse_network(net)
-    assert any(np.abs(pad).max() > 0 for pad in _pad_values(fused).values())
-    batch = (rng.random((4, 4, 3, 64, 64)) < 0.3).astype(np.float32)
-    return fused, batch
-
-
-def _eval(net, batch):
-    """Time-summed scores and per-layer spike counts of one no-grad forward."""
-    record = SpikeRecord()
-    with ag.no_grad():
-        scores = net.forward(batch, record=record)["scores"].data
-    return scores, record.spikes
-
-
-def test_fused_network_checkpoint_round_trip(tmp_path):
-    fused, batch = _fused_toy(7)
-    path = str(tmp_path / "fused.ckpt")
-    save_network(path, fused)
-    again = Network(fused.spec)
-    load_network(path, again)
-    for k, v in fused.state_arrays().items():
-        assert np.array_equal(again.state_arrays()[k], v), k
-    want_scores, want_spikes = _eval(fused, batch)
-    got_scores, got_spikes = _eval(again, batch)
-    assert np.array_equal(got_scores, want_scores)
-    assert got_spikes == want_spikes
-
-
-def test_fuse_network_twice_keeps_pad_values():
-    fused, batch = _fused_toy(8)
-    twice = fuse_network(fused)
-    assert twice.spec.nodes == fused.spec.nodes
-    pads = _pad_values(fused)
-    assert pads.keys() == _pad_values(twice).keys()
-    for k, v in pads.items():
-        assert np.array_equal(_pad_values(twice)[k], v), k
-    want_scores, want_spikes = _eval(fused, batch)
-    got_scores, got_spikes = _eval(twice, batch)
-    assert np.array_equal(got_scores, want_scores)
-    assert got_spikes == want_spikes
+def test_load_network_refuses_pad_value_entries(tmp_path):
+    """A checkpoint holding the per-channel borders of folded convs
+    (``*.pad_value``, as an earlier exporter wrote them) does not load, and
+    the error names every such entry; the network is left as it was."""
+    net = Network(build_toy_classifier(in_channels=4), rng=np.random.default_rng(7))
+    padded = [name for name, layer in net.layers.items() if isinstance(layer, ConvLayer) and layer.padding]
+    assert padded
+    arrays = dict(net.state_arrays())
+    arrays.update({f"{name}.pad_value": np.ones(net.layers[name].in_channels, dtype=np.float32) for name in padded})
+    path = str(tmp_path / "folded.ckpt")
+    save_checkpoint(path, arrays)
+    target = Network(build_toy_classifier(in_channels=4), rng=np.random.default_rng(8))
+    before = {k: v.copy() for k, v in target.state_arrays().items()}
+    with pytest.raises(ValueError, match="state does not match the network") as refused:
+        load_network(path, target)
+    for name in padded:
+        assert f"unexpected {name}.pad_value" in str(refused.value)
+    for k, v in target.state_arrays().items():
+        assert np.array_equal(v, before[k]), k
 
 
 def test_convert_dwsep_network_equivalence():
@@ -175,13 +146,14 @@ def test_convert_dwsep_network_equivalence():
 
 
 def test_convert_then_fuse_chain():
-    """Full inference-prep path: dwsep -> dense, then fold the BNs."""
+    """Full inference-prep path: dwsep -> dense, then the no_grad forward
+    folds the bns; the argmax of the unfolded dwsep network stays."""
     rng = np.random.default_rng(6)
     net = Network(build_mobilenet(16, in_channels=4), rng=rng)
     _randomize_bn_stats(net, rng)
-    final = fuse_network(convert_dwsep_network(net))
+    final = convert_dwsep_network(net)
     batch = (rng.random((2, 4, 2, 32, 32)) < 0.3).astype(np.float32)
     with ag.no_grad():
-        a = net.forward(batch)["scores"].data
+        a = stepwise_forward(net, batch, unfolded=True)["scores"].data
         b = final.forward(batch)["scores"].data
     assert np.array_equal(a.argmax(axis=1), b.argmax(axis=1))
