@@ -11,15 +11,17 @@ unpadded 1x1 stride-1 conv): the backward rebuilds the columns for dW, adds
 the column gradient back tap by tap, and writes dx in one copy that drops the
 border. Max pooling is a running maximum over the same slices. Batch norm
 reduces each channel's contiguous row; its tape keeps the channel mean and
-1/std, and the backward rebuilds xhat from the input.
+1/std, and the backward rebuilds xhat from the input. The tape sets its
+mode: batch statistics and a running-statistics update while it records,
+the running statistics, unchanged, under ``no_grad``.
 
 ``bn_conv`` is a batch norm and the conv that reads it as one op. On the
 tape it is one entry, bit for bit ``conv2d(batchnorm2d(...))``, that keeps
 the conv's output and the channel mean and 1/std: the backward rebuilds
 xhat once from the input (a block's one-byte spikes, a parent), the phase
-buffer from xhat, then runs the conv's and the batch norm's backward. In
-eval mode under ``no_grad`` the batch norm folds into the conv, which reads
-the spikes themselves.
+buffer from xhat, then runs the conv's and the batch norm's backward. Under
+``no_grad`` the batch norm folds into the conv, which reads the spikes
+themselves.
 
 A PLIF neuron step (``plif``) is one op with a hand-derived backward, so a
 layer records one tape entry per timestep. The membrane is an array handed
@@ -53,6 +55,10 @@ import functools
 import numpy as np
 
 from .tensor import Tensor, _float, _sigmoid, grad_enabled
+
+BN_MOMENTUM = 0.1  # torch-style: running = (1 - momentum) running + momentum batch
+BN_EPS = 1e-5
+PLIF_SURROGATE_ALPHA = 2.0  # the ATan surrogate's width (SpikingJelly's default)
 
 
 def _out_size(h, w, kh, kw, stride, padding):
@@ -237,39 +243,38 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     return Tensor.from_op(out, (x, w) if b is None else (x, w, b), backward)
 
 
-def _bn_forward(x, gamma, beta, running_mean, running_var, training, momentum, eps):
+def _bn_forward(x, gamma, beta, running_mean, running_var):
     """Batch norm of (C, N, H, W) data x over each channel's row: the (C, m)
     output, the channel mean and 1/std, both (C, 1).
 
-    In training the centred rows and their squares give the variance with
-    the same float ops as ``np.var``, then become xhat and the output in
-    place, and the running statistics are updated in place (unbiased
-    variance, torch-style momentum). One-byte spikes are summed into the
-    parameters' float dtype: the mean of binary rows is an exact count
-    divided by m while m < 2**24, equal to the mean of their float copy. In
-    eval mode the mean is the running mean copied at call time, since a
-    training call updates the running statistics in place.
+    While the tape records, the centred rows and their squares give the
+    variance with the same float ops as ``np.var``, then become xhat and the
+    output in place, and the running statistics are updated in place
+    (unbiased variance). One-byte spikes are summed into the parameters'
+    float dtype: the mean of binary rows is an exact count divided by m
+    while m < 2**24, equal to the mean of their float copy. Under
+    ``no_grad`` the running statistics normalize and stay unchanged.
     """
     c = x.shape[0]
     xm = x.reshape(c, -1)
     m = xm.shape[1]
-    if training:
+    if grad_enabled():
         if m < 2:
-            raise ValueError("batchnorm2d needs more than one value per channel in train mode")
+            raise ValueError("batchnorm2d needs more than one value per channel while the tape records")
         dtype = xm.dtype if xm.dtype.kind == "f" else gamma.data.dtype
         mean = xm.mean(axis=1, keepdims=True, dtype=dtype)
         xhat = xm - mean  # centred, scaled to xhat below
         out = np.square(xhat)
         var = out.sum(axis=1) / m
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.reshape(c)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * m / (m - 1)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean.reshape(c)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var * m / (m - 1)
     else:
-        mean, var = running_mean.reshape(c, 1).copy(), running_var
+        mean, var = running_mean.reshape(c, 1), running_var
         xhat = xm - mean
         out = np.empty_like(xhat)
-    invstd = (1.0 / np.sqrt(var + eps)).reshape(c, 1)
+    invstd = (1.0 / np.sqrt(var + BN_EPS)).reshape(c, 1)
     xhat *= invstd
     return _bn_affine(xhat, gamma, beta, out), mean, invstd
 
@@ -289,60 +294,56 @@ def _bn_affine(xhat, gamma, beta, out):
     return out
 
 
-def _bn_backward(x, gamma, beta, mean, invstd, training, g, xhat=None):
-    """Hands x, gamma and beta their gradients from the output gradient g.
-    xhat is rebuilt from x when not given, and overwritten."""
+def _bn_backward(x, gamma, beta, mean, invstd, g, xhat=None):
+    """Hands x, gamma and beta their gradients from the output gradient g,
+    through the batch statistics. xhat is rebuilt from x when not given,
+    and overwritten."""
     c = mean.shape[0]
     gm = g.reshape(c, -1)
     m = gm.shape[1]
-    batch_dx = training and x.requires_grad
-    if beta.requires_grad or batch_dx:
+    if beta.requires_grad or x.requires_grad:
         gsum = gm.sum(axis=1, keepdims=True)
         if beta.requires_grad:
             beta.accumulate_fresh_grad(gsum.reshape(c))
-    if gamma.requires_grad or batch_dx:
+    if gamma.requires_grad or x.requires_grad:
         if xhat is None:
             xhat = _bn_xhat(x.data, mean, invstd)
         gx = (gm * xhat).sum(axis=1, keepdims=True)
         if gamma.requires_grad:
             gamma.accumulate_fresh_grad(gx.reshape(c))
     if x.requires_grad:
-        gi = gamma.data.reshape(c, 1) * invstd
-        if training:
-            # gi * (gm - gsum/m - xhat*gx/m), written over xhat
-            xhat *= gx
-            xhat /= m
-            np.subtract(gm - gsum / m, xhat, out=xhat)
-            xhat *= gi
-            dx = xhat
-        else:
-            dx = gi * gm
-        x.accumulate_fresh_grad(dx.reshape(x.data.shape))
+        # gamma invstd (gm - gsum/m - xhat*gx/m), written over xhat
+        xhat *= gx
+        xhat /= m
+        np.subtract(gm - gsum / m, xhat, out=xhat)
+        xhat *= gamma.data.reshape(c, 1) * invstd
+        x.accumulate_fresh_grad(xhat.reshape(x.data.shape))
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var, training, momentum=0.1, eps=1e-5):
+def batchnorm2d(x, gamma, beta, running_mean, running_var):
     """Per-channel batch normalization of (C, N, H, W) over each channel's row.
 
-    ``running_mean``/``running_var`` are plain numpy arrays mutated in place
-    during training (see ``_bn_forward``). The tape keeps the channel mean
-    and 1/std, O(C): the backward rebuilds xhat = (x - mean) * invstd from
-    the input, with the forward's float ops.
+    ``running_mean``/``running_var`` are plain numpy arrays, mutated in
+    place while the tape records; under ``no_grad`` they normalize instead
+    (see ``_bn_forward``). The tape keeps the channel mean and 1/std, O(C):
+    the backward rebuilds xhat = (x - mean) * invstd from the input, with
+    the forward's float ops.
     """
-    out, mean, invstd = _bn_forward(x.data, gamma, beta, running_mean, running_var, training, momentum, eps)
+    out, mean, invstd = _bn_forward(x.data, gamma, beta, running_mean, running_var)
 
     def backward(g):
-        _bn_backward(x, gamma, beta, mean, invstd, training, g)
+        _bn_backward(x, gamma, beta, mean, invstd, g)
 
     return Tensor.from_op(out.reshape(x.data.shape), (x, gamma, beta), backward)
 
 
-def _bn_fold(gamma, beta, running_mean, running_var, eps, w, b, groups):
-    """Arrays W', b', p of the conv on x that equals conv(bn(x)) in eval mode
-    (Jacob et al., CVPR 2018): with s = gamma / sqrt(running_var + eps) per
-    input channel, W' = W*s, b' = b + sum W*(beta - s*running_mean) over
-    each output's taps, and the border p = running_mean - beta/s that the
-    batch norm maps to 0 (0 where s = 0)."""
-    scale = gamma / np.sqrt(running_var + eps)
+def _bn_fold(gamma, beta, running_mean, running_var, w, b, groups):
+    """Arrays W', b', p of the conv on x that equals conv(bn(x)) on the
+    running statistics (Jacob et al., CVPR 2018): with s = gamma /
+    sqrt(running_var + eps) per input channel, W' = W*s, b' = b + sum
+    W*(beta - s*running_mean) over each output's taps, and the border
+    p = running_mean - beta/s that the batch norm maps to 0 (0 where s = 0)."""
+    scale = gamma / np.sqrt(running_var + BN_EPS)
     cout, cin_g = w.shape[:2]
     # the input channel of each (output channel, weight column)
     ic = (np.arange(cout)[:, None] // (cout // groups)) * cin_g + np.arange(cin_g)
@@ -355,32 +356,32 @@ def _bn_fold(gamma, beta, running_mean, running_var, eps, w, b, groups):
     return w_f, b_f, fill
 
 
-def bn_conv(x, gamma, beta, running_mean, running_var, w, b=None, stride=1, padding=0, groups=1,
-            training=True, momentum=0.1, eps=1e-5):
-    """``conv2d(batchnorm2d(x, ...), w, b, ...)`` as one op.
+def bn_conv(x, gamma, beta, running_mean, running_var, w, b=None, stride=1, padding=0, groups=1):
+    """``conv2d(batchnorm2d(x, ...), w, b, ...)`` as one op, in the mode the
+    tape sets.
 
-    In eval mode under ``no_grad`` the batch norm folds into the conv
-    (``_bn_fold``, O(Cout*Cin/g*k*k) per call): one conv on x, equal to the
-    composition to float round-off, with none of the batch norm's passes
-    over x. A channel with gamma = 0 is the constant beta, and the fold pads
-    it with beta, not 0: a window that reaches the border gains that
-    channel's border taps times beta.
+    Under ``no_grad`` the batch norm folds into the conv (``_bn_fold``,
+    O(Cout*Cin/g*k*k) per call): one conv on x, equal to the composition to
+    float round-off, with none of the batch norm's passes over x. A channel
+    with gamma = 0 is the constant beta, and the fold pads it with beta, not
+    0: a window that reaches the border gains that channel's border taps
+    times beta.
 
-    Otherwise it is one tape entry, bit for bit the composition, running
-    statistics update included. The tape keeps the output and the channel
-    mean and 1/std, not the batch norm's output nor the phase buffer; x
-    (the one-byte spikes of a block) is a parent. The backward rebuilds
+    While the tape records it is one tape entry, bit for bit the
+    composition, running statistics update included. The tape keeps the
+    output and the channel mean and 1/std, not the batch norm's output nor
+    the phase buffer; x (the one-byte spikes of a block) is a parent. The backward rebuilds
     xhat from x once, the phase buffer from xhat, then runs the conv's
     backward and the batch norm's on that xhat.
     """
     grid = _conv_grid(x.data.shape, w.data.shape, stride, padding, groups)
     parents = (x, gamma, beta, w) if b is None else (x, gamma, beta, w, b)
-    if not (training or grad_enabled()):
-        w_f, b_f, fill = _bn_fold(gamma.data, beta.data, running_mean, running_var, eps, w.data,
+    if not grad_enabled():
+        w_f, b_f, fill = _bn_fold(gamma.data, beta.data, running_mean, running_var, w.data,
                                   None if b is None else b.data, groups)
         phases = grid.split(x.data, fill, np.result_type(x.data.dtype, w_f.dtype))
         return Tensor.from_op(_conv_forward(grid, phases, w_f, b_f, groups), parents, None)
-    y, mean, invstd = _bn_forward(x.data, gamma, beta, running_mean, running_var, training, momentum, eps)
+    y, mean, invstd = _bn_forward(x.data, gamma, beta, running_mean, running_var)
     y_dtype, dtype = y.dtype, np.result_type(y.dtype, w.data.dtype)
     out = _conv_forward(grid, grid.split(y.reshape(x.data.shape), dtype=dtype), w.data,
                         None if b is None else b.data, groups)
@@ -394,7 +395,7 @@ def bn_conv(x, gamma, beta, running_mean, running_var, w, b=None, stride=1, padd
         d = _conv_backward(grid, phases, g, w, b, groups, x.requires_grad or gamma.requires_grad or beta.requires_grad)
         del phases
         if d is not None:
-            _bn_backward(x, gamma, beta, mean, invstd, training, grid.merge(d).astype(y_dtype, copy=False), xhat)
+            _bn_backward(x, gamma, beta, mean, invstd, grid.merge(d).astype(y_dtype, copy=False), xhat)
 
     return Tensor.from_op(out, parents, backward)
 
@@ -472,7 +473,7 @@ class PLIFLink:
         self.v = self.grad = None
 
 
-def plif(x, state, w, alpha=2.0):
+def plif(x, state, w):
     """One PLIF step over a whole frame, recorded as one tape entry.
 
     v = V + (X - V) a with a = 1/tau (v = X a from rest, when ``state`` is
@@ -483,9 +484,9 @@ def plif(x, state, w, alpha=2.0):
     the boolean s, one byte each; their gradient is float.
 
     Backward is BPTT with the ATan surrogate sg(u) = alpha / (2 (1 + (pi
-    alpha u / 2)^2)) for the step's derivative. With g_s the spikes' gradient
-    and g_m the one the next step hands back for V' (the reset term is not
-    detached):
+    alpha u / 2)^2)), alpha = ``PLIF_SURROGATE_ALPHA``, for the step's
+    derivative. With g_s the spikes' gradient and g_m the one the next step
+    hands back for V' (the reset term is not detached):
         dv = sg(v - 1) (g_s - v g_m) + (1 - s) g_m
         dX = a dv,  dL/dV = dv - dX,  dw = a (1 - a) sum(dv (X - V))
     The previous step's spikes are a parent, so the tape walk reaches that
@@ -496,8 +497,6 @@ def plif(x, state, w, alpha=2.0):
     rebuilds it as X (from rest) or X - v_prev [v_prev < 1], the same float
     ops that made V' and X - V.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     learned = isinstance(w, Tensor)
     a = _sigmoid(w.data) if learned else x.data.dtype.type(w)
     if state is None:
@@ -510,7 +509,7 @@ def plif(x, state, w, alpha=2.0):
     spiked = v >= 1.0
     learns_w = learned and w.requires_grad  # only dw reads X - V
     parents = (x,) + ((w,) if learned else ()) + ((prev_spikes,) if state is not None else ())
-    scale = 0.5 * np.pi * alpha
+    scale = 0.5 * np.pi * PLIF_SURROGATE_ALPHA
     out_link = PLIFLink()
 
     def backward(g):
@@ -518,7 +517,7 @@ def plif(x, state, w, alpha=2.0):
         dv *= scale
         np.multiply(dv, dv, out=dv)
         dv += 1.0
-        np.divide(alpha / 2, dv, out=dv)  # sg(v - 1); halving alpha is exact, so this is alpha / (2 dv)
+        np.divide(PLIF_SURROGATE_ALPHA / 2, dv, out=dv)  # sg(v - 1); halving alpha is exact, so this is alpha / (2 dv)
         g_m, out_link.grad = out_link.grad, None
         if g_m is None:  # V' fed no later step
             dv *= g

@@ -200,8 +200,8 @@ def build_anchor_targets(anchors, gt_boxes_xywh, gt_labels, image_size, config: 
 # --------------------------------------------------------------------------
 
 
-def detection_loss(cls_logits: Tensor, loc_pred: Tensor, labels, loc_targets, gamma=2.0, alpha=0.25):
-    """Focal classification + smooth-L1 localization loss.
+def detection_loss(cls_logits: Tensor, loc_pred: Tensor, labels, loc_targets):
+    """Focal classification (gamma 2, alpha 0.25) + smooth-L1 localization loss.
 
     cls_logits: (N, A, C) with background at class 0; loc_pred: (N, A, 4);
     labels: (N, A) int; loc_targets: (N, A, 4). Both terms are normalized
@@ -210,7 +210,7 @@ def detection_loss(cls_logits: Tensor, loc_pred: Tensor, labels, loc_targets, ga
     n, a, c = cls_logits.data.shape
     labels = np.asarray(labels).reshape(n * a)
     n_pos = max(int((labels > 0).sum()), 1)
-    cls_loss = ag.focal_loss(cls_logits.reshape(n * a, c), labels, gamma=gamma, alpha=alpha, normalizer=n_pos)
+    cls_loss = ag.focal_loss(cls_logits.reshape(n * a, c), labels, normalizer=n_pos)
     mask = (labels > 0).astype(np.float32).reshape(n, a, 1)
     loc_loss = ag.smooth_l1(loc_pred, np.asarray(loc_targets, dtype=np.float32), mask=mask, normalizer=n_pos)
     return cls_loss + loc_loss, float(cls_loss.data), float(loc_loss.data)

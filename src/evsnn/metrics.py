@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detection import iou_matrix, xywh_to_xyxy
 from .spiking.layers import BatchNormLayer, ConvLayer, Network, PLIFLayer, SpikeRecord
 
 COCO_IOU_THRESHOLDS = np.arange(0.50, 0.96, 0.05).round(2)
@@ -70,7 +71,7 @@ def count_params(net: Network) -> OpCountReport:
             n = layer.gamma.data.size + layer.beta.data.size
             rep.params_fusable_bn += n
         elif isinstance(layer, PLIFLayer):
-            n = layer.w.data.size if layer.w is not None else 0
+            n = layer.w.data.size
             rep.params += n
         if n:
             rep.per_layer[name] = {"params": int(n)}
@@ -162,21 +163,6 @@ class MAPReport:
         }
 
 
-def box_iou_xywh(a, b):
-    """IoU of (x, y, w, h) boxes. ``a`` and ``b`` broadcast over their
-    leading axes: two boxes give a scalar, ``a[:, None]`` against
-    ``b[None]`` the pairwise matrix."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ix0 = np.maximum(a[..., 0], b[..., 0])
-    iy0 = np.maximum(a[..., 1], b[..., 1])
-    ix1 = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2])
-    iy1 = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3])
-    inter = np.maximum(ix1 - ix0, 0.0) * np.maximum(iy1 - iy0, 0.0)
-    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)[()]
-
-
 def _get(obj, key):
     if isinstance(obj, dict):
         return obj[key]
@@ -211,8 +197,8 @@ def _class_aps(dets, gts):
     for img, ranks in ranks_by_image.items():
         if img not in gts:
             continue
-        boxes = np.array([dets[order[r]][2] for r in ranks], dtype=np.float64)
-        iou = box_iou_xywh(boxes[:, None], np.asarray(gts[img], dtype=np.float64)[None])
+        boxes = [dets[order[r]][2] for r in ranks]
+        iou = iou_matrix(xywh_to_xyxy(boxes), xywh_to_xyxy(gts[img]))
         matched = np.zeros((len(thresholds), iou.shape[1]), dtype=bool)
         for d in np.flatnonzero(iou.max(axis=1) >= thresholds.min()):
             free = np.where(matched, -1.0, iou[d])
@@ -230,8 +216,8 @@ def coco_map(detections, ground_truth) -> MAPReport:
     greedy matching by descending score (stable on ties), 101-point
     interpolated AP, averaged over thresholds then classes. Classes
     without ground truth are excluded from the mean. Matching builds one
-    detections x ground-truth IoU matrix (``box_iou_xywh``) per class and
-    image and reuses it for all ten thresholds.
+    detections x ground-truth ``iou_matrix`` per class and image and reuses
+    it for all ten thresholds.
 
     detections: iterable with fields image_id, class_id, score, box (x,y,w,h)
     ground_truth: iterable with fields image_id, class_id, box

@@ -38,9 +38,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     grad_clip: float = 1.0
     seed: int = 0
-    # detection-specific
-    focal_gamma: float = 2.0
-    focal_alpha: float = 0.25
 
 
 @dataclass
@@ -158,8 +155,7 @@ def train_detector(model: DetectionModel, scenes, encoder: EncoderConfig, config
 
     def loss_fn(idx):
         cls_logits, loc_pred = model.forward(data[idx])
-        loss, _, _ = detection_loss(cls_logits, loc_pred, labels[idx], locs[idx],
-                                    gamma=config.focal_gamma, alpha=config.focal_alpha)
+        loss, _, _ = detection_loss(cls_logits, loc_pred, labels[idx], locs[idx])
         return loss
 
     try:

@@ -1,5 +1,4 @@
 from .layers import (
-    PLIFConfig,
     NetworkSpec,
     Network,
     SpikeRecord,
@@ -18,7 +17,6 @@ from .builders import (
 from .transforms import dwsep_to_normal_conv, convert_dwsep_network
 
 __all__ = [
-    "PLIFConfig",
     "NetworkSpec",
     "Network",
     "SpikeRecord",

@@ -20,20 +20,20 @@ spatial sum) commute with the sum over time, so they run once per sample
 on the time-summed input: sum_t(W*x_t + b) = W*(sum_t x_t) + T*b. The
 time sum (``ag.time_sum``) adds into float32, where spike counts are exact.
 
-Batch norm takes its mode from the autograd tape: while the tape records it
-normalizes with batch statistics and updates its running statistics; under
-``ag.no_grad()`` it uses the running statistics and leaves them unchanged.
-Each bn is the only input of exactly one conv, which ``Network`` checks at
-build time: ``forward`` skips the bn node and calls the conv's layer with
-the bn's input and the bn layer. The pair is one op, ``ag.bn_conv``: one
+Batch norm keeps no training flag, neither here nor in its ops:
+``ag.batchnorm2d`` and ``ag.bn_conv`` read the mode from the autograd tape.
+While the tape records they normalize with batch statistics and update the
+running statistics; under ``ag.no_grad()`` they use the running statistics
+and leave them unchanged. Each bn is the only input of exactly one conv,
+which ``Network`` checks at build time: ``forward`` skips the bn node and
+calls the conv's layer with the bn's input and the bn layer. The pair is one op, ``ag.bn_conv``: one
 tape entry, or under ``ag.no_grad()`` the bn folded into the conv.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,22 +41,6 @@ from .. import autograd as ag
 from ..autograd import Tensor
 from ..autograd.checkpoint import check_state
 from ..autograd.ops import _out_size
-
-
-@dataclass(frozen=True)
-class PLIFConfig:
-    """The paper's PLIF neuron (SpikingJelly's definition): threshold 1 and
-    hard reset to 0 are constants; tau = 1/sigmoid(w) is learned, one w per
-    layer, starting from tau = tau_init."""
-
-    tau_init: float = 2.0
-    alpha: float = 2.0  # surrogate width
-
-    def __post_init__(self):
-        if self.tau_init <= 1.0:
-            raise ValueError("tau_init must be > 1 for a stable leak")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
 
 
 class ConvLayer:
@@ -83,10 +67,8 @@ class ConvLayer:
         bias = self.bias if self.bias is None or steps == 1 else self.bias * float(steps)
         if bn is None:
             return ag.conv2d(x, self.weight, bias, self.stride, self.padding, self.groups)
-        return ag.bn_conv(
-            x, bn.gamma, bn.beta, bn.running_mean, bn.running_var, self.weight, bias, self.stride, self.padding,
-            self.groups, training=ag.grad_enabled(), momentum=bn.momentum, eps=bn.eps,
-        )
+        return ag.bn_conv(x, bn.gamma, bn.beta, bn.running_mean, bn.running_var, self.weight, bias, self.stride,
+                          self.padding, self.groups)
 
     def out_shape(self, shape):
         return (self.out_channels, *_out_size(*shape[1:], self.kernel, self.kernel, self.stride, self.padding))
@@ -102,9 +84,6 @@ class BatchNormLayer:
     """Batch statistics (and a running-statistics update) while the tape
     records; the running statistics under ``ag.no_grad()``."""
 
-    momentum = 0.1
-    eps = 1e-5
-
     def __init__(self, name, channels):
         self.name = name
         self.channels = channels
@@ -114,10 +93,7 @@ class BatchNormLayer:
         self.running_var = np.ones(channels, dtype=np.float32)
 
     def __call__(self, x):
-        return ag.batchnorm2d(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training=ag.grad_enabled(), momentum=self.momentum, eps=self.eps,
-        )
+        return ag.batchnorm2d(x, self.gamma, self.beta, self.running_mean, self.running_var)
 
     def out_shape(self, shape):
         return shape
@@ -127,17 +103,18 @@ class BatchNormLayer:
 
 
 class PLIFLayer:
-    def __init__(self, name, config: PLIFConfig):
+    """The paper's PLIF neuron (SpikingJelly's): threshold 1, hard reset to 0
+    and 1/tau = sigmoid(w), w learned from 0 (tau = 2). A plif node has no
+    settings."""
+
+    def __init__(self, name):
         self.name = name
-        self.config = config
-        # 1/tau = sigmoid(w); w chosen so tau starts at tau_init
-        w0 = -math.log(config.tau_init - 1.0)
-        self.w = Tensor(np.asarray([w0], dtype=np.float32), requires_grad=True, name=f"{name}.w")
+        self.w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True, name=f"{name}.w")
 
     def __call__(self, x, membranes):
         """One timestep. Reads this layer's state from ``membranes`` (none on
         the first step), stores the next one there, returns spikes."""
-        spikes, membranes[self.name] = ag.plif(x, membranes.get(self.name), self.w, self.config.alpha)
+        spikes, membranes[self.name] = ag.plif(x, membranes.get(self.name), self.w)
         return spikes
 
     def out_shape(self, shape):
@@ -233,7 +210,6 @@ class SpikeRecord:
     def __init__(self):
         self.spikes = {}
         self.elements = {}
-        self.steps = 0
 
     def add(self, layer, n_spikes, n_elements):
         self.spikes[layer] = self.spikes.get(layer, 0) + n_spikes
@@ -245,17 +221,6 @@ class SpikeRecord:
     def global_rate(self):
         tot_e = sum(self.elements.values())
         return sum(self.spikes.values()) / tot_e if tot_e else 0.0
-
-
-def _plif_config_from_node(node):
-    keys = {k: v for k, v in node.items() if k not in ("name", "type", "inputs")}
-    unknown = sorted(set(keys) - {f.name for f in fields(PLIFConfig)})
-    if unknown:
-        raise ValueError(f"{node['name']}: unknown plif keys {unknown}")
-    try:
-        return PLIFConfig(**keys)
-    except ValueError as exc:
-        raise ValueError(f"{node['name']}: {exc}") from None
 
 
 def _schedule(spec: NetworkSpec):
@@ -315,7 +280,10 @@ class Network:
             elif typ == "bn":
                 layer = BatchNormLayer(name, cin)
             elif typ == "plif":
-                layer = PLIFLayer(name, _plif_config_from_node(node))
+                unknown = sorted(set(node) - {"name", "type", "inputs"})
+                if unknown:
+                    raise ValueError(f"{name}: unknown plif keys {unknown}")
+                layer = PLIFLayer(name)
             elif typ == "maxpool":
                 layer = MaxPoolLayer(name, node["kernel"], node.get("stride"), node.get("padding", 0))
             elif typ == "concat":
@@ -407,8 +375,6 @@ class Network:
                     record.add(name, int(np.count_nonzero(out.data)), out.data.size)
             for tap, seq in per_step.items():
                 seq.append(values[tap])
-        if record is not None:
-            record.steps += steps
         # each tap is summed once into float32 (spike counts are exact), shared
         # by every node that reads it
         values = {tap: ag.time_sum(per_step[tap]) for tap in summed}

@@ -89,8 +89,6 @@ def stepwise_forward(net, batch, record=None, unfolded=False):
                 record.add(name, int(np.count_nonzero(out.data)), out.data.size)
         for o, seq in per_step.items():
             seq.append(values[o])
-    if record is not None:
-        record.steps += batch.shape[2]
     return {o: ag.time_sum(seq) for o, seq in per_step.items()}
 
 

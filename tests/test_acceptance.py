@@ -28,17 +28,16 @@ from evsnn.autograd import Tensor
 from evsnn.detection import AnchorConfig, DetectionModel, build_detector_spec, build_toy_detector_spec
 from evsnn.encoding import EncoderConfig, VoxelCube, encode_voxel_cube
 from evsnn.events import EventStream, load_events
-from evsnn.metrics import box_iou_xywh, coco_map, count_accs_per_timestep, count_params, measure_sparsity
+from evsnn.metrics import coco_map, count_accs_per_timestep, count_params, measure_sparsity
 from evsnn.pipeline import TrainConfig, evaluate_classifier, evaluate_detector, train_classifier, train_detector
 from evsnn.spiking import Network, convert_dwsep_network
 from evsnn.spiking.builders import build_toy_classifier, named_spec
-from evsnn.spiking.layers import PLIFConfig
 from evsnn.spiking.transforms import dwsep_to_normal_conv
 from evsnn.spiking.layers import BatchNormLayer, ConvLayer
 from evsnn.tasks import make_moving_bar_dataset, make_moving_squares_dataset
 
 from conftest import check_grad, cnhw, stepwise_forward
-from test_metrics import _coco_map_oracle, _det, _gt, _random_scene
+from test_metrics import _coco_map_oracle, _det, _gt, _iou_xywh, _random_scene
 
 
 def _report(criterion, detail=""):
@@ -190,7 +189,7 @@ def _grad_cases(rng):
     g = rng.standard_normal(c)
     b2 = rng.standard_normal(c)
     yield "batchnorm", (
-        lambda a, gg, bb: ag.batchnorm2d(a, gg, bb, np.zeros(c), np.ones(c), training=True)
+        lambda a, gg, bb: ag.batchnorm2d(a, gg, bb, np.zeros(c), np.ones(c))
     ), [cnhw(x4 + 0.1 * np.arange(h * w).reshape(h, w)), g, b2]
     yield "maxpool", lambda a: ag.maxpool2d(a, 2, 2), [cnhw(x4 * 3)]
     yield "concat", lambda a, b: ag.concat([a, b], 0), [cnhw(x4), cnhw(rng.standard_normal((n, c + 1, h, w)))]
@@ -219,17 +218,17 @@ def test_criterion_4_gradient_checks():
         check_grad(lambda a, b: ag.conv2d(a, b, None, padding=1), [x, w], tol=1e-3, eps=1e-2)
 
     # hand-derived 2-timestep PLIF chain: x1, x2 scalars through one neuron
-    cfg = PLIFConfig(alpha=2.0)
+    alpha = 2.0  # the surrogate's width
     a = 0.5  # 1/tau for tau = 2
     x1v, x2v = 1.6, 2.4
     x1 = Tensor(np.array([x1v]), requires_grad=True)
     x2 = Tensor(np.array([x2v]), requires_grad=True)
-    s1, state1 = ag.plif(x1, None, a, cfg.alpha)
-    s2, _ = ag.plif(x2, state1, a, cfg.alpha)
+    s1, state1 = ag.plif(x1, None, a)
+    s2, _ = ag.plif(x2, state1, a)
     (s1 + s2 * 2.0).sum().backward()
 
     def sg(u):
-        return cfg.alpha / (2 * (1 + (math.pi * cfg.alpha * u / 2) ** 2))
+        return alpha / (2 * (1 + (math.pi * alpha * u / 2) ** 2))
 
     v1 = a * x1v
     g1 = sg(v1 - 1.0)
@@ -307,7 +306,7 @@ def test_criterion_6_map_oracle():
     perfect = coco_map([_det(0, 0, 0.9, (0, 0, 10, 10))], gts)
     assert perfect.map == pytest.approx(1.0)
     off = [_det(0, 0, 0.9, (0.0, 2.5, 10.0, 10.0))]
-    assert box_iou_xywh(off[0]["box"], gts[0]["box"]) == pytest.approx(0.6)
+    assert _iou_xywh(off[0]["box"], gts[0]["box"]) == pytest.approx(0.6)
     assert coco_map(off, gts).map == pytest.approx(0.3)
     # brute-force agreement on 200 random <=5-box scenes
     rng = np.random.default_rng(11)

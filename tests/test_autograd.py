@@ -288,8 +288,7 @@ def test_conv2d_tape_keeps_about_the_input(k, s):
         assert held - out.data.nbytes <= 1.5 * x.data.nbytes, (k, s, p, held / x.data.nbytes)
 
 
-@pytest.mark.parametrize("training", [True, False])
-def test_batchnorm_tape_keeps_no_xhat(training):
+def test_batchnorm_tape_keeps_no_xhat():
     """A taped batch norm keeps O(C) beyond its output (the mean and 1/std
     per channel), not a full-size xhat: the backward rebuilds it."""
     rng = np.random.default_rng(4)
@@ -300,7 +299,7 @@ def test_batchnorm_tape_keeps_no_xhat(training):
         stats = np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
         tracemalloc.start()
         try:
-            out = ag.batchnorm2d(x, gamma, beta, *stats, training)
+            out = ag.batchnorm2d(x, gamma, beta, *stats)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -336,7 +335,7 @@ def test_batchnorm_grad(rng):
 
         def run(x_, g_, b_):
             rm, rv = np.zeros(c), np.ones(c)
-            return ag.batchnorm2d(x_, g_, b_, rm, rv, training=True)
+            return ag.batchnorm2d(x_, g_, b_, rm, rv)
 
         check_grad(run, [x, gamma, beta], 1e-5)
 
@@ -355,58 +354,66 @@ def test_plif_bn_conv_grad_float64(rng):
         def run(g_, b_, w_):
             spikes, _ = ag.plif(Tensor(x, requires_grad=True), None, 0.5)
             assert spikes.data.dtype == np.uint8 and spikes.data.any() and not spikes.data.all()
-            return ag.conv2d(ag.batchnorm2d(spikes, g_, b_, np.zeros(c), np.ones(c), training=True), w_, padding=1)
+            return ag.conv2d(ag.batchnorm2d(spikes, g_, b_, np.zeros(c), np.ones(c)), w_, padding=1)
 
         check_grad(run, [gamma, beta, w], TOL64)
 
 
-def test_batchnorm_eval_grad(rng):
-    c = 3
-    rm = rng.standard_normal(c)
-    rv = rng.random(c) + 0.5
-    x = cnhw(rng.standard_normal((2, c, 4, 4)))
-    gamma, beta = rng.standard_normal(c) + 1, rng.standard_normal(c)
-    check_grad(lambda x_, g_, b_: ag.batchnorm2d(x_, g_, b_, rm.copy(), rv.copy(), training=False), [x, gamma, beta], TOL64)
-
-
 def test_batchnorm_running_stats():
+    """The tape sets batch norm's mode, in both of its ops. While it records,
+    ``batchnorm2d`` and ``bn_conv`` normalize with the batch statistics and
+    update the running statistics (momentum 0.1, unbiased variance); under
+    ``no_grad`` they leave the running statistics unchanged: ``batchnorm2d``
+    normalizes with them and ``bn_conv`` folds them into its conv."""
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((4, 2, 3, 3))
-    rm, rv = np.zeros(2), np.ones(2)
-    ag.batchnorm2d(Tensor(cnhw(x)), Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, training=True, momentum=0.1)
-    m = x.mean(axis=(0, 2, 3))
-    cnt = x[:, 0].size
-    v = x.var(axis=(0, 2, 3)) * cnt / (cnt - 1)
-    assert np.allclose(rm, 0.1 * m)
-    assert np.allclose(rv, 0.9 + 0.1 * v)
+    x = rng.standard_normal((2, 4, 3, 3))
+    gamma, beta = Tensor(rng.standard_normal(2) + 1.0), Tensor(rng.standard_normal(2))
+    w = Tensor(rng.standard_normal((3, 2, 3, 3)))
+    bn_ops = {"batchnorm2d": lambda *stats: ag.batchnorm2d(Tensor(x), gamma, beta, *stats),
+              "bn_conv": lambda *stats: ag.bn_conv(Tensor(x), gamma, beta, *stats, w, padding=1)}
+
+    def want(name, mean, var):
+        y = (x - mean.reshape(2, 1, 1, 1)) / np.sqrt(var.reshape(2, 1, 1, 1) + 1e-5)
+        y = y * gamma.data.reshape(2, 1, 1, 1) + beta.data.reshape(2, 1, 1, 1)
+        return y if name == "batchnorm2d" else ag.conv2d(Tensor(y), w, padding=1).data
+
+    mean, var, cnt = x.mean(axis=(1, 2, 3)), x.var(axis=(1, 2, 3)), x[0].size
+    for name, op in bn_ops.items():
+        rm, rv = np.zeros(2), np.ones(2)
+        assert np.allclose(op(rm, rv).data, want(name, mean, var)), name
+        assert np.allclose(rm, 0.1 * mean) and np.allclose(rv, 0.9 + 0.1 * var * cnt / (cnt - 1)), name
+        stats = rng.standard_normal(2), rng.random(2) + 0.5
+        rm, rv = (a.copy() for a in stats)
+        with ag.no_grad():
+            out = op(rm, rv).data
+        assert np.allclose(out, want(name, *stats)), name
+        assert np.array_equal(rm, stats[0]) and np.array_equal(rv, stats[1]), name
 
 
-def _batchnorm_oracle(x, gamma, beta, running_mean, running_var, training, g, momentum=0.1, eps=1e-5):
+def _batchnorm_oracle(x, gamma, beta, running_mean, running_var, training, g):
     """Batch norm from ``mean``/``var`` and fresh arrays at each step, on
-    channel-major ``x``: returns out, dx, dgamma and dbeta, and updates the
-    running statistics in place."""
+    channel-major ``x``: returns out, dx, dgamma and dbeta, and in training
+    updates the running statistics in place. Out of training it normalizes
+    with the running statistics, and its gradients go unused."""
     c = x.shape[0]
     xm = x.reshape(c, -1)
     m = xm.shape[1]
     if training:
         mean, var = xm.mean(axis=1), xm.var(axis=1)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * m / (m - 1)
+        running_mean *= 0.9
+        running_mean += 0.1 * mean
+        running_var *= 0.9
+        running_var += 0.1 * var * m / (m - 1)
     else:
         mean, var = running_mean, running_var
-    invstd = (1.0 / np.sqrt(var + eps)).reshape(c, 1)
+    invstd = (1.0 / np.sqrt(var + 1e-5)).reshape(c, 1)
     xhat = (xm - mean.reshape(c, 1)) * invstd
     out = xhat * gamma.reshape(c, 1) + beta.reshape(c, 1)
     gm = g.reshape(c, -1)
     gi = gamma.reshape(c, 1) * invstd
-    if training:
-        gsum = gm.sum(axis=1, keepdims=True)
-        gx = (gm * xhat).sum(axis=1, keepdims=True)
-        dx = gi * (gm - gsum / m - xhat * gx / m)
-    else:
-        dx = gi * gm
+    gsum = gm.sum(axis=1, keepdims=True)
+    gx = (gm * xhat).sum(axis=1, keepdims=True)
+    dx = gi * (gm - gsum / m - xhat * gx / m)
     return out.reshape(x.shape), dx.reshape(x.shape), (gm * xhat).sum(axis=1), gm.sum(axis=1)
 
 
@@ -416,10 +423,9 @@ def test_batchnorm_matches_oracle_bit_for_bit(dtype, training):
     """The in-place batch norm (centred rows squared for the variance, then
     scaled to xhat; the output written over the squares) makes the same
     float ops as ``np.var`` and the fresh-array formula, and its backward
-    rebuilds xhat with the forward's ops. In eval mode the running
-    statistics are changed between forward and backward, as a training
-    call of the same layer would: the backward still uses the ones the
-    forward normalized with. One-byte spikes (``uint8``) with float32
+    rebuilds xhat with the forward's ops. Under ``no_grad`` (``training``
+    False) the output is the oracle's on the running statistics, which stay
+    unchanged. One-byte spikes (``uint8``) with float32
     parameters give the oracle's results on their float32 copy: a binary
     row's mean is an exact count over m."""
     rng = np.random.default_rng(17)
@@ -437,14 +443,15 @@ def test_batchnorm_matches_oracle_bit_for_bit(dtype, training):
         want_out, want_dx, *want_dparams = _batchnorm_oracle(x.astype(fdtype), gamma, beta, *want_stats, training, g)
         t = Tensor(x, requires_grad=True, dtype=dtype)
         params = [Tensor(a, requires_grad=True) for a in (gamma, beta)]
-        out = ag.batchnorm2d(t, *params, *stats, training)
-        if not training:
-            for a in stats + want_stats:
-                a += 1.0
-        out.backward(g)
-        assert out.data.dtype == fdtype and t.grad.dtype == fdtype
-        assert np.array_equal(out.data, want_out) and np.array_equal(t.grad, want_dx)
-        assert all(np.array_equal(p.grad, want) for p, want in zip(params, want_dparams))
+        if training:
+            out = ag.batchnorm2d(t, *params, *stats)
+            out.backward(g)
+            assert t.grad.dtype == fdtype and np.array_equal(t.grad, want_dx)
+            assert all(np.array_equal(p.grad, want) for p, want in zip(params, want_dparams))
+        else:
+            with ag.no_grad():
+                out = ag.batchnorm2d(t, *params, *stats)
+        assert out.data.dtype == fdtype and np.array_equal(out.data, want_out)
         assert all(np.array_equal(a, b) for a, b in zip(stats, want_stats))
 
 
@@ -480,13 +487,11 @@ def _bn_conv_arrays(case):
     return x, arrays, stats, (s, p, groups)
 
 
-@pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("case", sorted(_BN_CONV_CASES))
-def test_bn_conv_equals_batchnorm_then_conv(case, training):
+def test_bn_conv_equals_batchnorm_then_conv(case):
     """While the tape records, ``bn_conv`` is ``conv2d(batchnorm2d(...))``
-    bit for bit: the output, dx, dW, db, dgamma, dbeta and the running
-    statistics, in training and in eval mode (running statistics, left
-    unchanged)."""
+    bit for bit: the output, dx, dW, db, dgamma, dbeta and the updated
+    running statistics."""
     x, arrays, stats, (s, p, groups) = _bn_conv_arrays(case)
     g = None
     runs = []
@@ -495,16 +500,14 @@ def test_bn_conv_equals_batchnorm_then_conv(case, training):
         ps = {key: None if a is None else Tensor(a, requires_grad=True) for key, a in arrays.items()}
         run_stats = [a.copy() for a in stats]
         if fused:
-            out = ag.bn_conv(t, ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups, training=training)
+            out = ag.bn_conv(t, ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups)
         else:
-            y = ag.batchnorm2d(t, ps["gamma"], ps["beta"], *run_stats, training)
+            y = ag.batchnorm2d(t, ps["gamma"], ps["beta"], *run_stats)
             out = ag.conv2d(y, ps["w"], ps["b"], s, p, groups)
         g = np.random.default_rng(12).standard_normal(out.data.shape).astype(np.float32) if g is None else g
         out.backward(g)
         assert all(q.grad is not None for q in [t, *ps.values()] if q is not None)
         runs.append([out.data, *run_stats] + [q.grad for q in [t, *ps.values()] if q is not None])
-    if not training:
-        assert all(np.array_equal(a, b) for a, b in zip(runs[0][1:3], stats))
     for i, (got, want) in enumerate(zip(*runs)):
         assert got.dtype == want.dtype and np.array_equal(got, want), i
 
@@ -519,7 +522,7 @@ def _pad_channels(y, p, values):
 
 @pytest.mark.parametrize("case", sorted(_BN_CONV_CASES))
 def test_bn_conv_eval_folds_within_tolerance(case):
-    """Under ``no_grad`` in eval mode, ``bn_conv`` is the batch norm folded
+    """Under ``no_grad``, ``bn_conv`` is the batch norm folded
     into the conv: within 1e-5 of ``conv2d(batchnorm2d(...))`` (criterion
     5's bound), running statistics unchanged. A channel with gamma = 0 is
     the constant beta, and the fold pads it with beta, not 0: the output
@@ -530,9 +533,8 @@ def test_bn_conv_eval_folds_within_tolerance(case):
 
     def both(run_stats):
         with ag.no_grad():
-            got = ag.bn_conv(Tensor(x), ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups,
-                             training=False).data
-            y = ag.batchnorm2d(Tensor(x), ps["gamma"], ps["beta"], *run_stats, training=False)
+            got = ag.bn_conv(Tensor(x), ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups).data
+            y = ag.batchnorm2d(Tensor(x), ps["gamma"], ps["beta"], *run_stats)
             return got, y, ag.conv2d(y, ps["w"], ps["b"], s, p, groups).data
 
     run_stats = [a.copy() for a in stats]
@@ -567,8 +569,7 @@ def test_bn_conv_grad_float64(rng):
         check_grad(run, [x, gamma, beta, w, b], TOL64)
 
 
-@pytest.mark.parametrize("training", [True, False])
-def test_bn_conv_tape_keeps_no_bn_output(training):
+def test_bn_conv_tape_keeps_no_bn_output():
     """A taped bn -> conv pair keeps O(C) beyond its output (the mean and
     1/std per channel); the batch norm's output and the conv's phase buffer
     are rebuilt by the backward from the spikes, a parent."""
@@ -581,7 +582,7 @@ def test_bn_conv_tape_keeps_no_bn_output(training):
         stats = np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
         tracemalloc.start()
         try:
-            out = ag.bn_conv(x, gamma, beta, *stats, w, padding=k // 2, training=training)
+            out = ag.bn_conv(x, gamma, beta, *stats, w, padding=k // 2)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -694,17 +695,12 @@ def test_heaviside_forward_and_surrogate():
     the input gradient is the ATan surrogate at v - 1."""
     u = np.array([-1.0, -1e-9, 0.0, 1e-9, 2.0])
     x = Tensor(u + 1.0, requires_grad=True)
-    out, _ = ag.plif(x, None, 1.0, alpha=2.0)
+    out, _ = ag.plif(x, None, 1.0)
     assert np.array_equal(out.data, [0, 0, 1, 1, 1])
     out.sum().backward()
     alpha = 2.0
     expect = alpha / (2 * (1 + (np.pi * alpha * (x.data - 1.0) / 2) ** 2))
     assert np.allclose(x.grad, expect)
-
-
-def test_heaviside_alpha_validation():
-    with pytest.raises(ValueError):
-        ag.plif(Tensor(np.zeros(2)), None, 0.5, alpha=0.0)
 
 
 def test_softmax_cross_entropy_grad(rng):

@@ -278,7 +278,7 @@ def test_detection_loss_normalized_by_positive_count():
     labels2[1, :4] = 2  # eight positives, same logits
     _, _, _ = detection_loss(logits, loc, labels2, targets)
     # same positives but doubled normalizer halves the loc term
-    _, _, loc_half = detection_loss(logits, loc, labels, targets, gamma=2.0)
+    _, _, loc_half = detection_loss(logits, loc, labels, targets)
     assert loc_half == pytest.approx(loc4)
     mask_sum = np.abs(np.where(np.abs(loc.data - targets) < 1, 0.5 * (loc.data - targets) ** 2,
                                np.abs(loc.data - targets) - 0.5))[labels > 0].sum()

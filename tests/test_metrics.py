@@ -8,7 +8,6 @@ from evsnn.metrics import (
     COCO_IOU_THRESHOLDS,
     MAPReport,
     accuracy,
-    box_iou_xywh,
     coco_map,
     count_accs_per_timestep,
     count_params,
@@ -17,6 +16,7 @@ from evsnn.metrics import (
     measure_sparsity,
     sparsity_from_record,
 )
+from evsnn.detection import iou_matrix, xywh_to_xyxy
 from evsnn.encoding import VoxelCube, batch_cubes
 from evsnn.spiking import Network, NetworkSpec
 from evsnn.spiking.builders import build_toy_classifier, build_vgg
@@ -174,10 +174,15 @@ def _gt(img, cls, box):
     return {"image_id": img, "class_id": cls, "box": box}
 
 
+def _iou_xywh(a, b):
+    """IoU of two (x, y, w, h) boxes as ``coco_map`` computes it."""
+    return iou_matrix(xywh_to_xyxy(a), xywh_to_xyxy(b))[0, 0]
+
+
 def test_box_iou_xywh_hand_value():
-    assert box_iou_xywh((0, 0, 2, 2), (1, 1, 2, 2)) == pytest.approx(1.0 / 7.0)
-    assert box_iou_xywh((0, 0, 1, 1), (5, 5, 1, 1)) == 0.0
-    assert box_iou_xywh((0, 0, 3, 4), (0, 0, 3, 4)) == 1.0
+    assert _iou_xywh((0, 0, 2, 2), (1, 1, 2, 2)) == pytest.approx(1.0 / 7.0)
+    assert _iou_xywh((0, 0, 1, 1), (5, 5, 1, 1)) == 0.0
+    assert _iou_xywh((0, 0, 3, 4), (0, 0, 3, 4)) == 1.0
 
 
 def test_coco_map_perfect_detections():
@@ -193,7 +198,7 @@ def test_coco_map_iou_point_six_hits_three_thresholds():
     # IoU exactly 0.6: TP at tau in {0.50, 0.55, 0.60}, FP above -> mAP 0.3
     gts = [_gt(0, 0, (0.0, 0.0, 10.0, 10.0))]
     dets = [_det(0, 0, 0.9, (0.0, 2.5, 10.0, 10.0))]
-    assert box_iou_xywh(dets[0]["box"], gts[0]["box"]) == pytest.approx(0.6)
+    assert _iou_xywh(dets[0]["box"], gts[0]["box"]) == pytest.approx(0.6)
     rep = coco_map(dets, gts)
     assert rep.map == pytest.approx(0.3)
     assert rep.map50 == pytest.approx(1.0)
@@ -248,7 +253,7 @@ def _ap_oracle(dets, gts, thr):
         for i, g in enumerate(gts.get(img, [])):
             if used[img][i]:
                 continue
-            iou = box_iou_xywh(box, g)
+            iou = _box_iou_xywh_scalar(box, g)
             if iou > best:
                 best, best_i = iou, i
         if best_i >= 0 and best >= thr:

@@ -12,7 +12,6 @@ from evsnn.autograd.tensor import _sigmoid
 from evsnn.spiking import (
     Network,
     NetworkSpec,
-    PLIFConfig,
     SpikeRecord,
     audit_spike_purity,
 )
@@ -29,14 +28,39 @@ from conftest import cnhw, count_tape_ops, numeric_grad, outputs_and_grads, step
 # --------------------------------------------------------------------------
 
 
+def test_plif_layer_tau_init():
+    """The paper's neuron starts at tau = 2: a fresh layer has w = 0,
+    sigmoid(w) = 1/2, and a spec cannot ask for another start."""
+    layer = PLIFLayer("p")
+    assert layer.w.data[0] == 0.0
+    assert ag.sigmoid(layer.w).data[0] == 0.5
+    for value in (2.0, 3.0):
+        spec = NetworkSpec(input_channels=1)
+        spec.add("p", "plif", ["input"], tau_init=value)
+        with pytest.raises(ValueError, match=r"^p: unknown plif keys \['tau_init'\]"):
+            Network(spec)
+
+
+def test_plif_alpha_must_be_positive_at_build_time():
+    """The surrogate width is the constant 2.0. A plif node carrying any
+    alpha, positive or not, fails when the network is built, with the
+    node's name, not at the first forward."""
+    assert ops.PLIF_SURROGATE_ALPHA == 2.0
+    for value in (0.0, -1.0, 1.5):
+        spec = NetworkSpec(input_channels=1, outputs=["p"])
+        spec.add("p", "plif", ["input"], alpha=value)
+        with pytest.raises(ValueError, match=r"^p: unknown plif keys \['alpha'\]"):
+            Network(spec)
+
+
 def test_plif_config_validation():
-    with pytest.raises(ValueError):
-        PLIFConfig(tau_init=1.0)
-    # a spec asking for another neuron fails loudly instead of being ignored
-    spec = NetworkSpec(input_channels=1)
-    spec.add("p", "plif", ["input"], tau_init=3.0, v_threshold=0.5)
-    with pytest.raises(ValueError, match="unknown plif keys.*v_threshold"):
-        Network(spec)
+    """A plif node has no settings. A spec asking for another neuron fails
+    loudly, naming the node and the key, instead of being ignored."""
+    for key, value in (("tau_init", 3.0), ("alpha", 1.5), ("v_threshold", 0.5)):
+        spec = NetworkSpec(input_channels=1)
+        spec.add("p", "plif", ["input"], **{key: value})
+        with pytest.raises(ValueError, match=rf"^p: unknown plif keys \['{key}'\]"):
+            Network(spec)
     # a spec exported with the fixed-tau switch is refused, not reinterpreted
     spec = NetworkSpec(input_channels=1)
     spec.add("p", "plif", ["input"], learnable_tau=True)
@@ -44,19 +68,22 @@ def test_plif_config_validation():
         Network(spec)
 
 
-def _heaviside_surrogate(v, alpha=2.0):
+ALPHA = 2.0  # the width of ag.plif's ATan surrogate
+
+
+def _heaviside_surrogate(v):
     """The oracle's spike op: a step forward, the ATan-shaped surrogate
-    dspike/dv = alpha / (2 (1 + (pi alpha v / 2)^2)) backward."""
+    dspike/dv = alpha / (2 (1 + (pi alpha v / 2)^2)), alpha = ALPHA, backward."""
     out = (v.data >= 0).astype(v.data.dtype)
 
     def backward(g):
-        s = 0.5 * np.pi * alpha * v.data
-        v.accumulate_grad(g * (alpha / (2.0 * (1.0 + s * s))))
+        s = 0.5 * np.pi * ALPHA * v.data
+        v.accumulate_grad(g * (ALPHA / (2.0 * (1.0 + s * s))))
 
     return Tensor.from_op(out, (v,), backward)
 
 
-def _plif_step_oracle(state, x, inv_tau, v_threshold=1.0, v_reset=0.0, reset_mode="hard", alpha=2.0):
+def _plif_step_oracle(state, x, inv_tau, v_threshold=1.0, v_reset=0.0, reset_mode="hard"):
     """The op-by-op PLIF composition with a settable threshold, reset value
     and reset mode (10 tape ops per hard-reset step): the reference that
     ``ag.plif`` must match at threshold 1, hard reset to 0."""
@@ -64,7 +91,7 @@ def _plif_step_oracle(state, x, inv_tau, v_threshold=1.0, v_reset=0.0, reset_mod
         state = Tensor(np.full(x.data.shape, v_reset, dtype=x.data.dtype))
     drive = x - (state - v_reset)
     v = state + drive * inv_tau
-    spikes = _heaviside_surrogate(v - v_threshold, alpha)
+    spikes = _heaviside_surrogate(v - v_threshold)
     if reset_mode == "hard":
         v_next = v * (1.0 - spikes) + spikes * v_reset
     else:
@@ -72,10 +99,10 @@ def _plif_step_oracle(state, x, inv_tau, v_threshold=1.0, v_reset=0.0, reset_mod
     return spikes, v_next
 
 
-def _oracle_step(x, state, w, alpha=2.0):
+def _oracle_step(x, state, w):
     """The oracle behind ``ag.plif``'s signature: ``w`` is a Tensor with
     1/tau = sigmoid(w), or 1/tau itself."""
-    return _plif_step_oracle(state, x, ag.sigmoid(w) if isinstance(w, Tensor) else w, alpha=alpha)
+    return _plif_step_oracle(state, x, ag.sigmoid(w) if isinstance(w, Tensor) else w)
 
 
 def _membrane(state):
@@ -85,7 +112,7 @@ def _membrane(state):
 
 def _oracle_plif_call(layer, x, membranes):
     """``PLIFLayer.__call__`` with the oracle neuron."""
-    spikes, membranes[layer.name] = _oracle_step(x, membranes.get(layer.name), layer.w, layer.config.alpha)
+    spikes, membranes[layer.name] = _oracle_step(x, membranes.get(layer.name), layer.w)
     return spikes
 
 
@@ -173,7 +200,7 @@ def test_plif_float32_error_no_larger_than_oracle():
     assert fused_error <= oracle_error
 
 
-def _straight_through_plif(xs, w, alpha, u0s=None):
+def _straight_through_plif(xs, w, u0s=None):
     """float64 PLIF whose spike is H(u0) + S(v - 1) - S(u0), with S(u) =
     arctan(pi alpha u / 2) / pi the primitive of the ATan surrogate and u0
     the v - 1 of the base run (``u0s`` None: this run is the base). At the
@@ -184,7 +211,7 @@ def _straight_through_plif(xs, w, alpha, u0s=None):
     for t, x in enumerate(xs):
         v = membrane + (x - membrane) * a
         u0 = v - 1.0 if u0s is None else u0s[t]
-        s = (u0 >= 0) + (np.arctan(0.5 * np.pi * alpha * (v - 1.0)) - np.arctan(0.5 * np.pi * alpha * u0)) / np.pi
+        s = (u0 >= 0) + (np.arctan(0.5 * np.pi * ALPHA * (v - 1.0)) - np.arctan(0.5 * np.pi * ALPHA * u0)) / np.pi
         membrane = v * (1.0 - s)
         spikes.append(s)
         potentials.append(u0)
@@ -195,25 +222,25 @@ def test_plif_finite_differences_with_reset():
     """``ag.plif``'s float64 gradients of sum_t probe_t . s_t with respect to
     every input element and w equal central differences of the
     straight-through PLIF (``_straight_through_plif``) at the same point."""
-    alpha, steps, shape = 1.5, 4, (2, 3, 3)
+    steps, shape = 4, (2, 3, 3)
     rng = np.random.default_rng(3)
     arrays = [1.6 * rng.standard_normal(shape) for _ in range(steps)] + [np.array([0.4])]
     probes = [rng.standard_normal(shape) for _ in range(steps)]
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     state, loss, spikes = None, 0.0, []
     for xt, probe in zip(tensors, probes):
-        s, state = ag.plif(xt, state, tensors[-1], alpha)
+        s, state = ag.plif(xt, state, tensors[-1])
         spikes.append(s.data)
         loss = (s * Tensor(probe)).sum() + loss
     loss.backward()
 
-    base, u0s = _straight_through_plif(arrays[:-1], arrays[-1], alpha)
+    base, u0s = _straight_through_plif(arrays[:-1], arrays[-1])
     for got, want in zip(spikes, base):
         assert np.array_equal(got, want)
     assert sum(float(s.sum()) for s in spikes[:-1]) > 0  # resets feed later steps
 
     def loss_of(*arrs):
-        out, _ = _straight_through_plif(arrs[:-1], arrs[-1], alpha, u0s)
+        out, _ = _straight_through_plif(arrs[:-1], arrs[-1], u0s)
         return float(sum((s * p).sum() for s, p in zip(out, probes)))
 
     for i, t in enumerate(tensors):
@@ -221,7 +248,7 @@ def test_plif_finite_differences_with_reset():
         assert np.abs(t.grad - num).max() <= 1e-6 * np.abs(num).max(), f"input {i}"
 
 
-def _plif_keep_drive_oracle(x, state, w, alpha=2.0):
+def _plif_keep_drive_oracle(x, state, w):
     """``ag.plif`` as it was when its tape kept X - V for w's gradient: the
     reference for the op that rebuilds X - V in its backward."""
     learned = isinstance(w, Tensor)
@@ -239,7 +266,7 @@ def _plif_keep_drive_oracle(x, state, w, alpha=2.0):
     if not (learned and w.requires_grad):
         drive = None  # the backward needs X - V only for dw
     parents = (x,) + ((w,) if learned else ()) + ((prev_spikes,) if state is not None else ())
-    scale = 0.5 * np.pi * alpha
+    scale = 0.5 * np.pi * ALPHA
     out_link = ops.PLIFLink()
 
     def backward(g):
@@ -248,7 +275,7 @@ def _plif_keep_drive_oracle(x, state, w, alpha=2.0):
         np.multiply(dv, dv, out=dv)
         dv += 1.0
         dv *= 2.0
-        np.divide(alpha, dv, out=dv)  # sg(v - 1)
+        np.divide(ALPHA, dv, out=dv)  # sg(v - 1)
         g_m, out_link.grad = out_link.grad, None
         if g_m is None:  # V' fed no later step
             dv *= g
@@ -388,12 +415,11 @@ def test_plif_recorded_step_after_an_untaped_one_raises():
 
 def test_plif_hand_simulation():
     """tau=2, v_th=1: V <- V + (X - V)/2, spike and hard-reset on V >= 1."""
-    cfg = PLIFConfig()
     state = None
     spikes = []
     vs = []
     for x in (1.5, 0.0, 2.0):
-        s, state = ag.plif(Tensor(np.array([x])), state, 1.0 / cfg.tau_init)
+        s, state = ag.plif(Tensor(np.array([x])), state, 0.5)
         spikes.append(float(s.data[0]))
         vs.append(float(state[0][0]))
     assert spikes == [0.0, 0.0, 1.0]
@@ -406,24 +432,17 @@ def test_plif_threshold_boundary():
     assert float(v[0]) == 0.0
 
 
-def test_plif_layer_tau_init():
-    layer = PLIFLayer("p", PLIFConfig(tau_init=2.0))
-    assert np.isclose(ag.sigmoid(layer.w).data[0], 0.5)  # sigmoid(0) = 1/tau_init
-    layer3 = PLIFLayer("p3", PLIFConfig(tau_init=3.0))
-    assert np.isclose(ag.sigmoid(layer3.w).data[0], 1.0 / 3.0)
-
-
 def test_bptt_two_step_hand_chain():
     """Autodiff through two PLIF steps matches the hand-derived gradient."""
-    alpha, a = 2.0, 0.5
+    a = 0.5
     x1 = Tensor(np.array([1.6]), requires_grad=True)
     x2 = Tensor(np.array([2.4]), requires_grad=True)
-    s1, state1 = ag.plif(x1, None, a, alpha)
-    s2, _ = ag.plif(x2, state1, a, alpha)
+    s1, state1 = ag.plif(x1, None, a)
+    s2, _ = ag.plif(x2, state1, a)
     (s1 + s2).sum().backward()
 
     def sg(u):  # surrogate derivative at membrane excess u
-        return alpha / (2 * (1 + (np.pi * alpha * u / 2) ** 2))
+        return ALPHA / (2 * (1 + (np.pi * ALPHA * u / 2) ** 2))
 
     v1 = a * 1.6                     # 0.8, below threshold -> s1 = 0
     g1 = sg(v1 - 1.0)
@@ -583,7 +602,7 @@ def _composed_plif_call(layer, x, membranes):
     inv_tau = ag.sigmoid(layer.w)
     state = membranes.get(layer.name)
     v = x * inv_tau if state is None else state + (x - state) * inv_tau
-    spikes = _heaviside_surrogate(v - 1.0, layer.config.alpha)
+    spikes = _heaviside_surrogate(v - 1.0)
     membranes[layer.name] = v * (1.0 - spikes)
     return spikes
 
@@ -700,18 +719,6 @@ def test_conv_with_a_pad_value_key_names_the_node():
         Network(spec)
 
 
-def test_plif_alpha_must_be_positive_at_build_time():
-    """A surrogate width alpha <= 0 fails when the network is built, with
-    the node's name, not at the first forward."""
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        PLIFConfig(alpha=0.0)
-    for key, value, message in (("alpha", -1.0, "alpha must be positive"), ("tau_init", 1.0, "tau_init must be > 1")):
-        spec = NetworkSpec(input_channels=1, outputs=["p"])
-        spec.add("p", "plif", ["input"], **{key: value})
-        with pytest.raises(ValueError, match=f"^p: {message}"):
-            Network(spec)
-
-
 def test_squeezenet_tape_bytes_per_plif_element():
     """The tape of a SqueezeNet-1.1 training forward (batch 4, 32x32, T=3)
     holds at most 10.5 bytes per PLIF output element (measured 10.1; 13.9
@@ -787,7 +794,7 @@ def test_no_grad_forward_matches_oracle_neuron(monkeypatch):
         for o in want:
             assert np.array_equal(got[o].data, want[o].data), o
     for got, want in zip(new_records, old_records):
-        assert got.spikes == want.spikes and got.elements == want.elements and got.steps == want.steps
+        assert got.spikes == want.spikes and got.elements == want.elements
         assert sum(got.spikes.values()) > 0
 
 
@@ -800,7 +807,6 @@ def test_spike_record_rates():
     assert set(rates) == {"plif1", "head_plif"}
     assert all(0.0 <= r <= 1.0 for r in rates.values())
     assert 0.0 <= record.global_rate() <= 1.0
-    assert record.steps == 5
     assert all(type(n) is int for n in record.spikes.values())  # exact counts
 
 
