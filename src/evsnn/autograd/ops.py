@@ -9,11 +9,13 @@ cropped to the ho x wo output. A convolution copies the k*k slices into one
 its columns. Its tape keeps only the phase buffer (the input itself for an
 unpadded 1x1 stride-1 conv): the backward rebuilds the columns for dW, adds
 the column gradient back tap by tap, and writes dx in one copy that drops the
-border. Max pooling is a running maximum over the same slices. Batch norm
-reduces each channel's contiguous row; its tape keeps the channel mean and
-1/std, and the backward rebuilds xhat from the input. The tape sets its
-mode: batch statistics and a running-statistics update while it records,
-the running statistics, unchanged, under ``no_grad``.
+border. Max pooling is a running maximum over the same slices; its backward
+scatters each output's gradient to the cell that held its maximum in one
+``np.add.at``. Batch norm reduces each channel's contiguous row; its tape
+keeps the channel mean and 1/std, and the backward rebuilds xhat from the
+input. The tape sets its mode: batch statistics and a running-statistics
+update while it records, the running statistics, unchanged, under
+``no_grad``.
 
 ``bn_conv`` is a batch norm and the conv that reads it as one op. On the
 tape it is one entry, bit for bit ``conv2d(batchnorm2d(...))``, that keeps
@@ -27,13 +29,21 @@ A PLIF neuron step (``plif``) is one op with a hand-derived backward, so a
 layer records one tape entry per timestep. The membrane is an array handed
 from step to step, not a Tensor; its gradient goes back through a
 ``PLIFLink``. The tape keeps the step's spikes (1 byte each) and pre-reset
-membrane; the backward rebuilds X - V from the input and the previous
-step's membrane.
+membrane v. No PLIF backward reads its input X: w's gradient reads it only
+through a (X - V) = v - V, rebuilt from v and the previous step's v.
 
-Conv, batch norm, their pair and PLIF keep on the tape only what their backward reads
-and cannot rebuild, with the forward's own float ops, from arrays the tape
-holds anyway (the store-less trade of Chen et al., 2016); the rebuilt values
-are bit for bit those of the forward.
+``conv_plif`` is a spiking block's timestep, bn -> conv -> PLIF (or conv ->
+PLIF), as one op, bit for bit ``plif(bn_conv(...))``: the conv's float
+output is dropped in the forward, so per block and timestep the tape holds
+one entry with the spikes (1 byte), v (4 bytes in float32) and the batch
+norm's O(C) statistics. Its backward runs PLIF's, then hands dX to
+``bn_conv``'s backward (or the conv's), which rebuild their inputs from the
+block's input spikes.
+
+Conv, batch norm, their pair, PLIF and the block keep on the tape only what
+their backward reads and cannot rebuild, with the forward's own float ops,
+from arrays the tape holds anyway (the store-less trade of Chen et al.,
+2016); the rebuilt values are bit for bit those of the forward.
 
 Spikes are one byte: ``plif`` returns the ``uint8`` view of its boolean
 comparison, and max pooling and concat pass one-byte inputs on as one-byte
@@ -224,6 +234,20 @@ def _conv_backward(grid, phases, g, w, b, groups, needs_dx):
     return grid.scatter(dcols)
 
 
+def _conv_grads(grid, phases, g, x, w, b, groups):
+    """The conv's backward from the output gradient g: w, b and x (through
+    the phase buffer's gradient) get theirs."""
+    d = _conv_backward(grid, phases, g, w, b, groups, x.requires_grad)
+    if d is not None:
+        x.accumulate_fresh_grad(grid.merge(d))
+
+
+def _split_input(grid, x, w):
+    """The phase buffer of a conv's input x: one-byte spikes at the
+    weight's dtype."""
+    return grid.split(x.data, dtype=np.result_type(x.data.dtype, w.data.dtype))
+
+
 def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     """2-D cross-correlation. x: (Cin,N,H,W), w: (Cout,Cin/g,kh,kw) -> (Cout,N,Ho,Wo).
 
@@ -232,13 +256,11 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     the backward rebuilds the columns for dW.
     """
     grid = _conv_grid(x.data.shape, w.data.shape, stride, padding, groups)
-    phases = grid.split(x.data, dtype=np.result_type(x.data.dtype, w.data.dtype))
+    phases = _split_input(grid, x, w)
     out = _conv_forward(grid, phases, w.data, None if b is None else b.data, groups)
 
     def backward(g):
-        d = _conv_backward(grid, phases, g, w, b, groups, x.requires_grad)
-        if d is not None:
-            x.accumulate_fresh_grad(grid.merge(d))
+        _conv_grads(grid, phases, g, x, w, b, groups)
 
     return Tensor.from_op(out, (x, w) if b is None else (x, w, b), backward)
 
@@ -356,6 +378,39 @@ def _bn_fold(gamma, beta, running_mean, running_var, w, b, groups):
     return w_f, b_f, fill
 
 
+def _bn_conv_forward(grid, x, bn, w, b, groups):
+    """The output of ``conv2d(batchnorm2d(x, *bn), w, b, ...)`` as
+    ``bn_conv`` computes it (bn = gamma, beta, running_mean, running_var),
+    and what its backward reads: the channel mean and 1/std while the tape
+    records, None under ``no_grad``, where the batch norm folds into the
+    conv."""
+    gamma, beta, running_mean, running_var = bn
+    b_data = None if b is None else b.data
+    if not grad_enabled():
+        w_f, b_f, fill = _bn_fold(gamma.data, beta.data, running_mean, running_var, w.data, b_data, groups)
+        phases = grid.split(x.data, fill, np.result_type(x.data.dtype, w_f.dtype))
+        return _conv_forward(grid, phases, w_f, b_f, groups), None
+    y, mean, invstd = _bn_forward(x.data, gamma, beta, running_mean, running_var)
+    phases = grid.split(y.reshape(x.data.shape), dtype=np.result_type(y.dtype, w.data.dtype))
+    del y
+    return _conv_forward(grid, phases, w.data, b_data, groups), (mean, invstd)
+
+
+def _bn_conv_backward(grid, x, gamma, beta, stats, w, b, groups, g):
+    """``bn_conv``'s backward from the output gradient g: rebuilds xhat once
+    from x, the phase buffer from xhat, then runs the conv's backward and
+    the batch norm's on that xhat."""
+    mean, invstd = stats
+    xhat = _bn_xhat(x.data, mean, invstd)
+    y = _bn_affine(xhat, gamma, beta, np.empty_like(xhat)).reshape(x.data.shape)
+    phases = grid.split(y, dtype=np.result_type(y.dtype, w.data.dtype))
+    del y
+    d = _conv_backward(grid, phases, g, w, b, groups, x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    del phases
+    if d is not None:
+        _bn_backward(x, gamma, beta, mean, invstd, grid.merge(d).astype(xhat.dtype, copy=False), xhat)
+
+
 def bn_conv(x, gamma, beta, running_mean, running_var, w, b=None, stride=1, padding=0, groups=1):
     """``conv2d(batchnorm2d(x, ...), w, b, ...)`` as one op, in the mode the
     tape sets.
@@ -370,34 +425,17 @@ def bn_conv(x, gamma, beta, running_mean, running_var, w, b=None, stride=1, padd
     While the tape records it is one tape entry, bit for bit the
     composition, running statistics update included. The tape keeps the
     output and the channel mean and 1/std, not the batch norm's output nor
-    the phase buffer; x (the one-byte spikes of a block) is a parent. The backward rebuilds
-    xhat from x once, the phase buffer from xhat, then runs the conv's
-    backward and the batch norm's on that xhat.
+    the phase buffer; x (the one-byte spikes of a block) is a parent. The
+    backward rebuilds xhat from x once, the phase buffer from xhat, then
+    runs the conv's backward and the batch norm's on that xhat.
     """
     grid = _conv_grid(x.data.shape, w.data.shape, stride, padding, groups)
-    parents = (x, gamma, beta, w) if b is None else (x, gamma, beta, w, b)
-    if not grad_enabled():
-        w_f, b_f, fill = _bn_fold(gamma.data, beta.data, running_mean, running_var, w.data,
-                                  None if b is None else b.data, groups)
-        phases = grid.split(x.data, fill, np.result_type(x.data.dtype, w_f.dtype))
-        return Tensor.from_op(_conv_forward(grid, phases, w_f, b_f, groups), parents, None)
-    y, mean, invstd = _bn_forward(x.data, gamma, beta, running_mean, running_var)
-    y_dtype, dtype = y.dtype, np.result_type(y.dtype, w.data.dtype)
-    out = _conv_forward(grid, grid.split(y.reshape(x.data.shape), dtype=dtype), w.data,
-                        None if b is None else b.data, groups)
-    del y
+    out, stats = _bn_conv_forward(grid, x, (gamma, beta, running_mean, running_var), w, b, groups)
 
     def backward(g):
-        xhat = _bn_xhat(x.data, mean, invstd)
-        y = _bn_affine(xhat, gamma, beta, np.empty_like(xhat)).reshape(x.data.shape)
-        phases = grid.split(y, dtype=dtype)
-        del y
-        d = _conv_backward(grid, phases, g, w, b, groups, x.requires_grad or gamma.requires_grad or beta.requires_grad)
-        del phases
-        if d is not None:
-            _bn_backward(x, gamma, beta, mean, invstd, grid.merge(d).astype(y_dtype, copy=False), xhat)
+        _bn_conv_backward(grid, x, gamma, beta, stats, w, b, groups, g)
 
-    return Tensor.from_op(out, parents, backward)
+    return Tensor.from_op(out, (x, gamma, beta, w) if b is None else (x, gamma, beta, w, b), backward)
 
 
 def maxpool2d(x, kernel, stride=None, padding=0):
@@ -418,14 +456,20 @@ def maxpool2d(x, kernel, stride=None, padding=0):
         np.maximum(index, better.view(np.uint8) * np.uint8(i), out=index)
 
     def backward(g):
-        ge = grid.extend(g)
-        d = np.zeros(grid.phases_shape, dtype=ge.dtype)
-        # reverse tap order adds overlapping contributions to a cell in
-        # row-major output order, as a scatter over the outputs would
-        for i, tap in reversed(list(enumerate(grid.taps))):
-            window = grid.window(d, tap)
-            window += ge * (index == i)
-        x.accumulate_fresh_grad(grid.merge(d))
+        c, n, h, w = x.data.shape
+        hp, wp = h + 2 * p, w + 2 * p
+        # the padded cell each output's maximum came from, as a flat index
+        # into (C, N, hp, wp), in the narrowest integer type that holds it
+        dtype = np.min_scalar_type(max(c * n * hp * wp - 1, s * wp))
+        dest = np.array([(t // k) * wp + t % k for t in range(k * k)], dtype=dtype)[grid.crop(index)]
+        dest += (np.arange(c * n, dtype=dtype) * dtype.type(hp * wp)).reshape(c, n, 1, 1)
+        dest += (np.arange(grid.ho, dtype=dtype) * dtype.type(s * wp)).reshape(-1, 1)
+        dest += np.arange(grid.wo, dtype=dtype) * dtype.type(s)
+        # one scatter in row-major output order: overlapping windows add
+        # into a cell in the order of the outputs that chose it
+        d = np.zeros((c, n, hp, wp), dtype=g.dtype)
+        np.add.at(d.reshape(-1), dest.reshape(-1), g.reshape(-1))
+        x.accumulate_fresh_grad(np.ascontiguousarray(d[:, :, p : p + h, p : p + w]) if p else d)
 
     return Tensor.from_op(grid.crop(out), (x,), backward)
 
@@ -464,13 +508,86 @@ def time_sum(frames):
 class PLIFLink:
     """What a PLIF step hands the next one besides V': its pre-reset membrane
     v while the tape records it (None otherwise), from which the next step's
-    backward rebuilds X - V = X - v [v < 1], and the slot where that
-    backward leaves dL/dV' for this step."""
+    backward rebuilds V' = v [v < 1] for w's gradient, and the slot where
+    that backward leaves dL/dV' for this step."""
 
     __slots__ = ("v", "grad")
 
     def __init__(self):
         self.v = self.grad = None
+
+
+def _plif_backward(g, v, a, w, link, out_link, prev_spikes, needs_dx):
+    """The backward of one PLIF step from its spikes' gradient g (see
+    ``plif``). Hands w its gradient when it learns, and the previous step
+    dL/dV through ``link``; returns dX = a dv when ``needs_dx``, else None.
+
+    w's gradient reads the input X only through a (X - V) = v - V, so it is
+    computed from v and the previous step's V' = v_prev [v_prev < 1]: no
+    PLIF backward reads X."""
+    dv = v - 1.0
+    dv *= 0.5 * np.pi * PLIF_SURROGATE_ALPHA
+    np.multiply(dv, dv, out=dv)
+    dv += 1.0
+    np.divide(PLIF_SURROGATE_ALPHA / 2, dv, out=dv)  # sg(v - 1); halving alpha is exact, so this is alpha / (2 dv)
+    g_m, out_link.grad = out_link.grad, None
+    if g_m is None:  # V' fed no later step
+        dv *= g
+    else:
+        gs = v * g_m
+        np.subtract(g, gs, out=gs)
+        dv *= gs
+        dv += np.multiply(g_m, v < 1.0, out=gs)  # (1 - s) g_m
+    if isinstance(w, Tensor) and w.requires_grad:
+        if link is None:  # from rest, V = 0
+            w.accumulate_grad(np.vdot(dv, v) * (1.0 - a))
+        else:
+            leak = link.v * (link.v < 1.0)  # V', as the previous step made it
+            w.accumulate_grad(np.vdot(dv, np.subtract(v, leak, out=leak)) * (1.0 - a))
+    feeds_back = prev_spikes is not None and prev_spikes.requires_grad
+    if not (needs_dx or feeds_back):
+        return None
+    dx = dv * a
+    if feeds_back:
+        link.grad = np.subtract(dv, dx, out=dv)
+        if prev_spikes.grad is None:
+            # no consumer handed those spikes a gradient; the walk runs a
+            # backward only for a node that has one
+            prev_spikes.grad = np.zeros(prev_spikes.data.shape, dtype=dv.dtype)
+    return dx if needs_dx else None
+
+
+def _plif_op(drive, state, w, inputs, input_backward):
+    """One PLIF step on the array ``drive`` (see ``plif``), recorded as one
+    tape entry whose parents are ``inputs`` (the tensors drive was made
+    from), w when learned and the previous step's spikes. The backward hands
+    dX to ``input_backward`` when some input needs a gradient. drive is not
+    kept."""
+    learned = isinstance(w, Tensor)
+    a = _sigmoid(w.data) if learned else drive.dtype.type(w)
+    if state is None:
+        prev_spikes = link = None
+        v = drive * a
+    else:
+        prev_v, prev_spikes, link = state
+        v = (drive - prev_v) * a
+        v += prev_v
+    spiked = v >= 1.0
+    parents = inputs + ((w,) if learned else ()) + ((prev_spikes,) if state is not None else ())
+    needs_dx = any(t.requires_grad for t in inputs)
+    out_link = PLIFLink()
+
+    def backward(g):
+        dx = _plif_backward(g, v, a, w, link, out_link, prev_spikes, needs_dx)
+        if dx is not None:
+            input_backward(dx)
+
+    spikes = Tensor.from_op(spiked.view(np.uint8), parents, backward)
+    if spikes.requires_grad:
+        if learned and w.requires_grad and link is not None and link.v is None:
+            raise ValueError("a recorded PLIF step with a learned w cannot follow a step run without the tape")
+        out_link.v = v
+    return spikes, (v * ~spiked, spikes, out_link)
 
 
 def plif(x, state, w):
@@ -488,69 +605,47 @@ def plif(x, state, w):
     derivative. With g_s the spikes' gradient and g_m the one the next step
     hands back for V' (the reset term is not detached):
         dv = sg(v - 1) (g_s - v g_m) + (1 - s) g_m
-        dX = a dv,  dL/dV = dv - dX,  dw = a (1 - a) sum(dv (X - V))
-    The previous step's spikes are a parent, so the tape walk reaches that
-    step after this one has left dL/dV in its link.
+        dX = a dv,  dL/dV = dv - dX,  dw = (1 - a) sum(dv (v - V))
+    where dw is a (1 - a) sum(dv (X - V)) with a (X - V) = v - V. The
+    previous step's spikes are a parent, so the tape walk reaches that step
+    after this one has left dL/dV in its link.
 
-    The tape keeps v and, through the parents and the link, X and the
-    previous step's v. X - V is not kept: when w is learned, the backward
-    rebuilds it as X (from rest) or X - v_prev [v_prev < 1], the same float
-    ops that made V' and X - V.
+    The tape keeps the spikes and v; V comes from the previous step's v
+    through the link. No backward reads X.
     """
-    learned = isinstance(w, Tensor)
-    a = _sigmoid(w.data) if learned else x.data.dtype.type(w)
-    if state is None:
-        prev_spikes = link = None
-        v = x.data * a
+    return _plif_op(x.data, state, w, (x,), x.accumulate_fresh_grad)
+
+
+def conv_plif(x, state, plif_w, w, b=None, stride=1, padding=0, groups=1, bn=None):
+    """A spiking block's timestep as one op: ``plif(conv2d(x, w, b, ...),
+    state, plif_w)``, or with ``bn`` = (gamma, beta, running_mean,
+    running_var) ``plif(bn_conv(x, *bn, w, b, ...), state, plif_w)``, in the
+    mode the tape sets; returns (spikes, state') as ``plif`` does.
+
+    The forward is the composition's: the batch norm and conv as
+    ``bn_conv`` runs them (folded under ``no_grad``), then the PLIF step on
+    the conv's output, which is dropped before the op returns. While the
+    tape records it is one entry, bit for bit the composition, that keeps
+    the spikes (1 byte), v (4 bytes in float32) and the batch norm's O(C)
+    statistics. The backward runs PLIF's, then hands dX = a dv to the conv's
+    and the batch norm's, which rebuild their inputs from x, a parent.
+    """
+    grid = _conv_grid(x.data.shape, w.data.shape, stride, padding, groups)
+    gamma = beta = stats = None
+    if bn is None:
+        drive = _conv_forward(grid, _split_input(grid, x, w), w.data, None if b is None else b.data, groups)
     else:
-        prev_v, prev_spikes, link = state
-        v = (x.data - prev_v) * a
-        v += prev_v
-    spiked = v >= 1.0
-    learns_w = learned and w.requires_grad  # only dw reads X - V
-    parents = (x,) + ((w,) if learned else ()) + ((prev_spikes,) if state is not None else ())
-    scale = 0.5 * np.pi * PLIF_SURROGATE_ALPHA
-    out_link = PLIFLink()
+        drive, stats = _bn_conv_forward(grid, x, bn, w, b, groups)
+        gamma, beta = bn[:2]
 
-    def backward(g):
-        dv = v - 1.0
-        dv *= scale
-        np.multiply(dv, dv, out=dv)
-        dv += 1.0
-        np.divide(PLIF_SURROGATE_ALPHA / 2, dv, out=dv)  # sg(v - 1); halving alpha is exact, so this is alpha / (2 dv)
-        g_m, out_link.grad = out_link.grad, None
-        if g_m is None:  # V' fed no later step
-            dv *= g
+    def input_backward(dx):
+        if gamma is None:
+            _conv_grads(grid, _split_input(grid, x, w), dx, x, w, b, groups)
         else:
-            gs = v * g_m
-            np.subtract(g, gs, out=gs)
-            dv *= gs
-            dv += np.multiply(g_m, v < 1.0, out=gs)  # (1 - s) g_m
-        if learns_w:
-            if link is None:
-                drive = x.data
-            else:
-                drive = link.v * (link.v < 1.0)  # V', as the previous step made it
-                np.subtract(x.data, drive, out=drive)
-            w.accumulate_grad(np.vdot(dv, drive) * a * (1.0 - a))
-        feeds_back = prev_spikes is not None and prev_spikes.requires_grad
-        if x.requires_grad or feeds_back:
-            dx = dv * a
-            if x.requires_grad:
-                x.accumulate_fresh_grad(dx)
-            if feeds_back:
-                link.grad = np.subtract(dv, dx, out=dv)
-                if prev_spikes.grad is None:
-                    # no consumer handed those spikes a gradient; the walk
-                    # runs a backward only for a node that has one
-                    prev_spikes.grad = np.zeros(prev_spikes.data.shape, dtype=dv.dtype)
+            _bn_conv_backward(grid, x, gamma, beta, stats, w, b, groups, dx)
 
-    spikes = Tensor.from_op(spiked.view(np.uint8), parents, backward)
-    if spikes.requires_grad:
-        if learns_w and link is not None and link.v is None:
-            raise ValueError("a recorded PLIF step with a learned w cannot follow a step run without the tape")
-        out_link.v = v
-    return spikes, (v * ~spiked, spikes, out_link)
+    inputs = tuple(t for t in (x, gamma, beta, w, b) if t is not None)
+    return _plif_op(drive, state, plif_w, inputs, input_backward)
 
 
 def _softmax(z):

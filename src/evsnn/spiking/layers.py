@@ -26,8 +26,20 @@ While the tape records they normalize with batch statistics and update the
 running statistics; under ``ag.no_grad()`` they use the running statistics
 and leave them unchanged. Each bn is the only input of exactly one conv,
 which ``Network`` checks at build time: ``forward`` skips the bn node and
-calls the conv's layer with the bn's input and the bn layer. The pair is one op, ``ag.bn_conv``: one
-tape entry, or under ``ag.no_grad()`` the bn folded into the conv.
+calls the conv's layer with the bn's input and the bn layer. The pair is
+one op, ``ag.bn_conv``: one tape entry, or under ``ag.no_grad()`` the bn
+folded into the conv.
+
+A spiking block is a conv that runs every timestep, is not an output and is
+read by one plif alone, with the conv's bn if it has one: bn -> conv ->
+plif, or conv -> plif (MobileNet's pointwise conv, which reads its
+depthwise conv). ``forward`` skips the block's bn and conv nodes and calls
+the plif's layer with the block's input, the conv layer and the bn layer;
+the block runs as one op, ``ag.conv_plif``. Per block and timestep the
+training tape holds one entry: the spikes (1 byte each), the pre-reset
+membrane (4 bytes each in float32) and the bn's O(C) statistics. The
+conv's float output never reaches it. A bn -> conv pair outside a block
+(MobileNet's depthwise conv, read by its pointwise conv) is ``ag.bn_conv``.
 """
 
 from __future__ import annotations
@@ -111,10 +123,19 @@ class PLIFLayer:
         self.name = name
         self.w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True, name=f"{name}.w")
 
-    def __call__(self, x, membranes):
+    def __call__(self, x, membranes, conv=None, bn=None):
         """One timestep. Reads this layer's state from ``membranes`` (none on
-        the first step), stores the next one there, returns spikes."""
-        spikes, membranes[self.name] = ag.plif(x, membranes.get(self.name), self.w)
+        the first step), stores the next one there, returns spikes. With
+        ``conv``, the conv layer whose output this layer reads, and its
+        ``bn`` layer if it has one, x is their input and the block runs as
+        one op, ``ag.conv_plif``."""
+        state = membranes.get(self.name)
+        if conv is None:
+            spikes, membranes[self.name] = ag.plif(x, state, self.w)
+        else:
+            norm = None if bn is None else (bn.gamma, bn.beta, bn.running_mean, bn.running_var)
+            spikes, membranes[self.name] = ag.conv_plif(x, state, self.w, conv.weight, conv.bias, conv.stride,
+                                                        conv.padding, conv.groups, norm)
         return spikes
 
     def out_shape(self, shape):
@@ -227,7 +248,9 @@ def _schedule(spec: NetworkSpec):
     """For a spec whose inputs are all defined: the nodes that run once per
     sample on the time-summed input (a conv or spatial sum, which commute
     with that sum, whose consumers all do), the bn each conv runs in its
-    call (conv name -> bn name), and a message naming each bn that cannot."""
+    call (conv name -> bn name), the conv each plif runs in its call (plif
+    name -> conv name: a spiking block), and a message naming each bn that
+    cannot."""
     once, read_per_step = set(), set()
     for node in reversed(spec.nodes):  # consumers before producers
         if node["type"] in ("conv", "spatial_sum") and node["name"] not in read_per_step:
@@ -247,7 +270,12 @@ def _schedule(spec: NetworkSpec):
                             f"timestep, and not an output; it is read by {[n['name'] for n in read_by]}")
         else:
             bn_of[read_by[0]["name"]] = name
-    return once, bn_of, problems
+    # a conv that runs every timestep, is no output and is read by one plif
+    # alone runs in that plif's call
+    convs = {n["name"] for n in spec.nodes if n["type"] == "conv"} - once - set(spec.outputs)
+    conv_of = {read_by[0]["name"]: name for name, read_by in readers.items()
+               if name in convs and len(read_by) == 1 and read_by[0]["type"] == "plif"}
+    return once, bn_of, conv_of, problems
 
 
 class Network:
@@ -297,8 +325,9 @@ class Network:
         undefined = [o for o in spec.outputs if o not in self.channels]
         if undefined:
             raise ValueError(f"outputs {undefined} are not defined by any node")
-        # each bn runs inside the one conv that reads it (ag.bn_conv)
-        self.once, self.bn_of, problems = _schedule(spec)
+        # each bn runs inside the one conv that reads it (ag.bn_conv), and
+        # each block's conv inside its plif (ag.conv_plif)
+        self.once, self.bn_of, self.conv_of, problems = _schedule(spec)
         if problems:
             raise ValueError(problems[0])
 
@@ -345,7 +374,8 @@ class Network:
         run once, a list of one Tensor per timestep for the others. Maps are
         (C, N, H, W); a spatial sum gives (N, C). The PLIF membranes live
         only in this call, so every call starts from rest. A bn node runs in
-        the call of the conv that reads it.
+        the call of the conv that reads it, a block's conv in the call of
+        its plif.
         """
         if batch.shape[1] != self.spec.input_channels:
             raise ValueError(f"batch has {batch.shape[1]} channels, network expects {self.spec.input_channels}")
@@ -355,15 +385,21 @@ class Network:
         summed = list(dict.fromkeys(i for node in once for i in node["inputs"] if i not in self.once))
         per_step = {tap: [] for tap in summed + [o for o in self.spec.outputs if o not in self.once]}
         membranes = {}
-        calls = []  # (name, layer, inputs, extra arguments, is plif); a bn runs in its conv's call
-        bn_inputs = {node["name"]: node["inputs"] for node in stepwise if node["type"] == "bn"}
+        calls = []  # (name, layer, inputs, extra arguments, is plif)
+        inputs_of = {node["name"]: node["inputs"] for node in stepwise}
+        in_call = set(self.bn_of.values()) | set(self.conv_of.values())  # run in the call of their reader
         for node in stepwise:
             name, inputs, extra = node["name"], node["inputs"], []
-            if node["type"] == "bn":
+            if name in in_call:
                 continue
             if name in self.bn_of:
                 bn = self.bn_of[name]
-                inputs, extra = bn_inputs[bn], [1, self.layers[bn]]
+                inputs, extra = inputs_of[bn], [1, self.layers[bn]]
+            elif name in self.conv_of:
+                conv = self.conv_of[name]
+                bn = self.bn_of.get(conv)
+                inputs = inputs_of[conv if bn is None else bn]
+                extra = [membranes, self.layers[conv], None if bn is None else self.layers[bn]]
             elif node["type"] == "plif":
                 extra = [membranes]
             calls.append((name, self.layers[name], inputs, extra, node["type"] == "plif"))
@@ -419,4 +455,4 @@ def audit_spike_purity(spec: NetworkSpec, allow_dwsep=False):
             kind[name] = "binary"
         else:
             kind[name] = "real"
-    return violations + _schedule(spec)[2]
+    return violations + _schedule(spec)[-1]

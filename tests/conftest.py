@@ -129,8 +129,9 @@ def _base_array(a):
 def tape_bytes(loss):
     """Bytes the tape behind ``loss`` holds, by op: a walk over the recorded
     entries that charges each distinct base array to the first entry whose
-    output or backward closure holds it (in a closure cell, or in a slot of
-    an object there, as a PLIF link's membrane). Tensors in a closure are
+    output or backward closure holds it (in a closure cell, a tuple or a
+    helper closure there, or in a slot of an object there, as a PLIF link's
+    membrane). Tensors in a closure are
     parents, counted as their own entries; the arrays of leaf tensors
     (parameters, inputs) and views of them are not tape. Keyed by the
     closure's qualified name, e.g. ``batchnorm2d.<locals>.backward``;
@@ -151,9 +152,15 @@ def tape_bytes(loss):
     for t in entries:
         key = t._backward.__qualname__
         elements[key] = elements.get(key, 0) + t.data.size
-        arrays = [t.data]
-        for cell in t._backward.__closure__ or ():
-            value = cell.cell_contents
+        arrays, cells = [t.data], list(t._backward.__closure__ or ())
+        while cells:
+            value = cells.pop().cell_contents
+            if isinstance(value, types.FunctionType):  # a helper closure the backward calls
+                cells += value.__closure__ or ()
+                continue
+            if isinstance(value, tuple):
+                cells += [types.CellType(v) for v in value]
+                continue
             slots = () if isinstance(value, Tensor) else getattr(type(value), "__slots__", ())
             arrays += [value] + [getattr(value, s, None) for s in slots]
         for a in arrays:

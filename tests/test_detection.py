@@ -266,23 +266,31 @@ def test_focal_gamma_zero_matches_cross_entropy():
 
 
 def test_detection_loss_normalized_by_positive_count():
+    """Both terms are sums divided by the batch's positive count: the focal
+    term sums over every anchor, the smooth-L1 term over the positive ones.
+    With four positives and with eight (the same predictions), each term
+    equals its sum divided by 4 and by 8."""
     rng = np.random.default_rng(4)
     n, a, c = 2, 6, 3
     logits = Tensor(rng.standard_normal((n, a, c)))
     loc = Tensor(rng.standard_normal((n, a, 4)))
     labels = np.zeros((n, a), dtype=int)
     labels[0, :4] = 1  # four positives
-    targets = rng.standard_normal((n, a, 4))
-    _, cls4, loc4 = detection_loss(logits, loc, labels, targets)
     labels2 = labels.copy()
     labels2[1, :4] = 2  # eight positives, same logits
-    _, _, _ = detection_loss(logits, loc, labels2, targets)
-    # same positives but doubled normalizer halves the loc term
-    _, _, loc_half = detection_loss(logits, loc, labels, targets)
-    assert loc_half == pytest.approx(loc4)
-    mask_sum = np.abs(np.where(np.abs(loc.data - targets) < 1, 0.5 * (loc.data - targets) ** 2,
-                               np.abs(loc.data - targets) - 0.5))[labels > 0].sum()
-    assert loc4 == pytest.approx(mask_sum / 4, rel=1e-5)
+    targets = rng.standard_normal((n, a, 4))
+    z = logits.data.reshape(n * a, c)
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    d = np.abs(loc.data - targets)
+    smooth = np.where(d < 1, 0.5 * d**2, d - 0.5)
+    for lab, positives in ((labels, 4), (labels2, 8)):
+        flat = lab.reshape(-1)
+        pt = p[np.arange(n * a), flat]
+        focal_sum = (np.where(flat > 0, 0.25, 0.75) * (1 - pt) ** 2 * -np.log(pt)).sum()
+        _, cls_term, loc_term = detection_loss(logits, loc, lab, targets)
+        assert cls_term == pytest.approx(focal_sum / positives, rel=1e-6), positives
+        assert loc_term == pytest.approx(smooth[lab > 0].sum() / positives, rel=1e-5), positives
 
 
 def test_detection_loss_no_positives_is_finite():
