@@ -1,43 +1,41 @@
 """Neural-net ops with explicit backward passes.
 
-Activations are channel-major, (C, N, H, W). Convolution and max pooling
-share one window layout (``_PhaseGrid``): the input is padded and split into
-its s*s stride phases in one pass, each (channel, sample) row flattened, so
-that every kernel tap reads one contiguous slice of an ho x wq output grid,
-cropped to the ho x wo output. A convolution copies the k*k slices into one
-(Cin, kh*kw, N, ho*wq) column buffer and runs one GEMM per group over all of
-its columns. Its tape keeps only the phase buffer (the input itself for an
-unpadded 1x1 stride-1 conv): the backward rebuilds the columns for dW, adds
-the column gradient back tap by tap, and writes dx in one copy that drops the
-border. Max pooling is a running maximum over the same slices; its backward
-scatters each output's gradient to the cell that held its maximum in one
-``np.add.at``. Batch norm reduces each channel's contiguous row; its tape
-keeps the channel mean and 1/std, and the backward rebuilds xhat from the
-input. The tape sets its mode: batch statistics and a running-statistics
-update while it records, the running statistics, unchanged, under
-``no_grad``.
+Activations are channel-major frames, (C, N, H, W). Between spiking layers
+an op reads all T frames at once, T-major (T, C, N, H, W), so that frame t
+is ``x[t]``, and records one tape entry whatever T is. Convolution, batch
+norm, their pair and max pooling also take one frame (the run-once heads)
+and run frame by frame (``_framewise``): each frame has its own batch
+statistics and running-statistics update, in time order, and the backward
+visits the frames in reverse time order, writing each frame's input
+gradient into one stacked array.
 
-``bn_conv`` is a batch norm and the conv that reads it as one op. On the
-tape it is one entry, bit for bit ``conv2d(batchnorm2d(...))``, that keeps
-the conv's output and the channel mean and 1/std: the backward rebuilds
-xhat once from the input (a block's one-byte spikes, a parent), the phase
-buffer from xhat, then runs the conv's and the batch norm's backward. Under
-``no_grad`` the batch norm folds into the conv, which reads the spikes
-themselves.
+Convolution and max pooling share one window layout (``_PhaseGrid``): a
+frame is padded and split into its s*s stride phases in one pass, each
+(channel, sample) row flattened, so that every kernel tap reads one
+contiguous slice of an ho x wq output grid, cropped to the ho x wo output.
+A convolution copies the k*k slices into one (Cin, kh*kw, N, ho*wq) column
+buffer and runs one GEMM per group over all of its columns. Its tape keeps
+only its parents: the backward rebuilds the phase buffer from the input,
+the columns from it for dW, adds the column gradient back tap by tap and
+writes dx in one copy that drops the border. Max pooling is a running
+maximum over the same slices; its backward scatters each output's gradient
+to the cell that held its maximum in one ``np.add.at``. Batch norm reduces
+each channel's contiguous row; its tape keeps the channel mean and 1/std,
+and the backward rebuilds xhat from the input. The tape sets its mode:
+batch statistics and a running-statistics update while it records, the
+running statistics, unchanged, under ``no_grad``. ``bn_conv`` is a batch
+norm and the conv that reads it as one op, bit for bit
+``conv2d(batchnorm2d(...))``, whose backward rebuilds xhat once, then the
+phase buffer from it; under ``no_grad`` the batch norm folds into the conv.
 
-A PLIF neuron step (``plif``) is one op with a hand-derived backward, so a
-layer records one tape entry per timestep. The membrane is an array handed
-from step to step, not a Tensor; its gradient goes back through a
-``PLIFLink``. The tape keeps the step's spikes (1 byte each) and pre-reset
-membrane v. No PLIF backward reads its input X: w's gradient reads it only
-through a (X - V) = v - V, rebuilt from v and the previous step's v.
-
-``conv_plif`` is a spiking block's timestep, bn -> conv -> PLIF (or conv ->
-PLIF), as one op, bit for bit ``plif(bn_conv(...))``: the conv's float
-output is dropped in the forward, so per block and timestep the tape holds
-one entry with the spikes (1 byte), v (4 bytes in float32) and the batch
-norm's O(C) statistics. Its backward runs PLIF's, then hands dX to
-``bn_conv``'s backward (or the conv's), which rebuild their inputs from the
+``plif`` runs the PLIF neuron over all T frames from rest; the membrane and
+its gradient are locals of one forward loop and one reverse-time backward
+loop. The tape keeps the spikes (1 byte each) and every frame's pre-reset
+membrane v; w's gradient reads X only through a (X - V) = v - V.
+``conv_plif`` is a spiking block, bn -> conv -> PLIF (or conv -> PLIF), as
+one op, bit for bit ``plif(bn_conv(...))``: each frame's conv output is
+dropped once PLIF has read it, and the backward hands each frame's dX to
+the conv's and the batch norm's, which rebuild their inputs from the
 block's input spikes.
 
 Conv, batch norm, their pair, PLIF and the block keep on the tape only what
@@ -47,15 +45,13 @@ from arrays the tape holds anyway (the store-less trade of Chen et al.,
 
 Spikes are one byte: ``plif`` returns the ``uint8`` view of its boolean
 comparison, and max pooling and concat pass one-byte inputs on as one-byte
-outputs, so the tape holds 1 byte per spike, not 4. Batch norm sums a
-one-byte row into the parameters' float dtype, an exact count divided by m
-while m < 2**24 (the mean of the float32 copy bit for bit); conv2d splits
-it into a float phase buffer; ``time_sum`` adds spikes over time into
-float32. Gradients are float: a one-byte tensor takes the dtype of the
-first gradient it receives.
-
-Gradients an op builds fresh are handed over with
-``Tensor.accumulate_fresh_grad``, which stores a first gradient uncopied.
+outputs. Batch norm sums a one-byte row into the parameters' float dtype,
+an exact count divided by m while m < 2**24 (the mean of the float32 copy
+bit for bit); conv2d splits it into a float phase buffer; ``time_sum`` adds
+spikes over time into float32. Gradients are float: a one-byte tensor takes
+the dtype of the first gradient it receives. Gradients an op builds fresh
+are handed over with ``Tensor.accumulate_fresh_grad``, which stores a first
+gradient uncopied.
 """
 
 from __future__ import annotations
@@ -81,6 +77,37 @@ def _out_size(h, w, kh, kw, stride, padding):
     return ho, wo
 
 
+def _frames(a):
+    """The (T, C, N, H, W) frames of a: a (C, N, H, W) array is one frame."""
+    return a if a.ndim == 5 else a[None]
+
+
+def _input_grad(x, shape, dtype, frame_backward):
+    """Calls frame_backward(t, dx) for t = T-1 down to 0, dx frame t's slot
+    of x's gradient (None when x needs none), then hands x that gradient."""
+    dx = np.empty(shape, dtype=dtype) if x.requires_grad else None
+    for t in reversed(range(shape[0])):
+        frame_backward(t, None if dx is None else dx[t])
+    if dx is not None:
+        x.accumulate_fresh_grad(dx.reshape(x.data.shape))
+
+
+def _framewise(x, parents, forward, backward, dx_dtype):
+    """An op run frame by frame on x, one frame or T, its outputs stacked as
+    x's frames are: forward(x_t) returns frame t's output and what its
+    backward reads, backward(x_t, saved, g_t, dx) writes frame t's input
+    gradient into dx (None when x needs none), of dtype dx_dtype(x's dtype,
+    g's dtype)."""
+    ys, saved = zip(*map(forward, _frames(x.data)))
+    out = ys[0] if x.data.ndim == 4 else np.stack(ys)
+
+    def op_backward(g):
+        xs, gs = _frames(x.data), _frames(g)
+        _input_grad(x, xs.shape, dx_dtype(x.data.dtype, g.dtype), lambda t, dx: backward(xs[t], saved[t], gs[t], dx))
+
+    return Tensor.from_op(out, parents, op_backward)
+
+
 def _phase_axis(a, s, p, size):
     """Along one axis of phase a: the slice of its grid and the slice of the
     unpadded input that hold the same cells (grid index q is padded index
@@ -92,10 +119,10 @@ def _phase_axis(a, s, p, size):
 
 
 class _PhaseGrid:
-    """A kh x kw window at stride s over a (C, N, H, W) input padded by p,
+    """A kh x kw window at stride s over a (C, N, H, W) frame padded by p,
     laid out so that each kernel tap reads one contiguous slice.
 
-    The padded input is split into its stride phases, a (ph, pw, C, N, size)
+    The padded frame is split into its stride phases, a (ph, pw, C, N, size)
     buffer: phase (a, b) holds padded cell (q*s + a, r*s + b) at q*wq + r,
     hq*wq cells plus (kw - 1)//s of slack. Tap (i, j) then reads
     ``phases[i % s, j % s, :, :, off:off + span]`` with
@@ -127,8 +154,8 @@ class _PhaseGrid:
                 yield grid, (..., rq, cq), (..., rx, cx)
 
     def split(self, x, fill=None, dtype=None):
-        """The phase buffer of x at ``dtype`` (x's own by default), padded
-        with zero or with fill[c] for channel c."""
+        """The phase buffer of the frame x at ``dtype`` (x's own by default),
+        padded with zero or with fill[c] for channel c."""
         dtype = x.dtype if dtype is None else dtype
         if self.is_input:
             return x.astype(dtype, copy=False).reshape(self.phases_shape)
@@ -141,16 +168,13 @@ class _PhaseGrid:
             grid[cells] = x[x_cells]
         return phases
 
-    def merge(self, d):
-        """The (C, N, H, W) input gradient of a phase-buffer gradient d: one
-        copy that drops the border."""
-        if self.is_input:
-            return d.reshape(self.shape)
-        every_cell = d.shape[:2] == (self.s, self.s)  # else some rows or columns no tap reads
-        dx = (np.empty if every_cell else np.zeros)(self.shape, dtype=d.dtype)
+    def merge(self, d, dx):
+        """Writes the (C, N, H, W) frame gradient of a phase-buffer gradient d
+        into dx: one copy that drops the border."""
+        if d.shape[:2] != (self.s, self.s):  # some rows or columns no tap reads
+            dx[...] = 0
         for grid, cells, x_cells in self._grids(d):
             dx[x_cells] = grid[cells]
-        return dx
 
     def window(self, phases, tap):
         a, b, off = tap
@@ -192,7 +216,7 @@ class _PhaseGrid:
 
 
 def _conv_grid(x_shape, w_shape, stride, padding, groups):
-    """The ``_PhaseGrid`` of a conv of an x_shape input with a w_shape
+    """The ``_PhaseGrid`` of a conv of an x_shape frame with a w_shape
     weight; raises ValueError when the channels do not divide into groups."""
     cin = x_shape[0]
     cout, cin_g, kh, kw = w_shape
@@ -204,8 +228,9 @@ def _conv_grid(x_shape, w_shape, stride, padding, groups):
 
 
 def _conv_forward(grid, phases, w, b, groups):
-    """The (Cout, N, Ho, Wo) output of a conv on its phase buffer: one GEMM
-    per group over all of its columns, plus the bias (arrays, b may be None)."""
+    """The (Cout, N, Ho, Wo) output of a conv on a frame's phase buffer: one
+    GEMM per group over all of its columns, plus the bias (arrays, b may be
+    None)."""
     cout = w.shape[0]
     w_m = w.reshape(groups, cout // groups, -1)
     out = grid.crop(np.matmul(w_m, grid.columns(phases).reshape(groups, w_m.shape[2], -1)))
@@ -214,10 +239,10 @@ def _conv_forward(grid, phases, w, b, groups):
     return out
 
 
-def _conv_backward(grid, phases, g, w, b, groups, needs_dx):
-    """Hands w and b their gradients from the output gradient g, the columns
-    rebuilt from ``phases`` for dW; returns the phase buffer's gradient when
-    ``needs_dx``, else None."""
+def _conv_backward(grid, phases, g, w, b, groups, dx):
+    """One frame of a conv's backward from its output gradient g, the
+    columns rebuilt from ``phases`` for dW: hands w and b their gradients and
+    writes the frame's input gradient into dx unless dx is None."""
     cout = w.data.shape[0]
     w_m = w.data.reshape(groups, cout // groups, -1)
     gm = grid.extend(g).reshape(groups, cout // groups, -1)
@@ -227,47 +252,36 @@ def _conv_backward(grid, phases, g, w, b, groups, needs_dx):
         del cols_t  # freed before the column gradient is allocated
     if b is not None and b.requires_grad:
         b.accumulate_fresh_grad(g.reshape(cout, -1).sum(axis=1))
-    if not needs_dx:
-        return None
-    cin, n = grid.shape[:2]
-    dcols = np.matmul(w_m.transpose(0, 2, 1), gm).reshape(cin, len(grid.taps), n, grid.span)
-    return grid.scatter(dcols)
-
-
-def _conv_grads(grid, phases, g, x, w, b, groups):
-    """The conv's backward from the output gradient g: w, b and x (through
-    the phase buffer's gradient) get theirs."""
-    d = _conv_backward(grid, phases, g, w, b, groups, x.requires_grad)
-    if d is not None:
-        x.accumulate_fresh_grad(grid.merge(d))
+    if dx is None:
+        return
+    # the column gradient, written into dx when it is the input's
+    dcols = np.matmul(w_m.transpose(0, 2, 1), gm, out=dx.reshape(groups, w_m.shape[2], -1) if grid.is_input else None)
+    if not grid.is_input:
+        grid.merge(grid.scatter(dcols.reshape(grid.shape[0], len(grid.taps), grid.shape[1], grid.span)), dx)
 
 
 def _split_input(grid, x, w):
-    """The phase buffer of a conv's input x: one-byte spikes at the
-    weight's dtype."""
-    return grid.split(x.data, dtype=np.result_type(x.data.dtype, w.data.dtype))
+    """The phase buffer of a conv's input frame x: one-byte spikes at the
+    weight's dtype (arrays)."""
+    return grid.split(x, dtype=np.result_type(x.dtype, w.dtype))
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
-    """2-D cross-correlation. x: (Cin,N,H,W), w: (Cout,Cin/g,kh,kw) -> (Cout,N,Ho,Wo).
+    """2-D cross-correlation of each frame. x: (Cin,N,H,W) or T frames
+    (T,Cin,N,H,W), w: (Cout,Cin/g,kh,kw) -> (Cout,N,Ho,Wo) per frame.
 
     The border is zero. One-byte spikes are split into a phase buffer of the
-    weight's dtype. The tape keeps the phase buffer, not the column buffer;
-    the backward rebuilds the columns for dW.
+    weight's dtype. The tape keeps nothing but the parents: the backward
+    rebuilds each frame's phase buffer from x, and from it the columns for
+    dW.
     """
-    grid = _conv_grid(x.data.shape, w.data.shape, stride, padding, groups)
-    phases = _split_input(grid, x, w)
-    out = _conv_forward(grid, phases, w.data, None if b is None else b.data, groups)
-
-    def backward(g):
-        _conv_grads(grid, phases, g, x, w, b, groups)
-
-    return Tensor.from_op(out, (x, w) if b is None else (x, w, b), backward)
+    grid = _conv_grid(x.data.shape[-4:], w.data.shape, stride, padding, groups)
+    return _framewise(x, (x, w) if b is None else (x, w, b), *_conv_frames(grid, w, b, groups))
 
 
 def _bn_forward(x, gamma, beta, running_mean, running_var):
-    """Batch norm of (C, N, H, W) data x over each channel's row: the (C, m)
-    output, the channel mean and 1/std, both (C, 1).
+    """Batch norm of a (C, N, H, W) frame x over each channel's row: the
+    (C, m) output, the channel mean and 1/std, both (C, 1).
 
     While the tape records, the centred rows and their squares give the
     variance with the same float ops as ``np.var``, then become xhat and the
@@ -316,47 +330,49 @@ def _bn_affine(xhat, gamma, beta, out):
     return out
 
 
-def _bn_backward(x, gamma, beta, mean, invstd, g, xhat=None):
-    """Hands x, gamma and beta their gradients from the output gradient g,
-    through the batch statistics. xhat is rebuilt from x when not given,
-    and overwritten."""
+def _bn_backward(x, gamma, beta, mean, invstd, g, dx, xhat=None):
+    """One frame of batch norm's backward from its output gradient g,
+    through the batch statistics: hands gamma and beta their gradients and
+    writes the gradient of the frame x (an array) into dx unless dx is None.
+    xhat is rebuilt from x when not given, and overwritten."""
     c = mean.shape[0]
     gm = g.reshape(c, -1)
     m = gm.shape[1]
-    if beta.requires_grad or x.requires_grad:
+    if beta.requires_grad or dx is not None:
         gsum = gm.sum(axis=1, keepdims=True)
         if beta.requires_grad:
             beta.accumulate_fresh_grad(gsum.reshape(c))
-    if gamma.requires_grad or x.requires_grad:
+    if gamma.requires_grad or dx is not None:
         if xhat is None:
-            xhat = _bn_xhat(x.data, mean, invstd)
+            xhat = _bn_xhat(x, mean, invstd)
         gx = (gm * xhat).sum(axis=1, keepdims=True)
         if gamma.requires_grad:
             gamma.accumulate_fresh_grad(gx.reshape(c))
-    if x.requires_grad:
-        # gamma invstd (gm - gsum/m - xhat*gx/m), written over xhat
+    if dx is not None:
+        # gamma invstd (gm - gsum/m - xhat*gx/m), built in xhat
         xhat *= gx
         xhat /= m
         np.subtract(gm - gsum / m, xhat, out=xhat)
-        xhat *= gamma.data.reshape(c, 1) * invstd
-        x.accumulate_fresh_grad(xhat.reshape(x.data.shape))
+        np.multiply(xhat, gamma.data.reshape(c, 1) * invstd, out=dx.reshape(c, -1))
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var):
-    """Per-channel batch normalization of (C, N, H, W) over each channel's row.
+    """Per-channel batch normalization of each (C, N, H, W) frame over each
+    channel's row; x is one frame or T frames, (T, C, N, H, W).
 
-    ``running_mean``/``running_var`` are plain numpy arrays, mutated in
-    place while the tape records; under ``no_grad`` they normalize instead
-    (see ``_bn_forward``). The tape keeps the channel mean and 1/std, O(C):
-    the backward rebuilds xhat = (x - mean) * invstd from the input, with
-    the forward's float ops.
+    ``running_mean``/``running_var`` are plain numpy arrays, updated in
+    place frame after frame while the tape records; under ``no_grad`` they
+    normalize instead (see ``_bn_forward``). The tape keeps each frame's
+    channel mean and 1/std: the backward rebuilds xhat from the input.
     """
-    out, mean, invstd = _bn_forward(x.data, gamma, beta, running_mean, running_var)
 
-    def backward(g):
-        _bn_backward(x, gamma, beta, mean, invstd, g)
+    def forward(x_t):
+        y, mean, invstd = _bn_forward(x_t, gamma, beta, running_mean, running_var)
+        return y.reshape(x_t.shape), (mean, invstd)
 
-    return Tensor.from_op(out.reshape(x.data.shape), (x, gamma, beta), backward)
+    return _framewise(x, (x, gamma, beta), forward,
+                      lambda x_t, stats, g, dx: _bn_backward(x_t, gamma, beta, *stats, g, dx),
+                      lambda x_dtype, _: x_dtype if x_dtype.kind == "f" else gamma.data.dtype)  # xhat's
 
 
 def _bn_fold(gamma, beta, running_mean, running_var, w, b, groups):
@@ -379,84 +395,100 @@ def _bn_fold(gamma, beta, running_mean, running_var, w, b, groups):
 
 
 def _bn_conv_forward(grid, x, bn, w, b, groups):
-    """The output of ``conv2d(batchnorm2d(x, *bn), w, b, ...)`` as
-    ``bn_conv`` computes it (bn = gamma, beta, running_mean, running_var),
-    and what its backward reads: the channel mean and 1/std while the tape
-    records, None under ``no_grad``, where the batch norm folds into the
-    conv."""
+    """The output of ``conv2d(batchnorm2d(x, *bn), w, b, ...)`` on the frame
+    x (an array) as ``bn_conv`` computes it (bn = gamma, beta, running_mean,
+    running_var), and what its backward reads: the channel mean and 1/std
+    while the tape records, None under ``no_grad``, where the batch norm
+    folds into the conv."""
     gamma, beta, running_mean, running_var = bn
     b_data = None if b is None else b.data
     if not grad_enabled():
         w_f, b_f, fill = _bn_fold(gamma.data, beta.data, running_mean, running_var, w.data, b_data, groups)
-        phases = grid.split(x.data, fill, np.result_type(x.data.dtype, w_f.dtype))
+        phases = grid.split(x, fill, np.result_type(x.dtype, w_f.dtype))
         return _conv_forward(grid, phases, w_f, b_f, groups), None
-    y, mean, invstd = _bn_forward(x.data, gamma, beta, running_mean, running_var)
-    phases = grid.split(y.reshape(x.data.shape), dtype=np.result_type(y.dtype, w.data.dtype))
+    y, mean, invstd = _bn_forward(x, gamma, beta, running_mean, running_var)
+    phases = grid.split(y.reshape(x.shape), dtype=np.result_type(y.dtype, w.data.dtype))
     del y
     return _conv_forward(grid, phases, w.data, b_data, groups), (mean, invstd)
 
 
-def _bn_conv_backward(grid, x, gamma, beta, stats, w, b, groups, g):
-    """``bn_conv``'s backward from the output gradient g: rebuilds xhat once
-    from x, the phase buffer from xhat, then runs the conv's backward and
-    the batch norm's on that xhat."""
+def _bn_conv_backward(grid, x, gamma, beta, stats, w, b, groups, g, dx):
+    """One frame of ``bn_conv``'s backward from its output gradient g:
+    rebuilds xhat once from the frame x (an array), the phase buffer from
+    xhat, then runs the conv's backward and the batch norm's on that xhat,
+    which writes x's gradient into dx unless dx is None."""
     mean, invstd = stats
-    xhat = _bn_xhat(x.data, mean, invstd)
-    y = _bn_affine(xhat, gamma, beta, np.empty_like(xhat)).reshape(x.data.shape)
+    xhat = _bn_xhat(x, mean, invstd)
+    y = _bn_affine(xhat, gamma, beta, np.empty_like(xhat)).reshape(x.shape)
     phases = grid.split(y, dtype=np.result_type(y.dtype, w.data.dtype))
     del y
-    d = _conv_backward(grid, phases, g, w, b, groups, x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    needs_dy = dx is not None or gamma.requires_grad or beta.requires_grad
+    dy = np.empty(x.shape, dtype=np.result_type(w.data.dtype, g.dtype)) if needs_dy else None
+    _conv_backward(grid, phases, g, w, b, groups, dy)
     del phases
-    if d is not None:
-        _bn_backward(x, gamma, beta, mean, invstd, grid.merge(d).astype(xhat.dtype, copy=False), xhat)
+    if dy is not None:
+        _bn_backward(x, gamma, beta, mean, invstd, dy.astype(xhat.dtype, copy=False), dx, xhat)
+
+
+def _conv_frames(grid, w, b, groups, bn=None):
+    """A conv's frame forward, frame backward and input-gradient dtype for
+    ``_framewise``; with bn = (gamma, beta, running stats), ``bn_conv``'s."""
+    if bn is not None:
+        gamma, beta = bn[:2]
+        return (lambda x_t: _bn_conv_forward(grid, x_t, bn, w, b, groups),
+                lambda x_t, stats, g, dx: _bn_conv_backward(grid, x_t, gamma, beta, stats, w, b, groups, g, dx),
+                lambda x_dtype, _: x_dtype if x_dtype.kind == "f" else gamma.data.dtype)  # xhat's
+    b_data = None if b is None else b.data
+    return (lambda x_t: (_conv_forward(grid, _split_input(grid, x_t, w.data), w.data, b_data, groups), None),
+            lambda x_t, _, g, dx: _conv_backward(grid, _split_input(grid, x_t, w.data), g, w, b, groups, dx),
+            lambda _, g_dtype: np.result_type(w.data.dtype, g_dtype))
 
 
 def bn_conv(x, gamma, beta, running_mean, running_var, w, b=None, stride=1, padding=0, groups=1):
     """``conv2d(batchnorm2d(x, ...), w, b, ...)`` as one op, in the mode the
-    tape sets.
+    tape sets; x is one frame or T frames, as in ``conv2d``.
 
     Under ``no_grad`` the batch norm folds into the conv (``_bn_fold``,
-    O(Cout*Cin/g*k*k) per call): one conv on x, equal to the composition to
+    O(Cout*Cin/g*k*k) per frame): one conv on x, equal to the composition to
     float round-off, with none of the batch norm's passes over x. A channel
     with gamma = 0 is the constant beta, and the fold pads it with beta, not
     0: a window that reaches the border gains that channel's border taps
     times beta.
 
     While the tape records it is one tape entry, bit for bit the
-    composition, running statistics update included. The tape keeps the
-    output and the channel mean and 1/std, not the batch norm's output nor
-    the phase buffer; x (the one-byte spikes of a block) is a parent. The
-    backward rebuilds xhat from x once, the phase buffer from xhat, then
-    runs the conv's backward and the batch norm's on that xhat.
+    composition, running statistics update included, that keeps the output
+    and each frame's channel mean and 1/std; x (the one-byte spikes of a
+    block) is a parent. The backward rebuilds xhat from each frame once, the
+    phase buffer from xhat, then runs the conv's and the batch norm's.
     """
-    grid = _conv_grid(x.data.shape, w.data.shape, stride, padding, groups)
-    out, stats = _bn_conv_forward(grid, x, (gamma, beta, running_mean, running_var), w, b, groups)
-
-    def backward(g):
-        _bn_conv_backward(grid, x, gamma, beta, stats, w, b, groups, g)
-
-    return Tensor.from_op(out, (x, gamma, beta, w) if b is None else (x, gamma, beta, w, b), backward)
+    grid = _conv_grid(x.data.shape[-4:], w.data.shape, stride, padding, groups)
+    return _framewise(x, (x, gamma, beta, w) if b is None else (x, gamma, beta, w, b),
+                      *_conv_frames(grid, w, b, groups, (gamma, beta, running_mean, running_var)))
 
 
 def maxpool2d(x, kernel, stride=None, padding=0):
-    """Max pooling of (C, N, H, W) over a zero border of ``padding``; ties go
-    to the first element in row-major window order. The output has x's
-    dtype, one byte for spikes; the gradient has g's."""
+    """Max pooling of each (C, N, H, W) frame of x (one frame or T) over a
+    zero border of ``padding``; ties go to the first element in row-major
+    window order. The output has x's dtype, one byte for spikes; the
+    gradient has g's."""
     k, s, p = kernel, kernel if stride is None else stride, padding
-    grid = _PhaseGrid(x.data.shape, k, k, s, p)
-    phases = grid.split(x.data)
-    out = grid.window(phases, grid.taps[0]).copy()
-    index = np.zeros(out.shape, dtype=np.uint8)  # the tap holding each maximum
-    for i, tap in enumerate(grid.taps[1:], 1):
-        window = grid.window(phases, tap)
-        better = window > out  # strict: an equal later value does not take over
-        np.maximum(out, window, out=out)
-        # taps come in increasing order, so the last that was better is the
-        # largest; an unmasked maximum is much faster than a masked copy
-        np.maximum(index, better.view(np.uint8) * np.uint8(i), out=index)
+    grid = _PhaseGrid(x.data.shape[-4:], k, k, s, p)
 
-    def backward(g):
-        c, n, h, w = x.data.shape
+    def forward(x_t):
+        phases = grid.split(x_t)
+        out = grid.window(phases, grid.taps[0]).copy()
+        index = np.zeros(out.shape, dtype=np.uint8)  # the tap holding each maximum
+        for i, tap in enumerate(grid.taps[1:], 1):
+            window = grid.window(phases, tap)
+            better = window > out  # strict: an equal later value does not take over
+            np.maximum(out, window, out=out)
+            # taps come in increasing order, so the last that was better is the
+            # largest; an unmasked maximum is much faster than a masked copy
+            np.maximum(index, better.view(np.uint8) * np.uint8(i), out=index)
+        return grid.crop(out), index
+
+    def backward(_, index, g, dx):
+        c, n, h, w = grid.shape
         hp, wp = h + 2 * p, w + 2 * p
         # the padded cell each output's maximum came from, as a flat index
         # into (C, N, hp, wp), in the narrowest integer type that holds it
@@ -467,71 +499,76 @@ def maxpool2d(x, kernel, stride=None, padding=0):
         dest += np.arange(grid.wo, dtype=dtype) * dtype.type(s)
         # one scatter in row-major output order: overlapping windows add
         # into a cell in the order of the outputs that chose it
-        d = np.zeros((c, n, hp, wp), dtype=g.dtype)
+        d = np.zeros((c, n, hp, wp), dtype=g.dtype) if p else dx
+        if not p:
+            d[...] = 0
         np.add.at(d.reshape(-1), dest.reshape(-1), g.reshape(-1))
-        x.accumulate_fresh_grad(np.ascontiguousarray(d[:, :, p : p + h, p : p + w]) if p else d)
+        if p:
+            dx[...] = d[:, :, p : p + h, p : p + w]
 
-    return Tensor.from_op(grid.crop(out), (x,), backward)
+    return _framewise(x, (x,), forward, backward, lambda _, g_dtype: g_dtype)
 
 
 def concat(tensors, axis):
     """Concatenate tensors along ``axis``, one-byte spikes into one-byte
-    spikes; numpy raises ValueError unless every other axis matches."""
+    spikes; numpy raises ValueError unless every other axis matches. The
+    backward hands each input its slice of the output's gradient uncopied,
+    so the inputs' gradients share memory with it (disjoint slices)."""
     out = np.concatenate([t.data for t in tensors], axis=axis)
     splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def backward(g):
         for t, gs in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
-                t.accumulate_grad(gs)
+                t.accumulate_fresh_grad(gs)
 
     return Tensor.from_op(out, tuple(tensors), backward)
 
 
-def time_sum(frames):
-    """The sum of equal-shape tensors, one per timestep, added in order into
-    one float array, float32 for one-byte spikes (counts are exact). One
-    tape entry that keeps no partial sums, where T - 1 ``add`` ops keep
-    T - 2; the backward hands every frame the sum's gradient."""
-    out = frames[0].data.astype(_float(frames[0].dtype))
-    for frame in frames[1:]:
-        out += frame.data
+def time_sum(x):
+    """The sum of the T frames of x, (T, ...) -> (...), added in time order
+    into one float array, float32 for one-byte spikes (counts are exact).
+    The backward hands every frame the sum's gradient."""
+    out = x.data[0].astype(_float(x.dtype))
+    for frame in x.data[1:]:
+        out += frame
 
     def backward(g):
-        for frame in frames:
-            if frame.requires_grad:
-                frame.accumulate_grad(g)
+        x.accumulate_fresh_grad(np.repeat(g[None], len(x.data), axis=0))  # not astype on a broadcast view, 6x slower
 
-    return Tensor.from_op(out, tuple(frames), backward)
+    return Tensor.from_op(out, (x,), backward)
 
 
-class PLIFLink:
-    """What a PLIF step hands the next one besides V': its pre-reset membrane
-    v while the tape records it (None otherwise), from which the next step's
-    backward rebuilds V' = v [v < 1] for w's gradient, and the slot where
-    that backward leaves dL/dV' for this step."""
+def _plif_forward(drive, steps, w, keep):
+    """PLIF over ``steps`` frames from rest, drive(t) being frame t's X (see
+    ``plif``): the (T, ...) boolean spikes, v (every frame's when ``keep``,
+    else one frame's, reused) and a."""
+    x = drive(0)
+    a = _sigmoid(w.data) if isinstance(w, Tensor) else x.dtype.type(w)
+    spiked = np.empty((steps, *x.shape), dtype=bool)
+    v = np.empty((steps if keep else 1, *x.shape), dtype=np.result_type(x, a))
+    np.multiply(x, a, out=v[0])  # from rest, V = 0
+    for t in range(steps):
+        v_t = v[t if keep else 0]
+        if t:
+            np.subtract(drive(t), reset, out=v_t)
+            v_t *= a
+            v_t += reset
+        np.greater_equal(v_t, 1.0, out=spiked[t])
+        reset = v_t * ~spiked[t]  # V'
+    return spiked, v, a
 
-    __slots__ = ("v", "grad")
 
-    def __init__(self):
-        self.v = self.grad = None
-
-
-def _plif_backward(g, v, a, w, link, out_link, prev_spikes, needs_dx):
-    """The backward of one PLIF step from its spikes' gradient g (see
-    ``plif``). Hands w its gradient when it learns, and the previous step
-    dL/dV through ``link``; returns dX = a dv when ``needs_dx``, else None.
-
-    w's gradient reads the input X only through a (X - V) = v - V, so it is
-    computed from v and the previous step's V' = v_prev [v_prev < 1]: no
-    PLIF backward reads X."""
+def _plif_frame_backward(g, g_m, v, v_prev, a, w):
+    """dv of one frame (see ``plif``) from its spikes' gradient g and g_m,
+    the next frame's gradient for V' (None for the last); hands a learned w
+    its share, with V = v_prev [v_prev < 1] (0 when v_prev is None)."""
     dv = v - 1.0
     dv *= 0.5 * np.pi * PLIF_SURROGATE_ALPHA
     np.multiply(dv, dv, out=dv)
     dv += 1.0
     np.divide(PLIF_SURROGATE_ALPHA / 2, dv, out=dv)  # sg(v - 1); halving alpha is exact, so this is alpha / (2 dv)
-    g_m, out_link.grad = out_link.grad, None
-    if g_m is None:  # V' fed no later step
+    if g_m is None:
         dv *= g
     else:
         gs = v * g_m
@@ -539,113 +576,89 @@ def _plif_backward(g, v, a, w, link, out_link, prev_spikes, needs_dx):
         dv *= gs
         dv += np.multiply(g_m, v < 1.0, out=gs)  # (1 - s) g_m
     if isinstance(w, Tensor) and w.requires_grad:
-        if link is None:  # from rest, V = 0
+        if v_prev is None:
             w.accumulate_grad(np.vdot(dv, v) * (1.0 - a))
         else:
-            leak = link.v * (link.v < 1.0)  # V', as the previous step made it
+            leak = v_prev * (v_prev < 1.0)  # V', as the previous frame made it
             w.accumulate_grad(np.vdot(dv, np.subtract(v, leak, out=leak)) * (1.0 - a))
-    feeds_back = prev_spikes is not None and prev_spikes.requires_grad
-    if not (needs_dx or feeds_back):
-        return None
-    dx = dv * a
-    if feeds_back:
-        link.grad = np.subtract(dv, dx, out=dv)
-        if prev_spikes.grad is None:
-            # no consumer handed those spikes a gradient; the walk runs a
-            # backward only for a node that has one
-            prev_spikes.grad = np.zeros(prev_spikes.data.shape, dtype=dv.dtype)
-    return dx if needs_dx else None
+    return dv
 
 
-def _plif_op(drive, state, w, inputs, input_backward):
-    """One PLIF step on the array ``drive`` (see ``plif``), recorded as one
-    tape entry whose parents are ``inputs`` (the tensors drive was made
-    from), w when learned and the previous step's spikes. The backward hands
-    dX to ``input_backward`` when some input needs a gradient. drive is not
-    kept."""
-    learned = isinstance(w, Tensor)
-    a = _sigmoid(w.data) if learned else drive.dtype.type(w)
-    if state is None:
-        prev_spikes = link = None
-        v = drive * a
-    else:
-        prev_v, prev_spikes, link = state
-        v = (drive - prev_v) * a
-        v += prev_v
-    spiked = v >= 1.0
-    parents = inputs + ((w,) if learned else ()) + ((prev_spikes,) if state is not None else ())
-    needs_dx = any(t.requires_grad for t in inputs)
-    out_link = PLIFLink()
+def _plif_op(x, plif_w, inputs, forward, frame_backward, dx_dtype):
+    """``plif`` on the frames forward(x_t) makes, as one op whose backward
+    hands each frame's dX = a dv on to frame_backward (forward,
+    frame_backward and dx_dtype as ``_framewise`` takes them; ``inputs`` are
+    the tensors forward reads)."""
+    parents = inputs + ((plif_w,) if isinstance(plif_w, Tensor) else ())
+    saved = []
+
+    def drive(t):
+        out, frame_saved = forward(x.data[t])
+        saved.append(frame_saved)
+        return out
+
+    keep = grad_enabled() and any(p.requires_grad for p in parents)
+    spiked, v, a = _plif_forward(drive, len(x.data), plif_w, keep)
+    needs_input = any(t.requires_grad for t in inputs)
 
     def backward(g):
-        dx = _plif_backward(g, v, a, w, link, out_link, prev_spikes, needs_dx)
-        if dx is not None:
-            input_backward(dx)
+        g_m = None
 
-    spikes = Tensor.from_op(spiked.view(np.uint8), parents, backward)
-    if spikes.requires_grad:
-        if learned and w.requires_grad and link is not None and link.v is None:
-            raise ValueError("a recorded PLIF step with a learned w cannot follow a step run without the tape")
-        out_link.v = v
-    return spikes, (v * ~spiked, spikes, out_link)
+        def frame(t, dx):
+            nonlocal g_m
+            dv = _plif_frame_backward(g[t], g_m, v[t], v[t - 1] if t else None, a, plif_w)
+            d = dv * a
+            g_m = np.subtract(dv, d, out=dv) if t else None  # dL/dV for the frame before
+            if needs_input:
+                frame_backward(x.data[t], saved[t], d, dx)
+
+        _input_grad(x, x.data.shape, dx_dtype(x.data.dtype, np.result_type(v, a)), frame)
+
+    return Tensor.from_op(spiked.view(np.uint8), parents, backward)
 
 
-def plif(x, state, w):
-    """One PLIF step over a whole frame, recorded as one tape entry.
+def plif(x, w):
+    """The PLIF neuron over all T frames of x, (T, ...), from rest, as one
+    tape entry.
 
-    v = V + (X - V) a with a = 1/tau (v = X a from rest, when ``state`` is
-    None), spikes s = [v >= 1], reset membrane V' = v (1 - s). ``w`` sets a:
-    a Tensor is the learned w with a = sigmoid(w), a float is a itself.
-    ``state`` is the (V', spikes, PLIFLink) triple the previous step
-    returned; returns (spikes, state'). The spikes are the ``uint8`` view of
-    the boolean s, one byte each; their gradient is float.
+    Frame by frame: v = V + (X - V) a with a = 1/tau (v = X a from rest),
+    spikes s = [v >= 1], reset membrane V' = v (1 - s), the next frame's V.
+    ``w`` sets a: a Tensor is the learned w with a = sigmoid(w), a float is a
+    itself. Returns the (T, ...) spikes, the ``uint8`` view of the boolean s,
+    one byte each; their gradient is float.
 
-    Backward is BPTT with the ATan surrogate sg(u) = alpha / (2 (1 + (pi
-    alpha u / 2)^2)), alpha = ``PLIF_SURROGATE_ALPHA``, for the step's
-    derivative. With g_s the spikes' gradient and g_m the one the next step
-    hands back for V' (the reset term is not detached):
+    Backward is BPTT, in reverse time, with the ATan surrogate sg(u) = alpha
+    / (2 (1 + (pi alpha u / 2)^2)), alpha = ``PLIF_SURROGATE_ALPHA``, for the
+    step's derivative. With g_s a frame's spikes' gradient and g_m the one
+    the next frame hands back for V' (the reset term is not detached):
         dv = sg(v - 1) (g_s - v g_m) + (1 - s) g_m
         dX = a dv,  dL/dV = dv - dX,  dw = (1 - a) sum(dv (v - V))
-    where dw is a (1 - a) sum(dv (X - V)) with a (X - V) = v - V. The
-    previous step's spikes are a parent, so the tape walk reaches that step
-    after this one has left dL/dV in its link.
+    where dw is a (1 - a) sum(dv (X - V)) with a (X - V) = v - V.
 
-    The tape keeps the spikes and v; V comes from the previous step's v
-    through the link. No backward reads X.
+    The tape keeps the spikes and every frame's v; V comes from the previous
+    frame's v. No backward reads X.
     """
-    return _plif_op(x.data, state, w, (x,), x.accumulate_fresh_grad)
+    return _plif_op(x, w, (x,), lambda x_t: (x_t, None), lambda _, __, d, dx: np.copyto(dx, d),
+                    lambda _, g_dtype: g_dtype)
 
 
-def conv_plif(x, state, plif_w, w, b=None, stride=1, padding=0, groups=1, bn=None):
-    """A spiking block's timestep as one op: ``plif(conv2d(x, w, b, ...),
-    state, plif_w)``, or with ``bn`` = (gamma, beta, running_mean,
-    running_var) ``plif(bn_conv(x, *bn, w, b, ...), state, plif_w)``, in the
-    mode the tape sets; returns (spikes, state') as ``plif`` does.
+def conv_plif(x, plif_w, w, b=None, stride=1, padding=0, groups=1, bn=None):
+    """A spiking block over all T frames of x, (T, Cin, N, H, W), as one op:
+    ``plif(conv2d(x, w, b, ...), plif_w)``, or with ``bn`` = (gamma, beta,
+    running_mean, running_var) ``plif(bn_conv(x, *bn, w, b, ...), plif_w)``,
+    in the mode the tape sets; returns the spikes as ``plif`` does.
 
-    The forward is the composition's: the batch norm and conv as
-    ``bn_conv`` runs them (folded under ``no_grad``), then the PLIF step on
-    the conv's output, which is dropped before the op returns. While the
-    tape records it is one entry, bit for bit the composition, that keeps
-    the spikes (1 byte), v (4 bytes in float32) and the batch norm's O(C)
-    statistics. The backward runs PLIF's, then hands dX = a dv to the conv's
-    and the batch norm's, which rebuild their inputs from x, a parent.
+    Frame by frame, the batch norm and conv run as in ``bn_conv`` (folded
+    under ``no_grad``), then PLIF reads the frame's conv output, which is
+    dropped. While the tape records it is one entry, bit for bit the
+    composition, that keeps the spikes (1 byte), v (4 bytes in float32) and
+    each frame's batch-norm statistics; the backward hands each frame's
+    dX = a dv to the conv's and the batch norm's, which rebuild their inputs
+    from x, a parent.
     """
-    grid = _conv_grid(x.data.shape, w.data.shape, stride, padding, groups)
-    gamma = beta = stats = None
-    if bn is None:
-        drive = _conv_forward(grid, _split_input(grid, x, w), w.data, None if b is None else b.data, groups)
-    else:
-        drive, stats = _bn_conv_forward(grid, x, bn, w, b, groups)
-        gamma, beta = bn[:2]
-
-    def input_backward(dx):
-        if gamma is None:
-            _conv_grads(grid, _split_input(grid, x, w), dx, x, w, b, groups)
-        else:
-            _bn_conv_backward(grid, x, gamma, beta, stats, w, b, groups, dx)
-
-    inputs = tuple(t for t in (x, gamma, beta, w, b) if t is not None)
-    return _plif_op(drive, state, plif_w, inputs, input_backward)
+    grid = _conv_grid(x.data.shape[1:], w.data.shape, stride, padding, groups)
+    inputs = tuple(t for t in (x, *(() if bn is None else bn[:2]), w, b) if t is not None)
+    return _plif_op(x, plif_w, inputs, *_conv_frames(grid, w, b, groups, bn))
 
 
 def _softmax(z):

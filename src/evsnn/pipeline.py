@@ -3,11 +3,11 @@
 Classifier and detector training share one loop, ``_fit``: AdamW with
 decoupled weight decay, cosine learning-rate annealing to zero over the
 whole run, global gradient-norm clipping, and surrogate-gradient BPTT
-through the unrolled timesteps (every forward pass starts the PLIF
-membranes from rest). The classification head is trained with
-cross-entropy on the time-summed class scores; the detection heads with
-focal + smooth-L1 loss on the time-summed logits.
-"""
+through all timesteps, each network node run once over all T frames from
+the PLIF membranes at rest and its backward in reverse time. The
+classification head is trained with cross-entropy on the time-summed class
+scores; the detection heads with focal + smooth-L1 loss on the time-summed
+logits."""
 
 from __future__ import annotations
 

@@ -2,14 +2,13 @@
 
 A network is described declaratively as a ``NetworkSpec`` (a DAG of layer
 descriptors, JSON-serializable) and instantiated as a ``Network`` holding
-parameter tensors. Execution is stepwise: one channel-major (C, N, H, W)
-frame per timestep, so each convolution is one GEMM over the whole batch
-(see ``autograd.ops``). Layers keep no per-step state: ``Network.forward``
-holds the PLIF membranes in a dict local to the call and carries them
-between steps. Each PLIF step is one fused op, ``autograd.ops.plif``; a
-layer's entry in that dict is the (membrane, spikes, link) triple the op
-returns; through the link the next step's backward reads the pre-reset
-membrane and hands the membrane's gradient back.
+parameter tensors. ``Network.forward`` visits each node once: values pass
+between nodes as T-major (T, C, N, H, W) tensors, all T frames at once, so
+frame t is the contiguous channel-major (C, N, H, W) array each conv turns
+into one GEMM over the whole batch (see ``autograd.ops``). Layers keep no
+per-step state: a PLIF layer's call runs the neuron over all T frames from
+rest, one fused op (``autograd.ops.plif``) whose membrane is a local of its
+time loop.
 
 Spikes are one byte: PLIF outputs ``uint8`` arrays, max pooling and concat
 pass them on as ``uint8``, batch norm and conv read them into float, and
@@ -22,24 +21,24 @@ time sum (``ag.time_sum``) adds into float32, where spike counts are exact.
 
 Batch norm keeps no training flag, neither here nor in its ops:
 ``ag.batchnorm2d`` and ``ag.bn_conv`` read the mode from the autograd tape.
-While the tape records they normalize with batch statistics and update the
-running statistics; under ``ag.no_grad()`` they use the running statistics
-and leave them unchanged. Each bn is the only input of exactly one conv,
-which ``Network`` checks at build time: ``forward`` skips the bn node and
-calls the conv's layer with the bn's input and the bn layer. The pair is
-one op, ``ag.bn_conv``: one tape entry, or under ``ag.no_grad()`` the bn
-folded into the conv.
+While the tape records they normalize each frame with its batch statistics
+and update the running statistics frame after frame; under ``ag.no_grad()``
+they use the running statistics and leave them unchanged. Each bn is the
+only input of exactly one conv, which ``Network`` checks at build time:
+``forward`` skips the bn node and calls the conv's layer with the bn's
+input and the bn layer. The pair is one op, ``ag.bn_conv``: one tape entry,
+or under ``ag.no_grad()`` the bn folded into the conv.
 
 A spiking block is a conv that runs every timestep, is not an output and is
 read by one plif alone, with the conv's bn if it has one: bn -> conv ->
 plif, or conv -> plif (MobileNet's pointwise conv, which reads its
 depthwise conv). ``forward`` skips the block's bn and conv nodes and calls
 the plif's layer with the block's input, the conv layer and the bn layer;
-the block runs as one op, ``ag.conv_plif``. Per block and timestep the
-training tape holds one entry: the spikes (1 byte each), the pre-reset
-membrane (4 bytes each in float32) and the bn's O(C) statistics. The
-conv's float output never reaches it. A bn -> conv pair outside a block
-(MobileNet's depthwise conv, read by its pointwise conv) is ``ag.bn_conv``.
+the block runs as one op, ``ag.conv_plif``. Per block the training tape
+holds one entry: the spikes (1 byte each), the pre-reset membrane (4 bytes
+each in float32) and the bn's O(C) statistics per frame. The conv's float
+output never reaches it. A bn -> conv pair outside a block (MobileNet's
+depthwise conv, read by its pointwise conv) is ``ag.bn_conv``.
 """
 
 from __future__ import annotations
@@ -73,9 +72,10 @@ class ConvLayer:
         self.bias = Tensor(np.zeros(out_channels, dtype=np.float32), requires_grad=True, name=f"{name}.bias") if bias else None
 
     def __call__(self, x, steps=1, bn=None):
-        """One frame, or the sum of ``steps`` frames: then the bias counts
-        once per frame. With ``bn``, the batch norm layer that reads x, the
-        pair runs as one op, ``ag.bn_conv``."""
+        """All T frames, (T, C, N, H, W), or one (C, N, H, W) frame, which
+        may be the sum of ``steps`` frames: then the bias counts once per
+        frame. With ``bn``, the batch norm layer that reads x, the pair runs
+        as one op, ``ag.bn_conv``."""
         bias = self.bias if self.bias is None or steps == 1 else self.bias * float(steps)
         if bn is None:
             return ag.conv2d(x, self.weight, bias, self.stride, self.padding, self.groups)
@@ -123,20 +123,15 @@ class PLIFLayer:
         self.name = name
         self.w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True, name=f"{name}.w")
 
-    def __call__(self, x, membranes, conv=None, bn=None):
-        """One timestep. Reads this layer's state from ``membranes`` (none on
-        the first step), stores the next one there, returns spikes. With
+    def __call__(self, x, conv=None, bn=None):
+        """The spikes of all T frames of x, (T, C, N, H, W), from rest. With
         ``conv``, the conv layer whose output this layer reads, and its
         ``bn`` layer if it has one, x is their input and the block runs as
         one op, ``ag.conv_plif``."""
-        state = membranes.get(self.name)
         if conv is None:
-            spikes, membranes[self.name] = ag.plif(x, state, self.w)
-        else:
-            norm = None if bn is None else (bn.gamma, bn.beta, bn.running_mean, bn.running_var)
-            spikes, membranes[self.name] = ag.conv_plif(x, state, self.w, conv.weight, conv.bias, conv.stride,
-                                                        conv.padding, conv.groups, norm)
-        return spikes
+            return ag.plif(x, self.w)
+        norm = None if bn is None else (bn.gamma, bn.beta, bn.running_mean, bn.running_var)
+        return ag.conv_plif(x, self.w, conv.weight, conv.bias, conv.stride, conv.padding, conv.groups, norm)
 
     def out_shape(self, shape):
         return shape
@@ -167,11 +162,12 @@ class ConcatLayer:
         self.name = name
 
     def __call__(self, *xs):
-        return ag.concat(list(xs), 0)
+        return ag.concat(list(xs), 1)
 
     def out_shape(self, *shapes):
-        c = sum(s[0] for s in shapes)
-        return (c, shapes[0][1], shapes[0][2])
+        if any(shape[1:] != shapes[0][1:] for shape in shapes):
+            raise ValueError(f"{self.name}: concat inputs differ in height or width: {', '.join(map(str, shapes))}")
+        return (sum(s[0] for s in shapes), *shapes[0][1:])
 
     def params(self):
         return {}
@@ -226,7 +222,7 @@ class NetworkSpec:
 
 
 class SpikeRecord:
-    """Per-PLIF-layer spike and element counts, accumulated per timestep."""
+    """Per-PLIF-layer spike and element counts over all timesteps."""
 
     def __init__(self):
         self.spikes = {}
@@ -368,56 +364,46 @@ class Network:
     # -- execution ------------------------------------------------------------
 
     def forward(self, batch, record: SpikeRecord | None = None):
-        """Run a (N, C, T, H, W) batch over all timesteps.
+        """Run a (N, C, T, H, W) batch over all timesteps, visiting each
+        node once.
 
-        Returns {tap: value}: one Tensor summed over time for the nodes that
-        run once, a list of one Tensor per timestep for the others. Maps are
-        (C, N, H, W); a spatial sum gives (N, C). The PLIF membranes live
-        only in this call, so every call starts from rest. A bn node runs in
-        the call of the conv that reads it, a block's conv in the call of
-        its plif.
+        Returns {output: Tensor}: the value on the time-summed input for a
+        node that runs once, all T frames, (T, C, N, H, W), for any other.
+        Frames are (C, N, H, W); a spatial sum gives (N, C). Every call
+        starts the PLIF membranes from rest. A bn node runs in the call of
+        the conv that reads it, a block's conv in the call of its plif. The
+        tape reads ``batch`` itself, so it must not change before backward.
         """
         if batch.shape[1] != self.spec.input_channels:
             raise ValueError(f"batch has {batch.shape[1]} channels, network expects {self.spec.input_channels}")
         steps = batch.shape[2]
-        stepwise = [node for node in self.spec.nodes if node["name"] not in self.once]
-        once = [node for node in self.spec.nodes if node["name"] in self.once]
-        summed = list(dict.fromkeys(i for node in once for i in node["inputs"] if i not in self.once))
-        per_step = {tap: [] for tap in summed + [o for o in self.spec.outputs if o not in self.once]}
-        membranes = {}
-        calls = []  # (name, layer, inputs, extra arguments, is plif)
-        inputs_of = {node["name"]: node["inputs"] for node in stepwise}
+        # strided views of the batch: an op copies a frame only while it reads it
+        values = {"input": Tensor(batch.transpose(2, 1, 0, 3, 4))}
+        inputs_of = {node["name"]: node["inputs"] for node in self.spec.nodes}
         in_call = set(self.bn_of.values()) | set(self.conv_of.values())  # run in the call of their reader
-        for node in stepwise:
+        for node in self.spec.nodes:
             name, inputs, extra = node["name"], node["inputs"], []
             if name in in_call:
                 continue
-            if name in self.bn_of:
+            if name in self.once:
+                # each tap is summed once into float32, shared by every node that reads it
+                for i in inputs:
+                    if i not in self.once and (i, "sum") not in values:
+                        values[i, "sum"] = ag.time_sum(values[i])
+                inputs = [i if i in self.once else (i, "sum") for i in inputs]
+                extra = [steps] if node["type"] == "conv" else []
+            elif name in self.bn_of:
                 bn = self.bn_of[name]
                 inputs, extra = inputs_of[bn], [1, self.layers[bn]]
             elif name in self.conv_of:
                 conv = self.conv_of[name]
                 bn = self.bn_of.get(conv)
                 inputs = inputs_of[conv if bn is None else bn]
-                extra = [membranes, self.layers[conv], None if bn is None else self.layers[bn]]
-            elif node["type"] == "plif":
-                extra = [membranes]
-            calls.append((name, self.layers[name], inputs, extra, node["type"] == "plif"))
-        for t in range(steps):
-            values = {"input": Tensor(np.ascontiguousarray(batch[:, :, t].transpose(1, 0, 2, 3)))}
-            for name, layer, inputs, extra, is_plif in calls:
-                values[name] = out = layer(*[values[i] for i in inputs], *extra)
-                if is_plif and record is not None:
-                    record.add(name, int(np.count_nonzero(out.data)), out.data.size)
-            for tap, seq in per_step.items():
-                seq.append(values[tap])
-        # each tap is summed once into float32 (spike counts are exact), shared
-        # by every node that reads it
-        values = {tap: ag.time_sum(per_step[tap]) for tap in summed}
-        for node in once:
-            name, extra = node["name"], [steps] if node["type"] == "conv" else []
-            values[name] = self.layers[name](*[values[i] for i in node["inputs"]], *extra)
-        return {o: values[o] if o in self.once else per_step[o] for o in self.spec.outputs}
+                extra = [self.layers[conv], None if bn is None else self.layers[bn]]
+            values[name] = out = self.layers[name](*[values[i] for i in inputs], *extra)
+            if node["type"] == "plif" and record is not None:
+                record.add(name, int(np.count_nonzero(out.data)), out.data.size)
+        return {o: values[o] for o in self.spec.outputs}
 
     def trace_shapes(self, height, width):
         """Propagate (C, H, W) shapes through the graph without executing."""

@@ -63,33 +63,31 @@ def cnhw(a):
 
 
 def stepwise_forward(net, batch, record=None, unfolded=False):
-    """Reference for ``Network.forward``: every node at every timestep, then
-    each output summed over time with ``ag.time_sum``. ``forward`` runs the
-    nodes that commute with that sum once, on the time-summed input instead.
-    Each bn runs in its conv's call, ``conv(x, 1, bn)``, as in ``forward``;
-    with ``unfolded`` it runs as a call of its own before the conv's, the
-    batch norm that ``no_grad`` otherwise folds into the conv. ``record``
-    counts spikes as ``forward`` does."""
+    """Reference for ``Network.forward``: every node over all T frames, the
+    heads too, then each output summed over time with ``ag.time_sum``.
+    ``forward`` runs the nodes that commute with that sum once, on the
+    time-summed input instead. Each bn runs in its conv's call,
+    ``conv(x, 1, bn)``, and a block's conv in a call of its own, before its
+    plif's; with ``unfolded`` the bn runs as a call of its own before the
+    conv's, the batch norm that ``no_grad`` otherwise folds into the conv.
+    ``record`` counts spikes as ``forward`` does."""
     bn_of = {} if unfolded else net.bn_of
     paired = set(bn_of.values())
-    membranes = {}
-    per_step = {o: [] for o in net.spec.outputs}
-    for t in range(batch.shape[2]):
-        values = {"input": Tensor(cnhw(batch[:, :, t]))}
-        for node in net.spec.nodes:
-            name, inputs, extra = node["name"], node["inputs"], ()
-            if name in paired:
-                continue
-            if name in bn_of:
-                inputs, extra = net.spec.node(bn_of[name])["inputs"], (1, net.layers[bn_of[name]])
-            elif node["type"] == "plif":
-                extra = (membranes,)
-            values[name] = out = net.layers[name](*[values[i] for i in inputs], *extra)
-            if node["type"] == "plif" and record is not None:
-                record.add(name, int(np.count_nonzero(out.data)), out.data.size)
-        for o, seq in per_step.items():
-            seq.append(values[o])
-    return {o: ag.time_sum(seq) for o, seq in per_step.items()}
+    values = {"input": Tensor(np.ascontiguousarray(batch.transpose(2, 1, 0, 3, 4)))}
+    for node in net.spec.nodes:
+        name, inputs, extra = node["name"], node["inputs"], ()
+        if name in paired:
+            continue
+        if name in bn_of:
+            inputs, extra = net.spec.node(bn_of[name])["inputs"], (1, net.layers[bn_of[name]])
+        if node["type"] == "spatial_sum":  # per frame: (T, C, N, H, W) -> (T, N, C)
+            out = values[inputs[0]].sum(axis=(3, 4)).transpose(0, 2, 1)
+        else:
+            out = net.layers[name](*[values[i] for i in inputs], *extra)
+        values[name] = out
+        if node["type"] == "plif" and record is not None:
+            record.add(name, int(np.count_nonzero(out.data)), out.data.size)
+    return {o: ag.time_sum(values[o]) for o in net.spec.outputs}
 
 
 def outputs_and_grads(net, run, loss_of):
@@ -129,9 +127,9 @@ def _base_array(a):
 def tape_bytes(loss):
     """Bytes the tape behind ``loss`` holds, by op: a walk over the recorded
     entries that charges each distinct base array to the first entry whose
-    output or backward closure holds it (in a closure cell, a tuple or a
-    helper closure there, or in a slot of an object there, as a PLIF link's
-    membrane). Tensors in a closure are
+    output or backward closure holds it (in a closure cell, a tuple, list or
+    dict value or a helper closure there, or in a slot of an object there).
+    Tensors in a closure are
     parents, counted as their own entries; the arrays of leaf tensors
     (parameters, inputs) and views of them are not tape. Keyed by the
     closure's qualified name, e.g. ``batchnorm2d.<locals>.backward``;
@@ -158,8 +156,8 @@ def tape_bytes(loss):
             if isinstance(value, types.FunctionType):  # a helper closure the backward calls
                 cells += value.__closure__ or ()
                 continue
-            if isinstance(value, tuple):
-                cells += [types.CellType(v) for v in value]
+            if isinstance(value, (tuple, list, dict)):
+                cells += [types.CellType(v) for v in (value.values() if isinstance(value, dict) else value)]
                 continue
             slots = () if isinstance(value, Tensor) else getattr(type(value), "__slots__", ())
             arrays += [value] + [getattr(value, s, None) for s in slots]

@@ -221,11 +221,8 @@ def test_criterion_4_gradient_checks():
     alpha = 2.0  # the surrogate's width
     a = 0.5  # 1/tau for tau = 2
     x1v, x2v = 1.6, 2.4
-    x1 = Tensor(np.array([x1v]), requires_grad=True)
-    x2 = Tensor(np.array([x2v]), requires_grad=True)
-    s1, state1 = ag.plif(x1, None, a)
-    s2, _ = ag.plif(x2, state1, a)
-    (s1 + s2 * 2.0).sum().backward()
+    x = Tensor(np.array([[x1v], [x2v]]), requires_grad=True)  # two frames of one neuron
+    (ag.plif(x, a) * Tensor(np.array([[1.0], [2.0]]))).sum().backward()
 
     def sg(u):
         return alpha / (2 * (1 + (math.pi * alpha * u / 2) ** 2))
@@ -238,8 +235,8 @@ def test_criterion_4_gradient_checks():
     g2 = sg(v2 - 1.0)
     dx1 = g1 * a + 2.0 * g2 * (1 - a) * ((1 - s1v) - v1 * g1) * a
     dx2 = 2.0 * g2 * a
-    assert x1.grad[0] == pytest.approx(dx1, rel=1e-12)
-    assert x2.grad[0] == pytest.approx(dx2, rel=1e-12)
+    assert x.grad[0, 0] == pytest.approx(dx1, rel=1e-12)
+    assert x.grad[1, 0] == pytest.approx(dx2, rel=1e-12)
     _report(4, f"— {sum(counts.values())} FD cases over {len(counts)} ops + exact BPTT chain")
 
 

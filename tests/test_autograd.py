@@ -308,22 +308,20 @@ def test_batchnorm_tape_keeps_no_xhat():
 
 @pytest.mark.parametrize("learned", [True, False])
 def test_plif_tape_keeps_only_the_membrane(learned):
-    """A taped PLIF step after the first keeps one input-sized array beyond
-    its spikes and its state, the pre-reset membrane v: X - V is rebuilt by
-    the backward from X and the previous step's v."""
+    """A taped PLIF op over three frames keeps one input-sized array beyond
+    its spikes, the pre-reset membrane v of every frame: X - V is rebuilt by
+    the backward from v, and the reset membrane is a local of the forward."""
     rng = np.random.default_rng(5)
-    xs = [Tensor(2 * rng.standard_normal((16, 4, 32, 32)).astype(np.float32), requires_grad=True) for _ in range(3)]
+    x = Tensor(2 * rng.standard_normal((3, 16, 4, 32, 32)).astype(np.float32), requires_grad=True)
     w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=learned)
-    _, state = ag.plif(xs[0], None, w)
-    for x in xs[1:]:
-        tracemalloc.start()
-        try:
-            spikes, state = ag.plif(x, state, w)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        beyond = held - spikes.data.nbytes - state[0].nbytes
-        assert beyond <= 1.1 * x.data.nbytes, beyond / x.data.nbytes
+    tracemalloc.start()
+    try:
+        spikes = ag.plif(x, w)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    beyond = held - spikes.data.nbytes
+    assert beyond <= 1.1 * x.data.nbytes, beyond / x.data.nbytes
 
 
 def test_batchnorm_grad(rng):
@@ -344,15 +342,16 @@ def test_plif_bn_conv_grad_float64(rng):
     """float64 gradients of batch norm and conv through one-byte spikes: a
     PLIF step's uint8 output feeds a training batch norm (float64 mean of
     the count) and a 3x3 conv. The spikes' own gradient is the surrogate's,
-    which finite differences do not see, so it is not checked here."""
+    which finite differences do not see, so it is not checked here. Two
+    frames: each has its own batch statistics."""
     for _ in range(5):
         c = int(rng.integers(1, 4))
-        x = 2.0 * rng.standard_normal((c, 3, 5, 5))
+        x = 2.0 * rng.standard_normal((2, c, 3, 5, 5))
         gamma, beta = rng.standard_normal(c) + 1.0, rng.standard_normal(c)
         w = rng.standard_normal((2, c, 3, 3))
 
         def run(g_, b_, w_):
-            spikes, _ = ag.plif(Tensor(x, requires_grad=True), None, 0.5)
+            spikes = ag.plif(Tensor(x, requires_grad=True), 0.5)
             assert spikes.data.dtype == np.uint8 and spikes.data.any() and not spikes.data.all()
             return ag.conv2d(ag.batchnorm2d(spikes, g_, b_, np.zeros(c), np.ones(c)), w_, padding=1)
 
@@ -589,6 +588,47 @@ def test_bn_conv_tape_keeps_no_bn_output():
         assert held - out.data.nbytes <= 4096 + 64 * c, (c, k, held - out.data.nbytes)
 
 
+_FRAMEWISE_OPS = {
+    "conv2d": lambda x, p, stats: ag.conv2d(x, p["w"], p["b"], 2, 1),
+    "batchnorm2d": lambda x, p, stats: ag.batchnorm2d(x, p["gamma"], p["beta"], *stats),
+    "bn_conv": lambda x, p, stats: ag.bn_conv(x, p["gamma"], p["beta"], *stats, p["w"], p["b"], 2, 1),
+    "maxpool2d": lambda x, p, stats: ag.maxpool2d(x, 3, 2, 1),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+@pytest.mark.parametrize("op", sorted(_FRAMEWISE_OPS))
+def test_framewise_op_equals_one_call_per_frame(op, dtype):
+    """An op over T frames, (T, C, N, H, W), equals one call per (C, N, H, W)
+    frame bit for bit: outputs, the running statistics updated frame after
+    frame, the input gradient, and each parameter's gradient added over the
+    frames in reverse time order, as separate walks from the last frame's
+    loss to the first's add them."""
+    rng = np.random.default_rng(11)
+    xs = rng.standard_normal((4, 3, 2, 7, 7)) if dtype == np.float32 else rng.random((4, 3, 2, 7, 7)) < 0.4
+    xs = xs.astype(dtype)
+    arrays = {"w": rng.standard_normal((5, 3, 3, 3)), "b": rng.standard_normal(5),
+              "gamma": 1.0 + 0.3 * rng.standard_normal(3), "beta": rng.standard_normal(3)}
+
+    def run(framewise):
+        params = {key: Tensor(a.astype(np.float32), requires_grad=True) for key, a in arrays.items()}
+        stats = [np.zeros(3, dtype=np.float32), np.ones(3, dtype=np.float32)]
+        frames = [Tensor(xs, requires_grad=True, dtype=dtype)] if framewise else [
+            Tensor(x, requires_grad=True, dtype=dtype) for x in xs]
+        outs = [_FRAMEWISE_OPS[op](x, params, stats) for x in frames]
+        out = outs[0].data if framewise else np.stack([o.data for o in outs])
+        probes = np.random.default_rng(12).standard_normal(out.shape).astype(np.float32)
+        for t in reversed(range(len(outs))):
+            (outs[t] * Tensor(probes if framewise else probes[t])).sum().backward()
+        x_grad = frames[0].grad if framewise else np.stack([x.grad for x in frames])
+        return [out, x_grad, *stats, *(p.grad for p in params.values() if p.grad is not None)]
+
+    got, want = run(True), run(False)
+    assert len(got) == len(want) == {"conv2d": 6, "batchnorm2d": 6, "bn_conv": 8, "maxpool2d": 4}[op]
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), i
+
+
 def test_maxpool_grad(rng):
     for _ in range(20):
         k = int(rng.choice([2, 3]))
@@ -672,17 +712,20 @@ def test_concat_grad(rng):
 
 def test_time_sum_adds_spikes_into_float32():
     """300 one-byte frames of ones sum to 300 in float32, where uint8 adds
-    would wrap; every frame gets its own float32 copy of the sum's gradient.
-    Float frames keep their dtype and sum as chained ``add`` ops do."""
-    frames = [Tensor(np.ones((2, 3), dtype=np.uint8), requires_grad=True, dtype=np.uint8) for _ in range(300)]
+    would wrap; every frame gets the sum's gradient in float32. Float frames
+    keep their dtype and sum as chained ``add`` ops do."""
+    frames = Tensor(np.ones((300, 2, 3), dtype=np.uint8), requires_grad=True, dtype=np.uint8)
     out = ag.time_sum(frames)
     g = np.arange(6, dtype=np.float32).reshape(2, 3)
     out.backward(g)
     assert out.data.dtype == np.float32 and np.all(out.data == 300)
-    assert all(f.grad.dtype == np.float32 and np.array_equal(f.grad, g) and f.grad is not g for f in frames)
-    xs = [Tensor(a) for a in np.random.default_rng(2).standard_normal((5, 4, 3))]
+    assert frames.grad.dtype == np.float32 and frames.grad.shape == (300, 2, 3)
+    assert all(np.array_equal(frame, g) for frame in frames.grad)
+    a = np.random.default_rng(2).standard_normal((5, 4, 3))
+    xs = [Tensor(frame) for frame in a]
     chained = xs[0] + xs[1] + xs[2] + xs[3] + xs[4]
-    assert ag.time_sum(xs).data.dtype == np.float64 and np.array_equal(ag.time_sum(xs).data, chained.data)
+    summed = ag.time_sum(Tensor(a))
+    assert summed.data.dtype == np.float64 and np.array_equal(summed.data, chained.data)
 
 
 # --------------------------------------------------------------------------
@@ -693,10 +736,10 @@ def test_time_sum_adds_spikes_into_float32():
 def test_heaviside_forward_and_surrogate():
     """``ag.plif`` from rest with 1/tau = 1: the spike is a step at v = 1 and
     the input gradient is the ATan surrogate at v - 1."""
-    u = np.array([-1.0, -1e-9, 0.0, 1e-9, 2.0])
+    u = np.array([[-1.0, -1e-9, 0.0, 1e-9, 2.0]])  # one frame
     x = Tensor(u + 1.0, requires_grad=True)
-    out, _ = ag.plif(x, None, 1.0)
-    assert np.array_equal(out.data, [0, 0, 1, 1, 1])
+    out = ag.plif(x, 1.0)
+    assert np.array_equal(out.data, [[0, 0, 1, 1, 1]])
     out.sum().backward()
     alpha = 2.0
     expect = alpha / (2 * (1 + (np.pi * alpha * (x.data - 1.0) / 2) ** 2))

@@ -20,7 +20,7 @@ from evsnn.spiking.builders import (ARCH_NAMES, build_densenet, build_mobilenet,
                                     build_vgg, named_spec)
 from evsnn.spiking.layers import ConvLayer, MaxPoolLayer, PLIFLayer
 
-from conftest import cnhw, count_tape_ops, numeric_grad, outputs_and_grads, stepwise_forward, tape_bytes
+from conftest import count_tape_ops, numeric_grad, outputs_and_grads, stepwise_forward, tape_bytes
 
 
 # --------------------------------------------------------------------------
@@ -100,39 +100,109 @@ def _plif_step_oracle(state, x, inv_tau, v_threshold=1.0, v_reset=0.0, reset_mod
 
 
 def _oracle_step(x, state, w):
-    """The oracle behind ``ag.plif``'s signature: ``w`` is a Tensor with
-    1/tau = sigmoid(w), or 1/tau itself."""
+    """One step of the oracle neuron: ``w`` is a Tensor with 1/tau =
+    sigmoid(w), or 1/tau itself. Returns the spikes and V'."""
     return _plif_step_oracle(state, x, ag.sigmoid(w) if isinstance(w, Tensor) else w)
 
 
-def _membrane(state):
-    """V' from either step's state: the oracle's Tensor or ag.plif's triple."""
-    return state.data if isinstance(state, Tensor) else state[0]
+def _frame(x, t):
+    """Frame t of a (T, ...) tensor as a tensor of its own."""
+
+    def backward(g):
+        full = np.zeros(x.data.shape, dtype=g.dtype)
+        full[t] = g
+        x.accumulate_grad(full)
+
+    return Tensor.from_op(x.data[t], (x,), backward)
 
 
-def _oracle_plif_call(layer, x, membranes):
-    """``PLIFLayer.__call__`` with the oracle neuron."""
-    spikes, membranes[layer.name] = _oracle_step(x, membranes.get(layer.name), layer.w)
-    return spikes
+def _stack(frames):
+    """One (T, ...) tensor of T equal-shape tensors."""
+
+    def backward(g):
+        for frame, g_t in zip(frames, g):
+            if frame.requires_grad:
+                frame.accumulate_grad(g_t)
+
+    return Tensor.from_op(np.stack([f.data for f in frames]), tuple(frames), backward)
 
 
-def _run_plif(step, xs, probes, w0=0.3):
+def _oracle_plif(x, w, states=None):
+    """``ag.plif`` with the oracle neuron: ``_oracle_step`` step by step
+    over the frames of x from rest. Each step's V' tensor is appended to
+    ``states``."""
+    state, spikes = None, []
+    for t in range(len(x.data)):
+        s, state = _oracle_step(_frame(x, t), state, w)
+        spikes.append(s)
+        if states is not None:
+            states.append(state)
+    return _stack(spikes)
+
+
+def _oracle_plif_call(layer, x):
+    """``PLIFLayer.__call__`` on a conv's output with the oracle neuron."""
+    return _oracle_plif(x, layer.w)
+
+
+def _logged_plif_backward(monkeypatch):
+    """A list that gets, for each frame a fused PLIF backward visits (the
+    last first), its v and the gradient dL/dV' the next frame hands it (None
+    for the last frame)."""
+    log, frame_backward = [], ops._plif_frame_backward
+
+    def logged(g, g_m, v, v_prev, a, w):
+        log.append((v.copy(), None if g_m is None else g_m.copy()))
+        return frame_backward(g, g_m, v, v_prev, a, w)
+
+    monkeypatch.setattr(ops, "_plif_frame_backward", logged)
+    return log
+
+
+def _fused_chain(log, spikes):
+    """From a ``_logged_plif_backward`` log of one op and its spikes: V' per
+    frame, as the forward made it, and the gradients handed back for V' in
+    the order they were handed."""
+    vs = [v for v, _ in reversed(log)]
+    return [v * (s == 0) for v, s in zip(vs, spikes)], [g for _, g in log if g is not None]
+
+
+def _probe_loss(spikes, probes):
+    """sum_t probe_t . s_t over the frames of spikes, leaving out a frame
+    whose probe is None."""
+    like = next(p for p in probes if p is not None)
+    return (spikes * Tensor(np.stack([np.zeros_like(like) if p is None else p for p in probes]))).sum()
+
+
+def _fused_run(xs, probes, w, monkeypatch):
+    """``ag.plif`` over the frames ``xs`` from rest, the loss
+    ``_probe_loss``. Returns, per frame, the spikes, V', x's gradient and the
+    gradients handed back for V' (in the order handed), and w's gradient."""
+    log = _logged_plif_backward(monkeypatch)
+    x = Tensor(np.stack(xs), requires_grad=True)
+    spikes = ag.plif(x, w)
+    _probe_loss(spikes, probes).backward()
+    membranes, handed = _fused_chain(log, spikes.data)
+    return {"spikes": list(spikes.data), "V'": membranes, "x.grad": list(x.grad), "link.grad": handed,
+            "w.grad": [w.grad] if isinstance(w, Tensor) else []}
+
+
+def _oracle_run(xs, probes, w):
+    """``_fused_run`` for the oracle neuron; the gradient handed back for
+    V' is that of each step's V' tensor."""
+    x = Tensor(np.stack(xs), requires_grad=True)
+    states = []
+    spikes = _oracle_plif(x, w, states)
+    _probe_loss(spikes, probes).backward()
+    return {"spikes": list(spikes.data), "V'": [s.data for s in states], "x.grad": list(x.grad),
+            "link.grad": [s.grad for s in reversed(states[:-1])], "w.grad": [w.grad]}
+
+
+def _run_plif(fused, xs, probes, monkeypatch, w0=0.3):
     """One PLIF layer with a learned tau over the frames ``xs``, at their
-    dtype; the loss is sum_t probe_t . s_t, leaving out a step whose probe
-    is None. Returns the spikes, membranes and input gradients per step and
-    the gradient of w."""
-    dtype = xs[0].dtype
-    w = Tensor(np.asarray([w0], dtype=dtype), requires_grad=True)
-    x = [Tensor(a, requires_grad=True) for a in xs]
-    state, spikes, membranes, loss = None, [], [], 0.0
-    for xt, probe in zip(x, probes):
-        s, state = step(xt, state, w)
-        spikes.append(s.data)
-        membranes.append(_membrane(state))
-        if probe is not None:
-            loss = (s * Tensor(probe.astype(dtype))).sum() + loss
-    loss.backward()
-    return spikes, membranes, [t.grad for t in x], w.grad
+    dtype: ``ag.plif`` (``fused``) or the oracle, as ``_fused_run`` returns."""
+    w = Tensor(np.asarray([w0], dtype=xs[0].dtype), requires_grad=True)
+    return _fused_run(xs, probes, w, monkeypatch) if fused else _oracle_run(xs, probes, w)
 
 
 def _plif_frames(seed, steps=5, shape=(2, 3, 4, 4)):
@@ -142,45 +212,54 @@ def _plif_frames(seed, steps=5, shape=(2, 3, 4, 4)):
     return xs, probes
 
 
-def _assert_matches_oracle(got, want):
-    """Spikes, membranes and input gradients equal, bit for bit: dv, dX and
-    the membrane gradient dv - dX take the oracle's float operations in its
-    order. The spikes are one byte, the oracle's float32, equal in value.
-    w's gradient sums dv (X - V) over the frame with a dot product, which
-    adds in another order than the oracle's reductions: within 1e-5 of its
-    magnitude, about 100 float32 epsilons (measured: 6e-7)."""
-    for t, (a, b) in enumerate(zip(got[0], want[0])):
-        assert a.dtype == np.uint8 and b.dtype == np.float32 and np.array_equal(a, b), f"spikes differ at step {t}"
-    for kind, g, r in zip(("membranes", "x.grad"), got[1:3], want[1:3]):
-        for t, (a, b) in enumerate(zip(g, r)):
-            assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b), f"{kind} differ at step {t}"
-    assert got[3].dtype == np.float32 and got[3].shape == want[3].shape == (1,)
-    assert np.abs(got[3] - want[3]).max() <= 1e-5 * np.abs(want[3]).max()
+def _assert_plif_equal(got, want, dtype):
+    """Spikes, V', input gradients and the gradients handed back for V'
+    equal, bit for bit, at ``dtype``; the fused op's spikes are one byte,
+    equal in value. w's gradient sums dv (v - V) over each frame with a dot
+    product, which adds in another order than the reference's: within 1e-5
+    of its magnitude, about 100 float32 epsilons (measured: 6e-7)."""
+    assert got.keys() == want.keys()
+    for t, (a, b) in enumerate(zip(got["spikes"], want["spikes"])):
+        assert a.dtype == np.uint8 and np.array_equal(a, b), f"spikes differ at frame {t}"
+    for kind in ("V'", "x.grad", "link.grad", "w.grad"):
+        assert len(got[kind]) == len(want[kind]), kind
+        for t, (a, b) in enumerate(zip(got[kind], want[kind])):
+            if a is None or b is None:
+                assert a is None and b is None, f"{kind} at {t}"
+                continue
+            assert a.dtype == b.dtype == dtype, f"{kind} at {t}"
+            if kind == "w.grad":
+                assert a.shape == b.shape == (1,) and np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
+            else:
+                assert np.array_equal(a, b), f"{kind} differ at {t}"
 
 
-def test_plif_step_matches_oracle_bit_for_bit():
-    """Five float32 steps with a learned tau, every step's spikes in the
-    loss, match the oracle (``_assert_matches_oracle``)."""
+def test_plif_step_matches_oracle_bit_for_bit(monkeypatch):
+    """Five float32 frames with a learned tau, every frame's spikes in the
+    loss, match the oracle neuron step by step (``_assert_plif_equal``): dv,
+    dX and the membrane gradient dv - dX take the oracle's float operations
+    in its order."""
     xs, probes = _plif_frames(0)
-    got = _run_plif(ag.plif, xs, probes)
-    want = _run_plif(_oracle_step, xs, probes)
-    assert sum(float(s[:-1].sum()) for s in got[0]) > 0  # some neurons spike and reset before the last step
-    _assert_matches_oracle(got, want)
+    got = _run_plif(True, xs, probes, monkeypatch)
+    want = _run_plif(False, xs, probes, monkeypatch)
+    assert sum(float(s.sum()) for s in got["spikes"][:-1]) > 0  # some neurons spike and reset before the last frame
+    assert len(got["link.grad"]) == len(xs) - 1
+    _assert_plif_equal(got, want, np.float32)
 
 
-def test_plif_membrane_gradient_reaches_silent_steps():
-    """With only the last step's spikes in the loss, the earlier steps'
+def test_plif_membrane_gradient_reaches_silent_steps(monkeypatch):
+    """With only the last frame's spikes in the loss, the earlier frames'
     spikes get no gradient from downstream; the gradient through V' still
-    reaches every earlier step and matches the oracle."""
+    reaches every earlier frame and matches the oracle."""
     xs, probes = _plif_frames(1)
     probes = [None] * (len(xs) - 1) + probes[-1:]
-    got = _run_plif(ag.plif, xs, probes)
-    want = _run_plif(_oracle_step, xs, probes)
-    assert all(np.abs(g).max() > 0 for g in got[2])  # every step's input is reached
-    _assert_matches_oracle(got, want)
+    got = _run_plif(True, xs, probes, monkeypatch)
+    want = _run_plif(False, xs, probes, monkeypatch)
+    assert all(np.abs(g).max() > 0 for g in got["x.grad"])  # every frame's input is reached
+    _assert_plif_equal(got, want, np.float32)
 
 
-def test_plif_float32_error_no_larger_than_oracle():
+def test_plif_float32_error_no_larger_than_oracle(monkeypatch):
     """Against a float64 run of the oracle, the fused op's float32 w gradient
     is on average no further off than the oracle's float32 one. Its input
     gradients equal the oracle's (above), so they err alike. A single sum
@@ -190,12 +269,14 @@ def test_plif_float32_error_no_larger_than_oracle():
     errors = []
     for seed, shape in enumerate([(16, 8, 32, 32)] * 4 + [(32, 16, 8, 8)] * 4 + [(64, 16, 4, 4)] * 4):
         xs, probes = _plif_frames(100 + seed, shape=shape)
-        exact = _run_plif(_oracle_step, [x.astype(np.float64) for x in xs], [p.astype(np.float64) for p in probes])
-        fused = _run_plif(ag.plif, xs, probes)
-        oracle = _run_plif(_oracle_step, xs, probes)
-        for spikes, reference in zip(fused[0], exact[0]):
+        exact = _run_plif(False, [x.astype(np.float64) for x in xs], [p.astype(np.float64) for p in probes],
+                          monkeypatch)
+        fused = _run_plif(True, xs, probes, monkeypatch)
+        oracle = _run_plif(False, xs, probes, monkeypatch)
+        for spikes, reference in zip(fused["spikes"], exact["spikes"]):
             assert np.array_equal(spikes, reference)  # the same neurons spike, so the gradients compare
-        errors.append([abs(run[3][0] - exact[3][0]) / abs(exact[3][0]) for run in (fused, oracle)])
+        errors.append([abs(run["w.grad"][0][0] - exact["w.grad"][0][0]) / abs(exact["w.grad"][0][0])
+                       for run in (fused, oracle)])
     fused_error, oracle_error = np.mean(errors, axis=0)
     assert fused_error <= oracle_error
 
@@ -224,23 +305,18 @@ def test_plif_finite_differences_with_reset():
     straight-through PLIF (``_straight_through_plif``) at the same point."""
     steps, shape = 4, (2, 3, 3)
     rng = np.random.default_rng(3)
-    arrays = [1.6 * rng.standard_normal(shape) for _ in range(steps)] + [np.array([0.4])]
-    probes = [rng.standard_normal(shape) for _ in range(steps)]
+    arrays = [1.6 * rng.standard_normal((steps, *shape)), np.array([0.4])]
+    probes = rng.standard_normal((steps, *shape))
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    state, loss, spikes = None, 0.0, []
-    for xt, probe in zip(tensors, probes):
-        s, state = ag.plif(xt, state, tensors[-1])
-        spikes.append(s.data)
-        loss = (s * Tensor(probe)).sum() + loss
-    loss.backward()
+    spikes = ag.plif(*tensors)
+    (spikes * Tensor(probes)).sum().backward()
 
-    base, u0s = _straight_through_plif(arrays[:-1], arrays[-1])
-    for got, want in zip(spikes, base):
-        assert np.array_equal(got, want)
-    assert sum(float(s.sum()) for s in spikes[:-1]) > 0  # resets feed later steps
+    base, u0s = _straight_through_plif(arrays[0], arrays[1])
+    assert np.array_equal(spikes.data, base)
+    assert spikes.data[:-1].sum() > 0  # resets feed later frames
 
-    def loss_of(*arrs):
-        out, _ = _straight_through_plif(arrs[:-1], arrs[-1], u0s)
+    def loss_of(xs, w):
+        out, _ = _straight_through_plif(xs, w, u0s)
         return float(sum((s * p).sum() for s, p in zip(out, probes)))
 
     for i, t in enumerate(tensors):
@@ -248,9 +324,28 @@ def test_plif_finite_differences_with_reset():
         assert np.abs(t.grad - num).max() <= 1e-6 * np.abs(num).max(), f"input {i}"
 
 
-def _plif_keep_drive_oracle(x, state, w):
-    """``ag.plif`` as it was when its tape kept X - V for w's gradient: the
-    reference for the op that rebuilds X - V in its backward."""
+class _Link:
+    """The slot where a keep-drive oracle step's backward leaves dL/dV' for
+    the step before; every gradient left there is appended to ``handed``."""
+
+    def __init__(self, handed):
+        self.handed, self._grad = handed, None
+
+    @property
+    def grad(self):
+        return self._grad
+
+    @grad.setter
+    def grad(self, g):
+        if g is not None:
+            self.handed.append(g.copy())
+        self._grad = g
+
+
+def _plif_keep_drive_oracle(x, state, w, handed):
+    """One PLIF step as ``ag.plif`` ran it when its tape kept X - V for w's
+    gradient and its state was (V', spikes, link): the reference for the op
+    that rebuilds X - V in its backward. Returns the spikes and the state."""
     learned = isinstance(w, Tensor)
     a = _sigmoid(w.data) if learned else x.data.dtype.type(w)
     if state is None:
@@ -267,7 +362,7 @@ def _plif_keep_drive_oracle(x, state, w):
         drive = None  # the backward needs X - V only for dw
     parents = (x,) + ((w,) if learned else ()) + ((prev_spikes,) if state is not None else ())
     scale = 0.5 * np.pi * ALPHA
-    out_link = ops.PLIFLink()
+    out_link = _Link(handed)
 
     def backward(g):
         dv = v - 1.0
@@ -300,59 +395,17 @@ def _plif_keep_drive_oracle(x, state, w):
     return spikes, (v * ~spiked, spikes, out_link)
 
 
-_LINK_GRAD = ops.PLIFLink.grad  # the slot, taken before any test swaps the class
-
-
-def _logging_link(handed):
-    """A ``PLIFLink`` class that appends a copy of every gradient handed to a
-    link to ``handed``."""
-
-    class LoggingLink(ops.PLIFLink):
-        __slots__ = ()
-
-        @property
-        def grad(self):
-            return _LINK_GRAD.__get__(self)
-
-        @grad.setter
-        def grad(self, g):
-            if g is not None:
-                handed.append(g.copy())
-            _LINK_GRAD.__set__(self, g)
-
-    return LoggingLink
-
-
-def _plif_chain(step, xs, probes, w, monkeypatch):
-    """``step`` over the frames ``xs`` from rest; the loss is
-    sum_t probe_t . s_t, leaving out a step whose probe is None. Returns the
-    spikes, V', input gradients and w's gradient per step, and every
-    gradient handed to a link, in the order the backward handed them."""
-    handed = []
-    monkeypatch.setattr(ops, "PLIFLink", _logging_link(handed))
-    x = [Tensor(a, requires_grad=True) for a in xs]
-    state, spikes, membranes, loss = None, [], [], 0.0
-    for xt, probe in zip(x, probes):
-        s, state = step(xt, state, w)
-        spikes.append(s.data)
-        membranes.append(state[0])
-        if probe is not None:
-            loss = (s * Tensor(probe)).sum() + loss
-    loss.backward()
-    return spikes, membranes, [t.grad for t in x], [w.grad] if isinstance(w, Tensor) else [], handed
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("w_kind", ["learned", "frozen", "float"])
 def test_plif_matches_keep_drive_oracle_bit_for_bit(dtype, w_kind, monkeypatch):
-    """``ag.plif``, which reads no X - V in its backward, equals the op that
-    kept it (``_plif_keep_drive_oracle``) bit for bit: spikes, V', input
-    gradients and the gradient each link is handed, over five steps with
-    resets, one of them left out of the loss. Its spikes are one byte, the
-    oracle's of the frames' dtype, equal in value. w's gradient sums
-    dv (v - V) (1 - a), which equals the oracle's dv (X - V) a (1 - a) in
-    exact arithmetic: within 1e-5 of its magnitude, as in
-    ``_assert_matches_oracle`` (measured: 1e-7 in float32)."""
+    """``ag.plif``, which reads no X - V in its backward, equals a loop of
+    the step that kept it (``_plif_keep_drive_oracle``) bit for bit: spikes,
+    V', input gradients and every gradient handed back for V', over five
+    frames with resets, one of them left out of the loss. Its spikes are one
+    byte, the oracle's of the frames' dtype, equal in value. w's gradient
+    sums dv (v - V) (1 - a), which equals the oracle's dv (X - V) a (1 - a)
+    in exact arithmetic: within 1e-5 of its magnitude, as in
+    ``_assert_plif_equal`` (measured: 1e-7 in float32)."""
     rng = np.random.default_rng(21)
     shape = (4, 3, 8, 8)
     xs = [(1.5 * rng.standard_normal(shape) + 0.5).astype(dtype) for _ in range(5)]
@@ -362,24 +415,23 @@ def test_plif_matches_keep_drive_oracle_bit_for_bit(dtype, w_kind, monkeypatch):
     def make_w():
         return 0.4 if w_kind == "float" else Tensor(np.asarray([0.3], dtype=dtype), requires_grad=w_kind == "learned")
 
-    got = _plif_chain(ag.plif, xs, probes, make_w(), monkeypatch)
-    want = _plif_chain(_plif_keep_drive_oracle, xs, probes, make_w(), monkeypatch)
-    assert sum(float(s[:-1].sum()) for s in got[0]) > 0  # some neurons spike and reset before the last step
-    assert len(got[4]) == len(xs) - 1
-    assert [g is not None for g in got[3]] == {"learned": [True], "frozen": [False], "float": []}[w_kind]
-    for t, (a, b) in enumerate(zip(got[0], want[0])):
-        assert a.dtype == np.uint8 and b.dtype == dtype and np.array_equal(a, b), f"spikes differ at {t}"
-    for kind, g, r in zip(("V'", "x.grad", "w.grad", "link.grad"), got[1:], want[1:]):
-        assert len(g) == len(r), kind
-        for t, (a, b) in enumerate(zip(g, r)):
-            if a is None or b is None:
-                assert a is None and b is None, f"{kind} at {t}"
-                continue
-            assert a.dtype == b.dtype == dtype, f"{kind} at {t}"
-            if kind == "w.grad":
-                assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max(), f"{kind} at {t}"
-            else:
-                assert np.array_equal(a, b), f"{kind} differ at {t}"
+    w, handed = make_w(), []
+    x = [Tensor(a, requires_grad=True) for a in xs]
+    state, loss, spikes, membranes = None, 0.0, [], []
+    for xt, probe in zip(x, probes):
+        s, state = _plif_keep_drive_oracle(xt, state, w, handed)
+        spikes.append(s.data)
+        membranes.append(state[0])
+        if probe is not None:
+            loss = (s * Tensor(probe)).sum() + loss
+    loss.backward()
+    want = {"spikes": spikes, "V'": membranes, "x.grad": [t.grad for t in x], "link.grad": handed,
+            "w.grad": [w.grad] if isinstance(w, Tensor) else []}
+    got = _fused_run(xs, probes, make_w(), monkeypatch)
+    assert sum(float(s.sum()) for s in got["spikes"][:-1]) > 0  # some neurons spike and reset before the last frame
+    assert len(got["link.grad"]) == len(xs) - 1
+    assert [g is not None for g in got["w.grad"]] == {"learned": [True], "frozen": [False], "float": []}[w_kind]
+    _assert_plif_equal(got, want, dtype)
 
 
 # (C, N, H, W) input, conv (Cout, kernel, stride, padding) and whether a bn
@@ -391,9 +443,9 @@ _BLOCK_CASES = {"bn": ((4, 3, 9, 9), (6, 3, 2, 1), True), "pointwise": ((8, 3, 6
 def _block_run(case, dtype, blocked, monkeypatch, steps=5):
     """The block of ``_BLOCK_CASES[case]`` over ``steps`` frames from rest,
     as ``ag.conv_plif`` (``blocked``) or as ``ag.bn_conv``/``ag.conv2d`` then
-    ``ag.plif``; the loss is sum_t probe_t . s_t without step 2's term.
+    ``ag.plif``; the loss is sum_t probe_t . s_t without frame 2's term.
     Returns {name: list of arrays}: spikes, V', input gradients, parameter
-    gradients, running statistics and every gradient handed to a link."""
+    gradients, running statistics and every gradient handed back for V'."""
     (c, n, h, w), (cout, k, s, p), with_bn = _BLOCK_CASES[case]
     rng = np.random.default_rng(31)
     if with_bn:
@@ -412,24 +464,16 @@ def _block_run(case, dtype, blocked, monkeypatch, steps=5):
     bn = (params["gamma"], params["beta"], *stats) if with_bn else None
     b = params.get("b")
 
-    def step(x, state):
-        if blocked:
-            return ag.conv_plif(x, state, params["plif_w"], params["w"], b, s, p, 1, bn)
+    log = _logged_plif_backward(monkeypatch)
+    x = Tensor(np.stack(xs), requires_grad=True, dtype=xs[0].dtype)
+    if blocked:
+        spikes = ag.conv_plif(x, params["plif_w"], params["w"], b, s, p, 1, bn)
+    else:
         y = ag.conv2d(x, params["w"], b, s, p) if bn is None else ag.bn_conv(x, *bn, params["w"], b, s, p)
-        return ag.plif(y, state, params["plif_w"])
-
-    handed = []
-    monkeypatch.setattr(ops, "PLIFLink", _logging_link(handed))
-    x = [Tensor(a, requires_grad=True, dtype=a.dtype) for a in xs]
-    state, out, loss = None, {"spikes": [], "V'": []}, 0.0
-    for xt, probe in zip(x, probes):
-        spikes, state = step(xt, state)
-        out["spikes"].append(spikes.data)
-        out["V'"].append(state[0])
-        if probe is not None:
-            loss = (spikes * Tensor(probe)).sum() + loss
-    loss.backward()
-    out["x.grad"] = [t.grad for t in x]
+        spikes = ag.plif(y, params["plif_w"])
+    _probe_loss(spikes, probes).backward()
+    membranes, handed = _fused_chain(log, spikes.data)
+    out = {"spikes": list(spikes.data), "V'": membranes, "x.grad": list(x.grad)}
     out.update({f"{key}.grad": [t.grad] for key, t in params.items()})
     out.update(running_stats=stats, link_grads=handed)
     return out
@@ -441,11 +485,11 @@ def test_conv_plif_matches_bn_conv_then_plif_bit_for_bit(case, dtype, monkeypatc
     """``ag.conv_plif`` equals the batch norm and conv (``ag.bn_conv``, or
     ``ag.conv2d`` with no bn) followed by ``ag.plif``, bit for bit: spikes,
     V', the input spikes' gradient, dW, db, dgamma, dbeta, w's gradient, the
-    running statistics and every gradient handed to a link, over five steps
-    with resets, one of them left out of the loss."""
+    running statistics and every gradient handed back for V', over five
+    frames with resets, one of them left out of the loss."""
     got = _block_run(case, dtype, True, monkeypatch)
     want = _block_run(case, dtype, False, monkeypatch)
-    assert sum(int(s[:-1].sum()) for s in got["spikes"]) > 0  # some neurons spike and reset before the last step
+    assert sum(int(s.sum()) for s in got["spikes"][:-1]) > 0  # some neurons spike and reset before the last frame
     assert len(got["link_grads"]) == 4
     assert got.keys() == want.keys()
     for kind, arrays in want.items():
@@ -458,13 +502,12 @@ def test_conv_plif_matches_bn_conv_then_plif_bit_for_bit(case, dtype, monkeypatc
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
 def test_conv_plif_under_no_grad_matches_the_composition(case):
     """Under ``no_grad`` the block folds its batch norm into the conv as
-    ``bn_conv`` does: spikes and V' equal ``bn_conv`` then ``plif`` bit for
-    bit, the running statistics stay unchanged, and the V' of the unfolded
-    ``batchnorm2d``, ``conv2d``, ``plif`` is within 1e-5 (the fused-eval
-    bound), with the same spikes."""
+    ``bn_conv`` does: its spikes equal those of ``bn_conv`` then ``plif``
+    and of the unfolded ``batchnorm2d``, ``conv2d``, ``plif``, and the
+    running statistics stay unchanged."""
     (c, n, h, w), (cout, k, s, p), with_bn = _BLOCK_CASES[case]
     rng = np.random.default_rng(32)
-    xs = [(rng.random((c, n, h, w)) < 0.3).astype(np.uint8) for _ in range(4)]
+    xs = (rng.random((4, c, n, h, w)) < 0.3).astype(np.uint8)
     wt, tau_w = Tensor(rng.standard_normal((cout, c, k, k)).astype(np.float32) / k), Tensor(np.array([0.3], np.float32))
     gamma = Tensor(1.0 + 0.3 * rng.standard_normal(c).astype(np.float32))
     beta = Tensor(rng.standard_normal(c).astype(np.float32))
@@ -472,98 +515,69 @@ def test_conv_plif_under_no_grad_matches_the_composition(case):
     bn = (gamma, beta, *stats) if with_bn else None
     before = [a.copy() for a in stats]
 
-    def run(step):
-        state, spikes, membranes = None, [], []
+    def run(block):
         with ag.no_grad():
-            for x in xs:
-                x = Tensor(x, dtype=np.uint8)
-                if step is None:
-                    out, state = ag.conv_plif(x, state, tau_w, wt, None, s, p, 1, bn)
-                else:
-                    out, state = ag.plif(step(x), state, tau_w)
-                spikes.append(out.data)
-                membranes.append(state[0])
-        return spikes, membranes
+            return block(Tensor(xs, dtype=np.uint8)).data
 
-    got = run(None)
-    folded = run(lambda x: ag.conv2d(x, wt, None, s, p) if bn is None else ag.bn_conv(x, *bn, wt, None, s, p))
-    unfolded = run(lambda x: ag.conv2d(x if bn is None else ag.batchnorm2d(x, *bn), wt, None, s, p))
+    got = run(lambda x: ag.conv_plif(x, tau_w, wt, None, s, p, 1, bn))
+    folded = run(lambda x: ag.plif(ag.conv2d(x, wt, None, s, p) if bn is None else ag.bn_conv(x, *bn, wt, None, s, p),
+                                   tau_w))
+    unfolded = run(lambda x: ag.plif(ag.conv2d(x if bn is None else ag.batchnorm2d(x, *bn), wt, None, s, p), tau_w))
     assert all(np.array_equal(a, b) for a, b in zip(stats, before))
-    assert sum(int(spikes.sum()) for spikes in got[0]) > 0
-    for t in range(len(xs)):
-        assert np.array_equal(got[0][t], folded[0][t]) and np.array_equal(got[1][t], folded[1][t]), t
-        assert np.array_equal(got[0][t], unfolded[0][t]), t
-        assert np.abs(got[1][t] - unfolded[1][t]).max() <= 1e-5, t
+    assert got.sum() > 0
+    assert np.array_equal(got, folded) and np.array_equal(got, unfolded)
 
 
 def test_plif_step_records_one_tape_op():
-    x = Tensor(np.ones((2, 1, 3, 3), dtype=np.float32), requires_grad=True)
+    """A PLIF op over any number of frames records one tape entry."""
     w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-    with count_tape_ops() as first:
-        _, state = ag.plif(x, None, w)
-    with count_tape_ops() as later:
-        ag.plif(x, state, w)
-    assert first.ops == later.ops == 1
+    for steps in (1, 4):
+        x = Tensor(np.ones((steps, 2, 1, 3, 3), dtype=np.float32), requires_grad=True)
+        with count_tape_ops() as counter:
+            ag.plif(x, w)
+        assert counter.ops == 1, steps
 
 
 def test_plif_tape_is_freed_without_a_walk():
-    """The tape keeps no membrane alive, and a recorded step that is never
-    walked holds no reference cycle: its arrays go when the caller drops
-    the spikes and the state."""
+    """A recorded PLIF op that is never walked holds no reference cycle: its
+    arrays, the spikes and every frame's v, go when the caller drops the
+    spikes."""
     gc.disable()
     try:
         w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-        x = Tensor(np.ones((2, 1, 3, 3), dtype=np.float32), requires_grad=True)
-        spikes, state = ag.plif(x, None, w)
-        first_membrane = weakref.ref(state[0])
-        spikes, state = ag.plif(x, state, w)
-        assert first_membrane() is None
-        arrays = [weakref.ref(spikes.data), weakref.ref(state[0])]
-        del spikes, state
-        assert [ref() for ref in arrays] == [None, None]
+        x = Tensor(np.ones((3, 2, 1, 3, 3), dtype=np.float32), requires_grad=True)
+        spikes = ag.plif(x, w)
+        held = [cell.cell_contents for cell in spikes._backward.__closure__]
+        arrays = [weakref.ref(a) for a in [spikes.data, *held] if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 2
+        del spikes, held
+        assert [ref() for ref in arrays] == [None] * len(arrays)
     finally:
         gc.enable()
 
 
-def test_plif_recorded_step_after_an_untaped_one_raises():
-    """A step run under no_grad hands on no pre-reset membrane, so a recorded
-    step with a learned w after it could not rebuild X - V for w's gradient:
-    it says so in the forward, not in the backward."""
-    w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-    x = Tensor(np.ones((2, 3), dtype=np.float32))
-    with ag.no_grad():
-        _, state = ag.plif(x, None, w)
-    with pytest.raises(ValueError, match="without the tape"):
-        ag.plif(x, state, w)
-
-
 def test_plif_hand_simulation():
     """tau=2, v_th=1: V <- V + (X - V)/2, spike and hard-reset on V >= 1."""
-    state = None
-    spikes = []
-    vs = []
-    for x in (1.5, 0.0, 2.0):
-        s, state = ag.plif(Tensor(np.array([x])), state, 0.5)
-        spikes.append(float(s.data[0]))
-        vs.append(float(state[0][0]))
-    assert spikes == [0.0, 0.0, 1.0]
-    assert np.allclose(vs, [0.75, 0.375, 0.0])  # 0.375 + (2 - 0.375)/2 = 1.1875 -> spike, reset
+    x = np.array([[1.5], [0.0], [2.0]])  # three frames of one neuron
+    assert ag.plif(Tensor(x), 0.5).data[:, 0].tolist() == [0, 0, 1]
+    spiked, v, _ = ops._plif_forward(x.__getitem__, 3, 0.5, True)
+    assert np.allclose(v[:, 0], [0.75, 0.375, 1.1875])  # 0.375 + (2 - 0.375)/2 = 1.1875 -> spike, reset
+    assert np.allclose((v * ~spiked)[:, 0], [0.75, 0.375, 0.0])
 
 
 def test_plif_threshold_boundary():
-    s, (v, _, _) = ag.plif(Tensor(np.array([2.0])), None, 0.5)  # v hits exactly 1.0
-    assert float(s.data[0]) == 1.0
-    assert float(v[0]) == 0.0
+    assert ag.plif(Tensor(np.array([[2.0]])), 0.5).data[0, 0] == 1
+    spiked, v, _ = ops._plif_forward(np.array([[2.0]]).__getitem__, 1, 0.5, True)
+    assert v[0, 0] == 1.0 and spiked[0, 0]  # v hits exactly 1.0: a spike, and V' = 0
+    assert (v * ~spiked)[0, 0] == 0.0
 
 
 def test_bptt_two_step_hand_chain():
-    """Autodiff through two PLIF steps matches the hand-derived gradient."""
+    """Autodiff through two PLIF frames matches the hand-derived gradient."""
     a = 0.5
-    x1 = Tensor(np.array([1.6]), requires_grad=True)
-    x2 = Tensor(np.array([2.4]), requires_grad=True)
-    s1, state1 = ag.plif(x1, None, a)
-    s2, _ = ag.plif(x2, state1, a)
-    (s1 + s2).sum().backward()
+    x = Tensor(np.array([[1.6], [2.4]]), requires_grad=True)
+    s = ag.plif(x, a)
+    s.sum().backward()
 
     def sg(u):  # surrogate derivative at membrane excess u
         return ALPHA / (2 * (1 + (np.pi * ALPHA * u / 2) ** 2))
@@ -576,9 +590,8 @@ def test_bptt_two_step_hand_chain():
     # dv1'/dv1 = (1 - s1) - v1 * g1 (reset gate feeds back through s1)
     dx1 = g1 * a + g2 * (1 - a) * ((1 - 0.0) - v1 * g1) * a
     dx2 = g2 * a
-    assert float(s1.data[0]) == 0.0 and float(s2.data[0]) == 1.0
-    assert np.allclose(x1.grad, [dx1], rtol=1e-12)
-    assert np.allclose(x2.grad, [dx2], rtol=1e-12)
+    assert s.data[:, 0].tolist() == [0, 1]
+    assert np.allclose(x.grad[:, 0], [dx1, dx2], rtol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -714,31 +727,20 @@ def test_state_carried_within_forward():
     x = np.zeros((1, 1, 3, 1, 1), dtype=np.float32)
     x[0, 0, 0] = 1.9  # v1 = 0.95, no spike
     x[0, 0, 2] = 1.6  # v2 = 0.475 carried -> v3 = 1.0375 spikes; from rest v3 = 0.8
-    spikes = [float(s.data.sum()) for s in net.forward(x)["plif"]]
-    assert spikes == [0.0, 0.0, 1.0]
-    alone = net.forward(x[:, :, 2:])["plif"]
-    assert float(alone[0].data.sum()) == 0.0
-
-
-def _composed_plif_call(layer, x, membranes):
-    """``PLIFLayer.__call__`` as the generic ops composed it before the fused
-    op: a sigmoid and 7 ops per step, 5 on the first (no membrane to leak)."""
-    inv_tau = ag.sigmoid(layer.w)
-    state = membranes.get(layer.name)
-    v = x * inv_tau if state is None else state + (x - state) * inv_tau
-    spikes = _heaviside_surrogate(v - 1.0)
-    membranes[layer.name] = v * (1.0 - spikes)
-    return spikes
+    spikes = net.forward(x)["plif"].data  # (T, C, N, H, W)
+    assert spikes.reshape(-1).tolist() == [0, 0, 1]
+    alone = net.forward(x[:, :, 2:])["plif"].data
+    assert alone.reshape(-1).tolist() == [0]
 
 
 def _unblocked(call):
     """A ``PLIFLayer.__call__`` that runs a block's conv (with its bn) as
     its own call, ``conv(x, 1, bn)``, as ``stepwise_forward`` does, then
-    ``call(layer, x, membranes)``: the composition ``ag.conv_plif``
-    replaces, with the neuron ``call`` runs."""
+    ``call(layer, x)``: the composition ``ag.conv_plif`` replaces, with the
+    neuron ``call`` runs."""
 
-    def run(layer, x, membranes, conv=None, bn=None):
-        return call(layer, x if conv is None else conv(x, 1, bn), membranes)
+    def run(layer, x, conv=None, bn=None):
+        return call(layer, x if conv is None else conv(x, 1, bn))
 
     return run
 
@@ -757,31 +759,40 @@ def _detector_case():
 
 
 def test_toy_detector_forward_tape_ops(monkeypatch):
-    """A training forward of the toy detector records P * T block ops for P
-    bn -> conv -> PLIF blocks over T steps: P T fewer than with the bn ->
-    conv pair and the PLIF step as two ops ("pair"). With the conv on its
-    own, the fused PLIF op records 10 per step fewer than the oracle neuron,
-    and (7 T - 2) P fewer than the composition it replaced."""
+    """A training forward of the toy detector records one block op for each
+    of its P bn -> conv -> PLIF blocks: P fewer entries than with the bn ->
+    conv pair and PLIF as two ops ("pair")."""
     net, batch, _ = _detector_case()
-    steps, layers = batch.shape[2], sum(node["type"] == "plif" for node in net.spec.nodes)
+    layers = sum(node["type"] == "plif" for node in net.spec.nodes)
     counts = {}
-    for name, call in (("block", PLIFLayer.__call__), ("pair", _unblocked(PLIFLayer.__call__)),
-                       ("oracle", _unblocked(_oracle_plif_call)), ("composed", _unblocked(_composed_plif_call))):
+    for name, call in (("block", PLIFLayer.__call__), ("pair", _unblocked(PLIFLayer.__call__))):
         monkeypatch.setattr(PLIFLayer, "__call__", call)
         with count_tape_ops() as counter:
             net.forward(batch)
         counts[name] = counter.ops
     assert layers == len(net.conv_of) == 3
-    assert counts["pair"] - counts["block"] == layers * steps
-    assert counts["oracle"] - counts["pair"] == 10 * layers * steps
-    assert counts["composed"] - counts["pair"] == (7 * steps - 2) * layers
+    assert counts["pair"] - counts["block"] == layers
+
+
+def test_toy_detector_tape_entries_do_not_grow_with_timesteps():
+    """A toy-detector training forward records the same tape entries at T = 2
+    as at T = 5: one per block (3), one time sum per head tap (2), and per
+    head conv (4) its bias scaled by T and the conv, 13 in all."""
+    net = Network(build_toy_detector_spec(in_channels=4)[0], rng=np.random.default_rng(0))
+    rng, counts = np.random.default_rng(1), []
+    for steps in (2, 5):
+        batch = (rng.random((2, 4, steps, 32, 32)) < 0.3).astype(np.float32)
+        with count_tape_ops() as counter:
+            net.forward(batch)
+        counts.append(counter.ops)
+    assert counts == [13, 13]
 
 
 def test_squeezenet_runs_each_bn_in_its_conv(monkeypatch):
     """Each of SqueezeNet-1.1's 26 batch norms runs inside the conv that
     reads it: with each conv as a call of its own (``_unblocked``), a
-    training forward records 26 T fewer tape entries than with the batch
-    norm and the conv as two ops, and gives the same scores."""
+    training forward records 26 fewer tape entries than with the batch norm
+    and the conv as two ops, and gives the same scores."""
     net = Network(named_spec("squeezenet1.1", in_channels=4), rng=np.random.default_rng(0))
     batch = (np.random.default_rng(5).random((2, 4, 3, 32, 32)) < 0.1).astype(np.float32)
     pair_call = ConvLayer.__call__
@@ -797,19 +808,18 @@ def test_squeezenet_runs_each_bn_in_its_conv(monkeypatch):
         with count_tape_ops() as counter:
             scores[name] = net.forward(batch)["scores"].data
         counts[name] = counter.ops
-    assert counts["two ops"] - counts["pair"] == 26 * batch.shape[2]
+    assert counts["two ops"] - counts["pair"] == 26
     assert np.array_equal(scores["pair"], scores["two ops"])
 
 
 def test_squeezenet_runs_each_block_as_one_op(monkeypatch):
     """Each of SqueezeNet-1.1's 26 convs runs with its batch norm and the
     PLIF that reads it as one op, ``ag.conv_plif``, that records one tape
-    entry per timestep: a training forward records 26 T fewer entries than
-    with the bn -> conv pair and the PLIF step as two ops, and gives the
-    same scores."""
+    entry for all timesteps: a training forward records 26 fewer entries
+    than with the bn -> conv pair and PLIF as two ops, and gives the same
+    scores."""
     net = Network(named_spec("squeezenet1.1", in_channels=4), rng=np.random.default_rng(0))
     batch = (np.random.default_rng(5).random((2, 4, 3, 32, 32)) < 0.1).astype(np.float32)
-    steps = batch.shape[2]
     convs = [node["name"] for node in net.spec.nodes if node["type"] == "conv"]
     assert len(convs) == 26 and sorted(net.conv_of.values()) == sorted(convs)
     entries, conv_plif = [], ag.conv_plif
@@ -827,8 +837,8 @@ def test_squeezenet_runs_each_block_as_one_op(monkeypatch):
         with count_tape_ops() as counter:
             scores[name] = net.forward(batch)["scores"].data
         counts[name] = counter.ops
-    assert entries == [1] * 26 * steps
-    assert counts["two ops"] - counts["block"] == 26 * steps
+    assert entries == [1] * 26
+    assert counts["two ops"] - counts["block"] == 26
     assert np.array_equal(scores["block"], scores["two ops"])
 
 
@@ -911,6 +921,19 @@ def test_squeezenet_tape_bytes_per_plif_element():
     assert sum(tape.held.values()) <= 6.25 * tape.elements[block], sum(tape.held.values()) / tape.elements[block]
 
 
+def test_head_convs_keep_only_their_output_on_the_tape():
+    """A run-once head conv keeps nothing on the tape but its output: its
+    backward rebuilds the phase buffer from the time-summed spikes, a
+    parent. The toy detector's four head convs are its only frame-by-frame
+    ops: their entries hold 4 bytes per float32 output element."""
+    net, batch, loss_of = _detector_case()
+    tape = tape_bytes(loss_of(net.forward(batch)))
+    heads = "_framewise.<locals>.op_backward"
+    shapes = net.trace_shapes(32, 32)
+    assert tape.elements[heads] == sum(batch.shape[0] * np.prod(shapes[o]) for o in net.spec.outputs)
+    assert tape.held[heads] == 4 * tape.elements[heads]
+
+
 def test_squeezenet_spikes_are_one_byte_gradients_float():
     """In a SqueezeNet-1.1 training forward and backward every PLIF, max
     pooling and concat output is a one-byte ``uint8`` array, and every
@@ -989,33 +1012,33 @@ def test_spike_record_rates():
 
 
 def test_trace_shapes_match_execution():
-    """Every node's output is a C-contiguous (C, N, H, W) map whose (C, H, W)
-    is what ``trace_shapes`` predicts; a non-contiguous map would make the
-    ops' row reshapes copy. Spatial sums give (N, C) scores."""
+    """Every node's output is C-contiguous T frames, (T, C, N, H, W), whose
+    (C, H, W) is what ``trace_shapes`` predicts; a non-contiguous map would
+    make the ops' row reshapes copy. Spatial sums give (N, C) scores."""
     specs = (build_vgg(11, in_channels=4), build_squeezenet("1.1", in_channels=4), build_toy_classifier(in_channels=4),
              build_mobilenet(16, in_channels=4), build_toy_detector_spec(in_channels=4)[0])
     for spec in specs:
         net = Network(spec, rng=np.random.default_rng(0))
         shapes = net.trace_shapes(64, 64)
-        n = 3  # unlike every channel count, so a swapped axis shows
-        batch = (np.random.default_rng(1).random((n, 4, 1, 64, 64)) < 0.3).astype(np.float32)
+        n, steps = 3, 2  # unlike every channel count, so a swapped axis shows
+        batch = (np.random.default_rng(1).random((n, 4, steps, 64, 64)) < 0.3).astype(np.float32)
         with ag.no_grad():
-            values = {"input": Tensor(cnhw(batch[:, :, 0]))}
-            membranes = {}
+            values = {"input": Tensor(np.ascontiguousarray(batch.transpose(2, 1, 0, 3, 4)))}
             for node in spec.nodes:
-                layer = net.layers[node["name"]]
-                extra = (membranes,) if node["type"] == "plif" else ()
-                out = values[node["name"]] = layer(*[values[i] for i in node["inputs"]], *extra)
-                if node["type"] == "spatial_sum":
-                    assert out.data.shape == (n, shapes[node["name"]][0])
+                layer, inputs = net.layers[node["name"]], [values[i] for i in node["inputs"]]
+                if node["type"] == "spatial_sum":  # runs once, on the time-summed frame
+                    assert layer(ag.time_sum(*inputs)).data.shape == (n, shapes[node["name"]][0])
                     continue
-                c, batch_n, h, w = out.data.shape
-                assert batch_n == n and (c, h, w) == shapes[node["name"]], f"{spec.name}/{node['name']}"
+                out = values[node["name"]] = layer(*inputs)
+                t, c, batch_n, h, w = out.data.shape
+                assert (t, batch_n) == (steps, n) and (c, h, w) == shapes[node["name"]], f"{spec.name}/{node['name']}"
                 assert out.data.flags.c_contiguous, f"{spec.name}/{node['name']}"
 
 
 def test_trace_shapes_raises_where_forward_does():
-    """A 4x4 pool over a 2x2 map fails in shape tracing as in execution."""
+    """A 4x4 pool over a 2x2 map, and a concat of an 8x8 map with its 4x4
+    pooling, fail in shape tracing as in execution; shape tracing names the
+    node."""
     spec = NetworkSpec(input_channels=1)
     spec.add("pool", "maxpool", ["input"], kernel=4)
     spec.outputs.append("pool")
@@ -1025,6 +1048,15 @@ def test_trace_shapes_raises_where_forward_does():
     with pytest.raises(ValueError, match="does not fit"):
         net.trace_shapes(2, 2)
     assert net.trace_shapes(4, 4)["pool"] == (1, 1, 1)
+    spec = NetworkSpec(input_channels=1)
+    spec.add("pool", "maxpool", ["input"], kernel=2)
+    spec.add("cat", "concat", ["input", "pool"])
+    spec.outputs.append("cat")
+    net = Network(spec)
+    with pytest.raises(ValueError):
+        net.forward(np.zeros((1, 1, 1, 8, 8), dtype=np.float32))
+    with pytest.raises(ValueError, match=r"^cat: concat inputs differ in height or width: \(1, 8, 8\), \(1, 4, 4\)$"):
+        net.trace_shapes(8, 8)
 
 
 def test_maxpool_layer_padding_grad():
