@@ -356,6 +356,11 @@ def _bn_backward(x, gamma, beta, mean, invstd, g, dx, xhat=None):
         np.multiply(xhat, gamma.data.reshape(c, 1) * invstd, out=dx.reshape(c, -1))
 
 
+def _bn_dx_dtype(gamma):
+    """A batch norm's input-gradient dtype for ``_framewise``: x's if float, else xhat's (gamma's)."""
+    return lambda x_dtype, _: x_dtype if x_dtype.kind == "f" else gamma.data.dtype
+
+
 def batchnorm2d(x, gamma, beta, running_mean, running_var):
     """Per-channel batch normalization of each (C, N, H, W) frame over each
     channel's row; x is one frame or T frames, (T, C, N, H, W).
@@ -371,8 +376,7 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var):
         return y.reshape(x_t.shape), (mean, invstd)
 
     return _framewise(x, (x, gamma, beta), forward,
-                      lambda x_t, stats, g, dx: _bn_backward(x_t, gamma, beta, *stats, g, dx),
-                      lambda x_dtype, _: x_dtype if x_dtype.kind == "f" else gamma.data.dtype)  # xhat's
+                      lambda x_t, stats, g, dx: _bn_backward(x_t, gamma, beta, *stats, g, dx), _bn_dx_dtype(gamma))
 
 
 def _bn_fold(gamma, beta, running_mean, running_var, w, b, groups):
@@ -437,7 +441,7 @@ def _conv_frames(grid, w, b, groups, bn=None):
         gamma, beta = bn[:2]
         return (lambda x_t: _bn_conv_forward(grid, x_t, bn, w, b, groups),
                 lambda x_t, stats, g, dx: _bn_conv_backward(grid, x_t, gamma, beta, stats, w, b, groups, g, dx),
-                lambda x_dtype, _: x_dtype if x_dtype.kind == "f" else gamma.data.dtype)  # xhat's
+                _bn_dx_dtype(gamma))
     b_data = None if b is None else b.data
     return (lambda x_t: (_conv_forward(grid, _split_input(grid, x_t, w.data), w.data, b_data, groups), None),
             lambda x_t, _, g, dx: _conv_backward(grid, _split_input(grid, x_t, w.data), g, w, b, groups, dx),
@@ -499,9 +503,8 @@ def maxpool2d(x, kernel, stride=None, padding=0):
         dest += np.arange(grid.wo, dtype=dtype) * dtype.type(s)
         # one scatter in row-major output order: overlapping windows add
         # into a cell in the order of the outputs that chose it
-        d = np.zeros((c, n, hp, wp), dtype=g.dtype) if p else dx
-        if not p:
-            d[...] = 0
+        d = np.empty((c, n, hp, wp), dtype=g.dtype) if p else dx
+        d[...] = 0
         np.add.at(d.reshape(-1), dest.reshape(-1), g.reshape(-1))
         if p:
             dx[...] = d[:, :, p : p + h, p : p + w]
@@ -586,9 +589,9 @@ def _plif_frame_backward(g, g_m, v, v_prev, a, w):
 
 def _plif_op(x, plif_w, inputs, forward, frame_backward, dx_dtype):
     """``plif`` on the frames forward(x_t) makes, as one op whose backward
-    hands each frame's dX = a dv on to frame_backward (forward,
-    frame_backward and dx_dtype as ``_framewise`` takes them; ``inputs`` are
-    the tensors forward reads)."""
+    hands each frame's dX = a dv on to frame_backward, or with none writes it
+    as x's (forward, frame_backward and dx_dtype as ``_framewise`` takes
+    them; ``inputs`` are the tensors forward reads)."""
     parents = inputs + ((plif_w,) if isinstance(plif_w, Tensor) else ())
     saved = []
 
@@ -607,9 +610,9 @@ def _plif_op(x, plif_w, inputs, forward, frame_backward, dx_dtype):
         def frame(t, dx):
             nonlocal g_m
             dv = _plif_frame_backward(g[t], g_m, v[t], v[t - 1] if t else None, a, plif_w)
-            d = dv * a
+            d = np.multiply(dv, a, out=None if frame_backward else dx)
             g_m = np.subtract(dv, d, out=dv) if t else None  # dL/dV for the frame before
-            if needs_input:
+            if frame_backward and needs_input:
                 frame_backward(x.data[t], saved[t], d, dx)
 
         _input_grad(x, x.data.shape, dx_dtype(x.data.dtype, np.result_type(v, a)), frame)
@@ -638,8 +641,7 @@ def plif(x, w):
     The tape keeps the spikes and every frame's v; V comes from the previous
     frame's v. No backward reads X.
     """
-    return _plif_op(x, w, (x,), lambda x_t: (x_t, None), lambda _, __, d, dx: np.copyto(dx, d),
-                    lambda _, g_dtype: g_dtype)
+    return _plif_op(x, w, (x,), lambda x_t: (x_t, None), None, lambda _, g_dtype: g_dtype)
 
 
 def conv_plif(x, plif_w, w, b=None, stride=1, padding=0, groups=1, bn=None):

@@ -63,11 +63,9 @@ class ConvLayer:
         self.stride = stride
         self.padding = kernel // 2 if padding is None else padding
         self.groups = groups
+        shape = (out_channels, in_channels // groups, kernel, kernel)
         fan_in = (in_channels // groups) * kernel * kernel
-        if rng is None:
-            w = np.zeros((out_channels, in_channels // groups, kernel, kernel), dtype=np.float32)
-        else:
-            w = ag.kaiming_uniform_init((out_channels, in_channels // groups, kernel, kernel), fan_in, rng)
+        w = np.zeros(shape, dtype=np.float32) if rng is None else ag.kaiming_uniform_init(shape, fan_in, rng)
         self.weight = Tensor(w, requires_grad=True, name=f"{name}.weight")
         self.bias = Tensor(np.zeros(out_channels, dtype=np.float32), requires_grad=True, name=f"{name}.bias") if bias else None
 
@@ -372,11 +370,11 @@ class Network:
         Frames are (C, N, H, W); a spatial sum gives (N, C). Every call
         starts the PLIF membranes from rest. A bn node runs in the call of
         the conv that reads it, a block's conv in the call of its plif. The
-        tape reads ``batch`` itself, so it must not change before backward.
+        tape reads ``batch`` itself, so it must not change before backward;
+        the training loops pass each step a copy.
         """
         if batch.shape[1] != self.spec.input_channels:
             raise ValueError(f"batch has {batch.shape[1]} channels, network expects {self.spec.input_channels}")
-        steps = batch.shape[2]
         # strided views of the batch: an op copies a frame only while it reads it
         values = {"input": Tensor(batch.transpose(2, 1, 0, 3, 4))}
         inputs_of = {node["name"]: node["inputs"] for node in self.spec.nodes}
@@ -391,7 +389,7 @@ class Network:
                     if i not in self.once and (i, "sum") not in values:
                         values[i, "sum"] = ag.time_sum(values[i])
                 inputs = [i if i in self.once else (i, "sum") for i in inputs]
-                extra = [steps] if node["type"] == "conv" else []
+                extra = [batch.shape[2]] if node["type"] == "conv" else []
             elif name in self.bn_of:
                 bn = self.bn_of[name]
                 inputs, extra = inputs_of[bn], [1, self.layers[bn]]

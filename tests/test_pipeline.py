@@ -112,6 +112,30 @@ def test_train_classifier_deterministic():
         assert np.array_equal(p0.data, p1.data), name
 
 
+def test_training_loops_hand_forward_a_batch_they_own(monkeypatch):
+    """``Network.forward``'s tape reads the batch it is given until the
+    backward: ``train_classifier`` and ``train_detector`` pass each step a
+    batch that shares no memory with their encoded data set."""
+    datasets, batches = [], []
+    real_cubes, real_forward = pipeline.batch_cubes, Network.forward
+
+    def cubes(*args):
+        datasets.append(real_cubes(*args))
+        return datasets[-1]
+
+    def forward(net, batch, record=None):
+        batches.append(batch)
+        return real_forward(net, batch, record)
+
+    monkeypatch.setattr(pipeline, "batch_cubes", cubes)
+    monkeypatch.setattr(Network, "forward", forward)
+    train_classifier(_toy_net(), make_moving_bar_dataset(4, seed=0), ENC, TrainConfig(epochs=1, batch_size=4))
+    train_detector(_toy_detector(), make_moving_squares_dataset(4, seed=0), ENC, TrainConfig(epochs=1, batch_size=4))
+    assert len(datasets) == len(batches) == 2
+    for data, batch in zip(datasets, batches):
+        assert batch.shape == data.shape and not np.shares_memory(batch, data)
+
+
 def test_train_classifier_zero_lr_keeps_params():
     samples = make_moving_bar_dataset(8, seed=0)
     net = _toy_net()

@@ -159,6 +159,21 @@ def _logged_plif_backward(monkeypatch):
     return log
 
 
+def _logged_plif_forward(monkeypatch):
+    """A list that gets, for each PLIF op run, the V' of every frame as its
+    forward made it; the op keeps every frame's v to log it, as it does
+    while the tape records."""
+    log, forward = [], ops._plif_forward
+
+    def logged(drive, steps, w, keep):
+        spiked, v, a = forward(drive, steps, w, True)
+        log.append(v * ~spiked)
+        return spiked, v, a
+
+    monkeypatch.setattr(ops, "_plif_forward", logged)
+    return log
+
+
 def _fused_chain(log, spikes):
     """From a ``_logged_plif_backward`` log of one op and its spikes: V' per
     frame, as the forward made it, and the gradients handed back for V' in
@@ -500,11 +515,12 @@ def test_conv_plif_matches_bn_conv_then_plif_bit_for_bit(case, dtype, monkeypatc
 
 
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
-def test_conv_plif_under_no_grad_matches_the_composition(case):
+def test_conv_plif_under_no_grad_matches_the_composition(case, monkeypatch):
     """Under ``no_grad`` the block folds its batch norm into the conv as
-    ``bn_conv`` does: its spikes equal those of ``bn_conv`` then ``plif``
-    and of the unfolded ``batchnorm2d``, ``conv2d``, ``plif``, and the
-    running statistics stay unchanged."""
+    ``bn_conv`` does: spikes and V' equal ``bn_conv`` then ``plif`` bit for
+    bit, the running statistics stay unchanged, and the V' of the unfolded
+    ``batchnorm2d``, ``conv2d``, ``plif`` is within 1e-5 (the fused-eval
+    bound), with the same spikes."""
     (c, n, h, w), (cout, k, s, p), with_bn = _BLOCK_CASES[case]
     rng = np.random.default_rng(32)
     xs = (rng.random((4, c, n, h, w)) < 0.3).astype(np.uint8)
@@ -514,18 +530,24 @@ def test_conv_plif_under_no_grad_matches_the_composition(case):
     stats = [0.3 * rng.random(c).astype(np.float32), 0.1 + rng.random(c).astype(np.float32)]
     bn = (gamma, beta, *stats) if with_bn else None
     before = [a.copy() for a in stats]
+    log = _logged_plif_forward(monkeypatch)
 
     def run(block):
         with ag.no_grad():
-            return block(Tensor(xs, dtype=np.uint8)).data
+            spikes = block(Tensor(xs, dtype=np.uint8)).data
+        return spikes, log.pop()
 
     got = run(lambda x: ag.conv_plif(x, tau_w, wt, None, s, p, 1, bn))
     folded = run(lambda x: ag.plif(ag.conv2d(x, wt, None, s, p) if bn is None else ag.bn_conv(x, *bn, wt, None, s, p),
                                    tau_w))
     unfolded = run(lambda x: ag.plif(ag.conv2d(x if bn is None else ag.batchnorm2d(x, *bn), wt, None, s, p), tau_w))
+    assert not log
     assert all(np.array_equal(a, b) for a, b in zip(stats, before))
-    assert got.sum() > 0
-    assert np.array_equal(got, folded) and np.array_equal(got, unfolded)
+    assert got[0].sum() > 0
+    assert got[1].shape == (len(xs), cout, n, *got[0].shape[-2:])
+    assert np.array_equal(got[0], folded[0]) and np.array_equal(got[1], folded[1])
+    assert np.array_equal(got[0], unfolded[0])
+    assert np.abs(got[1] - unfolded[1]).max() <= 1e-5
 
 
 def test_plif_step_records_one_tape_op():
