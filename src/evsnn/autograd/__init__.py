@@ -1,12 +1,10 @@
 from .tensor import Tensor, no_grad, grad_enabled, add, sub, mul, tensor_sum, reshape, transpose, sigmoid
 from .ops import (
     conv2d,
-    batchnorm2d,
     bn_conv,
     maxpool2d,
     concat,
     time_sum,
-    plif,
     conv_plif,
     softmax_cross_entropy,
     focal_loss,
@@ -27,12 +25,10 @@ __all__ = [
     "transpose",
     "sigmoid",
     "conv2d",
-    "batchnorm2d",
     "bn_conv",
     "maxpool2d",
     "concat",
     "time_sum",
-    "plif",
     "conv_plif",
     "softmax_cross_entropy",
     "focal_loss",

@@ -2,12 +2,12 @@
 
 Activations are channel-major frames, (C, N, H, W). Between spiking layers
 an op reads all T frames at once, T-major (T, C, N, H, W), so that frame t
-is ``x[t]``, and records one tape entry whatever T is. Convolution, batch
-norm, their pair and max pooling also take one frame (the run-once heads)
-and run frame by frame (``_framewise``): each frame has its own batch
-statistics and running-statistics update, in time order, and the backward
-visits the frames in reverse time order, writing each frame's input
-gradient into one stacked array.
+is ``x[t]``, and records one tape entry whatever T is. Convolution, the
+batch norm -> conv pair and max pooling also take one frame (the run-once
+heads) and run frame by frame (``_framewise``): each frame has its own
+batch statistics and running-statistics update, in time order, and the
+backward visits the frames in reverse time order, writing each frame's
+input gradient into one stacked array.
 
 Convolution and max pooling share one window layout (``_PhaseGrid``): a
 frame is padded and split into its s*s stride phases in one pass, each
@@ -19,39 +19,42 @@ only its parents: the backward rebuilds the phase buffer from the input,
 the columns from it for dW, adds the column gradient back tap by tap and
 writes dx in one copy that drops the border. Max pooling is a running
 maximum over the same slices; its backward scatters each output's gradient
-to the cell that held its maximum in one ``np.add.at``. Batch norm reduces
-each channel's contiguous row; its tape keeps the channel mean and 1/std,
-and the backward rebuilds xhat from the input. The tape sets its mode:
-batch statistics and a running-statistics update while it records, the
-running statistics, unchanged, under ``no_grad``. ``bn_conv`` is a batch
-norm and the conv that reads it as one op, bit for bit
-``conv2d(batchnorm2d(...))``, whose backward rebuilds xhat once, then the
-phase buffer from it; under ``no_grad`` the batch norm folds into the conv.
+to the cell that held its maximum in one ``np.add.at``.
 
-``plif`` runs the PLIF neuron over all T frames from rest; the membrane and
-its gradient are locals of one forward loop and one reverse-time backward
-loop. The tape keeps the spikes (1 byte each) and every frame's pre-reset
-membrane v; w's gradient reads X only through a (X - V) = v - V.
+Batch norm runs only in front of the conv that reads it. It reduces each
+channel's contiguous row (``_bn_forward``); the tape keeps the channel mean
+and 1/std, and the backward rebuilds xhat from the input (``_bn_backward``).
+The tape sets its mode: batch statistics and a running-statistics update
+while it records, the running statistics, unchanged, under ``no_grad``.
+``bn_conv`` is a batch norm and the conv that reads it as one op, bit for
+bit the batch norm then ``conv2d``, whose backward rebuilds xhat once, then
+the phase buffer from it; under ``no_grad`` the batch norm folds into the
+conv.
+
 ``conv_plif`` is a spiking block, bn -> conv -> PLIF (or conv -> PLIF), as
-one op, bit for bit ``plif(bn_conv(...))``: each frame's conv output is
-dropped once PLIF has read it, and the backward hands each frame's dX to
-the conv's and the batch norm's, which rebuild their inputs from the
-block's input spikes.
+one op: it runs the PLIF neuron over all T frames from rest on the conv's
+output, bit for bit ``bn_conv`` or ``conv2d`` then the neuron. The
+membrane and its gradient are locals of one forward loop and one
+reverse-time backward loop. The tape keeps the spikes (1 byte each) and
+every frame's pre-reset membrane v; w's gradient reads X only through
+a (X - V) = v - V. Each frame's conv output is dropped once PLIF has read
+it, and the backward hands each frame's dX to the conv's and the batch
+norm's, which rebuild their inputs from the block's input spikes.
 
-Conv, batch norm, their pair, PLIF and the block keep on the tape only what
-their backward reads and cannot rebuild, with the forward's own float ops,
-from arrays the tape holds anyway (the store-less trade of Chen et al.,
-2016); the rebuilt values are bit for bit those of the forward.
+Conv, the pair and the block keep on the tape only what their backward
+reads and cannot rebuild, with the forward's own float ops, from arrays the
+tape holds anyway (the store-less trade of Chen et al., 2016); the rebuilt
+values are bit for bit those of the forward.
 
-Spikes are one byte: ``plif`` returns the ``uint8`` view of its boolean
-comparison, and max pooling and concat pass one-byte inputs on as one-byte
-outputs. Batch norm sums a one-byte row into the parameters' float dtype,
-an exact count divided by m while m < 2**24 (the mean of the float32 copy
-bit for bit); conv2d splits it into a float phase buffer; ``time_sum`` adds
-spikes over time into float32. Gradients are float: a one-byte tensor takes
-the dtype of the first gradient it receives. Gradients an op builds fresh
-are handed over with ``Tensor.accumulate_fresh_grad``, which stores a first
-gradient uncopied.
+Spikes are one byte: ``conv_plif`` returns the ``uint8`` view of its
+boolean comparison, and max pooling and concat pass one-byte inputs on as
+one-byte outputs. Batch norm sums a one-byte row into the parameters'
+float dtype, an exact count divided by m while m < 2**24 (the mean of the
+float32 copy bit for bit); conv2d splits it into a float phase buffer;
+``time_sum`` adds spikes over time into float32. Gradients are float: a
+one-byte tensor takes the dtype of the first gradient it receives.
+Gradients an op builds fresh are handed over with
+``Tensor.accumulate_fresh_grad``, which stores a first gradient uncopied.
 """
 
 from __future__ import annotations
@@ -296,7 +299,8 @@ def _bn_forward(x, gamma, beta, running_mean, running_var):
     m = xm.shape[1]
     if grad_enabled():
         if m < 2:
-            raise ValueError("batchnorm2d needs more than one value per channel while the tape records")
+            raise ValueError(f"batch norm needs more than one value per channel while the tape records; "
+                             f"it has N*H*W = {m}")
         dtype = xm.dtype if xm.dtype.kind == "f" else gamma.data.dtype
         mean = xm.mean(axis=1, keepdims=True, dtype=dtype)
         xhat = xm - mean  # centred, scaled to xhat below
@@ -361,24 +365,6 @@ def _bn_dx_dtype(gamma):
     return lambda x_dtype, _: x_dtype if x_dtype.kind == "f" else gamma.data.dtype
 
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var):
-    """Per-channel batch normalization of each (C, N, H, W) frame over each
-    channel's row; x is one frame or T frames, (T, C, N, H, W).
-
-    ``running_mean``/``running_var`` are plain numpy arrays, updated in
-    place frame after frame while the tape records; under ``no_grad`` they
-    normalize instead (see ``_bn_forward``). The tape keeps each frame's
-    channel mean and 1/std: the backward rebuilds xhat from the input.
-    """
-
-    def forward(x_t):
-        y, mean, invstd = _bn_forward(x_t, gamma, beta, running_mean, running_var)
-        return y.reshape(x_t.shape), (mean, invstd)
-
-    return _framewise(x, (x, gamma, beta), forward,
-                      lambda x_t, stats, g, dx: _bn_backward(x_t, gamma, beta, *stats, g, dx), _bn_dx_dtype(gamma))
-
-
 def _bn_fold(gamma, beta, running_mean, running_var, w, b, groups):
     """Arrays W', b', p of the conv on x that equals conv(bn(x)) on the
     running statistics (Jacob et al., CVPR 2018): with s = gamma /
@@ -399,11 +385,11 @@ def _bn_fold(gamma, beta, running_mean, running_var, w, b, groups):
 
 
 def _bn_conv_forward(grid, x, bn, w, b, groups):
-    """The output of ``conv2d(batchnorm2d(x, *bn), w, b, ...)`` on the frame
-    x (an array) as ``bn_conv`` computes it (bn = gamma, beta, running_mean,
-    running_var), and what its backward reads: the channel mean and 1/std
-    while the tape records, None under ``no_grad``, where the batch norm
-    folds into the conv."""
+    """The output of the batch norm (``_bn_forward``) then the conv on the
+    frame x (an array) as ``bn_conv`` computes it (bn = gamma, beta,
+    running_mean, running_var), and what its backward reads: the channel
+    mean and 1/std while the tape records, None under ``no_grad``, where the
+    batch norm folds into the conv."""
     gamma, beta, running_mean, running_var = bn
     b_data = None if b is None else b.data
     if not grad_enabled():
@@ -436,21 +422,27 @@ def _bn_conv_backward(grid, x, gamma, beta, stats, w, b, groups, g, dx):
 
 def _conv_frames(grid, w, b, groups, bn=None):
     """A conv's frame forward, frame backward and input-gradient dtype for
-    ``_framewise``; with bn = (gamma, beta, running stats), ``bn_conv``'s."""
+    ``_framewise``; with bn = (gamma, beta, running stats), ``bn_conv``'s.
+    Each frame backward is named after its op."""
     if bn is not None:
         gamma, beta = bn[:2]
-        return (lambda x_t: _bn_conv_forward(grid, x_t, bn, w, b, groups),
-                lambda x_t, stats, g, dx: _bn_conv_backward(grid, x_t, gamma, beta, stats, w, b, groups, g, dx),
-                _bn_dx_dtype(gamma))
+
+        def bn_conv_backward(x_t, stats, g, dx):
+            _bn_conv_backward(grid, x_t, gamma, beta, stats, w, b, groups, g, dx)
+
+        return lambda x_t: _bn_conv_forward(grid, x_t, bn, w, b, groups), bn_conv_backward, _bn_dx_dtype(gamma)
     b_data = None if b is None else b.data
+
+    def conv2d_backward(x_t, _, g, dx):
+        _conv_backward(grid, _split_input(grid, x_t, w.data), g, w, b, groups, dx)
+
     return (lambda x_t: (_conv_forward(grid, _split_input(grid, x_t, w.data), w.data, b_data, groups), None),
-            lambda x_t, _, g, dx: _conv_backward(grid, _split_input(grid, x_t, w.data), g, w, b, groups, dx),
-            lambda _, g_dtype: np.result_type(w.data.dtype, g_dtype))
+            conv2d_backward, lambda _, g_dtype: np.result_type(w.data.dtype, g_dtype))
 
 
 def bn_conv(x, gamma, beta, running_mean, running_var, w, b=None, stride=1, padding=0, groups=1):
-    """``conv2d(batchnorm2d(x, ...), w, b, ...)`` as one op, in the mode the
-    tape sets; x is one frame or T frames, as in ``conv2d``.
+    """A batch norm of x and ``conv2d`` of its output with w, b as one op, in
+    the mode the tape sets; x is one frame or T frames, as in ``conv2d``.
 
     Under ``no_grad`` the batch norm folds into the conv (``_bn_fold``,
     O(Cout*Cin/g*k*k) per frame): one conv on x, equal to the composition to
@@ -544,8 +536,8 @@ def time_sum(x):
 
 def _plif_forward(drive, steps, w, keep):
     """PLIF over ``steps`` frames from rest, drive(t) being frame t's X (see
-    ``plif``): the (T, ...) boolean spikes, v (every frame's when ``keep``,
-    else one frame's, reused) and a."""
+    ``conv_plif``): the (T, ...) boolean spikes, v (every frame's when
+    ``keep``, else one frame's, reused) and a."""
     x = drive(0)
     a = _sigmoid(w.data) if isinstance(w, Tensor) else x.dtype.type(w)
     spiked = np.empty((steps, *x.shape), dtype=bool)
@@ -563,9 +555,10 @@ def _plif_forward(drive, steps, w, keep):
 
 
 def _plif_frame_backward(g, g_m, v, v_prev, a, w):
-    """dv of one frame (see ``plif``) from its spikes' gradient g and g_m,
-    the next frame's gradient for V' (None for the last); hands a learned w
-    its share, with V = v_prev [v_prev < 1] (0 when v_prev is None)."""
+    """dv of one frame (see ``conv_plif``) from its spikes' gradient g and
+    g_m, the next frame's gradient for V' (None for the last); hands a
+    learned w its share, with V = v_prev [v_prev < 1] (0 when v_prev is
+    None)."""
     dv = v - 1.0
     dv *= 0.5 * np.pi * PLIF_SURROGATE_ALPHA
     np.multiply(dv, dv, out=dv)
@@ -588,10 +581,10 @@ def _plif_frame_backward(g, g_m, v, v_prev, a, w):
 
 
 def _plif_op(x, plif_w, inputs, forward, frame_backward, dx_dtype):
-    """``plif`` on the frames forward(x_t) makes, as one op whose backward
-    hands each frame's dX = a dv on to frame_backward, or with none writes it
-    as x's (forward, frame_backward and dx_dtype as ``_framewise`` takes
-    them; ``inputs`` are the tensors forward reads)."""
+    """The PLIF neuron (see ``conv_plif``) on the frames forward(x_t) makes,
+    as one op whose backward hands each frame's dX = a dv on to
+    frame_backward (forward, frame_backward and dx_dtype as ``_framewise``
+    takes them; ``inputs`` are the tensors forward reads)."""
     parents = inputs + ((plif_w,) if isinstance(plif_w, Tensor) else ())
     saved = []
 
@@ -610,9 +603,9 @@ def _plif_op(x, plif_w, inputs, forward, frame_backward, dx_dtype):
         def frame(t, dx):
             nonlocal g_m
             dv = _plif_frame_backward(g[t], g_m, v[t], v[t - 1] if t else None, a, plif_w)
-            d = np.multiply(dv, a, out=None if frame_backward else dx)
+            d = dv * a
             g_m = np.subtract(dv, d, out=dv) if t else None  # dL/dV for the frame before
-            if frame_backward and needs_input:
+            if needs_input:
                 frame_backward(x.data[t], saved[t], d, dx)
 
         _input_grad(x, x.data.shape, dx_dtype(x.data.dtype, np.result_type(v, a)), frame)
@@ -620,15 +613,18 @@ def _plif_op(x, plif_w, inputs, forward, frame_backward, dx_dtype):
     return Tensor.from_op(spiked.view(np.uint8), parents, backward)
 
 
-def plif(x, w):
-    """The PLIF neuron over all T frames of x, (T, ...), from rest, as one
-    tape entry.
+def conv_plif(x, plif_w, w, b=None, stride=1, padding=0, groups=1, bn=None):
+    """A spiking block over all T frames of x, (T, Cin, N, H, W), as one op:
+    ``conv2d(x, w, b, ...)``, or with ``bn`` = (gamma, beta, running_mean,
+    running_var) ``bn_conv(x, *bn, w, b, ...)``, then the PLIF neuron over
+    the conv's T output frames from rest, in the mode the tape sets.
 
-    Frame by frame: v = V + (X - V) a with a = 1/tau (v = X a from rest),
-    spikes s = [v >= 1], reset membrane V' = v (1 - s), the next frame's V.
-    ``w`` sets a: a Tensor is the learned w with a = sigmoid(w), a float is a
-    itself. Returns the (T, ...) spikes, the ``uint8`` view of the boolean s,
-    one byte each; their gradient is float.
+    The neuron, frame by frame: v = V + (X - V) a with a = 1/tau (v = X a
+    from rest), X the conv's output, spikes s = [v >= 1], reset membrane
+    V' = v (1 - s), the next frame's V. ``plif_w`` sets a: a Tensor is the
+    learned w with a = sigmoid(w), a float is a itself. Returns the
+    (T, Cout, N, Ho, Wo) spikes, the ``uint8`` view of the boolean s, one
+    byte each; their gradient is float.
 
     Backward is BPTT, in reverse time, with the ATan surrogate sg(u) = alpha
     / (2 (1 + (pi alpha u / 2)^2)), alpha = ``PLIF_SURROGATE_ALPHA``, for the
@@ -636,19 +632,8 @@ def plif(x, w):
     the next frame hands back for V' (the reset term is not detached):
         dv = sg(v - 1) (g_s - v g_m) + (1 - s) g_m
         dX = a dv,  dL/dV = dv - dX,  dw = (1 - a) sum(dv (v - V))
-    where dw is a (1 - a) sum(dv (X - V)) with a (X - V) = v - V.
-
-    The tape keeps the spikes and every frame's v; V comes from the previous
-    frame's v. No backward reads X.
-    """
-    return _plif_op(x, w, (x,), lambda x_t: (x_t, None), None, lambda _, g_dtype: g_dtype)
-
-
-def conv_plif(x, plif_w, w, b=None, stride=1, padding=0, groups=1, bn=None):
-    """A spiking block over all T frames of x, (T, Cin, N, H, W), as one op:
-    ``plif(conv2d(x, w, b, ...), plif_w)``, or with ``bn`` = (gamma, beta,
-    running_mean, running_var) ``plif(bn_conv(x, *bn, w, b, ...), plif_w)``,
-    in the mode the tape sets; returns the spikes as ``plif`` does.
+    where dw is a (1 - a) sum(dv (X - V)) with a (X - V) = v - V; V comes
+    from the previous frame's v, so the neuron's backward never reads X.
 
     Frame by frame, the batch norm and conv run as in ``bn_conv`` (folded
     under ``no_grad``), then PLIF reads the frame's conv output, which is

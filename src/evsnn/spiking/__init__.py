@@ -2,7 +2,6 @@ from .layers import (
     NetworkSpec,
     Network,
     SpikeRecord,
-    audit_spike_purity,
     ConvLayer,
     BatchNormLayer,
     PLIFLayer,
@@ -20,7 +19,6 @@ __all__ = [
     "NetworkSpec",
     "Network",
     "SpikeRecord",
-    "audit_spike_purity",
     "ConvLayer",
     "BatchNormLayer",
     "PLIFLayer",

@@ -6,9 +6,9 @@ parameter tensors. ``Network.forward`` visits each node once: values pass
 between nodes as T-major (T, C, N, H, W) tensors, all T frames at once, so
 frame t is the contiguous channel-major (C, N, H, W) array each conv turns
 into one GEMM over the whole batch (see ``autograd.ops``). Layers keep no
-per-step state: a PLIF layer's call runs the neuron over all T frames from
-rest, one fused op (``autograd.ops.plif``) whose membrane is a local of its
-time loop.
+per-step state: a PLIF layer's call runs its block over all T frames from
+rest, one fused op (``autograd.ops.conv_plif``) whose membrane is a local
+of its time loop.
 
 Spikes are one byte: PLIF outputs ``uint8`` arrays, max pooling and concat
 pass them on as ``uint8``, batch norm and conv read them into float, and
@@ -19,26 +19,32 @@ spatial sum) commute with the sum over time, so they run once per sample
 on the time-summed input: sum_t(W*x_t + b) = W*(sum_t x_t) + T*b. The
 time sum (``ag.time_sum``) adds into float32, where spike counts are exact.
 
-Batch norm keeps no training flag, neither here nor in its ops:
-``ag.batchnorm2d`` and ``ag.bn_conv`` read the mode from the autograd tape.
-While the tape records they normalize each frame with its batch statistics
-and update the running statistics frame after frame; under ``ag.no_grad()``
-they use the running statistics and leave them unchanged. Each bn is the
-only input of exactly one conv, which ``Network`` checks at build time:
-``forward`` skips the bn node and calls the conv's layer with the bn's
-input and the bn layer. The pair is one op, ``ag.bn_conv``: one tape entry,
-or under ``ag.no_grad()`` the bn folded into the conv.
+``Network`` checks the graph rules once, when it is built (``_schedule``),
+and refuses a spec that breaks one with a ValueError naming the node:
+- each bn is the only input of exactly one conv that runs every timestep,
+  and not an output;
+- a bn reads spikes, and a conv reads spikes, its own bn, or the depthwise
+  conv its ``pointwise_of`` names (MobileNet's pointwise conv); spikes are
+  the input, a plif's output, and max pooling or concat of spikes. At
+  inference every conv on spikes only accumulates;
+- every plif is a block: the only reader of a conv that runs every
+  timestep and is not an output.
 
-A spiking block is a conv that runs every timestep, is not an output and is
-read by one plif alone, with the conv's bn if it has one: bn -> conv ->
-plif, or conv -> plif (MobileNet's pointwise conv, which reads its
-depthwise conv). ``forward`` skips the block's bn and conv nodes and calls
+A spiking block is bn -> conv -> plif, or conv -> plif (MobileNet's
+pointwise conv). ``forward`` skips the block's bn and conv nodes and calls
 the plif's layer with the block's input, the conv layer and the bn layer;
 the block runs as one op, ``ag.conv_plif``. Per block the training tape
 holds one entry: the spikes (1 byte each), the pre-reset membrane (4 bytes
 each in float32) and the bn's O(C) statistics per frame. The conv's float
 output never reaches it. A bn -> conv pair outside a block (MobileNet's
-depthwise conv, read by its pointwise conv) is ``ag.bn_conv``.
+depthwise conv, read by its pointwise conv) runs in the conv's call as one
+op, ``ag.bn_conv``.
+
+Batch norm keeps no training flag, neither here nor in its ops: ``ag.bn_conv``
+and ``ag.conv_plif`` read the mode from the autograd tape. While the tape
+records they normalize each frame with its batch statistics and update the
+running statistics frame after frame; under ``ag.no_grad()`` they fold the
+running statistics, unchanged, into the conv.
 """
 
 from __future__ import annotations
@@ -91,8 +97,11 @@ class ConvLayer:
 
 
 class BatchNormLayer:
-    """Batch statistics (and a running-statistics update) while the tape
-    records; the running statistics under ``ag.no_grad()``."""
+    """A bn node's parameters and running statistics. It has no call of its
+    own: it runs in the call of the conv that reads it (``ag.bn_conv``) or of
+    that conv's plif (``ag.conv_plif``), with batch statistics (and a
+    running-statistics update) while the tape records and the running
+    statistics under ``ag.no_grad()``."""
 
     def __init__(self, name, channels):
         self.name = name
@@ -101,9 +110,6 @@ class BatchNormLayer:
         self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True, name=f"{name}.beta")
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-
-    def __call__(self, x):
-        return ag.batchnorm2d(x, self.gamma, self.beta, self.running_mean, self.running_var)
 
     def out_shape(self, shape):
         return shape
@@ -121,13 +127,11 @@ class PLIFLayer:
         self.name = name
         self.w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True, name=f"{name}.w")
 
-    def __call__(self, x, conv=None, bn=None):
-        """The spikes of all T frames of x, (T, C, N, H, W), from rest. With
-        ``conv``, the conv layer whose output this layer reads, and its
-        ``bn`` layer if it has one, x is their input and the block runs as
-        one op, ``ag.conv_plif``."""
-        if conv is None:
-            return ag.plif(x, self.w)
+    def __call__(self, x, conv, bn=None):
+        """The spikes of this layer's block over all T frames of x,
+        (T, C, N, H, W), from rest: x is the input of ``conv``, the conv layer
+        whose output this layer reads, or of its ``bn`` layer if it has one.
+        The block runs as one op, ``ag.conv_plif``."""
         norm = None if bn is None else (bn.gamma, bn.beta, bn.running_mean, bn.running_var)
         return ag.conv_plif(x, self.w, conv.weight, conv.bias, conv.stride, conv.padding, conv.groups, norm)
 
@@ -239,12 +243,13 @@ class SpikeRecord:
 
 
 def _schedule(spec: NetworkSpec):
-    """For a spec whose inputs are all defined: the nodes that run once per
+    """Checks the graph rules (see the module docstring) of a spec whose
+    inputs are all defined, in node order, and raises a ValueError naming
+    the first node that breaks one. Returns the nodes that run once per
     sample on the time-summed input (a conv or spatial sum, which commute
     with that sum, whose consumers all do), the bn each conv runs in its
-    call (conv name -> bn name), the conv each plif runs in its call (plif
-    name -> conv name: a spiking block), and a message naming each bn that
-    cannot."""
+    call (conv name -> bn name) and the conv each plif runs in its call
+    (plif name -> conv name: its block)."""
     once, read_per_step = set(), set()
     for node in reversed(spec.nodes):  # consumers before producers
         if node["type"] in ("conv", "spatial_sum") and node["name"] not in read_per_step:
@@ -255,21 +260,33 @@ def _schedule(spec: NetworkSpec):
     for node in spec.nodes:
         for i in node["inputs"]:
             readers.setdefault(i, []).append(node)
-    bn_of, problems = {}, []
-    for node in (n for n in spec.nodes if n["type"] == "bn"):
-        name, read_by = node["name"], readers.get(node["name"], [])
-        if (len(read_by) != 1 or read_by[0]["type"] != "conv" or read_by[0]["inputs"] != [name]
-                or read_by[0]["name"] in once or name in spec.outputs):
-            problems.append(f"{name}: a bn must be the only input of exactly one conv that runs every "
-                            f"timestep, and not an output; it is read by {[n['name'] for n in read_by]}")
-        else:
+    types = {node["name"]: node["type"] for node in spec.nodes}
+    spikes, bn_of, conv_of = {"input"}, {}, {}
+    for node in spec.nodes:
+        name, typ, inputs = node["name"], node["type"], node["inputs"]
+        if typ == "bn":
+            read_by = readers.get(name, [])
+            if (len(read_by) != 1 or read_by[0]["type"] != "conv" or read_by[0]["inputs"] != [name]
+                    or read_by[0]["name"] in once or name in spec.outputs):
+                raise ValueError(f"{name}: a bn must be the only input of exactly one conv that runs every "
+                                 f"timestep, and not an output; it is read by {[n['name'] for n in read_by]}")
             bn_of[read_by[0]["name"]] = name
-    # a conv that runs every timestep, is no output and is read by one plif
-    # alone runs in that plif's call
-    convs = {n["name"] for n in spec.nodes if n["type"] == "conv"} - once - set(spec.outputs)
-    conv_of = {read_by[0]["name"]: name for name, read_by in readers.items()
-               if name in convs and len(read_by) == 1 and read_by[0]["type"] == "plif"}
-    return once, bn_of, conv_of, problems
+        if typ in ("bn", "conv") and not all(i in spikes for i in inputs):
+            dwconv = node.get("pointwise_of") if types.get(node.get("pointwise_of")) == "conv" else None
+            if typ == "bn" or inputs not in ([bn_of.get(name)], [dwconv]):
+                also = "" if typ == "bn" else ", its own bn or the depthwise conv its pointwise_of names"
+                raise ValueError(f"{name}: a {typ} must read spikes{also}; it reads {inputs}")
+        elif typ == "plif":
+            # a conv that a plif reads runs every timestep
+            conv = inputs[0] if len(inputs) == 1 else None
+            if types.get(conv) != "conv" or len(readers[conv]) != 1 or conv in spec.outputs:
+                raise ValueError(f"{name}: a plif must be the only reader of a conv that runs every timestep "
+                                 f"and is not an output; it reads {inputs}")
+            conv_of[name] = conv
+            spikes.add(name)
+        elif typ in ("maxpool", "concat") and all(i in spikes for i in inputs):
+            spikes.add(name)
+    return once, bn_of, conv_of
 
 
 class Network:
@@ -321,9 +338,7 @@ class Network:
             raise ValueError(f"outputs {undefined} are not defined by any node")
         # each bn runs inside the one conv that reads it (ag.bn_conv), and
         # each block's conv inside its plif (ag.conv_plif)
-        self.once, self.bn_of, self.conv_of, problems = _schedule(spec)
-        if problems:
-            raise ValueError(problems[0])
+        self.once, self.bn_of, self.conv_of = _schedule(spec)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -410,33 +425,3 @@ class Network:
             layer = self.layers[node["name"]]
             shapes[node["name"]] = layer.out_shape(*[shapes[i] for i in node["inputs"]])
         return shapes
-
-
-def audit_spike_purity(spec: NetworkSpec, allow_dwsep=False):
-    """Check that convolutions only ever see binary spike tensors or the
-    immediately preceding BN output, and that each bn pairs with its conv
-    (``Network`` raises the same message). Returns a list of violations;
-    raises ValueError naming the node that reads an undefined input."""
-    kind = {"input": "binary"}
-    violations = []
-    for node in spec.nodes:
-        name, typ = node["name"], node["type"]
-        undefined = [i for i in node["inputs"] if i not in kind]
-        if undefined:
-            raise ValueError(f"{name}: inputs {undefined} are not defined by an earlier node")
-        in_kinds = [kind[i] for i in node["inputs"]]
-        if typ == "plif":
-            kind[name] = "binary"
-        elif typ == "bn":
-            if in_kinds[0] != "binary":
-                violations.append(f"{name}: bn input is {in_kinds[0]}, not spikes")
-            kind[name] = "bn"
-        elif typ == "conv":
-            if in_kinds[0] not in ("binary", "bn") and not (allow_dwsep and node.get("pointwise_of")):
-                violations.append(f"{name}: conv input is {in_kinds[0]}, not spikes or a preceding bn")
-            kind[name] = "conv"
-        elif typ in ("maxpool", "concat") and all(k == "binary" for k in in_kinds):
-            kind[name] = "binary"
-        else:
-            kind[name] = "real"
-    return violations + _schedule(spec)[-1]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import evsnn.autograd as ag
-from evsnn.autograd import Tensor
+from evsnn.autograd import Tensor, ops
+from evsnn.spiking.layers import BatchNormLayer, PLIFLayer
 
 
 @pytest.fixture
@@ -62,14 +63,53 @@ def cnhw(a):
     return np.ascontiguousarray(np.swapaxes(a, 0, 1))
 
 
+def plif(x, w):
+    """The PLIF neuron alone over all T frames of x, (T, ...), from rest: the
+    program's ``ops._plif_op`` with x as its own drive and a frame backward
+    that copies dX into x's gradient, i.e. ``ag.conv_plif`` without the conv.
+    ``w`` is the learned w (a Tensor) or a itself (a float)."""
+
+    def copy_dx(_, __, d, dx):
+        dx[...] = d
+
+    return ops._plif_op(x, w, (x,), lambda x_t: (x_t, None), copy_dx, lambda _, g_dtype: g_dtype)
+
+
+def batchnorm2d(x, gamma, beta, running_mean, running_var):
+    """Batch norm alone of each (C, N, H, W) frame of x (one frame or T) in
+    the mode the tape sets: the program's ``ops._bn_forward`` and
+    ``ops._bn_backward`` run frame by frame by ``ops._framewise``, i.e.
+    ``ag.bn_conv`` without the conv."""
+
+    def forward(x_t):
+        y, mean, invstd = ops._bn_forward(x_t, gamma, beta, running_mean, running_var)
+        return y.reshape(x_t.shape), (mean, invstd)
+
+    def backward(x_t, stats, g, dx):
+        ops._bn_backward(x_t, gamma, beta, *stats, g, dx)
+
+    return ops._framewise(x, (x, gamma, beta), forward, backward, ops._bn_dx_dtype(gamma))
+
+
+def call_layer(layer, *args):
+    """A layer as a call of its own: a bn or plif layer, which ``Network``
+    runs only inside its conv's call, through ``batchnorm2d`` or ``plif``."""
+    if isinstance(layer, BatchNormLayer):
+        return batchnorm2d(*args, layer.gamma, layer.beta, layer.running_mean, layer.running_var)
+    if isinstance(layer, PLIFLayer):
+        return plif(*args, layer.w)
+    return layer(*args)
+
+
 def stepwise_forward(net, batch, record=None, unfolded=False):
     """Reference for ``Network.forward``: every node over all T frames, the
     heads too, then each output summed over time with ``ag.time_sum``.
     ``forward`` runs the nodes that commute with that sum once, on the
     time-summed input instead. Each bn runs in its conv's call,
-    ``conv(x, 1, bn)``, and a block's conv in a call of its own, before its
-    plif's; with ``unfolded`` the bn runs as a call of its own before the
-    conv's, the batch norm that ``no_grad`` otherwise folds into the conv.
+    ``conv(x, 1, bn)``, and a block's conv in a call of its own, before the
+    plif's neuron (``call_layer``); with ``unfolded`` the bn runs as a call
+    of its own before the conv's, the batch norm that ``no_grad`` otherwise
+    folds into the conv.
     ``record`` counts spikes as ``forward`` does."""
     bn_of = {} if unfolded else net.bn_of
     paired = set(bn_of.values())
@@ -83,7 +123,7 @@ def stepwise_forward(net, batch, record=None, unfolded=False):
         if node["type"] == "spatial_sum":  # per frame: (T, C, N, H, W) -> (T, N, C)
             out = values[inputs[0]].sum(axis=(3, 4)).transpose(0, 2, 1)
         else:
-            out = net.layers[name](*[values[i] for i in inputs], *extra)
+            out = call_layer(net.layers[name], *[values[i] for i in inputs], *extra)
         values[name] = out
         if node["type"] == "plif" and record is not None:
             record.add(name, int(np.count_nonzero(out.data)), out.data.size)
@@ -124,6 +164,14 @@ def _base_array(a):
     return a
 
 
+def _op_name(backward):
+    """The qualified name of an op's backward closure, or for an op run frame
+    by frame (``ops._framewise``) that of its own frame backward."""
+    if backward.__qualname__ == "_framewise.<locals>.op_backward":
+        backward = dict(zip(backward.__code__.co_freevars, backward.__closure__))["backward"].cell_contents
+    return backward.__qualname__
+
+
 def tape_bytes(loss):
     """Bytes the tape behind ``loss`` holds, by op: a walk over the recorded
     entries that charges each distinct base array to the first entry whose
@@ -132,8 +180,10 @@ def tape_bytes(loss):
     Tensors in a closure are
     parents, counted as their own entries; the arrays of leaf tensors
     (parameters, inputs) and views of them are not tape. Keyed by the
-    closure's qualified name, e.g. ``batchnorm2d.<locals>.backward``;
-    ``elements`` counts the output elements of each key's entries."""
+    closure's qualified name (``_op_name``), e.g.
+    ``_plif_op.<locals>.backward`` or, for a head conv,
+    ``_conv_frames.<locals>.conv2d_backward``; ``elements`` counts the
+    output elements of each key's entries."""
     entries, seen, visited = [], set(), set()
     stack = [loss]
     while stack:
@@ -148,7 +198,7 @@ def tape_bytes(loss):
         stack.extend(t._parents)
     held, elements = {}, {}
     for t in entries:
-        key = t._backward.__qualname__
+        key = _op_name(t._backward)
         elements[key] = elements.get(key, 0) + t.data.size
         arrays, cells = [t.data], list(t._backward.__closure__ or ())
         while cells:

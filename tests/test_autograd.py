@@ -10,7 +10,7 @@ import evsnn.autograd as ag
 from evsnn.autograd import ops
 from evsnn.autograd import AdamW, Tensor, clip_grad_norm, cosine_lr, kaiming_uniform_init
 
-from conftest import check_grad, cnhw
+from conftest import batchnorm2d, check_grad, cnhw, plif
 
 TOL64 = 1e-6
 TOL32 = 1e-3
@@ -299,7 +299,7 @@ def test_batchnorm_tape_keeps_no_xhat():
         stats = np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
         tracemalloc.start()
         try:
-            out = ag.batchnorm2d(x, gamma, beta, *stats)
+            out = batchnorm2d(x, gamma, beta, *stats)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -316,7 +316,7 @@ def test_plif_tape_keeps_only_the_membrane(learned):
     w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=learned)
     tracemalloc.start()
     try:
-        spikes = ag.plif(x, w)
+        spikes = plif(x, w)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -333,7 +333,7 @@ def test_batchnorm_grad(rng):
 
         def run(x_, g_, b_):
             rm, rv = np.zeros(c), np.ones(c)
-            return ag.batchnorm2d(x_, g_, b_, rm, rv)
+            return batchnorm2d(x_, g_, b_, rm, rv)
 
         check_grad(run, [x, gamma, beta], 1e-5)
 
@@ -351,24 +351,24 @@ def test_plif_bn_conv_grad_float64(rng):
         w = rng.standard_normal((2, c, 3, 3))
 
         def run(g_, b_, w_):
-            spikes = ag.plif(Tensor(x, requires_grad=True), 0.5)
+            spikes = plif(Tensor(x, requires_grad=True), 0.5)
             assert spikes.data.dtype == np.uint8 and spikes.data.any() and not spikes.data.all()
-            return ag.conv2d(ag.batchnorm2d(spikes, g_, b_, np.zeros(c), np.ones(c)), w_, padding=1)
+            return ag.conv2d(batchnorm2d(spikes, g_, b_, np.zeros(c), np.ones(c)), w_, padding=1)
 
         check_grad(run, [gamma, beta, w], TOL64)
 
 
 def test_batchnorm_running_stats():
-    """The tape sets batch norm's mode, in both of its ops. While it records,
-    ``batchnorm2d`` and ``bn_conv`` normalize with the batch statistics and
-    update the running statistics (momentum 0.1, unbiased variance); under
-    ``no_grad`` they leave the running statistics unchanged: ``batchnorm2d``
+    """The tape sets batch norm's mode, in ``bn_conv`` and in the batch norm
+    alone (``batchnorm2d``, conftest). While it records, both normalize with
+    the batch statistics and update the running statistics (momentum 0.1,
+    unbiased variance); under ``no_grad`` they leave the running statistics unchanged: ``batchnorm2d``
     normalizes with them and ``bn_conv`` folds them into its conv."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 4, 3, 3))
     gamma, beta = Tensor(rng.standard_normal(2) + 1.0), Tensor(rng.standard_normal(2))
     w = Tensor(rng.standard_normal((3, 2, 3, 3)))
-    bn_ops = {"batchnorm2d": lambda *stats: ag.batchnorm2d(Tensor(x), gamma, beta, *stats),
+    bn_ops = {"batchnorm2d": lambda *stats: batchnorm2d(Tensor(x), gamma, beta, *stats),
               "bn_conv": lambda *stats: ag.bn_conv(Tensor(x), gamma, beta, *stats, w, padding=1)}
 
     def want(name, mean, var):
@@ -443,13 +443,13 @@ def test_batchnorm_matches_oracle_bit_for_bit(dtype, training):
         t = Tensor(x, requires_grad=True, dtype=dtype)
         params = [Tensor(a, requires_grad=True) for a in (gamma, beta)]
         if training:
-            out = ag.batchnorm2d(t, *params, *stats)
+            out = batchnorm2d(t, *params, *stats)
             out.backward(g)
             assert t.grad.dtype == fdtype and np.array_equal(t.grad, want_dx)
             assert all(np.array_equal(p.grad, want) for p, want in zip(params, want_dparams))
         else:
             with ag.no_grad():
-                out = ag.batchnorm2d(t, *params, *stats)
+                out = batchnorm2d(t, *params, *stats)
         assert out.data.dtype == fdtype and np.array_equal(out.data, want_out)
         assert all(np.array_equal(a, b) for a, b in zip(stats, want_stats))
 
@@ -501,7 +501,7 @@ def test_bn_conv_equals_batchnorm_then_conv(case):
         if fused:
             out = ag.bn_conv(t, ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups)
         else:
-            y = ag.batchnorm2d(t, ps["gamma"], ps["beta"], *run_stats)
+            y = batchnorm2d(t, ps["gamma"], ps["beta"], *run_stats)
             out = ag.conv2d(y, ps["w"], ps["b"], s, p, groups)
         g = np.random.default_rng(12).standard_normal(out.data.shape).astype(np.float32) if g is None else g
         out.backward(g)
@@ -533,7 +533,7 @@ def test_bn_conv_eval_folds_within_tolerance(case):
     def both(run_stats):
         with ag.no_grad():
             got = ag.bn_conv(Tensor(x), ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups).data
-            y = ag.batchnorm2d(Tensor(x), ps["gamma"], ps["beta"], *run_stats)
+            y = batchnorm2d(Tensor(x), ps["gamma"], ps["beta"], *run_stats)
             return got, y, ag.conv2d(y, ps["w"], ps["b"], s, p, groups).data
 
     run_stats = [a.copy() for a in stats]
@@ -590,7 +590,7 @@ def test_bn_conv_tape_keeps_no_bn_output():
 
 _FRAMEWISE_OPS = {
     "conv2d": lambda x, p, stats: ag.conv2d(x, p["w"], p["b"], 2, 1),
-    "batchnorm2d": lambda x, p, stats: ag.batchnorm2d(x, p["gamma"], p["beta"], *stats),
+    "batchnorm2d": lambda x, p, stats: batchnorm2d(x, p["gamma"], p["beta"], *stats),
     "bn_conv": lambda x, p, stats: ag.bn_conv(x, p["gamma"], p["beta"], *stats, p["w"], p["b"], 2, 1),
     "maxpool2d": lambda x, p, stats: ag.maxpool2d(x, 3, 2, 1),
 }
@@ -734,11 +734,11 @@ def test_time_sum_adds_spikes_into_float32():
 
 
 def test_heaviside_forward_and_surrogate():
-    """``ag.plif`` from rest with 1/tau = 1: the spike is a step at v = 1 and
+    """``plif`` from rest with 1/tau = 1: the spike is a step at v = 1 and
     the input gradient is the ATan surrogate at v - 1."""
     u = np.array([[-1.0, -1e-9, 0.0, 1e-9, 2.0]])  # one frame
     x = Tensor(u + 1.0, requires_grad=True)
-    out = ag.plif(x, 1.0)
+    out = plif(x, 1.0)
     assert np.array_equal(out.data, [[0, 0, 1, 1, 1]])
     out.sum().backward()
     alpha = 2.0

@@ -1,6 +1,7 @@
-"""PLIF dynamics, BPTT chain, network graph runtime, builders, audits."""
+"""PLIF dynamics, BPTT chain, network graph runtime and its rules, builders."""
 
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -9,18 +10,14 @@ import pytest
 import evsnn.autograd as ag
 from evsnn.autograd import Tensor, ops
 from evsnn.autograd.tensor import _sigmoid
-from evsnn.spiking import (
-    Network,
-    NetworkSpec,
-    SpikeRecord,
-    audit_spike_purity,
-)
+from evsnn.spiking import Network, NetworkSpec, SpikeRecord, convert_dwsep_network
 from evsnn.detection import build_detector_spec, build_toy_detector_spec
 from evsnn.spiking.builders import (ARCH_NAMES, build_densenet, build_mobilenet, build_squeezenet, build_toy_classifier,
                                     build_vgg, named_spec)
 from evsnn.spiking.layers import ConvLayer, MaxPoolLayer, PLIFLayer
 
-from conftest import count_tape_ops, numeric_grad, outputs_and_grads, stepwise_forward, tape_bytes
+from conftest import (batchnorm2d, call_layer, count_tape_ops, numeric_grad, outputs_and_grads, plif, stepwise_forward,
+                      tape_bytes)
 
 
 # --------------------------------------------------------------------------
@@ -68,7 +65,7 @@ def test_plif_config_validation():
         Network(spec)
 
 
-ALPHA = 2.0  # the width of ag.plif's ATan surrogate
+ALPHA = 2.0  # the width of the PLIF neuron's ATan surrogate
 
 
 def _heaviside_surrogate(v):
@@ -86,7 +83,7 @@ def _heaviside_surrogate(v):
 def _plif_step_oracle(state, x, inv_tau, v_threshold=1.0, v_reset=0.0, reset_mode="hard"):
     """The op-by-op PLIF composition with a settable threshold, reset value
     and reset mode (10 tape ops per hard-reset step): the reference that
-    ``ag.plif`` must match at threshold 1, hard reset to 0."""
+    ``plif`` must match at threshold 1, hard reset to 0."""
     if state is None:
         state = Tensor(np.full(x.data.shape, v_reset, dtype=x.data.dtype))
     drive = x - (state - v_reset)
@@ -128,7 +125,7 @@ def _stack(frames):
 
 
 def _oracle_plif(x, w, states=None):
-    """``ag.plif`` with the oracle neuron: ``_oracle_step`` step by step
+    """``plif`` with the oracle neuron: ``_oracle_step`` step by step
     over the frames of x from rest. Each step's V' tensor is appended to
     ``states``."""
     state, spikes = None, []
@@ -141,7 +138,7 @@ def _oracle_plif(x, w, states=None):
 
 
 def _oracle_plif_call(layer, x):
-    """``PLIFLayer.__call__`` on a conv's output with the oracle neuron."""
+    """A plif layer's neuron on a conv's output, the oracle's."""
     return _oracle_plif(x, layer.w)
 
 
@@ -190,12 +187,12 @@ def _probe_loss(spikes, probes):
 
 
 def _fused_run(xs, probes, w, monkeypatch):
-    """``ag.plif`` over the frames ``xs`` from rest, the loss
+    """``plif`` over the frames ``xs`` from rest, the loss
     ``_probe_loss``. Returns, per frame, the spikes, V', x's gradient and the
     gradients handed back for V' (in the order handed), and w's gradient."""
     log = _logged_plif_backward(monkeypatch)
     x = Tensor(np.stack(xs), requires_grad=True)
-    spikes = ag.plif(x, w)
+    spikes = plif(x, w)
     _probe_loss(spikes, probes).backward()
     membranes, handed = _fused_chain(log, spikes.data)
     return {"spikes": list(spikes.data), "V'": membranes, "x.grad": list(x.grad), "link.grad": handed,
@@ -215,7 +212,7 @@ def _oracle_run(xs, probes, w):
 
 def _run_plif(fused, xs, probes, monkeypatch, w0=0.3):
     """One PLIF layer with a learned tau over the frames ``xs``, at their
-    dtype: ``ag.plif`` (``fused``) or the oracle, as ``_fused_run`` returns."""
+    dtype: ``plif`` (``fused``) or the oracle, as ``_fused_run`` returns."""
     w = Tensor(np.asarray([w0], dtype=xs[0].dtype), requires_grad=True)
     return _fused_run(xs, probes, w, monkeypatch) if fused else _oracle_run(xs, probes, w)
 
@@ -315,7 +312,7 @@ def _straight_through_plif(xs, w, u0s=None):
 
 
 def test_plif_finite_differences_with_reset():
-    """``ag.plif``'s float64 gradients of sum_t probe_t . s_t with respect to
+    """``plif``'s float64 gradients of sum_t probe_t . s_t with respect to
     every input element and w equal central differences of the
     straight-through PLIF (``_straight_through_plif``) at the same point."""
     steps, shape = 4, (2, 3, 3)
@@ -323,7 +320,7 @@ def test_plif_finite_differences_with_reset():
     arrays = [1.6 * rng.standard_normal((steps, *shape)), np.array([0.4])]
     probes = rng.standard_normal((steps, *shape))
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    spikes = ag.plif(*tensors)
+    spikes = plif(*tensors)
     (spikes * Tensor(probes)).sum().backward()
 
     base, u0s = _straight_through_plif(arrays[0], arrays[1])
@@ -358,7 +355,7 @@ class _Link:
 
 
 def _plif_keep_drive_oracle(x, state, w, handed):
-    """One PLIF step as ``ag.plif`` ran it when its tape kept X - V for w's
+    """One PLIF step as ``plif`` ran it when its tape kept X - V for w's
     gradient and its state was (V', spikes, link): the reference for the op
     that rebuilds X - V in its backward. Returns the spikes and the state."""
     learned = isinstance(w, Tensor)
@@ -413,7 +410,7 @@ def _plif_keep_drive_oracle(x, state, w, handed):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("w_kind", ["learned", "frozen", "float"])
 def test_plif_matches_keep_drive_oracle_bit_for_bit(dtype, w_kind, monkeypatch):
-    """``ag.plif``, which reads no X - V in its backward, equals a loop of
+    """``plif``, which reads no X - V in its backward, equals a loop of
     the step that kept it (``_plif_keep_drive_oracle``) bit for bit: spikes,
     V', input gradients and every gradient handed back for V', over five
     frames with resets, one of them left out of the loss. Its spikes are one
@@ -458,7 +455,7 @@ _BLOCK_CASES = {"bn": ((4, 3, 9, 9), (6, 3, 2, 1), True), "pointwise": ((8, 3, 6
 def _block_run(case, dtype, blocked, monkeypatch, steps=5):
     """The block of ``_BLOCK_CASES[case]`` over ``steps`` frames from rest,
     as ``ag.conv_plif`` (``blocked``) or as ``ag.bn_conv``/``ag.conv2d`` then
-    ``ag.plif``; the loss is sum_t probe_t . s_t without frame 2's term.
+    ``plif``; the loss is sum_t probe_t . s_t without frame 2's term.
     Returns {name: list of arrays}: spikes, V', input gradients, parameter
     gradients, running statistics and every gradient handed back for V'."""
     (c, n, h, w), (cout, k, s, p), with_bn = _BLOCK_CASES[case]
@@ -485,7 +482,7 @@ def _block_run(case, dtype, blocked, monkeypatch, steps=5):
         spikes = ag.conv_plif(x, params["plif_w"], params["w"], b, s, p, 1, bn)
     else:
         y = ag.conv2d(x, params["w"], b, s, p) if bn is None else ag.bn_conv(x, *bn, params["w"], b, s, p)
-        spikes = ag.plif(y, params["plif_w"])
+        spikes = plif(y, params["plif_w"])
     _probe_loss(spikes, probes).backward()
     membranes, handed = _fused_chain(log, spikes.data)
     out = {"spikes": list(spikes.data), "V'": membranes, "x.grad": list(x.grad)}
@@ -498,7 +495,7 @@ def _block_run(case, dtype, blocked, monkeypatch, steps=5):
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
 def test_conv_plif_matches_bn_conv_then_plif_bit_for_bit(case, dtype, monkeypatch):
     """``ag.conv_plif`` equals the batch norm and conv (``ag.bn_conv``, or
-    ``ag.conv2d`` with no bn) followed by ``ag.plif``, bit for bit: spikes,
+    ``ag.conv2d`` with no bn) followed by ``plif``, bit for bit: spikes,
     V', the input spikes' gradient, dW, db, dgamma, dbeta, w's gradient, the
     running statistics and every gradient handed back for V', over five
     frames with resets, one of them left out of the loss."""
@@ -538,9 +535,9 @@ def test_conv_plif_under_no_grad_matches_the_composition(case, monkeypatch):
         return spikes, log.pop()
 
     got = run(lambda x: ag.conv_plif(x, tau_w, wt, None, s, p, 1, bn))
-    folded = run(lambda x: ag.plif(ag.conv2d(x, wt, None, s, p) if bn is None else ag.bn_conv(x, *bn, wt, None, s, p),
+    folded = run(lambda x: plif(ag.conv2d(x, wt, None, s, p) if bn is None else ag.bn_conv(x, *bn, wt, None, s, p),
                                    tau_w))
-    unfolded = run(lambda x: ag.plif(ag.conv2d(x if bn is None else ag.batchnorm2d(x, *bn), wt, None, s, p), tau_w))
+    unfolded = run(lambda x: plif(ag.conv2d(x if bn is None else batchnorm2d(x, *bn), wt, None, s, p), tau_w))
     assert not log
     assert all(np.array_equal(a, b) for a, b in zip(stats, before))
     assert got[0].sum() > 0
@@ -556,7 +553,7 @@ def test_plif_step_records_one_tape_op():
     for steps in (1, 4):
         x = Tensor(np.ones((steps, 2, 1, 3, 3), dtype=np.float32), requires_grad=True)
         with count_tape_ops() as counter:
-            ag.plif(x, w)
+            plif(x, w)
         assert counter.ops == 1, steps
 
 
@@ -568,7 +565,7 @@ def test_plif_tape_is_freed_without_a_walk():
     try:
         w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
         x = Tensor(np.ones((3, 2, 1, 3, 3), dtype=np.float32), requires_grad=True)
-        spikes = ag.plif(x, w)
+        spikes = plif(x, w)
         held = [cell.cell_contents for cell in spikes._backward.__closure__]
         arrays = [weakref.ref(a) for a in [spikes.data, *held] if isinstance(a, np.ndarray)]
         assert len(arrays) >= 2
@@ -581,14 +578,14 @@ def test_plif_tape_is_freed_without_a_walk():
 def test_plif_hand_simulation():
     """tau=2, v_th=1: V <- V + (X - V)/2, spike and hard-reset on V >= 1."""
     x = np.array([[1.5], [0.0], [2.0]])  # three frames of one neuron
-    assert ag.plif(Tensor(x), 0.5).data[:, 0].tolist() == [0, 0, 1]
+    assert plif(Tensor(x), 0.5).data[:, 0].tolist() == [0, 0, 1]
     spiked, v, _ = ops._plif_forward(x.__getitem__, 3, 0.5, True)
     assert np.allclose(v[:, 0], [0.75, 0.375, 1.1875])  # 0.375 + (2 - 0.375)/2 = 1.1875 -> spike, reset
     assert np.allclose((v * ~spiked)[:, 0], [0.75, 0.375, 0.0])
 
 
 def test_plif_threshold_boundary():
-    assert ag.plif(Tensor(np.array([[2.0]])), 0.5).data[0, 0] == 1
+    assert plif(Tensor(np.array([[2.0]])), 0.5).data[0, 0] == 1
     spiked, v, _ = ops._plif_forward(np.array([[2.0]]).__getitem__, 1, 0.5, True)
     assert v[0, 0] == 1.0 and spiked[0, 0]  # v hits exactly 1.0: a spike, and V' = 0
     assert (v * ~spiked)[0, 0] == 0.0
@@ -598,7 +595,7 @@ def test_bptt_two_step_hand_chain():
     """Autodiff through two PLIF frames matches the hand-derived gradient."""
     a = 0.5
     x = Tensor(np.array([[1.6], [2.4]]), requires_grad=True)
-    s = ag.plif(x, a)
+    s = plif(x, a)
     s.sum().backward()
 
     def sg(u):  # surrogate derivative at membrane excess u
@@ -757,12 +754,12 @@ def test_state_carried_within_forward():
 
 def _unblocked(call):
     """A ``PLIFLayer.__call__`` that runs a block's conv (with its bn) as
-    its own call, ``conv(x, 1, bn)``, as ``stepwise_forward`` does, then
-    ``call(layer, x)``: the composition ``ag.conv_plif`` replaces, with the
-    neuron ``call`` runs."""
+    its own call, ``conv(x, 1, bn)``, as ``stepwise_forward`` does, then the
+    neuron as ``call(layer, x)`` runs it: the composition ``ag.conv_plif``
+    replaces."""
 
-    def run(layer, x, conv=None, bn=None):
-        return call(layer, x if conv is None else conv(x, 1, bn))
+    def run(layer, x, conv, bn=None):
+        return call(layer, conv(x, 1, bn))
 
     return run
 
@@ -787,7 +784,7 @@ def test_toy_detector_forward_tape_ops(monkeypatch):
     net, batch, _ = _detector_case()
     layers = sum(node["type"] == "plif" for node in net.spec.nodes)
     counts = {}
-    for name, call in (("block", PLIFLayer.__call__), ("pair", _unblocked(PLIFLayer.__call__))):
+    for name, call in (("block", PLIFLayer.__call__), ("pair", _unblocked(call_layer))):
         monkeypatch.setattr(PLIFLayer, "__call__", call)
         with count_tape_ops() as counter:
             net.forward(batch)
@@ -818,10 +815,10 @@ def test_squeezenet_runs_each_bn_in_its_conv(monkeypatch):
     net = Network(named_spec("squeezenet1.1", in_channels=4), rng=np.random.default_rng(0))
     batch = (np.random.default_rng(5).random((2, 4, 3, 32, 32)) < 0.1).astype(np.float32)
     pair_call = ConvLayer.__call__
-    monkeypatch.setattr(PLIFLayer, "__call__", _unblocked(PLIFLayer.__call__))
+    monkeypatch.setattr(PLIFLayer, "__call__", _unblocked(call_layer))
 
     def two_ops(layer, x, steps=1, bn=None):
-        return pair_call(layer, x if bn is None else bn(x), steps)
+        return pair_call(layer, x if bn is None else call_layer(bn, x), steps)
 
     assert len(net.bn_of) == sum(node["type"] == "bn" for node in net.spec.nodes) == 26
     counts, scores = {}, {}
@@ -854,7 +851,7 @@ def test_squeezenet_runs_each_block_as_one_op(monkeypatch):
 
     monkeypatch.setattr(ag, "conv_plif", counted)
     counts, scores = {}, {}
-    for name, call in (("block", PLIFLayer.__call__), ("two ops", _unblocked(PLIFLayer.__call__))):
+    for name, call in (("block", PLIFLayer.__call__), ("two ops", _unblocked(call_layer))):
         monkeypatch.setattr(PLIFLayer, "__call__", call)
         with count_tape_ops() as counter:
             scores[name] = net.forward(batch)["scores"].data
@@ -864,8 +861,75 @@ def test_squeezenet_runs_each_block_as_one_op(monkeypatch):
     assert np.array_equal(scores["block"], scores["two ops"])
 
 
-def _unpaired_bn_specs():
-    """Specs whose bn ``a`` cannot run in the call of one conv, by case."""
+def _network_cases():
+    """(name, network, input side) for every network a builder makes: the
+    classifiers and MobileNet's dense forms at 32x32, the detectors at
+    64x64."""
+    rng = np.random.default_rng(0)
+    for name in ARCH_NAMES:
+        yield name, Network(named_spec(name), rng=rng), 32
+    for width in (16, 32, 64):
+        yield f"mobilenet{width}_dense", convert_dwsep_network(Network(build_mobilenet(width), rng=rng)), 32
+    for spec in (build_toy_detector_spec()[0], build_detector_spec(2)[0]):
+        yield spec.name, Network(spec, rng=rng), 64
+
+
+def test_training_forward_calls_only_the_block_ops(monkeypatch):
+    """A training forward (batch 2, T=2) of every network calls only these
+    ``ag`` ops: ``conv_plif`` once per plif, ``maxpool2d``, ``concat``,
+    ``time_sum``, ``conv2d`` on run-once nodes alone and ``bn_conv`` on
+    MobileNet's depthwise convs alone."""
+    calls = []
+
+    def logged(name, op):
+        def run(*args, **kwargs):
+            calls.append((name, args))
+            return op(*args, **kwargs)
+
+        return run
+
+    for name in ag.__all__:
+        if isinstance(getattr(ag, name), types.FunctionType):
+            monkeypatch.setattr(ag, name, logged(name, getattr(ag, name)))
+    for name, net, side in _network_cases():
+        calls.clear()
+        net.forward((np.random.default_rng(1).random((2, 4, 2, side, side)) < 0.3).astype(np.float32))
+        ops_called = [op for op, _ in calls]
+        assert set(ops_called) <= {"conv_plif", "maxpool2d", "concat", "time_sum", "conv2d", "bn_conv"}, name
+        assert ops_called.count("conv_plif") == len(net.conv_of) > 0, name
+        for op, args in calls:
+            if op in ("conv2d", "bn_conv"):  # the node is the one whose weight the op reads
+                node = net.spec.node((args[1] if op == "conv2d" else args[5]).name.rsplit(".", 1)[0])
+                assert node["name"] in net.once if op == "conv2d" else node.get("depthwise"), (name, op, node)
+
+
+def test_batch_norm_needs_two_values_per_channel_while_training():
+    """While the tape records, batch norm needs more than one value per
+    channel: a bn -> conv -> plif block trained on a 1x1 map at batch 1 (as
+    on the paper detector's 1x1 extra blocks) raises, giving N*H*W. Batch 2
+    trains, and batch 1 runs under ``no_grad``, on the running statistics."""
+    spec = NetworkSpec(input_channels=2, outputs=["p"])
+    spec.add("bn", "bn", ["input"])
+    spec.add("c", "conv", ["bn"], out_channels=3, kernel=1)
+    spec.add("p", "plif", ["c"])
+    net = Network(spec, rng=np.random.default_rng(0))
+    one = np.ones((1, 2, 3, 1, 1), dtype=np.float32)
+    with pytest.raises(ValueError, match=r"^batch norm needs more than one value per channel while the tape "
+                                         r"records; it has N\*H\*W = 1$"):
+        net.forward(one)
+    with ag.no_grad():
+        assert net.forward(one)["p"].data.shape == (3, 3, 1, 1, 1)
+    assert net.forward(np.ones((2, 2, 3, 1, 1), dtype=np.float32))["p"].data.shape == (3, 3, 2, 1, 1)
+
+
+_BN_RULE = "a bn must be the only input of exactly one conv"
+_PLIF_RULE = "a plif must be the only reader of a conv"
+_READ_RULE = "a (bn|conv) must read spikes"
+
+
+def _refused_specs():
+    """Specs that break a graph rule at node ``a``, by case: (the rule, as
+    the start of the message ``Network`` raises after "a: ", the spec)."""
     unread = NetworkSpec(input_channels=1, outputs=["p"])
     unread.add("a", "bn", ["input"])
     unread.add("p", "plif", ["input"])
@@ -874,9 +938,9 @@ def _unpaired_bn_specs():
     to_plif.add("p", "plif", ["a"])
     two_convs = NetworkSpec(input_channels=1, outputs=["p", "q"])
     two_convs.add("a", "bn", ["input"])
-    for conv, plif in (("c", "p"), ("d", "q")):
+    for conv, neuron in (("c", "p"), ("d", "q")):
         two_convs.add(conv, "conv", ["a"], out_channels=2, kernel=3)
-        two_convs.add(plif, "plif", [conv])
+        two_convs.add(neuron, "plif", [conv])
     with_concat = NetworkSpec(input_channels=1, outputs=["p"])
     with_concat.add("a", "bn", ["input"])
     with_concat.add("cat", "concat", ["a", "input"])
@@ -889,28 +953,79 @@ def _unpaired_bn_specs():
     summed = NetworkSpec(input_channels=1, outputs=["c"])  # c runs once, on the time-summed input
     summed.add("a", "bn", ["input"])
     summed.add("c", "conv", ["a"], out_channels=2, kernel=3)
-    return {"unread": unread, "to_plif": to_plif, "two_convs": two_convs, "with_concat": with_concat,
-            "as_output": as_output, "summed": summed}
+    cases = {"unread": unread, "to_plif": to_plif, "two_convs": two_convs, "with_concat": with_concat,
+             "as_output": as_output, "summed": summed}
+    out = {case: (_BN_RULE, spec) for case, spec in cases.items()}
+
+    # a plif that reads something other than a conv of its own
+    plif_on = {kind: NetworkSpec(input_channels=1, outputs=["a"]) for kind in
+               ("input", "maxpool", "concat", "shared_conv", "output_conv")}
+    plif_on["input"].add("a", "plif", ["input"])
+    plif_on["maxpool"].add("m", "maxpool", ["input"], kernel=2)
+    plif_on["maxpool"].add("a", "plif", ["m"])
+    plif_on["concat"].add("cat", "concat", ["input", "input"])
+    plif_on["concat"].add("a", "plif", ["cat"])
+    for kind in ("shared_conv", "output_conv"):
+        plif_on[kind].add("c", "conv", ["input"], out_channels=2, kernel=3)
+        plif_on[kind].add("a", "plif", ["c"])
+    plif_on["shared_conv"].add("m", "maxpool", ["c"], kernel=2)  # the conv's second reader
+    plif_on["shared_conv"].outputs.append("m")
+    plif_on["output_conv"].outputs.append("c")
+    out.update({f"plif_on_{kind}": (_PLIF_RULE, spec) for kind, spec in plif_on.items()})
+
+    # a bn or conv that reads a conv's float output
+    reads = {kind: NetworkSpec(input_channels=1, outputs=["p"]) for kind in ("conv_on_conv", "another_pointwise",
+                                                                              "bn_on_conv")}
+    for spec in reads.values():
+        spec.add("c", "conv", ["input"], out_channels=2, kernel=3)
+    reads["conv_on_conv"].add("a", "conv", ["c"], out_channels=2, kernel=1)
+    reads["another_pointwise"].add("d", "conv", ["input"], out_channels=2, kernel=3)
+    reads["another_pointwise"].add("a", "conv", ["c"], out_channels=2, kernel=1, pointwise_of="d")
+    reads["bn_on_conv"].add("a", "bn", ["c"])
+    reads["bn_on_conv"].add("e", "conv", ["a"], out_channels=2, kernel=1)
+    for spec in reads.values():
+        spec.add("p", "plif", [spec.nodes[-1]["name"]])
+    out.update({kind: (_READ_RULE, spec) for kind, spec in reads.items()})
+    return out
+
+
+def _refused_cases(rule):
+    return {case: spec for case, (case_rule, spec) in _refused_specs().items() if case_rule == rule}
 
 
 def test_bn_that_does_not_feed_one_conv_names_the_node():
     """A bn must be the only input of exactly one conv that runs every
     timestep, and not an output; otherwise Network raises a ValueError that
     names the bn."""
-    for spec in _unpaired_bn_specs().values():
-        with pytest.raises(ValueError, match="^a: a bn must be the only input of exactly one conv"):
+    for spec in _refused_cases(_BN_RULE).values():
+        with pytest.raises(ValueError, match=f"^a: {_BN_RULE}"):
             Network(spec)
 
 
 @pytest.mark.parametrize("case", ["two_convs", "summed"])
 def test_purity_audit_reports_the_bn_network_refuses(case):
     """A bn read by two convs, or in front of a conv that runs once on the
-    time-summed input, passes the spike rules; the audit reports it with
-    the message ``Network`` raises."""
-    spec = _unpaired_bn_specs()[case]
-    with pytest.raises(ValueError) as refused:
+    time-summed input, reads spikes; ``Network`` still refuses it, naming
+    the bn, and refuses the same spec loaded from JSON with the same
+    message."""
+    spec = _refused_cases(_BN_RULE)[case]
+    with pytest.raises(ValueError, match=f"^a: {_BN_RULE}") as refused:
         Network(spec)
-    assert audit_spike_purity(spec) == [str(refused.value)]
+    with pytest.raises(ValueError) as again:
+        Network(NetworkSpec.from_json(spec.to_json()))
+    assert str(again.value) == str(refused.value)
+
+
+def test_plif_that_is_not_a_block_names_the_node():
+    """Every plif is a block: the only reader of a conv that runs every
+    timestep and is not an output. A plif that reads the input, a max pool,
+    a concat, a conv with a second reader or an output conv is refused with
+    a ValueError that names the plif."""
+    cases = _refused_cases(_PLIF_RULE)
+    assert len(cases) == 5
+    for spec in cases.values():
+        with pytest.raises(ValueError, match=f"^a: {_PLIF_RULE}"):
+            Network(spec)
 
 
 def test_conv_with_a_pad_value_key_names_the_node():
@@ -946,11 +1061,11 @@ def test_squeezenet_tape_bytes_per_plif_element():
 def test_head_convs_keep_only_their_output_on_the_tape():
     """A run-once head conv keeps nothing on the tape but its output: its
     backward rebuilds the phase buffer from the time-summed spikes, a
-    parent. The toy detector's four head convs are its only frame-by-frame
+    parent. The toy detector's four head convs are its only ``conv2d``
     ops: their entries hold 4 bytes per float32 output element."""
     net, batch, loss_of = _detector_case()
     tape = tape_bytes(loss_of(net.forward(batch)))
-    heads = "_framewise.<locals>.op_backward"
+    heads = "_conv_frames.<locals>.conv2d_backward"
     shapes = net.trace_shapes(32, 32)
     assert tape.elements[heads] == sum(batch.shape[0] * np.prod(shapes[o]) for o in net.spec.outputs)
     assert tape.held[heads] == 4 * tape.elements[heads]
@@ -1051,7 +1166,7 @@ def test_trace_shapes_match_execution():
                 if node["type"] == "spatial_sum":  # runs once, on the time-summed frame
                     assert layer(ag.time_sum(*inputs)).data.shape == (n, shapes[node["name"]][0])
                     continue
-                out = values[node["name"]] = layer(*inputs)
+                out = values[node["name"]] = call_layer(layer, *inputs)
                 t, c, batch_n, h, w = out.data.shape
                 assert (t, batch_n) == (steps, n) and (c, h, w) == shapes[node["name"]], f"{spec.name}/{node['name']}"
                 assert out.data.flags.c_contiguous, f"{spec.name}/{node['name']}"
@@ -1160,7 +1275,7 @@ def test_load_state_arrays_names_every_mismatch():
 
 
 # --------------------------------------------------------------------------
-# Builders and purity audit
+# Builders and the graph rules
 # --------------------------------------------------------------------------
 
 
@@ -1188,43 +1303,69 @@ def test_plif_one_tau_per_layer():
 
 @pytest.mark.parametrize("name", [*ARCH_NAMES, "toy_ssd", "densenet121-24_ssd"])
 def test_purity_audit_clean_builders(name):
+    """Every builder's spec keeps the graph rules, which ``Network`` checks
+    when it is built: each bn and conv reads spikes (MobileNet's pointwise
+    conv its depthwise conv) and every plif is a block. MobileNet's dense
+    form builds too."""
     if name == "toy_ssd":
         spec = build_toy_detector_spec()[0]
     elif name == "densenet121-24_ssd":
         spec = build_detector_spec(2)[0]
     else:
         spec = named_spec(name)
-    assert audit_spike_purity(spec, allow_dwsep=name.startswith("mobilenet")) == []
+    net = Network(spec)
+    assert len(net.conv_of) == sum(node["type"] == "plif" for node in spec.nodes)
+    if name.startswith("mobilenet"):
+        dense = convert_dwsep_network(net)
+        assert not dense.bn_of.keys() - dense.conv_of.values()  # every bn runs in a block
     names = [node["name"] for node in spec.nodes]
     assert len(set(names)) == len(names)
 
 
 def test_purity_audit_mobilenet_dwsep():
-    from evsnn.spiking.builders import build_mobilenet
-
+    """MobileNet's pointwise conv reads the float output of the depthwise
+    conv its ``pointwise_of`` names. Without that key, or naming another
+    conv, the spec is refused, naming the pointwise conv."""
     spec = build_mobilenet(16, in_channels=4)
-    assert audit_spike_purity(spec, allow_dwsep=True) == []
-    assert audit_spike_purity(spec, allow_dwsep=False) != []
+    Network(spec)
+    for pointwise_of in (None, "dw2_dwconv"):
+        broken = NetworkSpec.from_json(spec.to_json())
+        node = broken.node("dw1_pwconv")
+        if pointwise_of is None:
+            del node["pointwise_of"]
+        else:
+            node["pointwise_of"] = pointwise_of
+        with pytest.raises(ValueError, match=r"^dw1_pwconv: a conv must read spikes, its own bn or the depthwise "
+                                             r"conv its pointwise_of names; it reads \['dw1_dwconv'\]"):
+            Network(broken)
 
 
 def test_purity_audit_flags_conv_on_real_values():
+    """A conv that reads a conv's float output, another conv than its
+    ``pointwise_of`` names, or a bn that reads a conv's output, is refused
+    with a ValueError that names it."""
     spec = NetworkSpec(input_channels=2)
     spec.add("c1", "conv", ["input"], out_channels=4, kernel=3)
     spec.add("c2", "conv", ["c1"], out_channels=4, kernel=3)  # conv fed raw conv output
-    violations = audit_spike_purity(spec)
-    assert any("c2" in v for v in violations)
+    with pytest.raises(ValueError, match=r"^c2: a conv must read spikes"):
+        Network(spec)
+    cases = _refused_cases(_READ_RULE)
+    assert len(cases) == 3
+    for spec in cases.values():
+        with pytest.raises(ValueError, match=f"^a: {_READ_RULE}"):
+            Network(spec)
 
 
 def test_purity_audit_names_an_undefined_input():
     spec = NetworkSpec(input_channels=2)
     spec.add("c1", "conv", ["nope"], out_channels=4, kernel=3)
     with pytest.raises(ValueError, match=r"c1: inputs \['nope'\]"):
-        audit_spike_purity(spec)
+        Network(spec)
     later = NetworkSpec.from_json(spec.to_json())
     later.nodes[0]["inputs"] = ["b"]
     later.add("b", "bn", ["input"])
     with pytest.raises(ValueError, match=r"c1: inputs \['b'\]"):
-        audit_spike_purity(later)
+        Network(later)
 
 
 def test_densenet_concat_growth():
