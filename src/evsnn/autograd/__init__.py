@@ -1,7 +1,6 @@
 from .tensor import Tensor, no_grad, grad_enabled, add, sub, mul, tensor_sum, reshape, transpose, sigmoid
 from .ops import (
     conv2d,
-    bn_conv,
     maxpool2d,
     concat,
     time_sum,
@@ -25,7 +24,6 @@ __all__ = [
     "transpose",
     "sigmoid",
     "conv2d",
-    "bn_conv",
     "maxpool2d",
     "concat",
     "time_sum",

@@ -13,6 +13,7 @@ it, so a crash mid-write leaves the previous file whole.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -43,8 +44,11 @@ def _read_entry(fh):
     name = _read(fh, nlen).decode("utf-8")
     (ndim,) = struct.unpack("<B", _read(fh, 1))
     shape = tuple(struct.unpack("<I", _read(fh, 4))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read(fh, 4 * count), dtype="<f4").reshape(shape)
+    size, left = 4 * math.prod(shape), os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:  # checked before the read, which would allocate size bytes
+        raise ValueError(f"{fh.name}: checkpoint entry {name!r} of shape {shape} needs {size} bytes, "
+                         f"the file has {left} left")
+    data = np.frombuffer(_read(fh, size), dtype="<f4").reshape(shape)
     return name, data.copy()
 
 

@@ -2,12 +2,12 @@
 
 Activations are channel-major frames, (C, N, H, W). Between spiking layers
 an op reads all T frames at once, T-major (T, C, N, H, W), so that frame t
-is ``x[t]``, and records one tape entry whatever T is. Convolution, the
-batch norm -> conv pair and max pooling also take one frame (the run-once
-heads) and run frame by frame (``_framewise``): each frame has its own
-batch statistics and running-statistics update, in time order, and the
+is ``x[t]``, and records one tape entry whatever T is. Convolution (with
+or without its batch norm) and max pooling also take one frame (the
+run-once heads) and run frame by frame (``_framewise``): each frame has its
+own batch statistics and running-statistics update, in time order, and the
 backward visits the frames in reverse time order, writing each frame's
-input gradient into one stacked array.
+input gradient into one stacked array of the dtype ``Tensor`` gives it.
 
 Convolution and max pooling share one window layout (``_PhaseGrid``): a
 frame is padded and split into its s*s stride phases in one pass, each
@@ -16,34 +16,38 @@ contiguous slice of an ho x wq output grid, cropped to the ho x wo output.
 A convolution copies the k*k slices into one (Cin, kh*kw, N, ho*wq) column
 buffer and runs one GEMM per group over all of its columns. Its tape keeps
 only its parents: the backward rebuilds the phase buffer from the input,
-the columns from it for dW, adds the column gradient back tap by tap and
-writes dx in one copy that drops the border. Max pooling is a running
-maximum over the same slices; its backward scatters each output's gradient
-to the cell that held its maximum in one ``np.add.at``.
+the columns from it for dW (``_conv_dw``), adds the column gradient back
+tap by tap and writes dx in one copy that drops the border (``_conv_dx``).
+Max pooling is a running maximum over the same slices; its backward
+scatters each output's gradient to the cell that held its maximum in one
+``np.add.at``.
 
-Batch norm runs only in front of the conv that reads it. It reduces each
-channel's contiguous row (``_bn_forward``); the tape keeps the channel mean
-and 1/std, and the backward rebuilds xhat from the input (``_bn_backward``).
-The tape sets its mode: batch statistics and a running-statistics update
-while it records, the running statistics, unchanged, under ``no_grad``.
-``bn_conv`` is a batch norm and the conv that reads it as one op, bit for
-bit the batch norm then ``conv2d``, whose backward rebuilds xhat once, then
-the phase buffer from it; under ``no_grad`` the batch norm folds into the
-conv.
+Batch norm runs only in front of the conv that reads it, folded into that
+conv in both modes (``_bn_fold``; Jacob et al., CVPR 2018, and
+Krishnamoorthi, 2018, for batch statistics): the conv runs on x itself,
+with W*gamma/std per input channel, a folded bias and a per-channel border
+fill that the batch norm maps to 0, so no batch norm output is built and
+a conv on spikes only accumulates. The tape sets the statistics: each
+frame's batch statistics (``_bn_stats``, which also updates the running
+statistics) while it records, the running statistics, unchanged and
+folded once per op, under ``no_grad``. The tape keeps each frame's channel
+mean and 1/std; the backward refolds them, takes dW from the folded
+columns and the batch norm's gradients from dy and x (``_bn_backward``),
+with no xhat.
 
 ``conv_plif`` is a spiking block, bn -> conv -> PLIF (or conv -> PLIF), as
 one op: it runs the PLIF neuron over all T frames from rest on the conv's
-output, bit for bit ``bn_conv`` or ``conv2d`` then the neuron. The
-membrane and its gradient are locals of one forward loop and one
-reverse-time backward loop. The tape keeps the spikes (1 byte each) and
-every frame's pre-reset membrane v; w's gradient reads X only through
-a (X - V) = v - V. Each frame's conv output is dropped once PLIF has read
-it, and the backward hands each frame's dX to the conv's and the batch
-norm's, which rebuild their inputs from the block's input spikes.
+output, bit for bit ``conv2d`` then the neuron. The membrane and its
+gradient are locals of one forward loop and one reverse-time backward
+loop. The tape keeps the spikes (1 byte each) and every frame's pre-reset
+membrane v; w's gradient reads X only through a (X - V) = v - V. Each
+frame's conv output is dropped once PLIF has read it, and the backward
+hands each frame's dX to the conv's frame backward, which rebuilds its
+input from the block's input spikes.
 
-Conv, the pair and the block keep on the tape only what their backward
-reads and cannot rebuild, with the forward's own float ops, from arrays the
-tape holds anyway (the store-less trade of Chen et al., 2016); the rebuilt
+Conv and the block keep on the tape only what their backward reads and
+cannot rebuild, with the forward's own float ops, from arrays the tape
+holds anyway (the store-less trade of Chen et al., 2016); the rebuilt
 values are bit for bit those of the forward.
 
 Spikes are one byte: ``conv_plif`` returns the ``uint8`` view of its
@@ -85,28 +89,29 @@ def _frames(a):
     return a if a.ndim == 5 else a[None]
 
 
-def _input_grad(x, shape, dtype, frame_backward):
+def _input_grad(x, shape, g, frame_backward):
     """Calls frame_backward(t, dx) for t = T-1 down to 0, dx frame t's slot
-    of x's gradient (None when x needs none), then hands x that gradient."""
-    dx = np.empty(shape, dtype=dtype) if x.requires_grad else None
+    of x's gradient, T frames of ``shape`` (None when x needs none), then
+    hands x that gradient, of the dtype ``Tensor`` gives x for a gradient
+    like g: x's if float, else g's."""
+    dx = np.empty(shape, dtype=x._grad_dtype(g)) if x.requires_grad else None
     for t in reversed(range(shape[0])):
         frame_backward(t, None if dx is None else dx[t])
     if dx is not None:
         x.accumulate_fresh_grad(dx.reshape(x.data.shape))
 
 
-def _framewise(x, parents, forward, backward, dx_dtype):
+def _framewise(x, parents, forward, backward):
     """An op run frame by frame on x, one frame or T, its outputs stacked as
     x's frames are: forward(x_t) returns frame t's output and what its
     backward reads, backward(x_t, saved, g_t, dx) writes frame t's input
-    gradient into dx (None when x needs none), of dtype dx_dtype(x's dtype,
-    g's dtype)."""
+    gradient into dx (None when x needs none)."""
     ys, saved = zip(*map(forward, _frames(x.data)))
     out = ys[0] if x.data.ndim == 4 else np.stack(ys)
 
     def op_backward(g):
         xs, gs = _frames(x.data), _frames(g)
-        _input_grad(x, xs.shape, dx_dtype(x.data.dtype, g.dtype), lambda t, dx: backward(xs[t], saved[t], gs[t], dx))
+        _input_grad(x, xs.shape, g, lambda t, dx: backward(xs[t], saved[t], gs[t], dx))
 
     return Tensor.from_op(out, parents, op_backward)
 
@@ -242,34 +247,166 @@ def _conv_forward(grid, phases, w, b, groups):
     return out
 
 
-def _conv_backward(grid, phases, g, w, b, groups, dx):
-    """One frame of a conv's backward from its output gradient g, the
-    columns rebuilt from ``phases`` for dW: hands w and b their gradients and
-    writes the frame's input gradient into dx unless dx is None."""
-    cout = w.data.shape[0]
-    w_m = w.data.reshape(groups, cout // groups, -1)
-    gm = grid.extend(g).reshape(groups, cout // groups, -1)
-    if w.requires_grad:
-        cols_t = grid.columns(phases).reshape(groups, w_m.shape[2], -1).transpose(0, 2, 1)
-        w.accumulate_fresh_grad(np.matmul(gm, cols_t).reshape(w.data.shape))
-        del cols_t  # freed before the column gradient is allocated
-    if b is not None and b.requires_grad:
-        b.accumulate_fresh_grad(g.reshape(cout, -1).sum(axis=1))
-    if dx is None:
-        return
+def _conv_dw(grid, phases, gm):
+    """G cols(phases)^T per group, (groups, Cout/g, Cin/g*kh*kw): a conv's
+    weight gradient from gm, its output gradient on the output grid as
+    (groups, Cout/g, N*span), the columns rebuilt from ``phases``."""
+    cols_t = grid.columns(phases).reshape(gm.shape[0], -1, gm.shape[2]).transpose(0, 2, 1)
+    return np.matmul(gm, cols_t)
+
+
+def _conv_dx(grid, gm, w, dx):
+    """Writes into dx the input gradient of a conv with the weight w (an
+    array) from gm, as ``_conv_dw`` takes it."""
+    w_m = w.reshape(gm.shape[0], gm.shape[1], -1)
     # the column gradient, written into dx when it is the input's
-    dcols = np.matmul(w_m.transpose(0, 2, 1), gm, out=dx.reshape(groups, w_m.shape[2], -1) if grid.is_input else None)
+    out = dx.reshape(w_m.shape[0], w_m.shape[2], -1) if grid.is_input else None
+    dcols = np.matmul(w_m.transpose(0, 2, 1), gm, out=out)
     if not grid.is_input:
         grid.merge(grid.scatter(dcols.reshape(grid.shape[0], len(grid.taps), grid.shape[1], grid.span)), dx)
 
 
-def _split_input(grid, x, w):
-    """The phase buffer of a conv's input frame x: one-byte spikes at the
-    weight's dtype (arrays)."""
-    return grid.split(x, dtype=np.result_type(x.dtype, w.dtype))
+def _bn_stats(x, dtype, running_mean, running_var):
+    """The batch statistics of a (C, N, H, W) frame x, each channel's row:
+    the mean and 1/std, both (C,); updates the running statistics in place
+    (unbiased variance).
+
+    The centred rows' squares give the variance with the same float ops as
+    ``np.var``. One-byte spikes are summed into ``dtype``, the parameters':
+    the mean of binary rows is an exact count divided by m while m < 2**24,
+    equal to the mean of their float copy."""
+    c = x.shape[0]
+    xm = x.reshape(c, -1)
+    m = xm.shape[1]
+    if m < 2:
+        raise ValueError(f"batch norm needs more than one value per channel while the tape records; "
+                         f"it has N*H*W = {m}")
+    mean = xm.mean(axis=1, keepdims=True, dtype=xm.dtype if xm.dtype.kind == "f" else dtype)
+    centred = xm - mean
+    var = np.square(centred, out=centred).sum(axis=1) / m
+    mean = mean.reshape(c)
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var * m / (m - 1)
+    return mean, 1.0 / np.sqrt(var + BN_EPS)
 
 
-def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
+def _bn_fill(beta, mean, scale):
+    """The border value that y = scale (x - mean) + beta maps to 0, per
+    channel: mean - beta/scale, 0 where scale = 0."""
+    nonzero = scale != 0
+    return np.where(nonzero, mean - beta / np.where(nonzero, scale, 1), 0)
+
+
+def _bn_fold(gamma, beta, mean, scale, w, b, groups):
+    """Arrays W', b', p of the conv on x that equals the conv of the batch
+    norm y = scale (x - mean) + beta, scale = gamma/std, on the statistics
+    given (Jacob et al., CVPR 2018; Krishnamoorthi, 2018, for batch
+    statistics): W' = W scale per input channel, b' = b + sum W (beta -
+    scale mean) over each output's taps, and the border p (``_bn_fill``).
+    Input channel g*Cin/g + j is column j of group g: per-input-channel
+    values, as (groups, 1, Cin/g, 1, 1), meet the weight as (groups, Cout/g,
+    Cin/g, kh, kw)."""
+    w5 = w.reshape(groups, w.shape[0] // groups, *w.shape[1:])
+    w_f = (w5 * scale.reshape(groups, 1, -1, 1, 1)).reshape(w.shape)
+    b_f = (w5 * (beta - scale * mean).reshape(groups, 1, -1, 1, 1)).reshape(w.shape).sum(axis=(1, 2, 3))
+    if b is not None:
+        b_f += b
+    return w_f, b_f, _bn_fill(beta, mean, scale)
+
+
+def _bn_backward(x, dy, gamma, beta, mean, invstd, dx):
+    """One frame of batch norm's backward through the batch statistics from
+    dy, its output's gradient, and the frame x (arrays), with no xhat:
+    hands gamma and beta their gradients and writes x's gradient into dx
+    unless dx is None. With s = gamma invstd and m values per channel:
+        dbeta = sum dy,  dgamma = invstd (sum dy x - mean sum dy)
+        dx = s (dy - dbeta/m - (x - mean) invstd dgamma/m)."""
+    c = mean.shape[0]
+    dym, xm = dy.reshape(c, -1), x.reshape(c, -1)
+    m = dym.shape[1]
+    dbeta = dym.sum(axis=1)
+    dgamma = invstd * ((dym * xm).sum(axis=1) - mean * dbeta)
+    if dx is not None:
+        scale = gamma.data * invstd
+        k = scale * invstd * dgamma / m
+        dxm = np.multiply(dym, scale.reshape(c, 1), out=dx.reshape(c, -1))
+        dxm -= k.reshape(c, 1) * xm
+        dxm += (k * mean - scale * dbeta / m).reshape(c, 1)
+    if beta.requires_grad:
+        beta.accumulate_fresh_grad(dbeta)
+    if gamma.requires_grad:
+        gamma.accumulate_fresh_grad(dgamma)
+
+
+def _conv_frames(grid, w, b, groups, bn=None):
+    """A conv's frame forward and frame backward for ``_framewise`` or
+    ``_plif_op``; with bn = (gamma, beta, running_mean, running_var), those
+    of the conv with the batch norm folded in (see ``conv2d``). The forward
+    splits x, one-byte spikes at the weight's dtype, with the border fill.
+    Each frame backward is named after its op."""
+    cout = w.data.shape[0]
+    b_data = None if b is None else b.data
+    gamma, beta, running_mean, running_var = (None,) * 4 if bn is None else bn
+    if bn is None:
+        def fold(_):
+            return (w.data, b_data, None), None
+    elif grad_enabled():
+        def fold(x_t):
+            mean, invstd = _bn_stats(x_t, gamma.data.dtype, running_mean, running_var)
+            return _bn_fold(gamma.data, beta.data, mean, gamma.data * invstd, w.data, b_data, groups), (mean, invstd)
+    else:
+        folded = _bn_fold(gamma.data, beta.data, running_mean, gamma.data / np.sqrt(running_var + BN_EPS), w.data,
+                          b_data, groups), None
+
+        def fold(_):
+            return folded
+
+    def forward(x_t):
+        (w_f, b_f, fill), stats = fold(x_t)
+        return _conv_forward(grid, grid.split(x_t, fill, np.result_type(x_t.dtype, w_f.dtype)), w_f, b_f, groups), stats
+
+    def conv2d_backward(x_t, _, g, dx):
+        gm = grid.extend(g).reshape(groups, cout // groups, -1)
+        if w.requires_grad:
+            dw = _conv_dw(grid, grid.split(x_t, dtype=np.result_type(x_t.dtype, w.data.dtype)), gm)
+            w.accumulate_fresh_grad(dw.reshape(w.data.shape))
+        if b is not None and b.requires_grad:
+            b.accumulate_fresh_grad(g.reshape(cout, -1).sum(axis=1))
+        if dx is not None:
+            _conv_dx(grid, gm, w.data, dx)
+
+    def folded_conv2d_backward(x_t, stats, g, dx):
+        mean, invstd = stats
+        scale = gamma.data * invstd
+        gm = grid.extend(g).reshape(groups, cout // groups, -1)
+        gsum = g.reshape(cout, -1).sum(axis=1)
+        if w.requires_grad:
+            # dW = scale (G cols(x)^T) + (beta - scale mean) sum G per weight column (as in _bn_fold),
+            # x split with the forward's fill
+            phases = grid.split(x_t, _bn_fill(beta.data, mean, scale), np.result_type(x_t.dtype, w.data.dtype))
+            dw = _conv_dw(grid, phases, gm).reshape(groups, cout // groups, *w.data.shape[1:])
+            del phases
+            dw *= scale.reshape(groups, 1, -1, 1, 1)
+            dw += (beta.data - scale * mean).reshape(groups, 1, -1, 1, 1) * gsum.reshape(groups, -1, 1, 1, 1)
+            w.accumulate_fresh_grad(dw.reshape(w.data.shape))
+        if b is not None and b.requires_grad:
+            b.accumulate_fresh_grad(gsum)
+        if dx is not None or gamma.requires_grad or beta.requires_grad:
+            dy = np.empty(x_t.shape, dtype=np.result_type(w.data.dtype, g.dtype))
+            _conv_dx(grid, gm, w.data, dy)
+            _bn_backward(x_t, dy, gamma, beta, mean, invstd, dx)
+
+    return forward, conv2d_backward if bn is None else folded_conv2d_backward
+
+
+def _conv_inputs(x, w, b, bn):
+    """The tensors a conv (with its batch norm when bn is not None) reads."""
+    return tuple(t for t in (x, *(() if bn is None else bn[:2]), w, b) if t is not None)
+
+
+def conv2d(x, w, b=None, stride=1, padding=0, groups=1, bn=None):
     """2-D cross-correlation of each frame. x: (Cin,N,H,W) or T frames
     (T,Cin,N,H,W), w: (Cout,Cin/g,kh,kw) -> (Cout,N,Ho,Wo) per frame.
 
@@ -277,189 +414,23 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1):
     weight's dtype. The tape keeps nothing but the parents: the backward
     rebuilds each frame's phase buffer from x, and from it the columns for
     dW.
+
+    With ``bn`` = (gamma, beta, running_mean, running_var) it is the conv
+    of the batch norm of x, the batch norm folded into the conv
+    (``_bn_fold``) in the mode the tape sets: one conv on x, with none of
+    the batch norm's passes over x but its statistics, equal to the
+    composition to float round-off. While the tape records each frame has
+    its batch statistics, which update the running statistics in time
+    order, and the tape keeps each frame's channel mean and 1/std; the
+    backward refolds them, splits x with the same fill, and takes dW from
+    the folded columns and the batch norm's gradients from dy and x. Under
+    ``no_grad`` the running statistics, unchanged, fold once per op. A
+    channel with gamma = 0 is the constant beta, and the fold pads it with
+    beta, not 0: a window that reaches the border gains that channel's
+    border taps times beta.
     """
     grid = _conv_grid(x.data.shape[-4:], w.data.shape, stride, padding, groups)
-    return _framewise(x, (x, w) if b is None else (x, w, b), *_conv_frames(grid, w, b, groups))
-
-
-def _bn_forward(x, gamma, beta, running_mean, running_var):
-    """Batch norm of a (C, N, H, W) frame x over each channel's row: the
-    (C, m) output, the channel mean and 1/std, both (C, 1).
-
-    While the tape records, the centred rows and their squares give the
-    variance with the same float ops as ``np.var``, then become xhat and the
-    output in place, and the running statistics are updated in place
-    (unbiased variance). One-byte spikes are summed into the parameters'
-    float dtype: the mean of binary rows is an exact count divided by m
-    while m < 2**24, equal to the mean of their float copy. Under
-    ``no_grad`` the running statistics normalize and stay unchanged.
-    """
-    c = x.shape[0]
-    xm = x.reshape(c, -1)
-    m = xm.shape[1]
-    if grad_enabled():
-        if m < 2:
-            raise ValueError(f"batch norm needs more than one value per channel while the tape records; "
-                             f"it has N*H*W = {m}")
-        dtype = xm.dtype if xm.dtype.kind == "f" else gamma.data.dtype
-        mean = xm.mean(axis=1, keepdims=True, dtype=dtype)
-        xhat = xm - mean  # centred, scaled to xhat below
-        out = np.square(xhat)
-        var = out.sum(axis=1) / m
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean.reshape(c)
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var * m / (m - 1)
-    else:
-        mean, var = running_mean.reshape(c, 1), running_var
-        xhat = xm - mean
-        out = np.empty_like(xhat)
-    invstd = (1.0 / np.sqrt(var + BN_EPS)).reshape(c, 1)
-    xhat *= invstd
-    return _bn_affine(xhat, gamma, beta, out), mean, invstd
-
-
-def _bn_xhat(x, mean, invstd):
-    """xhat = (x - mean) * invstd on (C, m) rows, with the forward's float ops."""
-    xhat = x.reshape(mean.shape[0], -1) - mean
-    xhat *= invstd
-    return xhat
-
-
-def _bn_affine(xhat, gamma, beta, out):
-    """out = xhat * gamma + beta, per channel row."""
-    c = xhat.shape[0]
-    np.multiply(xhat, gamma.data.reshape(c, 1), out=out)
-    out += beta.data.reshape(c, 1)
-    return out
-
-
-def _bn_backward(x, gamma, beta, mean, invstd, g, dx, xhat=None):
-    """One frame of batch norm's backward from its output gradient g,
-    through the batch statistics: hands gamma and beta their gradients and
-    writes the gradient of the frame x (an array) into dx unless dx is None.
-    xhat is rebuilt from x when not given, and overwritten."""
-    c = mean.shape[0]
-    gm = g.reshape(c, -1)
-    m = gm.shape[1]
-    if beta.requires_grad or dx is not None:
-        gsum = gm.sum(axis=1, keepdims=True)
-        if beta.requires_grad:
-            beta.accumulate_fresh_grad(gsum.reshape(c))
-    if gamma.requires_grad or dx is not None:
-        if xhat is None:
-            xhat = _bn_xhat(x, mean, invstd)
-        gx = (gm * xhat).sum(axis=1, keepdims=True)
-        if gamma.requires_grad:
-            gamma.accumulate_fresh_grad(gx.reshape(c))
-    if dx is not None:
-        # gamma invstd (gm - gsum/m - xhat*gx/m), built in xhat
-        xhat *= gx
-        xhat /= m
-        np.subtract(gm - gsum / m, xhat, out=xhat)
-        np.multiply(xhat, gamma.data.reshape(c, 1) * invstd, out=dx.reshape(c, -1))
-
-
-def _bn_dx_dtype(gamma):
-    """A batch norm's input-gradient dtype for ``_framewise``: x's if float, else xhat's (gamma's)."""
-    return lambda x_dtype, _: x_dtype if x_dtype.kind == "f" else gamma.data.dtype
-
-
-def _bn_fold(gamma, beta, running_mean, running_var, w, b, groups):
-    """Arrays W', b', p of the conv on x that equals conv(bn(x)) on the
-    running statistics (Jacob et al., CVPR 2018): with s = gamma /
-    sqrt(running_var + eps) per input channel, W' = W*s, b' = b + sum
-    W*(beta - s*running_mean) over each output's taps, and the border
-    p = running_mean - beta/s that the batch norm maps to 0 (0 where s = 0)."""
-    scale = gamma / np.sqrt(running_var + BN_EPS)
-    cout, cin_g = w.shape[:2]
-    # the input channel of each (output channel, weight column)
-    ic = (np.arange(cout)[:, None] // (cout // groups)) * cin_g + np.arange(cin_g)
-    w_f = w * scale[ic][:, :, None, None]
-    b_f = (w * (beta - scale * running_mean)[ic][:, :, None, None]).sum(axis=(1, 2, 3))
-    if b is not None:
-        b_f += b
-    nonzero = scale != 0
-    fill = np.where(nonzero, running_mean - beta / np.where(nonzero, scale, 1), 0)
-    return w_f, b_f, fill
-
-
-def _bn_conv_forward(grid, x, bn, w, b, groups):
-    """The output of the batch norm (``_bn_forward``) then the conv on the
-    frame x (an array) as ``bn_conv`` computes it (bn = gamma, beta,
-    running_mean, running_var), and what its backward reads: the channel
-    mean and 1/std while the tape records, None under ``no_grad``, where the
-    batch norm folds into the conv."""
-    gamma, beta, running_mean, running_var = bn
-    b_data = None if b is None else b.data
-    if not grad_enabled():
-        w_f, b_f, fill = _bn_fold(gamma.data, beta.data, running_mean, running_var, w.data, b_data, groups)
-        phases = grid.split(x, fill, np.result_type(x.dtype, w_f.dtype))
-        return _conv_forward(grid, phases, w_f, b_f, groups), None
-    y, mean, invstd = _bn_forward(x, gamma, beta, running_mean, running_var)
-    phases = grid.split(y.reshape(x.shape), dtype=np.result_type(y.dtype, w.data.dtype))
-    del y
-    return _conv_forward(grid, phases, w.data, b_data, groups), (mean, invstd)
-
-
-def _bn_conv_backward(grid, x, gamma, beta, stats, w, b, groups, g, dx):
-    """One frame of ``bn_conv``'s backward from its output gradient g:
-    rebuilds xhat once from the frame x (an array), the phase buffer from
-    xhat, then runs the conv's backward and the batch norm's on that xhat,
-    which writes x's gradient into dx unless dx is None."""
-    mean, invstd = stats
-    xhat = _bn_xhat(x, mean, invstd)
-    y = _bn_affine(xhat, gamma, beta, np.empty_like(xhat)).reshape(x.shape)
-    phases = grid.split(y, dtype=np.result_type(y.dtype, w.data.dtype))
-    del y
-    needs_dy = dx is not None or gamma.requires_grad or beta.requires_grad
-    dy = np.empty(x.shape, dtype=np.result_type(w.data.dtype, g.dtype)) if needs_dy else None
-    _conv_backward(grid, phases, g, w, b, groups, dy)
-    del phases
-    if dy is not None:
-        _bn_backward(x, gamma, beta, mean, invstd, dy.astype(xhat.dtype, copy=False), dx, xhat)
-
-
-def _conv_frames(grid, w, b, groups, bn=None):
-    """A conv's frame forward, frame backward and input-gradient dtype for
-    ``_framewise``; with bn = (gamma, beta, running stats), ``bn_conv``'s.
-    Each frame backward is named after its op."""
-    if bn is not None:
-        gamma, beta = bn[:2]
-
-        def bn_conv_backward(x_t, stats, g, dx):
-            _bn_conv_backward(grid, x_t, gamma, beta, stats, w, b, groups, g, dx)
-
-        return lambda x_t: _bn_conv_forward(grid, x_t, bn, w, b, groups), bn_conv_backward, _bn_dx_dtype(gamma)
-    b_data = None if b is None else b.data
-
-    def conv2d_backward(x_t, _, g, dx):
-        _conv_backward(grid, _split_input(grid, x_t, w.data), g, w, b, groups, dx)
-
-    return (lambda x_t: (_conv_forward(grid, _split_input(grid, x_t, w.data), w.data, b_data, groups), None),
-            conv2d_backward, lambda _, g_dtype: np.result_type(w.data.dtype, g_dtype))
-
-
-def bn_conv(x, gamma, beta, running_mean, running_var, w, b=None, stride=1, padding=0, groups=1):
-    """A batch norm of x and ``conv2d`` of its output with w, b as one op, in
-    the mode the tape sets; x is one frame or T frames, as in ``conv2d``.
-
-    Under ``no_grad`` the batch norm folds into the conv (``_bn_fold``,
-    O(Cout*Cin/g*k*k) per frame): one conv on x, equal to the composition to
-    float round-off, with none of the batch norm's passes over x. A channel
-    with gamma = 0 is the constant beta, and the fold pads it with beta, not
-    0: a window that reaches the border gains that channel's border taps
-    times beta.
-
-    While the tape records it is one tape entry, bit for bit the
-    composition, running statistics update included, that keeps the output
-    and each frame's channel mean and 1/std; x (the one-byte spikes of a
-    block) is a parent. The backward rebuilds xhat from each frame once, the
-    phase buffer from xhat, then runs the conv's and the batch norm's.
-    """
-    grid = _conv_grid(x.data.shape[-4:], w.data.shape, stride, padding, groups)
-    return _framewise(x, (x, gamma, beta, w) if b is None else (x, gamma, beta, w, b),
-                      *_conv_frames(grid, w, b, groups, (gamma, beta, running_mean, running_var)))
+    return _framewise(x, _conv_inputs(x, w, b, bn), *_conv_frames(grid, w, b, groups, bn))
 
 
 def maxpool2d(x, kernel, stride=None, padding=0):
@@ -501,7 +472,7 @@ def maxpool2d(x, kernel, stride=None, padding=0):
         if p:
             dx[...] = d[:, :, p : p + h, p : p + w]
 
-    return _framewise(x, (x,), forward, backward, lambda _, g_dtype: g_dtype)
+    return _framewise(x, (x,), forward, backward)
 
 
 def concat(tensors, axis):
@@ -535,11 +506,11 @@ def time_sum(x):
 
 
 def _plif_forward(drive, steps, w, keep):
-    """PLIF over ``steps`` frames from rest, drive(t) being frame t's X (see
-    ``conv_plif``): the (T, ...) boolean spikes, v (every frame's when
-    ``keep``, else one frame's, reused) and a."""
+    """PLIF over ``steps`` frames from rest, drive(t) being frame t's X and
+    a = sigmoid(w) (see ``conv_plif``): the (T, ...) boolean spikes, v
+    (every frame's when ``keep``, else one frame's, reused) and a."""
     x = drive(0)
-    a = _sigmoid(w.data) if isinstance(w, Tensor) else x.dtype.type(w)
+    a = _sigmoid(w.data)
     spiked = np.empty((steps, *x.shape), dtype=bool)
     v = np.empty((steps if keep else 1, *x.shape), dtype=np.result_type(x, a))
     np.multiply(x, a, out=v[0])  # from rest, V = 0
@@ -556,8 +527,8 @@ def _plif_forward(drive, steps, w, keep):
 
 def _plif_frame_backward(g, g_m, v, v_prev, a, w):
     """dv of one frame (see ``conv_plif``) from its spikes' gradient g and
-    g_m, the next frame's gradient for V' (None for the last); hands a
-    learned w its share, with V = v_prev [v_prev < 1] (0 when v_prev is
+    g_m, the next frame's gradient for V' (None for the last); hands w its
+    share when it learns, with V = v_prev [v_prev < 1] (0 when v_prev is
     None)."""
     dv = v - 1.0
     dv *= 0.5 * np.pi * PLIF_SURROGATE_ALPHA
@@ -571,7 +542,7 @@ def _plif_frame_backward(g, g_m, v, v_prev, a, w):
         np.subtract(g, gs, out=gs)
         dv *= gs
         dv += np.multiply(g_m, v < 1.0, out=gs)  # (1 - s) g_m
-    if isinstance(w, Tensor) and w.requires_grad:
+    if w.requires_grad:
         if v_prev is None:
             w.accumulate_grad(np.vdot(dv, v) * (1.0 - a))
         else:
@@ -580,12 +551,12 @@ def _plif_frame_backward(g, g_m, v, v_prev, a, w):
     return dv
 
 
-def _plif_op(x, plif_w, inputs, forward, frame_backward, dx_dtype):
+def _plif_op(x, plif_w, inputs, forward, frame_backward):
     """The PLIF neuron (see ``conv_plif``) on the frames forward(x_t) makes,
     as one op whose backward hands each frame's dX = a dv on to
-    frame_backward (forward, frame_backward and dx_dtype as ``_framewise``
-    takes them; ``inputs`` are the tensors forward reads)."""
-    parents = inputs + ((plif_w,) if isinstance(plif_w, Tensor) else ())
+    frame_backward (forward and frame_backward as ``_framewise`` takes
+    them; ``inputs`` are the tensors forward reads)."""
+    parents = inputs + (plif_w,)
     saved = []
 
     def drive(t):
@@ -608,21 +579,21 @@ def _plif_op(x, plif_w, inputs, forward, frame_backward, dx_dtype):
             if needs_input:
                 frame_backward(x.data[t], saved[t], d, dx)
 
-        _input_grad(x, x.data.shape, dx_dtype(x.data.dtype, np.result_type(v, a)), frame)
+        _input_grad(x, x.data.shape, v, frame)
 
     return Tensor.from_op(spiked.view(np.uint8), parents, backward)
 
 
 def conv_plif(x, plif_w, w, b=None, stride=1, padding=0, groups=1, bn=None):
     """A spiking block over all T frames of x, (T, Cin, N, H, W), as one op:
-    ``conv2d(x, w, b, ...)``, or with ``bn`` = (gamma, beta, running_mean,
-    running_var) ``bn_conv(x, *bn, w, b, ...)``, then the PLIF neuron over
-    the conv's T output frames from rest, in the mode the tape sets.
+    ``conv2d(x, w, b, stride, padding, groups, bn)``, with or without
+    ``bn`` = (gamma, beta, running_mean, running_var), then the PLIF neuron
+    over the conv's T output frames from rest, in the mode the tape sets.
 
     The neuron, frame by frame: v = V + (X - V) a with a = 1/tau (v = X a
     from rest), X the conv's output, spikes s = [v >= 1], reset membrane
-    V' = v (1 - s), the next frame's V. ``plif_w`` sets a: a Tensor is the
-    learned w with a = sigmoid(w), a float is a itself. Returns the
+    V' = v (1 - s), the next frame's V, and a = sigmoid(w) for ``plif_w``,
+    the Tensor w (learned unless frozen). Returns the
     (T, Cout, N, Ho, Wo) spikes, the ``uint8`` view of the boolean s, one
     byte each; their gradient is float.
 
@@ -635,17 +606,15 @@ def conv_plif(x, plif_w, w, b=None, stride=1, padding=0, groups=1, bn=None):
     where dw is a (1 - a) sum(dv (X - V)) with a (X - V) = v - V; V comes
     from the previous frame's v, so the neuron's backward never reads X.
 
-    Frame by frame, the batch norm and conv run as in ``bn_conv`` (folded
-    under ``no_grad``), then PLIF reads the frame's conv output, which is
-    dropped. While the tape records it is one entry, bit for bit the
-    composition, that keeps the spikes (1 byte), v (4 bytes in float32) and
-    each frame's batch-norm statistics; the backward hands each frame's
-    dX = a dv to the conv's and the batch norm's, which rebuild their inputs
-    from x, a parent.
+    Frame by frame, the conv runs as in ``conv2d``, its batch norm folded
+    in, then PLIF reads the frame's conv output, which is dropped. While the
+    tape records it is one entry, bit for bit the composition, that keeps
+    the spikes (1 byte), v (4 bytes in float32) and each frame's batch-norm
+    statistics; the backward hands each frame's dX = a dv to the conv's
+    frame backward, which rebuilds its phase buffer from x, a parent.
     """
     grid = _conv_grid(x.data.shape[1:], w.data.shape, stride, padding, groups)
-    inputs = tuple(t for t in (x, *(() if bn is None else bn[:2]), w, b) if t is not None)
-    return _plif_op(x, plif_w, inputs, *_conv_frames(grid, w, b, groups, bn))
+    return _plif_op(x, plif_w, _conv_inputs(x, w, b, bn), *_conv_frames(grid, w, b, groups, bn))
 
 
 def _softmax(z):

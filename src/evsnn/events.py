@@ -173,6 +173,13 @@ def parse_dat(data: bytes, default_size=(304, 240), strict=False):
 
 
 def write_dat(stream: EventStream, headers=None) -> bytes:
+    """The DAT file of ``stream``; raises ValueError naming the first event
+    the format cannot hold: t >= 2**32, or x or y >= 2**14."""
+    bad = (stream.ts >= 1 << 32) | (stream.xs >= 1 << 14) | (stream.ys >= 1 << 14)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"event {i} (t={stream.ts[i]}, x={stream.xs[i]}, y={stream.ys[i]}) does not fit the DAT "
+                         f"format, which holds t < 2**32 and x, y < 2**14")
     if headers is None:
         headers = getattr(stream, "headers", None)
     if headers is None:

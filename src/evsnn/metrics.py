@@ -3,8 +3,9 @@
 ACCs per timestep count dense synaptic accumulations (an upper bound that
 is a model constant): every convolution contributes output_elements x
 fan_in additions, every PLIF neuron one potential update per timestep.
-Batch norm contributes nothing: at inference ``ag.bn_conv`` folds it into
-the conv that reads it, so every conv reads spikes. Pooling and
+Batch norm contributes nothing: in both modes ``ag.conv2d`` and
+``ag.conv_plif`` fold it into the conv that reads it, so every conv reads
+spikes. Pooling and
 concatenation involve no arithmetic accumulation. The spike-driven
 effective cost is the dense count scaled by the measured spike rate.
 """
@@ -60,7 +61,7 @@ class OpCountReport:
 
 def count_params(net: Network) -> OpCountReport:
     """Conv weights/biases and PLIF time constants; BN affine parameters
-    are tallied separately since they fold into the convs at inference."""
+    are tallied separately since they fold into the convs."""
     rep = OpCountReport()
     for name, layer in net.layers.items():
         n = 0

@@ -35,9 +35,11 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 64
     lr: float = 5e-3
-    weight_decay: float = 1e-4
-    grad_clip: float = 1.0
     seed: int = 0
+
+
+WEIGHT_DECAY = 1e-4  # AdamW's decoupled decay
+GRAD_CLIP = 1.0  # the global gradient-norm bound
 
 
 @dataclass
@@ -58,7 +60,7 @@ def _fit(params, loss_fn, n, config: TrainConfig, log):
     """The training loop. Each epoch visits the ``n`` samples in a fresh
     random order; ``loss_fn(idx)`` returns the loss Tensor of the batch of
     sample indices ``idx``. Returns a TrainHistory."""
-    opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
+    opt = AdamW(params, lr=config.lr, weight_decay=WEIGHT_DECAY)
     rng = np.random.default_rng(config.seed)
     total_steps = config.epochs * max(1, -(-n // config.batch_size))
     hist = TrainHistory()
@@ -73,7 +75,7 @@ def _fit(params, loss_fn, n, config: TrainConfig, log):
             loss = loss_fn(idx)
             _check_finite(float(loss.data), step)
             loss.backward()
-            norm = clip_grad_norm(params, config.grad_clip)
+            norm = clip_grad_norm(params, GRAD_CLIP)
             _check_finite(norm, step, " (gradient norm)")
             opt.lr = cosine_lr(step, total_steps, config.lr)
             opt.step()

@@ -38,13 +38,14 @@ holds one entry: the spikes (1 byte each), the pre-reset membrane (4 bytes
 each in float32) and the bn's O(C) statistics per frame. The conv's float
 output never reaches it. A bn -> conv pair outside a block (MobileNet's
 depthwise conv, read by its pointwise conv) runs in the conv's call as one
-op, ``ag.bn_conv``.
+op, ``ag.conv2d`` with the bn.
 
-Batch norm keeps no training flag, neither here nor in its ops: ``ag.bn_conv``
-and ``ag.conv_plif`` read the mode from the autograd tape. While the tape
-records they normalize each frame with its batch statistics and update the
-running statistics frame after frame; under ``ag.no_grad()`` they fold the
-running statistics, unchanged, into the conv.
+Batch norm keeps no training flag, neither here nor in its ops: it folds
+into its conv in both modes, and ``ag.conv2d`` and ``ag.conv_plif`` read
+the statistics to fold from the autograd tape. While the tape records they
+fold each frame's batch statistics and update the running statistics frame
+after frame; under ``ag.no_grad()`` they fold the running statistics,
+unchanged.
 """
 
 from __future__ import annotations
@@ -58,6 +59,12 @@ from .. import autograd as ag
 from ..autograd import Tensor
 from ..autograd.checkpoint import check_state
 from ..autograd.ops import _out_size
+
+
+def _bn_args(bn):
+    """The ``bn`` argument of ``ag.conv2d`` and ``ag.conv_plif`` for a batch
+    norm layer, or None."""
+    return None if bn is None else (bn.gamma, bn.beta, bn.running_mean, bn.running_var)
 
 
 class ConvLayer:
@@ -79,12 +86,9 @@ class ConvLayer:
         """All T frames, (T, C, N, H, W), or one (C, N, H, W) frame, which
         may be the sum of ``steps`` frames: then the bias counts once per
         frame. With ``bn``, the batch norm layer that reads x, the pair runs
-        as one op, ``ag.bn_conv``."""
+        as one op, the batch norm folded into the conv."""
         bias = self.bias if self.bias is None or steps == 1 else self.bias * float(steps)
-        if bn is None:
-            return ag.conv2d(x, self.weight, bias, self.stride, self.padding, self.groups)
-        return ag.bn_conv(x, bn.gamma, bn.beta, bn.running_mean, bn.running_var, self.weight, bias, self.stride,
-                          self.padding, self.groups)
+        return ag.conv2d(x, self.weight, bias, self.stride, self.padding, self.groups, _bn_args(bn))
 
     def out_shape(self, shape):
         return (self.out_channels, *_out_size(*shape[1:], self.kernel, self.kernel, self.stride, self.padding))
@@ -98,10 +102,10 @@ class ConvLayer:
 
 class BatchNormLayer:
     """A bn node's parameters and running statistics. It has no call of its
-    own: it runs in the call of the conv that reads it (``ag.bn_conv``) or of
-    that conv's plif (``ag.conv_plif``), with batch statistics (and a
-    running-statistics update) while the tape records and the running
-    statistics under ``ag.no_grad()``."""
+    own: it runs in the call of the conv that reads it (``ag.conv2d``) or of
+    that conv's plif (``ag.conv_plif``), folded into the conv with batch
+    statistics (and a running-statistics update) while the tape records and
+    the running statistics under ``ag.no_grad()``."""
 
     def __init__(self, name, channels):
         self.name = name
@@ -132,8 +136,7 @@ class PLIFLayer:
         (T, C, N, H, W), from rest: x is the input of ``conv``, the conv layer
         whose output this layer reads, or of its ``bn`` layer if it has one.
         The block runs as one op, ``ag.conv_plif``."""
-        norm = None if bn is None else (bn.gamma, bn.beta, bn.running_mean, bn.running_var)
-        return ag.conv_plif(x, self.w, conv.weight, conv.bias, conv.stride, conv.padding, conv.groups, norm)
+        return ag.conv_plif(x, self.w, conv.weight, conv.bias, conv.stride, conv.padding, conv.groups, _bn_args(bn))
 
     def out_shape(self, shape):
         return shape
@@ -336,7 +339,7 @@ class Network:
         undefined = [o for o in spec.outputs if o not in self.channels]
         if undefined:
             raise ValueError(f"outputs {undefined} are not defined by any node")
-        # each bn runs inside the one conv that reads it (ag.bn_conv), and
+        # each bn runs inside the one conv that reads it (ag.conv2d), and
         # each block's conv inside its plif (ag.conv_plif)
         self.once, self.bn_of, self.conv_of = _schedule(spec)
 

@@ -1,6 +1,6 @@
 """Depthwise-separable to dense convolution conversion, an inference-time
-rewrite of the network. Batch norm needs no rewrite: ``ag.bn_conv`` folds
-each bn into its conv under ``no_grad``."""
+rewrite of the network. Batch norm needs no rewrite: ``ag.conv2d`` and
+``ag.conv_plif`` fold each bn into its conv in both modes."""
 
 from __future__ import annotations
 

@@ -67,28 +67,66 @@ def plif(x, w):
     """The PLIF neuron alone over all T frames of x, (T, ...), from rest: the
     program's ``ops._plif_op`` with x as its own drive and a frame backward
     that copies dX into x's gradient, i.e. ``ag.conv_plif`` without the conv.
-    ``w`` is the learned w (a Tensor) or a itself (a float)."""
+    ``w`` is the learned w (a Tensor), or a itself, 0.5 or 1.0, which a
+    frozen w of x's dtype pins exactly: sigmoid(0) = 0.5 and sigmoid(40) =
+    1.0 in float32 and float64."""
 
     def copy_dx(_, __, d, dx):
         dx[...] = d
 
-    return ops._plif_op(x, w, (x,), lambda x_t: (x_t, None), copy_dx, lambda _, g_dtype: g_dtype)
+    if not isinstance(w, Tensor):
+        w = Tensor(np.array([{0.5: 0.0, 1.0: 40.0}[w]], dtype=x.data.dtype))
+    return ops._plif_op(x, w, (x,), lambda x_t: (x_t, None), copy_dx)
+
+
+def _bn_xhat(x, mean, invstd):
+    """xhat = (x - mean) * invstd on (C, m) rows, mean and invstd (C, 1)."""
+    xhat = x.reshape(mean.shape[0], -1) - mean
+    xhat *= invstd
+    return xhat
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var):
     """Batch norm alone of each (C, N, H, W) frame of x (one frame or T) in
-    the mode the tape sets: the program's ``ops._bn_forward`` and
-    ``ops._bn_backward`` run frame by frame by ``ops._framewise``, i.e.
-    ``ag.bn_conv`` without the conv."""
+    the mode the tape sets, run frame by frame by ``ops._framewise``: the
+    composition that ``ag.conv2d(..., bn=...)`` folds into its conv, with
+    its output built. While the tape records each frame normalizes with
+    its batch statistics (``ops._bn_stats``, which updates the running
+    statistics), under ``no_grad`` with the running statistics. The
+    backward rebuilds xhat from x and runs the textbook gradient through
+    the batch statistics."""
+    training = ag.grad_enabled()
 
     def forward(x_t):
-        y, mean, invstd = ops._bn_forward(x_t, gamma, beta, running_mean, running_var)
-        return y.reshape(x_t.shape), (mean, invstd)
+        c = x_t.shape[0]
+        if training:
+            mean, invstd = ops._bn_stats(x_t, gamma.data.dtype, running_mean, running_var)
+        else:
+            mean, invstd = running_mean, 1.0 / np.sqrt(running_var + ops.BN_EPS)
+        stats = mean.reshape(c, 1), invstd.reshape(c, 1)
+        y = _bn_xhat(x_t, *stats) * gamma.data.reshape(c, 1) + beta.data.reshape(c, 1)
+        return y.reshape(x_t.shape), stats
 
     def backward(x_t, stats, g, dx):
-        ops._bn_backward(x_t, gamma, beta, *stats, g, dx)
+        mean, invstd = stats
+        c = mean.shape[0]
+        gm = g.reshape(c, -1)
+        m = gm.shape[1]
+        xhat = _bn_xhat(x_t, mean, invstd)
+        gsum = gm.sum(axis=1, keepdims=True)
+        gx = (gm * xhat).sum(axis=1, keepdims=True)
+        if beta.requires_grad:
+            beta.accumulate_fresh_grad(gsum.reshape(c))
+        if gamma.requires_grad:
+            gamma.accumulate_fresh_grad(gx.reshape(c))
+        if dx is not None:
+            # gamma invstd (gm - gsum/m - xhat*gx/m), built in xhat
+            xhat *= gx
+            xhat /= m
+            np.subtract(gm - gsum / m, xhat, out=xhat)
+            np.multiply(xhat, gamma.data.reshape(c, 1) * invstd, out=dx.reshape(c, -1))
 
-    return ops._framewise(x, (x, gamma, beta), forward, backward, ops._bn_dx_dtype(gamma))
+    return ops._framewise(x, (x, gamma, beta), forward, backward)
 
 
 def call_layer(layer, *args):
@@ -108,8 +146,8 @@ def stepwise_forward(net, batch, record=None, unfolded=False):
     time-summed input instead. Each bn runs in its conv's call,
     ``conv(x, 1, bn)``, and a block's conv in a call of its own, before the
     plif's neuron (``call_layer``); with ``unfolded`` the bn runs as a call
-    of its own before the conv's, the batch norm that ``no_grad`` otherwise
-    folds into the conv.
+    of its own before the conv's (``batchnorm2d``), the batch norm that the
+    conv otherwise folds in.
     ``record`` counts spikes as ``forward`` does."""
     bn_of = {} if unfolded else net.bn_of
     paired = set(bn_of.values())

@@ -8,7 +8,7 @@ authoritative pass/fail signal. Criteria:
  2. accumulate-op (ACC) count reproduction
  3. voxel-cube encoder vs brute-force oracle, exact
  4. finite-difference gradient checks + hand-derived 2-step BPTT chain
- 5. BN folding (no_grad bn_conv) / depthwise-separable conversion equivalences
+ 5. BN folding (no_grad conv2d with a bn) / depthwise-separable conversion equivalences
  6. COCO mAP vs brute-force oracle + hand cases
  7. end-to-end temporal learning on the moving-bar task
  8. end-to-end detection learning on the moving-squares task
@@ -191,6 +191,9 @@ def _grad_cases(rng):
     yield "batchnorm", (
         lambda a, gg, bb: batchnorm2d(a, gg, bb, np.zeros(c), np.ones(c))
     ), [cnhw(x4 + 0.1 * np.arange(h * w).reshape(h, w)), g, b2]
+    yield "conv2d_bn", (  # the batch norm folded into the conv, on the batch statistics
+        lambda a, gg, bb, ww_, cb: ag.conv2d(a, ww_, cb, stride, k // 2, 1, (gg, bb, np.zeros(c), np.ones(c)))
+    ), [cnhw(x4 + 0.1 * np.arange(h * w).reshape(h, w)), g, b2, wconv, bias]
     yield "maxpool", lambda a: ag.maxpool2d(a, 2, 2), [cnhw(x4 * 3)]
     yield "concat", lambda a, b: ag.concat([a, b], 0), [cnhw(x4), cnhw(rng.standard_normal((n, c + 1, h, w)))]
     m = n + 2

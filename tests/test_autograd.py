@@ -1,6 +1,8 @@
 """Gradient checks and optimizer/checkpoint unit tests."""
 
+import contextlib
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -359,17 +361,18 @@ def test_plif_bn_conv_grad_float64(rng):
 
 
 def test_batchnorm_running_stats():
-    """The tape sets batch norm's mode, in ``bn_conv`` and in the batch norm
-    alone (``batchnorm2d``, conftest). While it records, both normalize with
-    the batch statistics and update the running statistics (momentum 0.1,
-    unbiased variance); under ``no_grad`` they leave the running statistics unchanged: ``batchnorm2d``
-    normalizes with them and ``bn_conv`` folds them into its conv."""
+    """The tape sets batch norm's mode, in ``conv2d`` with a bn and in the
+    batch norm alone (``batchnorm2d``, conftest). While it records, both
+    normalize with the batch statistics and update the running statistics
+    (momentum 0.1, unbiased variance); under ``no_grad`` they leave the
+    running statistics unchanged: ``batchnorm2d`` normalizes with them. The
+    conv folds either into itself."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 4, 3, 3))
     gamma, beta = Tensor(rng.standard_normal(2) + 1.0), Tensor(rng.standard_normal(2))
     w = Tensor(rng.standard_normal((3, 2, 3, 3)))
     bn_ops = {"batchnorm2d": lambda *stats: batchnorm2d(Tensor(x), gamma, beta, *stats),
-              "bn_conv": lambda *stats: ag.bn_conv(Tensor(x), gamma, beta, *stats, w, padding=1)}
+              "conv2d(bn)": lambda *stats: ag.conv2d(Tensor(x), w, padding=1, bn=(gamma, beta, *stats))}
 
     def want(name, mean, var):
         y = (x - mean.reshape(2, 1, 1, 1)) / np.sqrt(var.reshape(2, 1, 1, 1) + 1e-5)
@@ -486,29 +489,47 @@ def _bn_conv_arrays(case):
     return x, arrays, stats, (s, p, groups)
 
 
+def _bn_conv(x, ps, stats, s, p, groups):
+    """``conv2d`` of x with the batch norm of a ``_BN_CONV_CASES`` case
+    folded in: ps holds the Tensors gamma, beta, w and b."""
+    return ag.conv2d(x, ps["w"], ps["b"], s, p, groups, (ps["gamma"], ps["beta"], *stats))
+
+
 @pytest.mark.parametrize("case", sorted(_BN_CONV_CASES))
 def test_bn_conv_equals_batchnorm_then_conv(case):
-    """While the tape records, ``bn_conv`` is ``conv2d(batchnorm2d(...))``
-    bit for bit: the output, dx, dW, db, dgamma, dbeta and the updated
-    running statistics."""
+    """While the tape records, ``conv2d`` with a bn, the batch norm folded
+    into the conv on the batch statistics, is ``conv2d(batchnorm2d(...))``
+    to float round-off: the output within criterion 5's 1e-5, dx, dW and
+    dgamma within 1e-6 of each array's largest magnitude (reordered sums).
+    db, dbeta (the sum of the same dy) and the updated running statistics
+    (the same statistics) are bit for bit."""
     x, arrays, stats, (s, p, groups) = _bn_conv_arrays(case)
     g = None
     runs = []
-    for fused in (True, False):
+    for folded in (True, False):
         t = Tensor(x, requires_grad=True, dtype=x.dtype)
         ps = {key: None if a is None else Tensor(a, requires_grad=True) for key, a in arrays.items()}
         run_stats = [a.copy() for a in stats]
-        if fused:
-            out = ag.bn_conv(t, ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups)
+        if folded:
+            out = _bn_conv(t, ps, run_stats, s, p, groups)
         else:
             y = batchnorm2d(t, ps["gamma"], ps["beta"], *run_stats)
             out = ag.conv2d(y, ps["w"], ps["b"], s, p, groups)
         g = np.random.default_rng(12).standard_normal(out.data.shape).astype(np.float32) if g is None else g
         out.backward(g)
         assert all(q.grad is not None for q in [t, *ps.values()] if q is not None)
-        runs.append([out.data, *run_stats] + [q.grad for q in [t, *ps.values()] if q is not None])
-    for i, (got, want) in enumerate(zip(*runs)):
-        assert got.dtype == want.dtype and np.array_equal(got, want), i
+        runs.append({"out": out.data, "running_mean": run_stats[0], "running_var": run_stats[1], "x": t.grad,
+                     **{key: q.grad for key, q in ps.items() if q is not None}})
+    got, want = runs
+    assert got.keys() == want.keys()
+    for key, a in want.items():
+        assert got[key].dtype == a.dtype == np.float32 and got[key].shape == a.shape, key
+        if key in ("running_mean", "running_var", "beta", "b"):
+            assert np.array_equal(got[key], a), key
+        elif key == "out":
+            assert np.abs(got[key] - a).max() <= 1e-5
+        else:
+            assert np.abs(got[key] - a).max() <= 1e-6 * np.abs(a).max(), key
 
 
 def _pad_channels(y, p, values):
@@ -521,34 +542,66 @@ def _pad_channels(y, p, values):
 
 @pytest.mark.parametrize("case", sorted(_BN_CONV_CASES))
 def test_bn_conv_eval_folds_within_tolerance(case):
-    """Under ``no_grad``, ``bn_conv`` is the batch norm folded
-    into the conv: within 1e-5 of ``conv2d(batchnorm2d(...))`` (criterion
-    5's bound), running statistics unchanged. A channel with gamma = 0 is
-    the constant beta, and the fold pads it with beta, not 0: the output
-    is the conv of the batch norm's output padded with beta in that channel
-    (and 0 in the others), which differs from the zero border."""
+    """Under ``no_grad``, ``conv2d`` with a bn is the batch norm on the
+    running statistics folded into the conv: within 1e-5 of
+    ``conv2d(batchnorm2d(...))`` (criterion 5's bound), running statistics
+    unchanged. A channel with gamma = 0 is the constant beta, and the fold
+    pads it with beta, not 0, in both modes: the output is the conv of the
+    batch norm's output padded with beta in that channel (and 0 in the
+    others), which differs from the zero border. While the tape records the
+    same holds on the batch statistics."""
     x, arrays, stats, (s, p, groups) = _bn_conv_arrays(case)
     ps = {key: None if a is None else Tensor(a) for key, a in arrays.items()}
 
     def both(run_stats):
-        with ag.no_grad():
-            got = ag.bn_conv(Tensor(x), ps["gamma"], ps["beta"], *run_stats, ps["w"], ps["b"], s, p, groups).data
-            y = batchnorm2d(Tensor(x), ps["gamma"], ps["beta"], *run_stats)
-            return got, y, ag.conv2d(y, ps["w"], ps["b"], s, p, groups).data
+        got = _bn_conv(Tensor(x), ps, run_stats, s, p, groups).data
+        y = batchnorm2d(Tensor(x), ps["gamma"], ps["beta"], *run_stats)
+        return got, y, ag.conv2d(y, ps["w"], ps["b"], s, p, groups).data
 
     run_stats = [a.copy() for a in stats]
-    got, _, want = both(run_stats)
+    with ag.no_grad():
+        got, _, want = both(run_stats)
     assert all(np.array_equal(a, b) for a, b in zip(run_stats, stats))
     assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-5
     ps["gamma"].data[0] = 0.0
-    got, y, zero_border = both(stats)
     border = np.zeros(len(stats[0]), dtype=np.float32)
     border[0] = ps["beta"].data[0]
-    beta_border = ag.conv2d(Tensor(_pad_channels(y.data, p, border)), ps["w"], ps["b"], s, 0, groups).data
-    assert np.abs(got - beta_border).max() <= 1e-5
-    if p:
-        assert np.abs(got - zero_border).max() > 1e-3
+    for training in (False, True):
+        with contextlib.nullcontext() if training else ag.no_grad():
+            got, y, zero_border = both([a.copy() for a in stats])
+        beta_border = ag.conv2d(Tensor(_pad_channels(y.data, p, border)), ps["w"], ps["b"], s, 0, groups).data
+        assert np.abs(got - beta_border).max() <= 1e-5, training
+        if p:
+            assert np.abs(got - zero_border).max() > 1e-3, training
+
+
+def test_bn_fold_runs_once_per_op_under_no_grad(monkeypatch):
+    """Under ``no_grad`` the running statistics fold into the conv once per
+    op, whatever T is, in ``conv2d`` and in ``conv_plif``; while the tape
+    records each frame folds its own batch statistics."""
+    calls, fold = [], ops._bn_fold
+
+    def counted(*args):
+        calls.append(1)
+        return fold(*args)
+
+    monkeypatch.setattr(ops, "_bn_fold", counted)
+    x, arrays, stats, (s, p, groups) = _bn_conv_arrays("spikes")
+    ps = {key: Tensor(a, requires_grad=True) for key, a in arrays.items()}
+    plif_w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    bn = (ps["gamma"], ps["beta"], *stats)
+    for steps in (1, 2, 5):
+        frames = Tensor(np.stack([x] * steps), dtype=np.uint8)
+        for op in (lambda: _bn_conv(frames, ps, stats, s, p, groups),
+                   lambda: ag.conv_plif(frames, plif_w, ps["w"], ps["b"], s, p, groups, bn)):
+            calls.clear()
+            with ag.no_grad():
+                op()
+            assert len(calls) == 1, steps
+            calls.clear()
+            op()
+            assert len(calls) == steps
 
 
 def test_bn_conv_grad_float64(rng):
@@ -563,15 +616,15 @@ def test_bn_conv_grad_float64(rng):
         w, b = rng.standard_normal((cout, cin // groups, k, k)), rng.standard_normal(cout)
 
         def run(x_, g_, be_, w_, b_):
-            return ag.bn_conv(x_, g_, be_, np.zeros(cin), np.ones(cin), w_, b_, s, p, groups)
+            return ag.conv2d(x_, w_, b_, s, p, groups, (g_, be_, np.zeros(cin), np.ones(cin)))
 
         check_grad(run, [x, gamma, beta, w, b], TOL64)
 
 
 def test_bn_conv_tape_keeps_no_bn_output():
     """A taped bn -> conv pair keeps O(C) beyond its output (the mean and
-    1/std per channel); the batch norm's output and the conv's phase buffer
-    are rebuilt by the backward from the spikes, a parent."""
+    1/std per channel): no batch norm output is built, and the backward
+    rebuilds the conv's phase buffer from the spikes, a parent."""
     rng = np.random.default_rng(4)
     for c, k in ((8, 1), (64, 1), (64, 3)):
         x = Tensor((rng.random((c, 4, 32, 32)) < 0.2).astype(np.uint8), requires_grad=True, dtype=np.uint8)
@@ -581,7 +634,7 @@ def test_bn_conv_tape_keeps_no_bn_output():
         stats = np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
         tracemalloc.start()
         try:
-            out = ag.bn_conv(x, gamma, beta, *stats, w, padding=k // 2)
+            out = ag.conv2d(x, w, padding=k // 2, bn=(gamma, beta, *stats))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -591,7 +644,7 @@ def test_bn_conv_tape_keeps_no_bn_output():
 _FRAMEWISE_OPS = {
     "conv2d": lambda x, p, stats: ag.conv2d(x, p["w"], p["b"], 2, 1),
     "batchnorm2d": lambda x, p, stats: batchnorm2d(x, p["gamma"], p["beta"], *stats),
-    "bn_conv": lambda x, p, stats: ag.bn_conv(x, p["gamma"], p["beta"], *stats, p["w"], p["b"], 2, 1),
+    "bn_conv": lambda x, p, stats: ag.conv2d(x, p["w"], p["b"], 2, 1, 1, (p["gamma"], p["beta"], *stats)),
     "maxpool2d": lambda x, p, stats: ag.maxpool2d(x, 3, 2, 1),
 }
 
@@ -960,6 +1013,20 @@ def test_checkpoint_truncated(tmp_path):
         with pytest.raises(ValueError, match="truncated") as err:
             ag.load_checkpoint(short)
         assert str(short) in str(err.value)
+
+
+def test_checkpoint_entry_larger_than_the_file(tmp_path):
+    """An entry whose shape asks for more bytes than the file has left fails
+    with a ValueError naming it and both sizes, before any read: a 37-byte
+    file that declares one 2**20 x 2**20 entry (4 TiB) does not ask for the
+    memory."""
+    path = tmp_path / "huge.bin"
+    path.write_bytes(ag.checkpoint.MAGIC + struct.pack("<IH", 1, 6) + b"weight"
+                     + struct.pack("<BII", 2, 1 << 20, 1 << 20) + b"\x00" * 8)
+    assert path.stat().st_size == 37
+    with pytest.raises(ValueError, match=r"entry 'weight' of shape \(1048576, 1048576\) needs 4398046511104 "
+                                         r"bytes, the file has 8 left"):
+        ag.load_checkpoint(path)
 
 
 def test_checkpoint_write_is_atomic(tmp_path):

@@ -1,6 +1,7 @@
 """Event stream structures, file formats, transforms, synthetic scenes."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ def test_dat_out_of_bounds_record():
     data = ev.write_dat(s, headers=["% Width 100", "% Height 100"])
     with pytest.raises(ValueError, match="outside declared sensor"):
         ev.parse_dat(data)
+
+
+def test_dat_refuses_what_the_format_cannot_hold():
+    """``write_dat`` refuses a timestamp of 2**32 or more and an x or y of
+    2**14 or more, naming the first such event, where it would wrap them;
+    the largest values it holds round-trip."""
+    edge = ev.EventStream([0, 2**32 - 1], [1, 2**14 - 1], [2, 2**14 - 1], [0, 1], 2**14, 2**14)
+    assert ev.parse_dat(ev.write_dat(edge)) == edge
+    for ts, xs, ys, first in (([1, 2**32 + 7], [0, 1], [0, 1], "event 1 (t=4294967303, x=1, y=1)"),
+                              ([1, 2], [20000, 1], [0, 1], "event 0 (t=1, x=20000, y=0)"),
+                              ([1, 2], [0, 1], [3, 2**14], "event 1 (t=2, x=1, y=16384)")):
+        stream = ev.EventStream(ts, xs, ys, [1, 0], 20001, 20001)
+        with pytest.raises(ValueError, match=r"^" + re.escape(first) + " does not fit the DAT format"):
+            ev.write_dat(stream)
 
 
 def test_dat_bit_layout():

@@ -14,7 +14,7 @@ from evsnn.spiking import Network, NetworkSpec, SpikeRecord, convert_dwsep_netwo
 from evsnn.detection import build_detector_spec, build_toy_detector_spec
 from evsnn.spiking.builders import (ARCH_NAMES, build_densenet, build_mobilenet, build_squeezenet, build_toy_classifier,
                                     build_vgg, named_spec)
-from evsnn.spiking.layers import ConvLayer, MaxPoolLayer, PLIFLayer
+from evsnn.spiking.layers import BatchNormLayer, ConvLayer, MaxPoolLayer, PLIFLayer
 
 from conftest import (batchnorm2d, call_layer, count_tape_ops, numeric_grad, outputs_and_grads, plif, stepwise_forward,
                       tape_bytes)
@@ -196,7 +196,7 @@ def _fused_run(xs, probes, w, monkeypatch):
     _probe_loss(spikes, probes).backward()
     membranes, handed = _fused_chain(log, spikes.data)
     return {"spikes": list(spikes.data), "V'": membranes, "x.grad": list(x.grad), "link.grad": handed,
-            "w.grad": [w.grad] if isinstance(w, Tensor) else []}
+            "w.grad": [w.grad]}
 
 
 def _oracle_run(xs, probes, w):
@@ -358,8 +358,7 @@ def _plif_keep_drive_oracle(x, state, w, handed):
     """One PLIF step as ``plif`` ran it when its tape kept X - V for w's
     gradient and its state was (V', spikes, link): the reference for the op
     that rebuilds X - V in its backward. Returns the spikes and the state."""
-    learned = isinstance(w, Tensor)
-    a = _sigmoid(w.data) if learned else x.data.dtype.type(w)
+    a = _sigmoid(w.data)
     if state is None:
         prev_spikes = link = None
         drive = x.data
@@ -370,9 +369,9 @@ def _plif_keep_drive_oracle(x, state, w, handed):
         v = drive * a
         v += prev_v
     spiked = v >= 1.0
-    if not (learned and w.requires_grad):
+    if not w.requires_grad:
         drive = None  # the backward needs X - V only for dw
-    parents = (x,) + ((w,) if learned else ()) + ((prev_spikes,) if state is not None else ())
+    parents = (x, w) + ((prev_spikes,) if state is not None else ())
     scale = 0.5 * np.pi * ALPHA
     out_link = _Link(handed)
 
@@ -408,7 +407,7 @@ def _plif_keep_drive_oracle(x, state, w, handed):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("w_kind", ["learned", "frozen", "float"])
+@pytest.mark.parametrize("w_kind", ["learned", "frozen"])
 def test_plif_matches_keep_drive_oracle_bit_for_bit(dtype, w_kind, monkeypatch):
     """``plif``, which reads no X - V in its backward, equals a loop of
     the step that kept it (``_plif_keep_drive_oracle``) bit for bit: spikes,
@@ -425,7 +424,7 @@ def test_plif_matches_keep_drive_oracle_bit_for_bit(dtype, w_kind, monkeypatch):
     probes[2] = None
 
     def make_w():
-        return 0.4 if w_kind == "float" else Tensor(np.asarray([0.3], dtype=dtype), requires_grad=w_kind == "learned")
+        return Tensor(np.asarray([0.3], dtype=dtype), requires_grad=w_kind == "learned")
 
     w, handed = make_w(), []
     x = [Tensor(a, requires_grad=True) for a in xs]
@@ -438,11 +437,11 @@ def test_plif_matches_keep_drive_oracle_bit_for_bit(dtype, w_kind, monkeypatch):
             loss = (s * Tensor(probe)).sum() + loss
     loss.backward()
     want = {"spikes": spikes, "V'": membranes, "x.grad": [t.grad for t in x], "link.grad": handed,
-            "w.grad": [w.grad] if isinstance(w, Tensor) else []}
+            "w.grad": [w.grad]}
     got = _fused_run(xs, probes, make_w(), monkeypatch)
     assert sum(float(s.sum()) for s in got["spikes"][:-1]) > 0  # some neurons spike and reset before the last frame
     assert len(got["link.grad"]) == len(xs) - 1
-    assert [g is not None for g in got["w.grad"]] == {"learned": [True], "frozen": [False], "float": []}[w_kind]
+    assert [g is not None for g in got["w.grad"]] == [w_kind == "learned"]
     _assert_plif_equal(got, want, dtype)
 
 
@@ -454,7 +453,7 @@ _BLOCK_CASES = {"bn": ((4, 3, 9, 9), (6, 3, 2, 1), True), "pointwise": ((8, 3, 6
 
 def _block_run(case, dtype, blocked, monkeypatch, steps=5):
     """The block of ``_BLOCK_CASES[case]`` over ``steps`` frames from rest,
-    as ``ag.conv_plif`` (``blocked``) or as ``ag.bn_conv``/``ag.conv2d`` then
+    as ``ag.conv_plif`` (``blocked``) or as ``ag.conv2d`` (with the bn) then
     ``plif``; the loss is sum_t probe_t . s_t without frame 2's term.
     Returns {name: list of arrays}: spikes, V', input gradients, parameter
     gradients, running statistics and every gradient handed back for V'."""
@@ -481,7 +480,7 @@ def _block_run(case, dtype, blocked, monkeypatch, steps=5):
     if blocked:
         spikes = ag.conv_plif(x, params["plif_w"], params["w"], b, s, p, 1, bn)
     else:
-        y = ag.conv2d(x, params["w"], b, s, p) if bn is None else ag.bn_conv(x, *bn, params["w"], b, s, p)
+        y = ag.conv2d(x, params["w"], b, s, p, bn=bn)
         spikes = plif(y, params["plif_w"])
     _probe_loss(spikes, probes).backward()
     membranes, handed = _fused_chain(log, spikes.data)
@@ -494,8 +493,8 @@ def _block_run(case, dtype, blocked, monkeypatch, steps=5):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
 def test_conv_plif_matches_bn_conv_then_plif_bit_for_bit(case, dtype, monkeypatch):
-    """``ag.conv_plif`` equals the batch norm and conv (``ag.bn_conv``, or
-    ``ag.conv2d`` with no bn) followed by ``plif``, bit for bit: spikes,
+    """``ag.conv_plif`` equals the batch norm and conv (``ag.conv2d``, with
+    or without the bn) followed by ``plif``, bit for bit: spikes,
     V', the input spikes' gradient, dW, db, dgamma, dbeta, w's gradient, the
     running statistics and every gradient handed back for V', over five
     frames with resets, one of them left out of the loss."""
@@ -514,7 +513,7 @@ def test_conv_plif_matches_bn_conv_then_plif_bit_for_bit(case, dtype, monkeypatc
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
 def test_conv_plif_under_no_grad_matches_the_composition(case, monkeypatch):
     """Under ``no_grad`` the block folds its batch norm into the conv as
-    ``bn_conv`` does: spikes and V' equal ``bn_conv`` then ``plif`` bit for
+    ``conv2d`` does: spikes and V' equal ``conv2d`` then ``plif`` bit for
     bit, the running statistics stay unchanged, and the V' of the unfolded
     ``batchnorm2d``, ``conv2d``, ``plif`` is within 1e-5 (the fused-eval
     bound), with the same spikes."""
@@ -535,8 +534,7 @@ def test_conv_plif_under_no_grad_matches_the_composition(case, monkeypatch):
         return spikes, log.pop()
 
     got = run(lambda x: ag.conv_plif(x, tau_w, wt, None, s, p, 1, bn))
-    folded = run(lambda x: plif(ag.conv2d(x, wt, None, s, p) if bn is None else ag.bn_conv(x, *bn, wt, None, s, p),
-                                   tau_w))
+    folded = run(lambda x: plif(ag.conv2d(x, wt, None, s, p, bn=bn), tau_w))
     unfolded = run(lambda x: plif(ag.conv2d(x if bn is None else batchnorm2d(x, *bn), wt, None, s, p), tau_w))
     assert not log
     assert all(np.array_equal(a, b) for a, b in zip(stats, before))
@@ -579,14 +577,14 @@ def test_plif_hand_simulation():
     """tau=2, v_th=1: V <- V + (X - V)/2, spike and hard-reset on V >= 1."""
     x = np.array([[1.5], [0.0], [2.0]])  # three frames of one neuron
     assert plif(Tensor(x), 0.5).data[:, 0].tolist() == [0, 0, 1]
-    spiked, v, _ = ops._plif_forward(x.__getitem__, 3, 0.5, True)
+    spiked, v, _ = ops._plif_forward(x.__getitem__, 3, Tensor(np.zeros(1)), True)  # a = sigmoid(0) = 1/2
     assert np.allclose(v[:, 0], [0.75, 0.375, 1.1875])  # 0.375 + (2 - 0.375)/2 = 1.1875 -> spike, reset
     assert np.allclose((v * ~spiked)[:, 0], [0.75, 0.375, 0.0])
 
 
 def test_plif_threshold_boundary():
     assert plif(Tensor(np.array([[2.0]])), 0.5).data[0, 0] == 1
-    spiked, v, _ = ops._plif_forward(np.array([[2.0]]).__getitem__, 1, 0.5, True)
+    spiked, v, _ = ops._plif_forward(np.array([[2.0]]).__getitem__, 1, Tensor(np.zeros(1)), True)
     assert v[0, 0] == 1.0 and spiked[0, 0]  # v hits exactly 1.0: a spike, and V' = 0
     assert (v * ~spiked)[0, 0] == 0.0
 
@@ -764,6 +762,15 @@ def _unblocked(call):
     return run
 
 
+_conv_call = ConvLayer.__call__
+
+
+def _bn_then_conv(layer, x, steps=1, bn=None):
+    """A ``ConvLayer.__call__`` that runs its bn as a call of its own
+    (``batchnorm2d``), then the conv: the composition the fold replaces."""
+    return _conv_call(layer, x if bn is None else call_layer(bn, x), steps)
+
+
 def _detector_case():
     spec, _, _ = build_toy_detector_spec(in_channels=4)
     net = Network(spec, rng=np.random.default_rng(0))
@@ -814,15 +821,10 @@ def test_squeezenet_runs_each_bn_in_its_conv(monkeypatch):
     and the conv as two ops, and gives the same scores."""
     net = Network(named_spec("squeezenet1.1", in_channels=4), rng=np.random.default_rng(0))
     batch = (np.random.default_rng(5).random((2, 4, 3, 32, 32)) < 0.1).astype(np.float32)
-    pair_call = ConvLayer.__call__
     monkeypatch.setattr(PLIFLayer, "__call__", _unblocked(call_layer))
-
-    def two_ops(layer, x, steps=1, bn=None):
-        return pair_call(layer, x if bn is None else call_layer(bn, x), steps)
-
     assert len(net.bn_of) == sum(node["type"] == "bn" for node in net.spec.nodes) == 26
     counts, scores = {}, {}
-    for name, call in (("pair", pair_call), ("two ops", two_ops)):
+    for name, call in (("pair", _conv_call), ("two ops", _bn_then_conv)):
         monkeypatch.setattr(ConvLayer, "__call__", call)
         with count_tape_ops() as counter:
             scores[name] = net.forward(batch)["scores"].data
@@ -874,10 +876,56 @@ def _network_cases():
         yield spec.name, Network(spec, rng=rng), 64
 
 
+def test_folded_training_matches_the_unfolded_composition_in_float64(monkeypatch):
+    """A float64 training forward and backward (batch 2, T=2) of every named
+    network, MobileNet's dense forms and the toy detector, each batch norm
+    folded into its conv on the batch statistics, against the same network
+    with each bn run as a call of its own (``batchnorm2d``) before its conv
+    and each block's conv before its neuron: the outputs are bit for bit
+    (the same neurons spike, and the heads read the same spikes), every
+    gradient within 1e-12 of the network's largest gradient (reordered
+    sums), and the running statistics bit for bit (the same statistics)."""
+    names = []
+    for name, net, side in _network_cases():
+        if name == "densenet121_24_ssd":  # the paper's detector: the toy detector stands for it
+            continue
+        names.append(name)
+        for p in net.param_list():
+            p.data = p.data.astype(np.float64)
+        bns = [layer for layer in net.layers.values() if isinstance(layer, BatchNormLayer)]
+        batch = (np.random.default_rng(1).random((2, 4, 2, side, side)) < 0.3).astype(np.float64)
+        probes = {}
+
+        def loss_of(outputs):
+            for o, out in outputs.items():
+                probes.setdefault(o, Tensor(np.random.default_rng(2).standard_normal(out.data.shape)))
+            return sum((out * probes[o]).sum() for o, out in outputs.items())
+
+        runs = []
+        for unfolded in (False, True):
+            for bn in bns:
+                bn.running_mean, bn.running_var = np.zeros(bn.channels), np.ones(bn.channels)
+            with monkeypatch.context() as m:
+                if unfolded:
+                    m.setattr(PLIFLayer, "__call__", _unblocked(call_layer))
+                    m.setattr(ConvLayer, "__call__", _bn_then_conv)
+                outputs, grads = outputs_and_grads(net, lambda: net.forward(batch), loss_of)
+            runs.append((outputs, grads, [a.copy() for bn in bns for a in (bn.running_mean, bn.running_var)]))
+        (got, got_grads, got_stats), (want, want_grads, want_stats) = runs
+        for o, out in want.items():
+            assert np.array_equal(got[o].data, out.data), (name, o)
+        largest = max(np.abs(g).max() for g in want_grads.values())
+        assert largest > 0, name
+        for key, g in want_grads.items():
+            assert got_grads[key].dtype == np.float64 and np.abs(got_grads[key] - g).max() <= 1e-12 * largest, (name, key)
+        assert all(np.array_equal(a, b) for a, b in zip(got_stats, want_stats)), name
+    assert len(names) == len(ARCH_NAMES) + 4 and "toy_ssd" in names, names
+
+
 def test_training_forward_calls_only_the_block_ops(monkeypatch):
     """A training forward (batch 2, T=2) of every network calls only these
     ``ag`` ops: ``conv_plif`` once per plif, ``maxpool2d``, ``concat``,
-    ``time_sum``, ``conv2d`` on run-once nodes alone and ``bn_conv`` on
+    ``time_sum``, and ``conv2d`` on run-once nodes and, with a bn, on
     MobileNet's depthwise convs alone."""
     calls = []
 
@@ -895,12 +943,13 @@ def test_training_forward_calls_only_the_block_ops(monkeypatch):
         calls.clear()
         net.forward((np.random.default_rng(1).random((2, 4, 2, side, side)) < 0.3).astype(np.float32))
         ops_called = [op for op, _ in calls]
-        assert set(ops_called) <= {"conv_plif", "maxpool2d", "concat", "time_sum", "conv2d", "bn_conv"}, name
+        assert set(ops_called) <= {"conv_plif", "maxpool2d", "concat", "time_sum", "conv2d"}, name
         assert ops_called.count("conv_plif") == len(net.conv_of) > 0, name
         for op, args in calls:
-            if op in ("conv2d", "bn_conv"):  # the node is the one whose weight the op reads
-                node = net.spec.node((args[1] if op == "conv2d" else args[5]).name.rsplit(".", 1)[0])
-                assert node["name"] in net.once if op == "conv2d" else node.get("depthwise"), (name, op, node)
+            if op == "conv2d":  # the node is the one whose weight the op reads
+                node = net.spec.node(args[1].name.rsplit(".", 1)[0])
+                with_bn = len(args) > 6 and args[6] is not None
+                assert node.get("depthwise") if with_bn else node["name"] in net.once, (name, node)
 
 
 def test_batch_norm_needs_two_values_per_channel_while_training():
