@@ -31,9 +31,12 @@ a conv on spikes only accumulates. The tape sets the statistics: each
 frame's batch statistics (``_bn_stats``, which also updates the running
 statistics) while it records, the running statistics, unchanged and
 folded once per op, under ``no_grad``. The tape keeps each frame's channel
-mean and 1/std; the backward refolds them, takes dW from the folded
-columns and the batch norm's gradients from dy and x (``_bn_backward``),
-with no xhat.
+mean and 1/std; the backward refolds them and takes dW from the folded
+columns. A frame whose input learns builds dy for dx, and the batch norm's
+gradients come from dy and x (``_bn_backward``), with no xhat. A frame
+whose input needs no gradient, as the stem's on the input cube, builds no
+dy: the batch norm's gradients come from the dW GEMM's unscaled product
+and a frame of ones (``_constant_grads``, ``_bn_conv_grads``).
 
 ``conv_plif`` is a spiking block, bn -> conv -> PLIF (or conv -> PLIF), as
 one op: it runs the PLIF neuron over all T frames from rest on the conv's
@@ -250,9 +253,15 @@ def _conv_forward(grid, phases, w, b, groups):
 def _conv_dw(grid, phases, gm):
     """G cols(phases)^T per group, (groups, Cout/g, Cin/g*kh*kw): a conv's
     weight gradient from gm, its output gradient on the output grid as
-    (groups, Cout/g, N*span), the columns rebuilt from ``phases``."""
-    cols_t = grid.columns(phases).reshape(gm.shape[0], -1, gm.shape[2]).transpose(0, 2, 1)
-    return np.matmul(gm, cols_t)
+    (groups, Cout/g, N*span), the columns rebuilt from ``phases``. The
+    GEMM takes the operand with more rows on the left: the toy SSD stem's
+    G cols^T, 16 x 100 over 17,408 columns, runs as (cols G^T)^T in half
+    the time."""
+    cols = grid.columns(phases).reshape(gm.shape[0], -1, gm.shape[2])
+    if cols.shape[1] < gm.shape[1]:
+        return np.matmul(gm, cols.transpose(0, 2, 1))
+    # row-major again: a weight keeps this array as its gradient, and the clip's norm sums it in memory order
+    return np.matmul(cols, gm.transpose(0, 2, 1)).transpose(0, 2, 1).copy()
 
 
 def _conv_dx(grid, gm, w, dx):
@@ -316,28 +325,61 @@ def _bn_fold(gamma, beta, mean, scale, w, b, groups):
     return w_f, b_f, _bn_fill(beta, mean, scale)
 
 
-def _bn_backward(x, dy, gamma, beta, mean, invstd, dx):
+def _bn_backward(x, dy, gamma, mean, invstd, dx):
     """One frame of batch norm's backward through the batch statistics from
-    dy, its output's gradient, and the frame x (arrays), with no xhat:
-    hands gamma and beta their gradients and writes x's gradient into dx
-    unless dx is None. With s = gamma invstd and m values per channel:
+    dy, its output's gradient inside the frame, and the frame x (arrays),
+    with no xhat: returns dbeta and dgamma, and writes x's gradient into
+    dx. With s = gamma invstd and m values per channel:
         dbeta = sum dy,  dgamma = invstd (sum dy x - mean sum dy)
-        dx = s (dy - dbeta/m - (x - mean) invstd dgamma/m)."""
+        dx = s (dy - dbeta/m - (x - mean) invstd dgamma/m).
+    Only a frame whose input learns builds dy; the others take dbeta and
+    dgamma from the conv's dW GEMM (``_bn_conv_grads``)."""
     c = mean.shape[0]
     dym, xm = dy.reshape(c, -1), x.reshape(c, -1)
     m = dym.shape[1]
     dbeta = dym.sum(axis=1)
     dgamma = invstd * ((dym * xm).sum(axis=1) - mean * dbeta)
-    if dx is not None:
-        scale = gamma.data * invstd
-        k = scale * invstd * dgamma / m
-        dxm = np.multiply(dym, scale.reshape(c, 1), out=dx.reshape(c, -1))
-        dxm -= k.reshape(c, 1) * xm
-        dxm += (k * mean - scale * dbeta / m).reshape(c, 1)
-    if beta.requires_grad:
-        beta.accumulate_fresh_grad(dbeta)
-    if gamma.requires_grad:
-        gamma.accumulate_fresh_grad(dgamma)
+    scale = gamma.data * invstd
+    k = scale * invstd * dgamma / m
+    dxm = np.multiply(dym, scale.reshape(c, 1), out=dx.reshape(c, -1))
+    dxm -= k.reshape(c, 1) * xm
+    dxm += (k * mean - scale * dbeta / m).reshape(c, 1)
+    return dbeta, dgamma
+
+
+def _constant_grads(grid, w, g, gsum, groups):
+    """The gradient of a conv with the weight w (an array) and output
+    gradient g, (Cout, N, Ho, Wo), with respect to a constant added to each
+    input channel: inside the frame, sum W D_M with D_M = (g summed over N)
+    cols(M)^T and M a frame of ones split with a zero border; and over the
+    padded frame, every tap, sum over Cout of gsum (g's per-channel sum)
+    times sum W. Both (Cin,), as contractions of the weight."""
+    cout, cin_g, kh, kw = w.shape
+    frame = (1, 1, *grid.shape[2:])
+    ones = _PhaseGrid(frame, kh, kw, grid.s, grid.p)
+    mask_cols = ones.columns(ones.split(np.ones(frame, dtype=g.dtype))).reshape(kh * kw, -1)
+    d_m = np.matmul(grid.extend(g.sum(axis=1, keepdims=True)).reshape(groups, cout // groups, -1), mask_cols.T)
+    w4 = w.reshape(groups, cout // groups, cin_g, kh * kw)
+    inside = np.einsum("gojt,got->gj", w4, d_m).reshape(-1)
+    everywhere = np.einsum("gojt,go->gj", w4, gsum.reshape(groups, -1)).reshape(-1)
+    return inside, everywhere
+
+
+def _bn_conv_grads(w, d, inside, everywhere, fill, mean, invstd, scale, groups):
+    """dbeta and dgamma of a bn -> conv frame from its dW GEMM and no dy:
+    d = G cols_p(x)^T, unscaled, from ``_conv_dw``; inside and everywhere
+    from ``_constant_grads``. With y = scale (x - mean) + beta inside the
+    frame and the fold's border p, cols_0(y - beta) / (gamma invstd) =
+    cols_p(x) - p + (p - mean) cols(M), so per input channel
+        dbeta = sum W D_M (sum W gsum where scale = 0: the fold pads that
+                channel with beta, every tap is beta's)
+        dgamma = invstd (sum W d - p sum W gsum + (p - mean) sum W D_M)."""
+    cout, cin_g = w.shape[:2]
+    wd = np.einsum("gojt,gojt->gj", w.reshape(groups, cout // groups, cin_g, -1),
+                   d.reshape(groups, cout // groups, cin_g, -1)).reshape(-1)
+    dbeta = np.where(scale == 0, everywhere, inside)
+    dgamma = invstd * (wd - fill * everywhere + (fill - mean) * inside)
+    return dbeta, dgamma
 
 
 def _conv_frames(grid, w, b, groups, bn=None):
@@ -380,23 +422,36 @@ def _conv_frames(grid, w, b, groups, bn=None):
     def folded_conv2d_backward(x_t, stats, g, dx):
         mean, invstd = stats
         scale = gamma.data * invstd
+        fill = _bn_fill(beta.data, mean, scale)
         gm = grid.extend(g).reshape(groups, cout // groups, -1)
         gsum = g.reshape(cout, -1).sum(axis=1)
+        bn_grads = gamma.requires_grad or beta.requires_grad
+        if w.requires_grad or (dx is None and bn_grads):
+            # G cols(x)^T, x split with the forward's fill
+            d = _conv_dw(grid, grid.split(x_t, fill, np.result_type(x_t.dtype, w.data.dtype)), gm)
+        if dx is None and bn_grads:  # no dy: the batch norm's gradients from d, before it is scaled
+            dbeta, dgamma = _bn_conv_grads(w.data, d, *_constant_grads(grid, w.data, g, gsum, groups), fill, mean,
+                                           invstd, scale, groups)
         if w.requires_grad:
-            # dW = scale (G cols(x)^T) + (beta - scale mean) sum G per weight column (as in _bn_fold),
-            # x split with the forward's fill
-            phases = grid.split(x_t, _bn_fill(beta.data, mean, scale), np.result_type(x_t.dtype, w.data.dtype))
-            dw = _conv_dw(grid, phases, gm).reshape(groups, cout // groups, *w.data.shape[1:])
-            del phases
+            # dW = scale (G cols(x)^T) + (beta - scale mean) sum G per weight column (as in _bn_fold)
+            dw = d.reshape(groups, cout // groups, *w.data.shape[1:])
             dw *= scale.reshape(groups, 1, -1, 1, 1)
             dw += (beta.data - scale * mean).reshape(groups, 1, -1, 1, 1) * gsum.reshape(groups, -1, 1, 1, 1)
             w.accumulate_fresh_grad(dw.reshape(w.data.shape))
         if b is not None and b.requires_grad:
             b.accumulate_fresh_grad(gsum)
-        if dx is not None or gamma.requires_grad or beta.requires_grad:
+        if dx is not None:
             dy = np.empty(x_t.shape, dtype=np.result_type(w.data.dtype, g.dtype))
             _conv_dx(grid, gm, w.data, dy)
-            _bn_backward(x_t, dy, gamma, beta, mean, invstd, dx)
+            dbeta, dgamma = _bn_backward(x_t, dy, gamma, mean, invstd, dx)
+            zero = scale == 0
+            if np.any(zero):  # dy counts the taps inside the frame; the fold pads this channel with beta
+                inside, everywhere = _constant_grads(grid, w.data, g, gsum, groups)
+                dbeta += np.where(zero, everywhere - inside, 0)
+        if beta.requires_grad:
+            beta.accumulate_fresh_grad(dbeta)
+        if gamma.requires_grad:
+            gamma.accumulate_fresh_grad(dgamma)
 
     return forward, conv2d_backward if bn is None else folded_conv2d_backward
 
@@ -423,11 +478,14 @@ def conv2d(x, w, b=None, stride=1, padding=0, groups=1, bn=None):
     its batch statistics, which update the running statistics in time
     order, and the tape keeps each frame's channel mean and 1/std; the
     backward refolds them, splits x with the same fill, and takes dW from
-    the folded columns and the batch norm's gradients from dy and x. Under
-    ``no_grad`` the running statistics, unchanged, fold once per op. A
-    channel with gamma = 0 is the constant beta, and the fold pads it with
-    beta, not 0: a window that reaches the border gains that channel's
-    border taps times beta.
+    the folded columns. When x learns it builds dy, the batch norm output's
+    gradient, for dx and takes the batch norm's gradients from dy and x;
+    when x needs no gradient it builds no dy and takes them from the dW
+    GEMM's unscaled product (the same identity as the fold, for gamma and
+    beta). Under ``no_grad`` the running statistics, unchanged, fold once
+    per op. A channel with gamma = 0 is the constant beta, and the fold
+    pads it with beta, not 0: a window that reaches the border gains that
+    channel's border taps times beta, and its dbeta counts them.
     """
     grid = _conv_grid(x.data.shape[-4:], w.data.shape, stride, padding, groups)
     return _framewise(x, _conv_inputs(x, w, b, bn), *_conv_frames(grid, w, b, groups, bn))

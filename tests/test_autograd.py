@@ -495,19 +495,23 @@ def _bn_conv(x, ps, stats, s, p, groups):
     return ag.conv2d(x, ps["w"], ps["b"], s, p, groups, (ps["gamma"], ps["beta"], *stats))
 
 
-@pytest.mark.parametrize("case", sorted(_BN_CONV_CASES))
-def test_bn_conv_equals_batchnorm_then_conv(case):
+@pytest.mark.parametrize("case, x_learns", [pytest.param(case, x_learns, id=case if x_learns else f"{case}-x-frozen")
+                                             for x_learns in (True, False) for case in sorted(_BN_CONV_CASES)])
+def test_bn_conv_equals_batchnorm_then_conv(case, x_learns):
     """While the tape records, ``conv2d`` with a bn, the batch norm folded
     into the conv on the batch statistics, is ``conv2d(batchnorm2d(...))``
     to float round-off: the output within criterion 5's 1e-5, dx, dW and
     dgamma within 1e-6 of each array's largest magnitude (reordered sums).
-    db, dbeta (the sum of the same dy) and the updated running statistics
-    (the same statistics) are bit for bit."""
+    db and the updated running statistics (the same statistics) are bit for
+    bit. When x learns, dbeta is the sum of the same dy, bit for bit; when
+    it does not, no dy is built and dbeta, like dgamma, comes from the dW
+    GEMM within 1e-6, while out, dW, db and the running statistics are
+    those of the frame whose x learns, bit for bit."""
     x, arrays, stats, (s, p, groups) = _bn_conv_arrays(case)
     g = None
     runs = []
-    for folded in (True, False):
-        t = Tensor(x, requires_grad=True, dtype=x.dtype)
+    for folded, learns in ((True, x_learns), (False, x_learns), *(() if x_learns else ((True, True),))):
+        t = Tensor(x, requires_grad=learns, dtype=x.dtype)
         ps = {key: None if a is None else Tensor(a, requires_grad=True) for key, a in arrays.items()}
         run_stats = [a.copy() for a in stats]
         if folded:
@@ -517,19 +521,21 @@ def test_bn_conv_equals_batchnorm_then_conv(case):
             out = ag.conv2d(y, ps["w"], ps["b"], s, p, groups)
         g = np.random.default_rng(12).standard_normal(out.data.shape).astype(np.float32) if g is None else g
         out.backward(g)
-        assert all(q.grad is not None for q in [t, *ps.values()] if q is not None)
-        runs.append({"out": out.data, "running_mean": run_stats[0], "running_var": run_stats[1], "x": t.grad,
-                     **{key: q.grad for key, q in ps.items() if q is not None}})
-    got, want = runs
+        assert all(q.grad is not None for q in [t, *ps.values()] if q is not None and q.requires_grad)
+        runs.append({"out": out.data, "running_mean": run_stats[0], "running_var": run_stats[1],
+                     **({"x": t.grad} if learns else {}), **{key: q.grad for key, q in ps.items() if q is not None}})
+    got, want, *learning = runs
     assert got.keys() == want.keys()
     for key, a in want.items():
         assert got[key].dtype == a.dtype == np.float32 and got[key].shape == a.shape, key
-        if key in ("running_mean", "running_var", "beta", "b"):
+        if key in ("running_mean", "running_var", "b") or (key == "beta" and x_learns):
             assert np.array_equal(got[key], a), key
         elif key == "out":
             assert np.abs(got[key] - a).max() <= 1e-5
         else:
             assert np.abs(got[key] - a).max() <= 1e-6 * np.abs(a).max(), key
+        if learning and key not in ("gamma", "beta"):
+            assert np.array_equal(got[key], learning[0][key]), key
 
 
 def _pad_channels(y, p, values):
@@ -619,6 +625,24 @@ def test_bn_conv_grad_float64(rng):
             return ag.conv2d(x_, w_, b_, s, p, groups, (g_, be_, np.zeros(cin), np.ones(cin)))
 
         check_grad(run, [x, gamma, beta, w, b], TOL64)
+
+
+@pytest.mark.parametrize("x_learns", [True, False])
+def test_bn_conv_grad_float64_gamma_zero_channel(x_learns):
+    """float64 gradients of the pair with gamma = 0 in one channel, which
+    the fold pads with beta over every tap: dbeta counts that channel's
+    border taps too, on both backward paths, with dy built for x's gradient
+    (x learns) and with none (x frozen). dgamma of that channel is the
+    central difference's, whose two sides (gamma = +-eps) pad it with 0."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 2, 5, 5))
+    gamma, beta = np.array([1.0, 0.0, 0.7]), rng.standard_normal(3)
+    w, b = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
+
+    def run(g_, be_, w_, b_):
+        return ag.conv2d(Tensor(x, requires_grad=x_learns), w_, b_, 1, 1, 1, (g_, be_, np.zeros(3), np.ones(3)))
+
+    check_grad(run, [gamma, beta, w, b], TOL64)
 
 
 def test_bn_conv_tape_keeps_no_bn_output():

@@ -10,7 +10,7 @@ import pytest
 import evsnn.autograd as ag
 import evsnn.cli as cli
 import evsnn.pipeline as pipeline
-from evsnn.autograd import AdamW
+from evsnn.autograd import AdamW, ops
 from evsnn.detection import DetectionModel, build_toy_detector_spec
 from evsnn.encoding import EncoderConfig, batch_cubes, parse_vxc
 from evsnn.pipeline import (
@@ -134,6 +134,33 @@ def test_training_loops_hand_forward_a_batch_they_own(monkeypatch):
     assert len(datasets) == len(batches) == 2
     for data, batch in zip(datasets, batches):
         assert batch.shape == data.shape and not np.shares_memory(batch, data)
+
+
+def test_detector_stem_builds_no_dy(monkeypatch):
+    """One toy-SSD training step, T = 5: the stem reads the voxel cube,
+    which needs no gradient, so its five frames take the batch norm's
+    gradients from the dW GEMM and build no dy (no ``_conv_dx``, no
+    ``_bn_backward``). c2 and c3 build dy for their input in each frame,
+    and each run-once head conv once, with no batch norm."""
+    model = _toy_detector(in_channels=4)
+    # both functions take the conv's weight array or the batch norm's gamma third
+    owner = {id(layer.weight.data if hasattr(layer, "weight") else layer.gamma): name
+             for name, layer in model.net.layers.items() if hasattr(layer, "weight") or hasattr(layer, "gamma")}
+    calls = {"_conv_dx": [], "_bn_backward": []}
+
+    def counted(fn):
+        def call(*args):
+            calls[fn.__name__].append(owner[id(args[2])])
+            return fn(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(ops, name, counted(getattr(ops, name)))
+    encoder = EncoderConfig(sample_duration=100_000, timesteps=5, micro_bins=2, height=64, width=64)
+    train_detector(model, make_moving_squares_dataset(4, seed=0), encoder, TrainConfig(epochs=1, batch_size=4))
+    count = {fn: {name: names.count(name) for name in sorted(set(names))} for fn, names in calls.items()}
+    assert count == {"_conv_dx": {"c2_conv": 5, "c3_conv": 5, "cls0": 1, "cls1": 1, "loc0": 1, "loc1": 1},
+                     "_bn_backward": {"c2_bn": 5, "c3_bn": 5}}
 
 
 def test_train_classifier_zero_lr_keeps_params():
