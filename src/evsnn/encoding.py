@@ -9,8 +9,8 @@ Accumulation is binary: the cube is a {0,1} tensor of shape (2n, T, H, W).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,15 +47,24 @@ class EncoderConfig:
 
 
 class VoxelCube:
-    """Binary 4-D tensor of shape (C, T, H, W) with C = 2 * micro_bins."""
+    """Binary 4-D tensor of shape (C, T, H, W) with C = 2 * micro_bins.
 
-    def __init__(self, data):
-        data = np.asarray(data)
-        if data.ndim != 4:
-            raise ValueError(f"voxel cube must be 4-D (C,T,H,W), got shape {data.shape}")
-        if not ((data == 0) | (data == 1)).all():
-            raise ValueError("voxel cube values must be binary")
-        self.data = data.astype(np.uint8)
+    ``VoxelCube(data)`` checks that ``data`` is 4-D and holds only 0 and 1,
+    and stores a ``uint8`` copy. ``check=False`` takes ``data`` as it is: the
+    builders in this module pass it for a ``uint8`` cube they have just made
+    binary by construction, as ``EventStream(..., check=False)`` does for
+    streams.
+    """
+
+    def __init__(self, data, check=True):
+        if check:
+            data = np.asarray(data)
+            if data.ndim != 4:
+                raise ValueError(f"voxel cube must be 4-D (C,T,H,W), got shape {data.shape}")
+            if not ((data == 0) | (data == 1)).all():
+                raise ValueError("voxel cube values must be binary")
+            data = data.astype(np.uint8)
+        self.data = data
 
     @property
     def shape(self):
@@ -81,29 +90,42 @@ def encode_voxel_cube(stream: EventStream, config: EncoderConfig) -> VoxelCube:
         b = (stream.ts - k * config.timestep_us) // config.bin_us
         c = stream.ps.astype(np.int64) * config.micro_bins + b
         cube[c, k, stream.ys, stream.xs] = 1
-    return VoxelCube(cube)
+    return VoxelCube(cube, check=False)
+
+
+@lru_cache(maxsize=256)
+def _nearest_index(src: int, dst: int) -> np.ndarray:
+    """Read-only source index of each of ``dst`` outputs: floor((i + 0.5) * src / dst)."""
+    index = np.minimum(((np.arange(dst) + 0.5) * src / dst).astype(np.int64), src - 1)
+    index.flags.writeable = False
+    return index
 
 
 def resize_nearest(cube: VoxelCube, height: int, width: int) -> VoxelCube:
     """Nearest-neighbor resize per (c, t) plane; source index for output i
-    is floor((i + 0.5) * src / dst), so the result stays binary."""
+    is floor((i + 0.5) * src / dst), so the result stays binary.
+
+    Columns are gathered on the (C*T*h, w) view, then rows on the
+    (C*T, h, width) view; an axis that keeps its size is not gathered.
+    The result is a new array, never a view of ``cube``.
+    """
     if height < 1 or width < 1:
         raise ValueError("target size must be >= 1")
     c, t, h, w = cube.shape
-    if (h, w) == (height, width):
-        return VoxelCube(cube.data.copy())
-    yi = np.minimum(((np.arange(height) + 0.5) * h / height).astype(np.int64), h - 1)
-    xi = np.minimum(((np.arange(width) + 0.5) * w / width).astype(np.int64), w - 1)
-    return VoxelCube(cube.data[:, :, yi[:, None], xi[None, :]])
-
-
-def flip_cube_horizontal(cube: VoxelCube) -> VoxelCube:
-    return VoxelCube(cube.data[:, :, :, ::-1])
+    data = cube.data
+    if w != width:
+        data = np.take(data.reshape(c * t * h, w), _nearest_index(w, width), axis=1)
+    if h != height:
+        data = np.take(data.reshape(c * t, h, width), _nearest_index(h, height), axis=1)
+    elif data is cube.data:
+        data = data.copy()
+    return VoxelCube(data.reshape(c, t, height, width), check=False)
 
 
 # --------------------------------------------------------------------------
 # VXC dump format: header "VXC <C> <T> <H> <W>" then the CTHW bits packed
-# little-endian (row-major order, 8 cells per byte, LSB first).
+# little-endian (row-major order, 8 cells per byte, LSB first); the bits
+# that pad the last byte are zero.
 # --------------------------------------------------------------------------
 
 
@@ -125,8 +147,10 @@ def parse_vxc(data: bytes) -> VoxelCube:
     nbytes = -(-count // 8)
     if len(body) != nbytes:
         raise ValueError(f"VXC body has {len(body)} bytes, expected {nbytes} for {c}x{t}x{h}x{w} cells")
-    bits = np.unpackbits(body, bitorder="little")[:count]
-    return VoxelCube(bits.reshape(c, t, h, w))
+    bits = np.unpackbits(body, bitorder="little")
+    if bits[count:].any():
+        raise ValueError(f"VXC padding bits after the {count} cells of {c}x{t}x{h}x{w} must be zero")
+    return VoxelCube(bits[:count].reshape(c, t, h, w), check=False)
 
 
 def batch_cubes(cubes) -> np.ndarray:

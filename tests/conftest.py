@@ -3,15 +3,74 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import evsnn.autograd as ag
 from evsnn.autograd import Tensor, ops
+from evsnn.events import EventStream
 from evsnn.spiking.layers import BatchNormLayer, PLIFLayer
+
+# Property tests draw the same examples on every run, here and in CI.
+settings.register_profile("evsnn", derandomize=True, deadline=None)
+settings.load_profile("evsnn")
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _full_frame_occupancy(spec, t_us):
+    occ = np.zeros((spec.height, spec.width), dtype=bool)
+    for obj in spec.objects:
+        x = int(round(obj.x0 + obj.vx * t_us / 1e6))
+        y = int(round(obj.y0 + obj.vy * t_us / 1e6))
+        xc0, yc0 = max(x, 0), max(y, 0)
+        xc1, yc1 = min(x + obj.w, spec.width), min(y + obj.h, spec.height)
+        if xc1 > xc0 and yc1 > yc0:
+            occ[yc0:yc1, xc0:xc1] = True
+    return occ
+
+
+def full_frame_scene_stream(spec):
+    """Reference for the events of ``events.generate_synthetic_scene``: the
+    whole sensor's occupancy at every micro-step, diffed against the last,
+    ON then OFF events in row-major order, each step's drop draws made as
+    its events come."""
+    rng = np.random.default_rng(spec.seed)
+    ts, xs, ys, ps = [], [], [], []
+    prev = _full_frame_occupancy(spec, 0)
+    for k in range(1, (spec.duration_us - 1) // spec.micro_step_us + 1):
+        t = k * spec.micro_step_us
+        occ = _full_frame_occupancy(spec, t)
+        diff = occ.astype(np.int8) - prev.astype(np.int8)
+        on_y, on_x = np.nonzero(diff > 0)
+        off_y, off_x = np.nonzero(diff < 0)
+        for ex, ey, pol in ((on_x, on_y, 1), (off_x, off_y, 0)):
+            if ex.size == 0:
+                continue
+            if spec.drop_probability > 0:
+                keep = rng.random(ex.size) >= spec.drop_probability
+                ex, ey = ex[keep], ey[keep]
+            xs.append(ex)
+            ys.append(ey)
+            ts.append(np.full(ex.size, t, dtype=np.int64))
+            ps.append(np.full(ex.size, pol, dtype=np.int8))
+        prev = occ
+    if not ts:
+        return EventStream.empty(spec.width, spec.height)
+    return EventStream(np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), np.concatenate(ps),
+                       spec.width, spec.height)
+
+
+def fancy_index_resize(data, height, width):
+    """Reference for ``encoding.resize_nearest`` on a (C, T, h, w) array: one
+    2-D fancy index, output (i, j) from source (floor((i + 0.5) h / height),
+    floor((j + 0.5) w / width))."""
+    h, w = data.shape[2:]
+    yi = np.minimum(((np.arange(height) + 0.5) * h / height).astype(np.int64), h - 1)
+    xi = np.minimum(((np.arange(width) + 0.5) * w / width).astype(np.int64), w - 1)
+    return data[:, :, yi[:, None], xi[None, :]]
 
 
 def numeric_grad(fn, arrays, wrt, eps=1e-5):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fancy_index_resize
 from evsnn import encoding as enc
-from evsnn.events import EventStream
+from evsnn.events import EventStream, flip_horizontal
 
 
 def oracle_encode(stream, config):
@@ -37,6 +38,27 @@ def test_config_validation():
         enc.EncoderConfig(sample_duration=100_000, timesteps=0, micro_bins=1, height=8, width=8)
     cfg = enc.EncoderConfig(sample_duration=100_000, timesteps=5, micro_bins=2, height=8, width=8)
     assert (cfg.timestep_us, cfg.bin_us, cfg.channels) == (20_000, 10_000, 4)
+
+
+# Values VoxelCube(data) refuses, by the input dtypes that can hold them.
+_NOT_BINARY = {np.uint8: (2, 255), np.int64: (2, 255, -1), np.float32: (2, 255, -1, 0.5, np.nan),
+               np.float64: (2, 255, -1, 0.5, np.nan), bool: ()}
+
+
+@settings(max_examples=60)
+@given(dtype=st.sampled_from(list(_NOT_BINARY)), shape=st.tuples(*[st.integers(1, 3)] * 4), data=st.data())
+def test_cube_refuses_non_binary_property(dtype, shape, data):
+    """Builders skip the check, but a cube from outside is checked: one
+    non-binary value anywhere is refused with the same message, and binary
+    data of any dtype is stored as uint8."""
+    cells = np.array(data.draw(st.lists(st.integers(0, 1), min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))))
+    values = cells.astype(dtype).reshape(shape)
+    cube = enc.VoxelCube(values)
+    assert cube.data.dtype == np.uint8 and np.array_equal(cube.data, cells.reshape(shape))
+    if _NOT_BINARY[dtype]:
+        values.reshape(-1)[data.draw(st.integers(0, values.size - 1))] = data.draw(st.sampled_from(_NOT_BINARY[dtype]))
+        with pytest.raises(ValueError, match="^voxel cube values must be binary$"):
+            enc.VoxelCube(values)
 
 
 def test_cube_binary_enforced():
@@ -83,7 +105,7 @@ def test_oracle_equivalence_grid():
                 assert np.array_equal(got, oracle_encode(stream, cfg))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 100_000))
 def test_oracle_equivalence_property(seed):
     rng = np.random.default_rng(seed)
@@ -105,14 +127,11 @@ def test_encoding_is_permutation_invariant():
 
 
 def test_flip_commutes_with_encoding():
-    from evsnn.events import flip_horizontal
-
     rng = np.random.default_rng(2)
     s = random_stream(rng, n=30)
     cfg = enc.EncoderConfig(sample_duration=100_000, timesteps=5, micro_bins=2, height=s.height, width=s.width)
-    a = enc.flip_cube_horizontal(enc.encode_voxel_cube(s, cfg))
-    b = enc.encode_voxel_cube(flip_horizontal(s), cfg)
-    assert a == b
+    flipped = enc.encode_voxel_cube(flip_horizontal(s), cfg).data
+    assert np.array_equal(flipped, enc.encode_voxel_cube(s, cfg).data[..., ::-1])
 
 
 def test_resize_nearest_binary_and_identity():
@@ -125,6 +144,21 @@ def test_resize_nearest_binary_and_identity():
     # downsampling by 2 picks the odd-index source pixels (floor((i+.5)*2))
     down = enc.resize_nearest(cube, 12, 18)
     assert np.array_equal(down.data, cube.data[:, :, 1::2, 1::2])
+
+
+@settings(max_examples=60)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 17), st.integers(1, 17)),
+       target=st.tuples(st.sampled_from(["same", "one", "any"]), st.sampled_from(["same", "one", "any"])),
+       size=st.tuples(st.integers(1, 40), st.integers(1, 40)), seed=st.integers(0, 1000))
+def test_resize_nearest_equals_fancy_index(shape, target, size, seed):
+    """Columns then rows on reshaped views == one 2-D fancy index, up, down,
+    identity and to one pixel, in a new uint8 array."""
+    cube = enc.VoxelCube((np.random.default_rng(seed).random(shape) < 0.3).astype(np.uint8))
+    height, width = ({"same": src, "one": 1, "any": dst}[kind] for kind, src, dst in zip(target, shape[2:], size))
+    out = enc.resize_nearest(cube, height, width)
+    assert out.data.dtype == np.uint8 and out.shape == shape[:2] + (height, width)
+    assert np.array_equal(out.data, fancy_index_resize(cube.data, height, width))
+    assert not np.shares_memory(out.data, cube.data)
 
 
 def test_vxc_roundtrip():
@@ -142,6 +176,14 @@ def test_vxc_body_length_checked():
         enc.parse_vxc(data[:-1])
     with pytest.raises(ValueError, match="VXC body has 28 bytes, expected 27"):
         enc.parse_vxc(data + b"\x00")
+
+
+def test_vxc_padding_bits_checked():
+    data = bytearray(enc.write_vxc(enc.VoxelCube(np.ones((2, 3, 5, 7), dtype=np.uint8))))  # 210 cells, 6 padding bits
+    assert data[-1] == 0b11
+    data[-1] |= 0b100
+    with pytest.raises(ValueError, match="VXC padding bits after the 210 cells of 2x3x5x7 must be zero"):
+        enc.parse_vxc(bytes(data))
 
 
 def test_batch_cubes_shape_and_dtype():

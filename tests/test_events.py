@@ -2,12 +2,14 @@
 
 import io
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import full_frame_scene_stream
 from evsnn import events as ev
 
 
@@ -251,7 +253,7 @@ def test_flip_involution(rng):
     assert ev.flip_horizontal(ev.flip_horizontal(s)) == s
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 10_000), t0=st.integers(0, 50_000), span=st.integers(1, 50_000))
 def test_slice_time_matches_bruteforce(seed, t0, span):
     s = random_stream(np.random.default_rng(seed))
@@ -301,6 +303,13 @@ def test_scene_outside_sensor_rejected():
         ev.generate_synthetic_scene(spec)
 
 
+def test_scene_timing_validated():
+    for timing in ({"duration_us": 0}, {"micro_step_us": 0}, {"annotation_period_us": -1}):
+        spec = replace(ev.SyntheticSceneSpec(8, 8, 1000, ()), **timing)
+        with pytest.raises(ValueError, match="duration_us >= 1, micro_step_us >= 1 and annotation_period_us >= 0"):
+            ev.generate_synthetic_scene(spec)
+
+
 def test_scene_annotation_period():
     spec = ev.SyntheticSceneSpec(32, 32, 30_000, (ev.SceneObject(4, 4, 2, 2, vx=100.0),), annotation_period_us=10_000)
     _, boxes = ev.generate_synthetic_scene(spec)
@@ -320,6 +329,42 @@ def test_scene_drop_probability_reduces_events():
     s_base, _ = ev.generate_synthetic_scene(base)
     s_noisy, _ = ev.generate_synthetic_scene(noisy)
     assert 0 < len(s_noisy) < len(s_base)
+
+
+# Quarter pixels per millisecond, so that positions land on exact half
+# pixels, or any speed; zero and single-axis motion are among the choices.
+_speeds = st.one_of(st.integers(-6, 6).map(lambda q: 250.0 * q), st.floats(-1500.0, 1500.0))
+
+
+@st.composite
+def scene_specs(draw):
+    width, height = draw(st.integers(4, 20)), draw(st.integers(4, 20))
+    objects = []
+    for _ in range(draw(st.integers(0, 4))):  # several objects on a small sensor overlap
+        w, h = draw(st.integers(1, width)), draw(st.integers(1, height))
+        x0 = draw(st.integers(0, 2 * (width - w))) / 2  # whole or half pixels
+        y0 = draw(st.integers(0, 2 * (height - h))) / 2
+        vx, vy = draw(_speeds), draw(_speeds)
+        objects.append(ev.SceneObject(w, h, x0, y0, vx=vx, vy=draw(st.sampled_from([vy, 0.0])), class_id=len(objects) % 2))
+    step_us = draw(st.sampled_from([250, 700, 1000, 2000]))
+    return ev.SyntheticSceneSpec(
+        width, height, step_us * draw(st.integers(1, 30)) + draw(st.integers(0, step_us)), tuple(objects),
+        micro_step_us=step_us, drop_probability=draw(st.sampled_from([0.0, 0.0, 0.3, 0.9])), seed=draw(st.integers(0, 99)),
+    )
+
+
+@settings(max_examples=150)
+@given(spec=scene_specs())
+# two overlapping squares, one of them leaving the sensor
+@example(spec=ev.SyntheticSceneSpec(16, 12, 20_000, (ev.SceneObject(6, 6, 8, 3, vx=1000.0),
+                                                      ev.SceneObject(6, 6, 5, 4.5, vy=-500.0))))
+def test_scene_equals_full_frame_diff(spec):
+    """Diffing only where objects moved gives the events, their order and
+    the drop draws of diffing the whole sensor at every micro-step, also
+    for objects that overlap, leave the sensor mid-scene, sit on half
+    pixels, stand still or move on one axis."""
+    stream, _ = ev.generate_synthetic_scene(spec)
+    assert stream == full_frame_scene_stream(spec)
 
 
 # --------------------------------------------------------------------------
