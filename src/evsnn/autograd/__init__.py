@@ -1,4 +1,4 @@
-from .tensor import Tensor, no_grad, grad_enabled, add, sub, mul, tensor_sum, reshape, transpose, sigmoid
+from .tensor import Tensor, no_grad, grad_enabled, add, mul, tensor_sum, reshape, transpose
 from .ops import (
     conv2d,
     maxpool2d,
@@ -17,12 +17,10 @@ __all__ = [
     "no_grad",
     "grad_enabled",
     "add",
-    "sub",
     "mul",
     "tensor_sum",
     "reshape",
     "transpose",
-    "sigmoid",
     "conv2d",
     "maxpool2d",
     "concat",

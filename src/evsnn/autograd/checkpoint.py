@@ -5,7 +5,12 @@ Layout (all little-endian):
     n_params u32
     n_params entries of: name_len u16, name utf-8, ndim u8, dims u32 each,
                          float32 values
-    n_state  u32      optimizer state blob, same entry layout (may be 0)
+    n_state  u32      n_state entries of the same layout: an optimizer state
+                      block, which this module writes empty (n_state = 0)
+
+Older files may hold a non-empty state block: ``load_checkpoint`` reads it
+with the same checks as the parameters (a truncated entry raises
+ValueError) and drops it.
 
 Files are written to a temporary file beside the target and renamed over
 it, so a crash mid-write leaves the previous file whole.
@@ -63,20 +68,16 @@ def check_state(own, arrays, what):
         raise ValueError(f"{what}: " + "; ".join(problems))
 
 
-def save_checkpoint(path, named_params, optimizer_state=None):
-    """named_params: dict name -> Tensor or ndarray."""
+def save_checkpoint(path, arrays):
+    """Write ``arrays``, a dict name -> ndarray, and an empty state block."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(named_params)))
-            for name, p in named_params.items():
-                arr = p.data if hasattr(p, "data") else np.asarray(p)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
                 _write_entry(fh, name, np.asarray(arr))
-            state = optimizer_state or {}
-            fh.write(struct.pack("<I", len(state)))
-            for name, arr in state.items():
-                _write_entry(fh, name, np.asarray(arr))
+            fh.write(struct.pack("<I", 0))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -87,12 +88,14 @@ def save_checkpoint(path, named_params, optimizer_state=None):
 
 
 def load_checkpoint(path):
-    """Returns (params dict, optimizer state dict) of numpy arrays."""
+    """The parameter arrays of a checkpoint file, a dict name -> ndarray.
+    A state block is read, checked and dropped."""
     with open(path, "rb") as fh:
         if fh.read(8) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic)")
         (n,) = struct.unpack("<I", _read(fh, 4))
         params = dict(_read_entry(fh) for _ in range(n))
         (ns,) = struct.unpack("<I", _read(fh, 4))
-        state = dict(_read_entry(fh) for _ in range(ns))
-    return params, state
+        for _ in range(ns):
+            _read_entry(fh)
+    return params

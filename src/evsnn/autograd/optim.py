@@ -6,9 +6,6 @@ import math
 
 import numpy as np
 
-from .checkpoint import check_state
-from .tensor import Tensor
-
 
 def cosine_lr(step, total_steps, lr0):
     """Cosine annealing from lr0 at step 0 to 0 at total_steps."""
@@ -83,20 +80,3 @@ class AdamW:
             mhat = m / bc1
             vhat = v / bc2
             p.data -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
-
-    def state_arrays(self):
-        """Flat view of optimizer state for checkpointing, keyed by parameter name."""
-        out = {"step": np.asarray([self.step_count], dtype=np.float32)}
-        for p, m, v in zip(self.params, self.m, self.v):
-            out[f"{p.name}.m"] = m
-            out[f"{p.name}.v"] = v
-        if len(out) != 1 + 2 * len(self.params):
-            raise ValueError("optimizer state needs distinct parameter names")
-        return out
-
-    def load_state_arrays(self, arrays):
-        """Inverse of ``state_arrays``; raises ValueError naming every mismatch, before loading any."""
-        check_state(self.state_arrays(), arrays, "optimizer state does not match its parameters")
-        self.step_count = int(arrays["step"][0])
-        self.m = [np.array(arrays[f"{p.name}.m"], dtype=np.float32) for p in self.params]
-        self.v = [np.array(arrays[f"{p.name}.v"], dtype=np.float32) for p in self.params]

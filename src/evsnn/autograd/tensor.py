@@ -11,6 +11,11 @@ is used by the gradient-check tests only. Spikes are the exception: PLIF,
 max pooling and concat return them as one-byte ``uint8`` arrays, which
 ``from_op`` keeps. Gradients are always float: a tensor with non-float data
 takes the dtype of the first gradient it receives.
+
+The elementwise ops here are the ones the program calls: ``add``, ``mul``,
+``tensor_sum``, ``reshape`` and ``transpose`` (also as ``+``, ``*``,
+``.sum``, ``.reshape`` and ``.transpose``). ``_sigmoid`` is PLIF's 1/tau on
+a plain array. The layer ops are in ``ops``.
 """
 
 from __future__ import annotations
@@ -48,15 +53,14 @@ def _as_array(data, dtype=None):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None, name=None):
+    def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
-        self.name = name
 
     # -- construction helpers -------------------------------------------------
 
@@ -73,19 +77,8 @@ class Tensor:
         return out
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def zero_grad(self):
-        self.grad = None
 
     def _grad_dtype(self, g):
         """The data's dtype when it is float, else (spikes) g's."""
@@ -147,19 +140,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -212,19 +196,6 @@ def add(a, b):
     return Tensor.from_op(out_data, (a, b), backward)
 
 
-def sub(a, b):
-    b = _wrap(b, a.dtype)
-    out_data = np.subtract(a.data, b.data, dtype=_float(a.dtype, b.dtype))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), backward)
-
-
 def mul(a, b):
     b = _wrap(b, a.dtype)
     out_data = np.multiply(a.data, b.data, dtype=_float(a.dtype, b.dtype))
@@ -270,12 +241,3 @@ def transpose(a, axes):
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
-
-
-def sigmoid(a):
-    out_data = _sigmoid(a.data)
-
-    def backward(g):
-        a.accumulate_grad(g * out_data * (1.0 - out_data))
-
-    return Tensor.from_op(out_data, (a,), backward)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -335,9 +335,6 @@ class Detection:
     score: float
     box: tuple  # (x, y, w, h) in pixels
 
-    def to_dict(self):
-        return {"image_id": self.image_id, "class_id": self.class_id, "score": self.score, "box": list(self.box)}
-
 
 _NMS_BLOCK = 64  # rows of the candidate IoU matrix that nms builds at a time
 
@@ -406,12 +403,9 @@ def decode_detections(cls_logits, loc_pred, anchors, image_size, image_ids=None,
 
 
 def detections_to_json(detections):
-    return json.dumps([d.to_dict() for d in detections], indent=2)
-
-
-def detections_from_json(text):
-    return [Detection(image_id=d["image_id"], class_id=d["class_id"], score=d["score"], box=tuple(d["box"]))
-            for d in json.loads(text)]
+    """A JSON list of objects with keys image_id, class_id, score and box
+    ([x, y, w, h])."""
+    return json.dumps([asdict(d) for d in detections], indent=2)
 
 
 def detections_to_text(detections):

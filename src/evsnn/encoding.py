@@ -26,6 +26,9 @@ class EncoderConfig:
     width: int
 
     def __post_init__(self):
+        for name in ("sample_duration", "height", "width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.timesteps < 1 or self.micro_bins < 1:
             raise ValueError("timesteps and micro_bins must be >= 1")
         if self.sample_duration % self.timesteps != 0:

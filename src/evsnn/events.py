@@ -1,12 +1,12 @@
 """Event streams, annotations, file formats and dataset construction.
 
 Streams are stored as structure-of-arrays (t, x, y, p as numpy vectors)
-with sensor geometry attached; individual ``Event`` records are views for
-convenience. All operations are pure.
+with sensor geometry attached. All operations are pure.
 
 Supported formats:
   .dat   Prophesee GEN1-style binary (see parse_dat for the bit layout)
-  .evt1  canonical ASCII: "EVT1 <w> <h> <count>" header then "t x y p" lines
+  .evt1  canonical ASCII, read only: "EVT1 <w> <h> <count>" header then
+         "t x y p" lines
   .evt1b canonical packed binary: same header line, then little-endian
          records of u64 t, u16 x, u16 y, u8 p
   .npy   structured array of box annotations (header read with numpy's
@@ -18,17 +18,9 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Event:
-    t: int  # microseconds since recording start
-    x: int
-    y: int
-    polarity: int  # 0 = OFF, 1 = ON
 
 
 @dataclass(frozen=True)
@@ -75,19 +67,8 @@ class EventStream:
             raise ValueError("polarity must be 0 or 1")
 
     @classmethod
-    def from_events(cls, events, width, height):
-        ev = list(events)
-        return cls(
-            [e.t for e in ev], [e.x for e in ev], [e.y for e in ev], [e.polarity for e in ev], width, height
-        )
-
-    @classmethod
     def empty(cls, width, height):
         return cls([], [], [], [], width, height)
-
-    @property
-    def events(self):
-        return [Event(int(t), int(x), int(y), int(p)) for t, x, y, p in zip(self.ts, self.xs, self.ys, self.ps)]
 
     def __len__(self):
         return int(self.ts.size)
@@ -119,15 +100,17 @@ class ClassificationSample:
 # Zero or more '%'-prefixed ASCII header lines, then one event-type byte and
 # one event-size byte, then 8-byte records: little-endian u32 timestamp and a
 # little-endian u32 word with x in bits 0-13, y in bits 14-27, polarity in
-# bit 28 (Prophesee GEN1 2-D event convention).
+# bit 28 (Prophesee GEN1 2-D event convention). "% Width <w>" and
+# "% Height <h>" header lines give the sensor geometry; other header lines
+# are kept as they are.
 # --------------------------------------------------------------------------
 
-_DAT_KNOWN_KEYS = {"width", "height", "date", "version", "format", "geometry"}
+DAT_DEFAULT_SIZE = (304, 240)  # the GEN1 sensor: the geometry of a file without Width and Height lines
 
 
-def parse_dat(data: bytes, default_size=(304, 240), strict=False):
+def parse_dat(data: bytes):
     pos = 0
-    width, height = default_size
+    width, height = DAT_DEFAULT_SIZE
     headers = []
     while pos < len(data) and data[pos : pos + 1] == b"%":
         end = data.find(b"\n", pos)
@@ -142,8 +125,6 @@ def parse_dat(data: bytes, default_size=(304, 240), strict=False):
                 width = int(parts[1])
             elif key == "height" and len(parts) > 1:
                 height = int(parts[1])
-            elif strict and key not in _DAT_KNOWN_KEYS:
-                raise ValueError(f"unknown DAT header key: {parts[0]!r}")
         pos = end + 1
     if pos >= len(data):
         if headers:
@@ -281,13 +262,6 @@ def parse_npy_boxes(data: bytes, sensor_size=None):
 # --------------------------------------------------------------------------
 
 
-def write_evt1_text(stream: EventStream) -> bytes:
-    lines = [f"EVT1 {stream.width} {stream.height} {len(stream)}"]
-    for t, x, y, p in zip(stream.ts, stream.xs, stream.ys, stream.ps):
-        lines.append(f"{t} {x} {y} {p}")
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
 def parse_evt1_text(data: bytes) -> EventStream:
     lines = data.decode("ascii").splitlines()
     if not lines or not lines[0].startswith("EVT1 "):
@@ -351,8 +325,6 @@ def save_events(path, stream: EventStream):
         data = write_dat(stream)
     elif path.endswith(".evt1b"):
         data = write_evt1_binary(stream)
-    elif path.endswith(".evt1"):
-        data = write_evt1_text(stream)
     else:
         raise ValueError(f"unrecognized event file extension: {path}")
     with open(path, "wb") as fh:
@@ -391,11 +363,6 @@ def flip_horizontal(stream: EventStream) -> EventStream:
         stream.ts, stream.width - 1 - stream.xs, stream.ys, stream.ps,
         stream.width, stream.height, check=False,
     )
-
-
-def filter_small_boxes(annotations, min_diagonal=30.0):
-    """Keep boxes whose diagonal is at least min_diagonal pixels."""
-    return [b for b in annotations if math.hypot(b.w, b.h) >= min_diagonal]
 
 
 # --------------------------------------------------------------------------

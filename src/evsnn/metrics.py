@@ -45,10 +45,6 @@ class OpCountReport:
     per_layer: dict = field(default_factory=dict)
     input_size: tuple | None = None
 
-    @property
-    def params_total(self):
-        return self.params + self.params_fusable_bn
-
     def to_dict(self):
         return {
             "params": self.params,
@@ -119,9 +115,6 @@ class SparsityReport:
         """rate x T: effective dense-pass multiplier of the T-step SNN."""
         return self.global_rate * self.timesteps
 
-    def to_dict(self):
-        return {"global_rate": self.global_rate, "timesteps": self.timesteps, "per_layer": self.per_layer}
-
 
 def sparsity_from_record(record: SpikeRecord, timesteps) -> SparsityReport:
     return SparsityReport(global_rate=record.global_rate(), per_layer=record.layer_rates(), timesteps=timesteps)
@@ -154,14 +147,6 @@ class MAPReport:
     per_class: dict  # class_id -> mean AP over thresholds
     per_threshold: dict  # iou threshold -> mean AP over classes
     map50: float
-
-    def to_dict(self):
-        return {
-            "map": self.map,
-            "map50": self.map50,
-            "per_class": self.per_class,
-            "per_threshold": {f"{k:.2f}": v for k, v in self.per_threshold.items()},
-        }
 
 
 def _get(obj, key):

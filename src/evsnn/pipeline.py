@@ -7,7 +7,11 @@ through all timesteps, each network node run once over all T frames from
 the PLIF membranes at rest and its backward in reverse time. The
 classification head is trained with cross-entropy on the time-summed class
 scores; the detection heads with focal + smooth-L1 loss on the time-summed
-logits."""
+logits. Every trainer call trains all parameters from a fresh AdamW.
+
+A checkpoint (``save_network``, ``load_network``) holds a network's
+parameters and BN running statistics, no optimizer state, and loads only
+into a network of the same architecture."""
 
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import AdamW, clip_grad_norm, cosine_lr, load_checkpoint, save_checkpoint
-from .autograd.checkpoint import check_state
 from .detection import DetectionModel, build_anchor_targets, decode_detections, detection_loss
 from .encoding import EncoderConfig, batch_cubes, encode_voxel_cube
 from .metrics import accuracy, coco_map
@@ -36,6 +39,11 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 5e-3
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 WEIGHT_DECAY = 1e-4  # AdamW's decoupled decay
@@ -127,11 +135,9 @@ def _encode_scenes(scenes, encoder: EncoderConfig):
     return batch_cubes([encode_voxel_cube(stream, encoder) for stream, _ in scenes])
 
 
-def train_detector(model: DetectionModel, scenes, encoder: EncoderConfig, config: TrainConfig,
-                   freeze_backbone=False, log=None):
-    """Train the SSD heads and, unless ``freeze_backbone``, the backbone on
-    (stream, boxes) scenes. A frozen backbone is trainable again when the
-    call returns or raises. Returns a TrainHistory."""
+def train_detector(model: DetectionModel, scenes, encoder: EncoderConfig, config: TrainConfig, log=None):
+    """Train the backbone and the SSD heads on (stream, boxes) scenes.
+    Returns a TrainHistory; the model is trained in place."""
     data = _encode_scenes(scenes, encoder)
     anchors = model.anchors(encoder.height, encoder.width)
     labels = np.empty((len(scenes), len(anchors)), dtype=np.int64)
@@ -142,29 +148,12 @@ def train_detector(model: DetectionModel, scenes, encoder: EncoderConfig, config
         cls = [b.class_id for b in boxes]
         labels[i], locs[i] = build_anchor_targets(anchors, gt, cls, image_size, model.anchor_config)
 
-    params = model.net.param_list()
-    frozen = []
-    if freeze_backbone:
-        head_names = {n for pair in model.head_taps for n in pair}
-        params = []
-        for pname, p in model.net.params().items():
-            layer = pname.split(".")[0]
-            if layer in head_names or layer.startswith("extra"):
-                params.append(p)
-            elif p.requires_grad:
-                p.requires_grad = False
-                frozen.append(p)
-
     def loss_fn(idx):
         cls_logits, loc_pred = model.forward(data[idx])
         loss, _, _ = detection_loss(cls_logits, loc_pred, labels[idx], locs[idx])
         return loss
 
-    try:
-        return _fit(params, loss_fn, len(scenes), config, log)
-    finally:
-        for p in frozen:
-            p.requires_grad = True
+    return _fit(model.net.param_list(), loss_fn, len(scenes), config, log)
 
 
 def evaluate_detector(model: DetectionModel, scenes, encoder: EncoderConfig, batch_size=16,
@@ -193,39 +182,15 @@ def evaluate_detector(model: DetectionModel, scenes, encoder: EncoderConfig, bat
 # --------------------------------------------------------------------------
 
 
-def save_network(path, net: Network, optimizer: AdamW | None = None):
+def save_network(path, net: Network):
     """Write the network's parameters and BN running statistics."""
-    save_checkpoint(path, net.state_arrays(), optimizer.state_arrays() if optimizer else None)
+    save_checkpoint(path, net.state_arrays())
 
 
-def load_network(path, net: Network, optimizer: AdamW | None = None):
+def load_network(path, net: Network):
     """Restore a ``save_network`` file into a network of the same
-    architecture (and the optimizer over its parameters, if given); any
-    mismatch raises ValueError and loads nothing."""
-    arrays, state = load_checkpoint(path)
-    # the network is checked before the optimizer loads, so a failed load changes nothing
-    check_state(net.state_arrays(), arrays, "state does not match the network")
-    if optimizer is not None:
-        optimizer.load_state_arrays(state)
-    net.load_state_arrays(arrays)
-
-
-def load_backbone(detector: DetectionModel, classifier_ckpt_path):
-    """Initialize the shared backbone layers of a detector from a trained
-    classifier checkpoint; the only partial loader. Parameters absent from
-    the checkpoint or of another shape keep their fresh initialization, and
-    BN running statistics are not loaded. Returns (number of arrays loaded,
-    sorted names of the detector parameters that were skipped)."""
-    arrays, _ = load_checkpoint(classifier_ckpt_path)
-    loaded, skipped = 0, []
-    for name, p in sorted(detector.net.params().items()):
-        arr = arrays.get(name)
-        if arr is not None and arr.shape == p.data.shape:
-            p.data = arr.astype(np.float32)
-            loaded += 1
-        else:
-            skipped.append(name)
-    return loaded, skipped
+    architecture; any mismatch raises ValueError and loads nothing."""
+    net.load_state_arrays(load_checkpoint(path))
 
 
 # --------------------------------------------------------------------------

@@ -79,8 +79,8 @@ class ConvLayer:
         shape = (out_channels, in_channels // groups, kernel, kernel)
         fan_in = (in_channels // groups) * kernel * kernel
         w = np.zeros(shape, dtype=np.float32) if rng is None else ag.kaiming_uniform_init(shape, fan_in, rng)
-        self.weight = Tensor(w, requires_grad=True, name=f"{name}.weight")
-        self.bias = Tensor(np.zeros(out_channels, dtype=np.float32), requires_grad=True, name=f"{name}.bias") if bias else None
+        self.weight = Tensor(w, requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels, dtype=np.float32), requires_grad=True) if bias else None
 
     def __call__(self, x, steps=1, bn=None):
         """All T frames, (T, C, N, H, W), or one (C, N, H, W) frame, which
@@ -110,8 +110,8 @@ class BatchNormLayer:
     def __init__(self, name, channels):
         self.name = name
         self.channels = channels
-        self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True, name=f"{name}.gamma")
-        self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True, name=f"{name}.beta")
+        self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 
@@ -129,7 +129,7 @@ class PLIFLayer:
 
     def __init__(self, name):
         self.name = name
-        self.w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True, name=f"{name}.w")
+        self.w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x, conv, bn=None):
         """The spikes of this layer's block over all T frames of x,
@@ -218,12 +218,6 @@ class NetworkSpec:
     def from_json(cls, text):
         d = json.loads(text)
         return cls(input_channels=d["input_channels"], nodes=d["nodes"], outputs=d["outputs"], name=d.get("name", "net"))
-
-    def node(self, name):
-        for n in self.nodes:
-            if n["name"] == name:
-                return n
-        raise KeyError(name)
 
 
 class SpikeRecord:

@@ -1,4 +1,5 @@
 import contextlib
+import struct
 import types
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import settings
 
 import evsnn.autograd as ag
 from evsnn.autograd import Tensor, ops
+from evsnn.autograd.tensor import _float, _sigmoid, _unbroadcast, _wrap
 from evsnn.events import EventStream
 from evsnn.spiking.layers import BatchNormLayer, PLIFLayer
 
@@ -73,6 +75,19 @@ def fancy_index_resize(data, height, width):
     return data[:, :, yi[:, None], xi[None, :]]
 
 
+def checkpoint_bytes(params, state):
+    """A checkpoint file built by hand with ``struct`` in its documented
+    layout: the magic, then the parameter entries and the state entries,
+    each block counted by a u32."""
+    out = bytearray(b"SNNCKPT1")
+    for block in (params, state):
+        out += struct.pack("<I", len(block))
+        for name, arr in block.items():
+            out += struct.pack("<H", len(name.encode())) + name.encode() + struct.pack("<B", arr.ndim)
+            out += b"".join(struct.pack("<I", d) for d in arr.shape) + np.asarray(arr, dtype="<f4").tobytes()
+    return bytes(out)
+
+
 def numeric_grad(fn, arrays, wrt, eps=1e-5):
     """Central finite differences of scalar fn(*arrays) w.r.t. arrays[wrt]."""
     base = [a.copy() for a in arrays]
@@ -114,6 +129,44 @@ def check_grad(build, arrays, tol, eps=1e-5):
         denom = max(np.abs(num).max(), np.abs(got).max(), 1e-8)
         rel = np.abs(got - num).max() / denom
         assert rel <= tol, f"input {i}: max rel grad error {rel:.3e} > {tol}"
+
+
+def sub(a, b):
+    """a - b with its gradient, a or b a Tensor and the other a Tensor or a
+    constant, in the float dtype ``ag.add`` and ``ag.mul`` compute in
+    (float32 for one-byte spikes)."""
+    if isinstance(b, Tensor):
+        a = _wrap(a, b.dtype)
+    b = _wrap(b, a.dtype)
+    out_data = np.subtract(a.data, b.data, dtype=_float(a.dtype, b.dtype))
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
+
+    return Tensor.from_op(out_data, (a, b), backward)
+
+
+def neg(a):
+    """-a, as ``ag.mul(a, -1.0)``."""
+    return ag.mul(a, -1.0)
+
+
+def sigmoid(a):
+    """sigmoid(a) with its gradient; PLIF's 1/tau is ``sigmoid(w)``."""
+    out_data = _sigmoid(a.data)
+
+    def backward(g):
+        a.accumulate_grad(g * out_data * (1.0 - out_data))
+
+    return Tensor.from_op(out_data, (a,), backward)
+
+
+def spec_node(spec, name):
+    """The node of ``spec`` named ``name``."""
+    return next(n for n in spec.nodes if n["name"] == name)
 
 
 def cnhw(a):
@@ -216,7 +269,7 @@ def stepwise_forward(net, batch, record=None, unfolded=False):
         if name in paired:
             continue
         if name in bn_of:
-            inputs, extra = net.spec.node(bn_of[name])["inputs"], (1, net.layers[bn_of[name]])
+            inputs, extra = spec_node(net.spec, bn_of[name])["inputs"], (1, net.layers[bn_of[name]])
         if node["type"] == "spatial_sum":  # per frame: (T, C, N, H, W) -> (T, N, C)
             out = values[inputs[0]].sum(axis=(3, 4)).transpose(0, 2, 1)
         else:
@@ -231,7 +284,7 @@ def outputs_and_grads(net, run, loss_of):
     """The outputs of ``run()`` and every parameter gradient of ``net``
     after backpropagating ``loss_of(outputs)``."""
     for p in net.param_list():
-        p.zero_grad()
+        p.grad = None
     outputs = run()
     loss_of(outputs).backward()
     return outputs, {name: p.grad.copy() for name, p in net.params().items()}

@@ -36,7 +36,7 @@ from evsnn.spiking.transforms import dwsep_to_normal_conv
 from evsnn.spiking.layers import BatchNormLayer, ConvLayer
 from evsnn.tasks import make_moving_bar_dataset, make_moving_squares_dataset
 
-from conftest import batchnorm2d, call_layer, check_grad, cnhw, plif, stepwise_forward
+from conftest import batchnorm2d, call_layer, check_grad, cnhw, neg, plif, sigmoid, stepwise_forward, sub
 from test_metrics import _coco_map_oracle, _det, _gt, _iou_xywh, _random_scene
 
 
@@ -173,11 +173,11 @@ def _grad_cases(rng):
     x4 = rng.standard_normal((n, c, h, w))
     yield "add", lambda a, b: a + b, [rng.standard_normal((n, c)), rng.standard_normal((n, c))]
     yield "mul", lambda a, b: a * b, [rng.standard_normal((n, c)), rng.standard_normal((1, c))]
-    yield "sub/neg", lambda a, b: a - (-b), [rng.standard_normal(n), rng.standard_normal(n)]
+    yield "sub/neg", lambda a, b: sub(a, neg(b)), [rng.standard_normal(n), rng.standard_normal(n)]
     axis = int(rng.integers(0, 2))
     yield "sum", lambda a: a.sum(axis=axis), [rng.standard_normal((n + 1, c + 1))]
     yield "reshape/transpose", lambda a: a.reshape(n * c, h * w).transpose(1, 0), [x4]
-    yield "sigmoid", lambda a: ag.sigmoid(a), [rng.standard_normal((n, c))]
+    yield "sigmoid", sigmoid, [rng.standard_normal((n, c))]
     co = int(rng.integers(1, 4))
     k = int(rng.choice([1, 3]))
     wconv = rng.standard_normal((co, c, k, k)) * 0.5

@@ -12,7 +12,7 @@ import evsnn.autograd as ag
 from evsnn.autograd import ops
 from evsnn.autograd import AdamW, Tensor, clip_grad_norm, cosine_lr, kaiming_uniform_init
 
-from conftest import batchnorm2d, check_grad, cnhw, plif
+from conftest import batchnorm2d, check_grad, checkpoint_bytes, cnhw, neg, plif, sigmoid, sub
 
 TOL64 = 1e-6
 TOL32 = 1e-3
@@ -27,7 +27,7 @@ def _shapes(rng, n, ndim, lo=1, hi=6):
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("op", [ag.add, ag.sub, ag.mul])
+@pytest.mark.parametrize("op", [ag.add, sub, ag.mul])
 def test_binary_ops_grad(op, rng):
     for shape in _shapes(rng, 20, 3):
         a = rng.standard_normal(shape)
@@ -79,11 +79,13 @@ def test_fresh_gradient_is_stored_uncopied():
 
 
 def test_arithmetic_on_spikes_is_float32():
-    """``add``, ``sub`` and ``mul`` on one-byte spikes compute in float32:
-    they neither wrap (0 - 1) nor truncate a float operand (0.5, -1)."""
+    """``add`` and ``mul`` (and the ``sub`` oracle) on one-byte spikes
+    compute in float32: they neither wrap (0 - 1) nor truncate a float
+    operand (0.5, -1)."""
     s = Tensor(np.array([1, 0], dtype=np.uint8), dtype=np.uint8)
     t = Tensor(np.array([0, 1], dtype=np.uint8), dtype=np.uint8)
-    for got, want in ((s - t, [1, -1]), (s * 0.5, [0.5, 0]), (-s, [-1, 0]), (1.0 - s, [0, 1]), (s + t + s, [2, 1])):
+    for got, want in ((sub(s, t), [1, -1]), (s * 0.5, [0.5, 0]), (neg(s), [-1, 0]), (sub(1.0, s), [0, 1]),
+                      (s + t + s, [2, 1])):
         assert got.data.dtype == np.float32 and np.array_equal(got.data, want)
 
 
@@ -101,7 +103,7 @@ def test_sum_reshape_transpose_grad(rng):
 
 def test_sigmoid_grad(rng):
     for shape in _shapes(rng, 20, 2):
-        check_grad(ag.sigmoid, [rng.standard_normal(shape)], TOL64)
+        check_grad(sigmoid, [rng.standard_normal(shape)], TOL64)
 
 
 # --------------------------------------------------------------------------
@@ -995,22 +997,37 @@ def test_adamw_decay_is_decoupled():
     assert np.isclose(float(p.data[0]), 2.0 * (1 - 0.5 * 0.1))
 
 
-def test_adamw_state_needs_distinct_names():
-    """State is keyed by parameter name, so unnamed parameters would collide."""
-    opt = AdamW([Tensor(np.zeros(2), requires_grad=True) for _ in range(2)])
-    with pytest.raises(ValueError, match="distinct parameter names"):
-        opt.state_arrays()
-
-
 def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "ckpt.bin"
-    params = {"a.weight": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)), "b": np.float32(7.0) * np.ones(1, np.float32)}
-    state = {"m0": np.ones((2, 3), dtype=np.float32)}
-    ag.save_checkpoint(path, params, state)
-    loaded, lstate = ag.load_checkpoint(path)
-    assert np.array_equal(loaded["a.weight"], params["a.weight"].data)
-    assert np.array_equal(loaded["b"], params["b"])
-    assert np.array_equal(lstate["m0"], state["m0"])
+    params = {"a.weight": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.float32(7.0) * np.ones(1, np.float32)}
+    ag.save_checkpoint(path, params)
+    loaded = ag.load_checkpoint(path)
+    assert list(loaded) == list(params)
+    for k, v in params.items():
+        assert loaded[k].dtype == np.float32 and np.array_equal(loaded[k], v), k
+
+
+def test_checkpoint_reads_and_drops_a_state_block(tmp_path):
+    """A file with a non-empty optimizer-state block, as earlier versions
+    wrote it, loads its parameters; the state is checked and dropped, and
+    a file cut anywhere inside the state block raises ValueError."""
+    rng = np.random.default_rng(0)
+    params = {"l0.weight": rng.standard_normal((4, 3)).astype(np.float32), "l0.bias": np.ones(4, np.float32)}
+    state = {"step": np.ones(1, np.float32), "l0.weight.m": params["l0.weight"],
+             "l0.weight.v": params["l0.weight"] ** 2}
+    data = checkpoint_bytes(params, state)
+    path = tmp_path / "old.bin"
+    path.write_bytes(data)
+    loaded = ag.load_checkpoint(path)
+    assert list(loaded) == list(params)
+    for k, v in params.items():
+        assert np.array_equal(loaded[k], v), k
+    state_start = len(checkpoint_bytes(params, {})) - 4
+    for cut in range(state_start, len(data), 7):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError) as err:  # truncated, or an entry larger than what is left
+            ag.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: checkpoint "), cut
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -1023,7 +1040,7 @@ def test_checkpoint_bad_magic(tmp_path):
 def _write_checkpoint(path):
     rng = np.random.default_rng(0)
     params = {f"l{i}.weight": rng.standard_normal((4, 3)).astype(np.float32) for i in range(3)}
-    ag.save_checkpoint(path, params, {"step": np.ones(1, np.float32), "l0.weight.m": params["l0.weight"]})
+    ag.save_checkpoint(path, params)
     return params
 
 
@@ -1061,6 +1078,6 @@ def test_checkpoint_write_is_atomic(tmp_path):
         ag.save_checkpoint(path, {"a": np.ones(2, np.float32), "b": np.array(["not a number"])})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
-    loaded, _ = ag.load_checkpoint(path)
+    loaded = ag.load_checkpoint(path)
     for k, v in params.items():
         assert np.array_equal(loaded[k], v)

@@ -20,7 +20,6 @@ from evsnn.detection import (
     decode_boxes,
     decode_detections,
     detection_loss,
-    detections_from_json,
     detections_to_json,
     detections_to_text,
     encode_boxes,
@@ -33,7 +32,7 @@ from evsnn.detection import (
 )
 from evsnn.spiking import Network
 
-from conftest import cnhw, outputs_and_grads, stepwise_forward
+from conftest import cnhw, outputs_and_grads, spec_node, stepwise_forward
 
 
 # --------------------------------------------------------------------------
@@ -322,7 +321,7 @@ def test_detector_feature_taps_are_binary():
     spec, head_taps, cfg = build_detector_spec(num_classes=1, in_channels=2)
     Network(spec)  # refuses a bn or conv that reads anything but spikes
     # forward the backbone with the taps as outputs and check spike trains
-    tap_names = sorted({t for pair in head_taps for t in spec.node(pair[0])["inputs"]})
+    tap_names = sorted({t for pair in head_taps for t in spec_node(spec, pair[0])["inputs"]})
     spec.outputs = tap_names
     net = Network(spec, rng=np.random.default_rng(6))
     rng = np.random.default_rng(6)
@@ -594,7 +593,11 @@ def test_decode_detections_matches_per_image_oracle():
         assert sum(d.image_id == 9 and d.class_id == 1 for d in got) == top_k
         for d in got:
             assert type(d.score) is float and all(type(v) is float for v in d.box)
-        assert detections_from_json(detections_to_json(got)) == got
+        assert _detections_from_json(detections_to_json(got)) == got
+
+
+def _detections_from_json(text):
+    return [Detection(**dict(d, box=tuple(d["box"]))) for d in json.loads(text)]
 
 
 def test_detection_dumps_round_trip(tmp_path):
@@ -603,8 +606,9 @@ def test_detection_dumps_round_trip(tmp_path):
         Detection(image_id=3, class_id=0, score=0.5, box=(10.0, 20.0, 30.0, 40.0)),
     ]
     text = detections_to_json(dets)
-    back = detections_from_json(text)
-    assert back == dets
+    assert _detections_from_json(text) == dets
+    assert list(json.loads(text)[0].items()) == [("image_id", 0), ("class_id", 1), ("score", 0.75),
+                                                 ("box", [1.0, 2.0, 3.0, 4.0])]
     lines = detections_to_text(dets).strip().split("\n")
     assert lines[0].split() == ["0", "1", "0.750000", "1.00", "2.00", "3.00", "4.00"]
     assert json.loads(text)[1]["image_id"] == 3

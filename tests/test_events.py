@@ -36,12 +36,6 @@ def test_stream_validation():
         ev.EventStream([1, 2], [0], [0], [1], 10, 10)
 
 
-def test_stream_event_views():
-    s = ev.EventStream([1, 2], [3, 4], [5, 6], [0, 1], 10, 10)
-    assert s.events == [ev.Event(1, 3, 5, 0), ev.Event(2, 4, 6, 1)]
-    assert ev.EventStream.from_events(s.events, 10, 10) == s
-
-
 # --------------------------------------------------------------------------
 # DAT format
 # --------------------------------------------------------------------------
@@ -57,17 +51,13 @@ def test_dat_roundtrip(rng):
 
 def test_dat_header_parsing():
     s = ev.EventStream([10], [3], [4], [1], 16, 12)
-    data = ev.write_dat(s, headers=["% Width 16", "% Height 12", "% Date 2020-01-01"])
+    data = ev.write_dat(s, headers=["% Width 16", "% Height 12", "% Date 2020-01-01", "% Mystery 42"])
     parsed = ev.parse_dat(data)
     assert (parsed.width, parsed.height) == (16, 12)
     assert parsed == s
-
-
-def test_dat_strict_rejects_unknown_header():
-    data = b"% Mystery 42\n" + bytes([0, 8])
-    ev.parse_dat(data)  # lenient mode fine
-    with pytest.raises(ValueError, match="Mystery"):
-        ev.parse_dat(data, strict=True)
+    assert parsed.headers[2:] == ["% Date 2020-01-01", "% Mystery 42"]  # other lines are kept, not read
+    bare = ev.parse_dat(data[data.index(bytes([0, 8])):])  # no geometry lines: the GEN1 sensor
+    assert (bare.width, bare.height) == ev.DAT_DEFAULT_SIZE == (304, 240)
 
 
 def test_dat_truncation_errors():
@@ -196,9 +186,17 @@ def test_npy_not_npy():
 # --------------------------------------------------------------------------
 
 
+def evt1_text(stream):
+    """The ``.evt1`` text of ``stream``: the header line, then one "t x y p"
+    line per event."""
+    lines = [f"EVT1 {stream.width} {stream.height} {len(stream)}"]
+    lines += [f"{t} {x} {y} {p}" for t, x, y, p in zip(stream.ts, stream.xs, stream.ys, stream.ps)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def test_evt1_text_roundtrip(rng):
     s = random_stream(rng)
-    assert ev.parse_evt1_text(ev.write_evt1_text(s)) == s
+    assert ev.parse_evt1_text(evt1_text(s)) == s
 
 
 def test_evt1_binary_roundtrip(rng):
@@ -219,12 +217,15 @@ def test_evt1_text_field_count():
 
 def test_load_save_dispatch(tmp_path, rng):
     s = random_stream(rng)
-    for ext in (".dat", ".evt1", ".evt1b"):
+    for ext in (".dat", ".evt1b"):
         path = tmp_path / f"stream{ext}"
         ev.save_events(path, s)
         assert ev.load_events(path) == s
-    with pytest.raises(ValueError, match="extension"):
-        ev.save_events(tmp_path / "stream.xyz", s)
+    (tmp_path / "stream.evt1").write_bytes(evt1_text(s))  # read, never written
+    assert ev.load_events(tmp_path / "stream.evt1") == s
+    for ext in (".evt1", ".xyz"):
+        with pytest.raises(ValueError, match="extension"):
+            ev.save_events(tmp_path / f"out{ext}", s)
 
 
 # --------------------------------------------------------------------------
@@ -261,12 +262,6 @@ def test_slice_time_matches_bruteforce(seed, t0, span):
     keep = (s.ts >= t0) & (s.ts < t0 + span)
     assert np.array_equal(out.ts, s.ts[keep] - t0)
     assert np.array_equal(out.xs, s.xs[keep])
-
-
-def test_filter_small_boxes():
-    boxes = [ev.BoxAnnotation(0, 0, 0, 18, 24, 0), ev.BoxAnnotation(0, 0, 0, 18, 23, 0)]
-    kept = ev.filter_small_boxes(boxes, min_diagonal=30)
-    assert kept == boxes[:1]  # 18-24-30 right triangle sits exactly on the cut
 
 
 # --------------------------------------------------------------------------

@@ -62,7 +62,6 @@ def test_count_params_hand_values():
     # conv 2*3*3*3 = 54, plif one shared time constant, bn gamma+beta = 4
     assert rep.params == 54 + 1
     assert rep.params_fusable_bn == 4
-    assert rep.params_total == 59
     assert rep.per_layer["c1"]["params"] == 54
 
 

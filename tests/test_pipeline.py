@@ -10,7 +10,7 @@ import pytest
 import evsnn.autograd as ag
 import evsnn.cli as cli
 import evsnn.pipeline as pipeline
-from evsnn.autograd import AdamW, ops
+from evsnn.autograd import ops
 from evsnn.detection import DetectionModel, build_toy_detector_spec
 from evsnn.encoding import EncoderConfig, batch_cubes, parse_vxc
 from evsnn.pipeline import (
@@ -18,14 +18,14 @@ from evsnn.pipeline import (
     TrainingDiverged,
     evaluate_classifier,
     evaluate_detector,
-    load_backbone,
     load_network,
     run_encoding_ablation,
     save_network,
     train_classifier,
     train_detector,
 )
-from evsnn.spiking import Network, NetworkSpec
+from evsnn.metrics import count_accs_per_timestep
+from evsnn.spiking import Network, NetworkSpec, convert_dwsep_network
 from evsnn.spiking.builders import build_toy_classifier, named_spec
 from evsnn.tasks import (
     SQUARE_SIZES,
@@ -35,7 +35,7 @@ from evsnn.tasks import (
     make_moving_squares_dataset,
 )
 
-from conftest import stepwise_forward
+from conftest import checkpoint_bytes, stepwise_forward
 
 ENC = EncoderConfig(sample_duration=100_000, timesteps=2, micro_bins=1, height=64, width=64)
 FAST = TrainConfig(epochs=2, batch_size=8, lr=2e-3, seed=0)
@@ -48,6 +48,23 @@ def _toy_net(seed=0):
 def _toy_detector(seed=0, in_channels=None):
     spec, taps, cfg = build_toy_detector_spec(num_classes=2, in_channels=in_channels or ENC.channels)
     return DetectionModel(spec, taps, 2, cfg, rng=np.random.default_rng(seed))
+
+
+# --------------------------------------------------------------------------
+# Configs
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("config, kwargs, field", [
+    (TrainConfig, dict(epochs=0), "epochs"),
+    (TrainConfig, dict(batch_size=0), "batch_size"),
+    (EncoderConfig, dict(sample_duration=-10, timesteps=5, micro_bins=1, height=64, width=64), "sample_duration"),
+    (EncoderConfig, dict(sample_duration=100_000, timesteps=5, micro_bins=1, height=0, width=64), "height"),
+    (EncoderConfig, dict(sample_duration=100_000, timesteps=5, micro_bins=1, height=64, width=-3), "width"),
+], ids=["epochs", "batch_size", "sample_duration", "height", "width"])
+def test_configs_refuse_values_that_cannot_run(config, kwargs, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {kwargs[field]}$"):
+        config(**kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -235,14 +252,12 @@ def test_checkpoint_round_trip(tmp_path):
     # predicts differently (one class for all held-out samples)
     enc = EncoderConfig(sample_duration=100_000, timesteps=5, micro_bins=2, height=64, width=64)
     net = Network(build_toy_classifier(in_channels=enc.channels), rng=np.random.default_rng(1))
-    opt = AdamW(net.param_list(), lr=1e-3)
     samples = make_moving_bar_dataset(48, seed=0)
     train_classifier(net, samples, enc, TrainConfig(epochs=4, batch_size=16, lr=5e-3))
     path = str(tmp_path / "net.ckpt")
-    save_network(path, net, opt)
+    save_network(path, net)
     other = Network(build_toy_classifier(in_channels=enc.channels), rng=np.random.default_rng(99))
-    opt2 = AdamW(other.param_list(), lr=1e-3)
-    load_network(path, other, opt2)
+    load_network(path, other)
     for k, v in net.state_arrays().items():  # parameters and BN running statistics
         assert np.array_equal(other.state_arrays()[k], v), k
     held_out = make_moving_bar_dataset(16, seed=5)
@@ -254,53 +269,13 @@ def test_checkpoint_round_trip(tmp_path):
         load_network(path, _toy_detector().net)
 
 
-def test_optimizer_state_keyed_by_parameter_name(tmp_path):
-    model = _toy_detector()
-    head_names = {n for pair in model.head_taps for n in pair}
-    heads = [p for k, p in model.net.params().items() if k.split(".")[0] in head_names]
-    frozen = AdamW(heads, lr=1e-3)
-    for p in heads:
-        p.grad = np.ones_like(p.data)
-    frozen.step()
-    path = str(tmp_path / "heads.ckpt")
-    save_network(path, model.net, frozen)
-
-    again = AdamW(heads, lr=1e-3)
-    load_network(path, model.net, again)
-    assert again.step_count == 1
-    for k, v in frozen.state_arrays().items():
-        assert np.array_equal(again.state_arrays()[k], v), k
-
-    full = AdamW(model.net.param_list(), lr=1e-3)
-    with pytest.raises(ValueError, match="optimizer state") as err:
-        load_network(path, model.net, full)
-    assert "missing c1_conv.weight.m" in str(err.value)
-    assert full.step_count == 0
-    save_network(path, _toy_detector(seed=1).net)  # another init, no optimizer state to restore
-    before = {k: v.copy() for k, v in model.net.state_arrays().items()}
-    with pytest.raises(ValueError, match="missing step"):
-        load_network(path, model.net, again)
-    for k, v in model.net.state_arrays().items():  # the failed load changed nothing
-        assert np.array_equal(v, before[k]), k
-
-
-def test_load_backbone_partial(tmp_path):
-    src = _toy_detector(seed=1)
-    path = str(tmp_path / "det.ckpt")
-    save_network(path, src.net)
-    dst = _toy_detector(seed=2)
-    n, skipped = load_backbone(dst, path)
-    assert n == len(src.net.params()) and skipped == []
-    for k, v in src.net.params().items():
-        assert np.array_equal(dst.net.params()[k].data, v.data)
-    # a mismatched input width loads fewer arrays but does not fail
-    other = _toy_detector(seed=3, in_channels=ENC.channels * 2)
-    m, skipped = load_backbone(other, path)
-    assert 0 < m < n
-    assert skipped == ["c1_bn.beta", "c1_bn.gamma", "c1_conv.weight"]  # they see the input channels
-    fresh = _toy_detector(seed=3, in_channels=ENC.channels * 2).net.params()
-    for k, v in other.net.params().items():
-        assert np.array_equal(v.data, (fresh if k in skipped else src.net.params())[k].data), k
+def test_save_network_writes_the_documented_layout(tmp_path):
+    """The file holds the network's state arrays in order and an empty
+    state block, byte for byte the layout built by hand."""
+    net = _toy_detector().net
+    path = tmp_path / "det.ckpt"
+    save_network(path, net)
+    assert path.read_bytes() == checkpoint_bytes(net.state_arrays(), {})
 
 
 # --------------------------------------------------------------------------
@@ -357,41 +332,6 @@ def test_evaluate_detector_postprocessing_goes_through_module_names(monkeypatch)
     assert calls["nms"] == 2
 
 
-def test_train_detector_frozen_backbone():
-    scenes = make_moving_squares_dataset(4, seed=0)
-    model = _toy_detector()
-    head_names = {n for pair in model.head_taps for n in pair}
-    before = {k: v.data.copy() for k, v in model.net.params().items()}
-    train_detector(model, scenes, ENC, TrainConfig(epochs=1, batch_size=4, lr=1e-2), freeze_backbone=True)
-    changed_heads = changed_backbone = 0
-    for k, v in model.net.params().items():
-        moved = not np.array_equal(before[k], v.data)
-        if k.split(".")[0] in head_names:
-            changed_heads += moved
-        else:
-            changed_backbone += moved
-    assert changed_heads > 0
-    assert changed_backbone == 0
-
-
-def test_train_detector_unfreezes_backbone():
-    """A frozen-backbone call makes the backbone trainable again when it
-    returns or raises, so a later unfrozen call trains it."""
-    scenes = make_moving_squares_dataset(4, seed=0)
-    model = _toy_detector()
-    train_detector(model, scenes, ENC, TrainConfig(epochs=1, batch_size=4, lr=1e-2), freeze_backbone=True)
-    weight = model.net.params()["c1_conv.weight"]
-    before = weight.data.copy()
-    train_detector(model, scenes, ENC, TrainConfig(epochs=2, batch_size=4, lr=1e-2))
-    assert weight.requires_grad
-    assert not np.array_equal(weight.data, before)
-
-    model.net.params()[f"{model.head_taps[0][0]}.weight"].data[...] = np.nan
-    with pytest.raises(TrainingDiverged):
-        train_detector(model, scenes, ENC, TrainConfig(epochs=1, batch_size=4, lr=1e-2), freeze_backbone=True)
-    assert all(p.requires_grad for p in model.net.params().values())
-
-
 # --------------------------------------------------------------------------
 # Ablation + manifest
 # --------------------------------------------------------------------------
@@ -429,6 +369,18 @@ def test_cli_count_and_export(tmp_path, capsys):
     exported = Network(NetworkSpec.from_json(open(arch_out).read()))
     shapes = {k: p.data.shape for k, p in exported.params().items()}
     assert shapes == {k: p.data.shape for k, p in Network(named_spec("squeezenet1.1")).params().items()}
+
+
+def test_cli_count_reports_mobilenet_dense_form(tmp_path, capsys):
+    """``count`` reports MobileNet as the paper's table gives it: each
+    depthwise + pointwise pair as one dense conv."""
+    out = str(tmp_path / "rep.json")
+    assert cli.main(["count", "--arch", "mobilenet16", "--out", out]) == 0
+    dense = convert_dwsep_network(Network(named_spec("mobilenet16", in_channels=4)))
+    want = count_accs_per_timestep(dense, (64, 64)).to_dict()
+    assert json.load(open(out)) == json.loads(json.dumps(want))
+    dwsep = count_accs_per_timestep(Network(named_spec("mobilenet16")), (64, 64))
+    assert want["accs_per_timestep"] > dwsep.accs_per_timestep
 
 
 def test_cli_synth_and_encode(tmp_path, capsys):

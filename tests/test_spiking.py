@@ -16,8 +16,8 @@ from evsnn.spiking.builders import (ARCH_NAMES, build_densenet, build_mobilenet,
                                     build_vgg, named_spec)
 from evsnn.spiking.layers import BatchNormLayer, ConvLayer, MaxPoolLayer, PLIFLayer
 
-from conftest import (batchnorm2d, call_layer, count_tape_ops, numeric_grad, outputs_and_grads, plif, stepwise_forward,
-                      tape_bytes)
+from conftest import (batchnorm2d, call_layer, count_tape_ops, numeric_grad, outputs_and_grads, plif, sigmoid,
+                      spec_node, stepwise_forward, sub, tape_bytes)
 
 
 # --------------------------------------------------------------------------
@@ -30,7 +30,7 @@ def test_plif_layer_tau_init():
     sigmoid(w) = 1/2, and a spec cannot ask for another start."""
     layer = PLIFLayer("p")
     assert layer.w.data[0] == 0.0
-    assert ag.sigmoid(layer.w).data[0] == 0.5
+    assert sigmoid(layer.w).data[0] == 0.5
     for value in (2.0, 3.0):
         spec = NetworkSpec(input_channels=1)
         spec.add("p", "plif", ["input"], tau_init=value)
@@ -86,20 +86,20 @@ def _plif_step_oracle(state, x, inv_tau, v_threshold=1.0, v_reset=0.0, reset_mod
     ``plif`` must match at threshold 1, hard reset to 0."""
     if state is None:
         state = Tensor(np.full(x.data.shape, v_reset, dtype=x.data.dtype))
-    drive = x - (state - v_reset)
+    drive = sub(x, sub(state, v_reset))
     v = state + drive * inv_tau
-    spikes = _heaviside_surrogate(v - v_threshold)
+    spikes = _heaviside_surrogate(sub(v, v_threshold))
     if reset_mode == "hard":
-        v_next = v * (1.0 - spikes) + spikes * v_reset
+        v_next = v * sub(1.0, spikes) + spikes * v_reset
     else:
-        v_next = v - spikes * v_threshold
+        v_next = sub(v, spikes * v_threshold)
     return spikes, v_next
 
 
 def _oracle_step(x, state, w):
     """One step of the oracle neuron: ``w`` is a Tensor with 1/tau =
     sigmoid(w), or 1/tau itself. Returns the spikes and V'."""
-    return _plif_step_oracle(state, x, ag.sigmoid(w) if isinstance(w, Tensor) else w)
+    return _plif_step_oracle(state, x, sigmoid(w) if isinstance(w, Tensor) else w)
 
 
 def _frame(x, t):
@@ -945,9 +945,10 @@ def test_training_forward_calls_only_the_block_ops(monkeypatch):
         ops_called = [op for op, _ in calls]
         assert set(ops_called) <= {"conv_plif", "maxpool2d", "concat", "time_sum", "conv2d"}, name
         assert ops_called.count("conv_plif") == len(net.conv_of) > 0, name
+        conv_of_weight = {id(layer.weight): n for n, layer in net.layers.items() if isinstance(layer, ConvLayer)}
         for op, args in calls:
             if op == "conv2d":  # the node is the one whose weight the op reads
-                node = net.spec.node(args[1].name.rsplit(".", 1)[0])
+                node = spec_node(net.spec, conv_of_weight[id(args[1])])
                 with_bn = len(args) > 6 and args[6] is not None
                 assert node.get("depthwise") if with_bn else node["name"] in net.once, (name, node)
 
@@ -1379,7 +1380,7 @@ def test_purity_audit_mobilenet_dwsep():
     Network(spec)
     for pointwise_of in (None, "dw2_dwconv"):
         broken = NetworkSpec.from_json(spec.to_json())
-        node = broken.node("dw1_pwconv")
+        node = spec_node(broken, "dw1_pwconv")
         if pointwise_of is None:
             del node["pointwise_of"]
         else:
